@@ -55,10 +55,10 @@
 //! `REFDIST_QUICK=1` shrinks cluster sizes and repetitions for smoke runs
 //! (the output files are still written).
 
-use refdist_bench::{cache_for_fraction, ExpContext, PolicySpec};
+use refdist_bench::{cache_for_fraction, ExpContext, PolicySpec, ServeAxis, ServeScenario};
 use refdist_cluster::{
-    AdmissionPolicy, ArrivalProcess, ClusterConfig, QuotaKind, ResilienceConfig, RunReport,
-    ServeConfig, ServeReport, ServeSched, ServeSim, SimConfig, Simulation,
+    AdmissionPolicy, ClusterConfig, QuotaKind, ResilienceConfig, RunReport, ServeReport,
+    ServeSched, ServeSim, SimConfig, Simulation,
 };
 use refdist_core::ProfileMode;
 use refdist_dag::{AppBuilder, AppPlan, AppSpec, StorageLevel};
@@ -232,25 +232,26 @@ fn time_serve(policy: PolicySpec, tenants: u32) -> f64 {
         ctx.params.scale = 0.5;
     }
     let spec = Workload::ConnectedComponents.build(&ctx.params);
-    let cache = cache_for_fraction(&spec, &ctx.cluster, 0.2).max(1);
-    let subs: Vec<(&AppSpec, u32)> = (0..tenants).map(|t| (&spec, t)).collect();
-    let serve = ServeSim::new(
-        &subs,
-        ServeConfig {
-            sim: SimConfig::new(ctx.cluster.with_cache(cache)).with_seed(ctx.seed),
-            arrivals: ArrivalProcess::Poisson {
-                mean_gap_us: 500_000,
-            },
+    let scenario = ServeScenario {
+        templates: std::slice::from_ref(&spec),
+        apps: tenants,
+        sim: SimConfig::new(ctx.cluster.clone()).with_seed(ctx.seed),
+        axis: ServeAxis {
+            tenants,
+            mean_gap_us: 500_000,
             sched: ServeSched::FairShare,
             quota: QuotaKind::EqualShare,
-            // The legacy serve suite keeps measuring the upfront path so
-            // its numbers stay comparable across bench baselines; the
-            // serve_stream suite covers streaming.
-            upfront: true,
-            intern: true,
             resilience: Default::default(),
         },
-    );
+    }
+    .fit_cache(0.2)
+    .expect("valid cache fraction");
+    let mut cfg = scenario.config();
+    // The legacy serve suite keeps measuring the upfront path so its numbers
+    // stay comparable across bench baselines; the serve_stream suite covers
+    // streaming.
+    cfg.upfront = true;
+    let serve = ServeSim::new(&scenario.submissions(), cfg);
     let reps = if quick() { 1 } else { 20 };
     let mut best_ms = f64::INFINITY;
     for _ in 0..reps {
@@ -300,6 +301,32 @@ fn admission_specs(k: usize) -> Vec<AppSpec> {
         .collect()
 }
 
+/// The stream-app serve cell both stream suites time: `apps` submissions
+/// over 4 tenants on a 2-node cluster, fair-share with equal-share quotas.
+fn stream_scenario(
+    spec: &AppSpec,
+    apps: u32,
+    mean_gap_us: u64,
+    resilience: ResilienceConfig,
+) -> ServeScenario<'_> {
+    let mut sim = SimConfig::new(ClusterConfig::tiny(2, 512 * 1024));
+    sim.seed = 42;
+    sim.compute_jitter = 0.0;
+    sim.exec_mem_fraction = 0.0;
+    ServeScenario {
+        templates: std::slice::from_ref(spec),
+        apps,
+        sim,
+        axis: ServeAxis {
+            tenants: 4,
+            mean_gap_us,
+            sched: ServeSched::FairShare,
+            quota: QuotaKind::EqualShare,
+            resilience,
+        },
+    }
+}
+
 /// Best-of-reps wall ms for one serve-stream cell, end to end: a fresh
 /// `ServeSim` per rep, so each side pays its own planning model inside the
 /// timed region — lazy per-admission planning for streaming, the combined
@@ -310,32 +337,19 @@ fn time_serve_stream(
     mean_gap_us: u64,
     upfront: bool,
 ) -> (f64, ServeReport) {
-    let tenants = 4;
-    let subs: Vec<(&AppSpec, u32)> = (0..apps).map(|i| (spec, i % tenants)).collect();
+    let scenario = stream_scenario(spec, apps, mean_gap_us, Default::default());
+    let subs = scenario.submissions();
     let reps = if quick() { 1 } else { 5 };
     let mut best_ms = f64::INFINITY;
     let mut report = None;
     for _ in 0..reps {
-        let mut sim = SimConfig::new(ClusterConfig::tiny(2, 512 * 1024));
-        sim.seed = 42;
-        sim.compute_jitter = 0.0;
-        sim.exec_mem_fraction = 0.0;
+        let mut cfg = scenario.config();
+        cfg.upfront = upfront;
         let policies = (0..apps)
             .map(|_| refdist_policies::PolicyKind::Lru.build())
             .collect();
         let start = Instant::now();
-        let serve = ServeSim::new(
-            &subs,
-            ServeConfig {
-                sim,
-                arrivals: ArrivalProcess::Poisson { mean_gap_us },
-                sched: ServeSched::FairShare,
-                quota: QuotaKind::EqualShare,
-                upfront,
-                intern: true,
-                resilience: Default::default(),
-            },
-        );
+        let serve = ServeSim::new(&subs, cfg);
         let r = serve.run(policies);
         best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
         report = Some(r);
@@ -357,45 +371,33 @@ fn time_serve_resilience(
     mtbf_us: Option<u64>,
     admission: AdmissionPolicy,
 ) -> (f64, ServeReport) {
-    let tenants = 4;
-    let subs: Vec<(&AppSpec, u32)> = (0..apps).map(|i| (spec, i % tenants)).collect();
+    let resilience = ResilienceConfig {
+        max_app_attempts: 3,
+        retry_backoff_us: 10_000,
+        max_retry_backoff_us: 80_000,
+        admission,
+        max_active_apps: Some(8),
+        queue_cap: Some(16),
+        deadline_us: Some(2_000_000),
+    };
+    let mut scenario = stream_scenario(spec, apps, 40_000, resilience);
+    if let Some(mtbf) = mtbf_us {
+        // Task faults with a tight attempt budget are what hand the
+        // app-level retry path real work; churn drives recovery churn
+        // (cold rejoins, migrations) on top.
+        let faults = &mut scenario.sim.faults;
+        faults.task_failure_p = 0.02;
+        faults.max_task_attempts = 2;
+        faults.node_churn(mtbf, mtbf / 4);
+    }
+    let subs = scenario.submissions();
     let reps = if quick() { 1 } else { 5 };
     let mut best_ms = f64::INFINITY;
     let mut report = None;
     for _ in 0..reps {
-        let mut sim = SimConfig::new(ClusterConfig::tiny(2, 512 * 1024));
-        sim.seed = 42;
-        sim.compute_jitter = 0.0;
-        sim.exec_mem_fraction = 0.0;
-        if let Some(mtbf) = mtbf_us {
-            // Task faults with a tight attempt budget are what hand the
-            // app-level retry path real work; churn drives recovery churn
-            // (cold rejoins, migrations) on top.
-            sim.faults.task_failure_p = 0.02;
-            sim.faults.max_task_attempts = 2;
-            sim.faults.node_churn(mtbf, mtbf / 4);
-        }
+        let cfg = scenario.config();
         let start = Instant::now();
-        let serve = ServeSim::new(
-            &subs,
-            ServeConfig {
-                sim,
-                arrivals: ArrivalProcess::Poisson { mean_gap_us: 40_000 },
-                sched: ServeSched::FairShare,
-                quota: QuotaKind::EqualShare,
-                upfront: false,
-                intern: true,
-                resilience: ResilienceConfig {
-                    max_app_attempts: 3,
-                    retry_backoff_us: 10_000,
-                    max_retry_backoff_us: 80_000,
-                    admission,
-                    max_active_apps: Some(8),
-                    queue_cap: Some(16),
-                    deadline_us: Some(2_000_000),
-                },
-            },
-        );
+        let serve = ServeSim::new(&subs, cfg);
         let r = serve.run_with(|_| refdist_policies::PolicyKind::Lru.build());
         best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
         report = Some(r);
@@ -706,22 +708,10 @@ fn main() {
             .resilience
             .as_ref()
             .expect("a non-passive config always reports resilience");
-        // Per-tenant SLO attainment: shed submissions count as misses, so
-        // met + missed covers the whole stream when a deadline is set.
-        let tenants = 4usize;
-        let mut met = vec![0u64; tenants];
-        let mut total = vec![0u64; tenants];
-        for i in 0..report.reports.len() {
-            let t = report.tenants[i] as usize;
-            if let Some(ok) = res.met_deadline(i, report.arrivals[i], report.completions[i]) {
-                total[t] += 1;
-                if ok {
-                    met[t] += 1;
-                }
-            }
-        }
-        let slo_met: u64 = met.iter().sum();
-        let slo_total: u64 = total.iter().sum();
+        // Shed submissions count as misses, so the deadline covers the
+        // whole stream.
+        let slo_met = report.deadline_met().expect("a deadline is set");
+        let slo_total = report.reports.len();
         println!(
             "{:<12} {:>10} {:>6} {:>8.1} ms {:>8} {:>6} {:>6} {:>6}/{}",
             bench,

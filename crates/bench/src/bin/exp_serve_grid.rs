@@ -21,14 +21,10 @@
 //! `REFDIST_QUICK=1` shrinks the stream for smoke runs. The full run backs
 //! the "MRD under multi-tenancy" section in EXPERIMENTS.md.
 
-use refdist_cluster::{
-    ArrivalProcess, ClusterConfig, QuotaKind, ServeConfig, ServeReport, ServeSched, ServeSim,
-    SimConfig,
-};
-use refdist_core::MrdPolicy;
+use refdist_bench::{cached_footprint, PolicySpec, ServeAxis, ServeScenario};
+use refdist_cluster::{percentile, ClusterConfig, QuotaKind, ServeReport, ServeSched, SimConfig};
 use refdist_dag::{AppBuilder, AppSpec, StorageLevel};
 use refdist_metrics::TextTable;
-use refdist_policies::{CachePolicy, PolicyKind};
 
 fn quick() -> bool {
     std::env::var("REFDIST_QUICK").is_ok_and(|v| v != "0")
@@ -57,45 +53,20 @@ fn grid_app() -> AppSpec {
     b.build()
 }
 
-fn build(policy: &str) -> Box<dyn CachePolicy> {
-    match policy {
-        "lru" => PolicyKind::Lru.build(),
-        "lrc" => PolicyKind::Lrc.build(),
-        "mrd" => Box::new(MrdPolicy::full()),
-        other => panic!("unknown policy {other}"),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_cell(
-    spec: &AppSpec,
-    n: usize,
-    tenants: u32,
-    mean_gap_us: u64,
-    sched: ServeSched,
-    quota: QuotaKind,
-    policy: &str,
-) -> ServeReport {
-    let subs: Vec<(&AppSpec, u32)> = (0..n).map(|i| (spec, i as u32 % tenants)).collect();
+fn run_cell(spec: &AppSpec, n: u32, axis: ServeAxis, policy: &str) -> ServeReport {
     // ~2 concurrent working sets fit; the rest is eviction pressure.
-    let footprint: u64 = spec.cached_rdds().map(|r| r.total_size()).sum();
-    let mut sim = SimConfig::new(ClusterConfig::tiny(2, footprint));
+    let mut sim = SimConfig::new(ClusterConfig::tiny(2, cached_footprint(spec)));
     sim.seed = 42;
     sim.compute_jitter = 0.0;
     sim.exec_mem_fraction = 0.0;
-    let serve = ServeSim::new(
-        &subs,
-        ServeConfig {
-            sim,
-            arrivals: ArrivalProcess::Poisson { mean_gap_us },
-            sched,
-            quota,
-            upfront: false,
-            intern: true,
-            resilience: Default::default(),
-        },
-    );
-    serve.run((0..n).map(|_| build(policy)).collect())
+    let scenario = ServeScenario {
+        templates: std::slice::from_ref(spec),
+        apps: n,
+        sim,
+        axis,
+    };
+    let policy = PolicySpec::from_cli_name(policy).expect("known policy");
+    scenario.run(policy).expect("valid serve grid cell")
 }
 
 struct Cell {
@@ -108,7 +79,7 @@ fn summarize(r: &ServeReport) -> Cell {
     let mut jcts: Vec<u64> = r.reports.iter().map(|x| x.jct.micros()).collect();
     jcts.sort_unstable();
     let mean = jcts.iter().sum::<u64>() as f64 / jcts.len() as f64;
-    let p99 = jcts[(jcts.len() * 99).div_ceil(100).clamp(1, jcts.len()) - 1];
+    let p99 = percentile(&jcts, 0.99);
     let total: u64 = r.cross_evictions.iter().flatten().sum();
     let cross: u64 = r
         .cross_evictions
@@ -134,7 +105,7 @@ fn summarize(r: &ServeReport) -> Cell {
 }
 
 fn main() {
-    let n = if quick() { 400 } else { 10_000 };
+    let n: u32 = if quick() { 400 } else { 10_000 };
     let spec = grid_app();
     println!(
         "serve grid: {n}-submission Poisson streams of the hot/cold app, \
@@ -150,7 +121,14 @@ fn main() {
                 for &quota in &[QuotaKind::Unlimited, QuotaKind::EqualShare] {
                     let mut lru_mean = None;
                     for policy in ["lru", "lrc", "mrd"] {
-                        let report = run_cell(&spec, n, tenants, gap, sched, quota, policy);
+                        let axis = ServeAxis {
+                            tenants,
+                            mean_gap_us: gap,
+                            sched,
+                            quota,
+                            resilience: Default::default(),
+                        };
+                        let report = run_cell(&spec, n, axis, policy);
                         let c = summarize(&report);
                         if policy == "lru" {
                             lru_mean = Some(c.mean_ms);

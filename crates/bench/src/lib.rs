@@ -17,7 +17,10 @@ pub use sweep::{
     SweepGrid, SweepOptions, SweepResults,
 };
 
-use refdist_cluster::{ClusterConfig, FaultPlan, RunReport, SimConfig, Simulation};
+use refdist_cluster::{
+    ArrivalProcess, ClusterConfig, FaultPlan, RunReport, ServeConfig, ServeReport, ServeSim,
+    SimConfig, Simulation,
+};
 use refdist_core::{AppProfiler, DistanceMetric, MrdConfig, MrdMode, MrdPolicy, ProfileMode};
 use refdist_dag::{AppPlan, AppSpec, BlockSlots};
 use refdist_policies::{BeladyMinPolicy, CachePolicy, PolicyKind};
@@ -82,6 +85,18 @@ impl PolicySpec {
             "belady" => PolicySpec::Belady,
             _ => return None,
         })
+    }
+
+    /// `self`, unless it is [`PolicySpec::Belady`]: its oracle replays a
+    /// recorded whole-run trace, which only single-app sweep cells record.
+    /// The one error every caller that cannot run Belady reports.
+    pub fn traceless(self) -> Result<PolicySpec, String> {
+        if self == PolicySpec::Belady {
+            return Err("belady needs a recorded whole-run trace, which only single-app \
+                        sweep and chaos cells record"
+                .into());
+        }
+        Ok(self)
     }
 
     /// Instantiate the policy. `trace` is required for [`PolicySpec::Belady`].
@@ -187,6 +202,97 @@ pub fn cached_footprint(spec: &AppSpec) -> u64 {
 /// footprint divided across the cluster.
 pub fn cache_for_fraction(spec: &AppSpec, cluster: &ClusterConfig, fraction: f64) -> u64 {
     ((cached_footprint(spec) as f64 * fraction) / cluster.nodes as f64) as u64
+}
+
+/// Reject a cache fraction that cannot size a cache: NaN, infinite or
+/// negative (`0` is allowed and sizes the one-byte minimum cache).
+pub fn check_fraction(fraction: f64) -> Result<(), String> {
+    if fraction.is_finite() && fraction >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!("cache fraction must be finite and non-negative, got {fraction}"))
+    }
+}
+
+/// Per-node cache (at least one byte) holding `fraction` of the largest
+/// cached footprint among `templates`, so a fraction keeps its meaning on
+/// a heterogeneous mix.
+pub fn cache_for_largest(
+    templates: &[AppSpec],
+    cluster: &ClusterConfig,
+    fraction: f64,
+) -> Result<u64, String> {
+    check_fraction(fraction)?;
+    let largest = templates.iter().map(|t| cache_for_fraction(t, cluster, fraction));
+    Ok(largest.max().unwrap_or(0).max(1))
+}
+
+/// One multi-tenant serve stream, the way every serve caller (the CLI, the
+/// sweep's serve cells, the experiment and bench binaries) builds it:
+/// `apps` submissions cycle round-robin through `templates` and over the
+/// tenants, arrive as a Poisson stream, and run on one shared cluster
+/// under the streaming, template-interned driver.
+#[derive(Debug, Clone)]
+pub struct ServeScenario<'a> {
+    /// Application templates; submission `i` runs `templates[i % k]`.
+    pub templates: &'a [AppSpec],
+    /// Total submissions; submission `i` belongs to tenant `i % tenants`.
+    pub apps: u32,
+    /// The shared cluster (cache sized), master seed, fault plan (node
+    /// churn included) and jitter.
+    pub sim: SimConfig,
+    /// Tenants, mean arrival gap, scheduler, quota and resilience knobs.
+    pub axis: ServeAxis,
+}
+
+impl<'a> ServeScenario<'a> {
+    /// Size the per-node cache to `fraction` of the largest template's
+    /// cached footprint ([`cache_for_largest`]).
+    pub fn fit_cache(mut self, fraction: f64) -> Result<Self, String> {
+        self.sim.cluster.cache_bytes =
+            cache_for_largest(self.templates, &self.sim.cluster, fraction)?;
+        Ok(self)
+    }
+
+    /// The `(template, tenant)` submission list, in submission order.
+    pub fn submissions(&self) -> Vec<(&'a AppSpec, u32)> {
+        let k = self.templates.len();
+        (0..self.apps)
+            .map(|i| (&self.templates[i as usize % k], i % self.axis.tenants))
+            .collect()
+    }
+
+    /// The streaming, template-interned serve configuration. Reference
+    /// drivers (upfront, non-interned) are for tests and benches, which
+    /// flip [`ServeConfig::upfront`] / [`ServeConfig::intern`] on this.
+    pub fn config(&self) -> ServeConfig {
+        let mut cfg = ServeConfig::passthrough(self.sim.clone());
+        cfg.arrivals = ArrivalProcess::Poisson {
+            mean_gap_us: self.axis.mean_gap_us,
+        };
+        cfg.sched = self.axis.sched;
+        cfg.quota = self.axis.quota;
+        cfg.resilience = self.axis.resilience;
+        cfg
+    }
+
+    /// Check the stream's shape, then the config ([`ServeConfig::validate`]).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.templates.is_empty() || self.apps == 0 {
+            return Err("a serve stream needs at least one submission".into());
+        }
+        if self.axis.tenants == 0 {
+            return Err("a serve stream needs at least one tenant".into());
+        }
+        self.config().validate()
+    }
+
+    /// Serve the stream with a fresh `policy` instance per admission.
+    pub fn run(&self, policy: PolicySpec) -> Result<ServeReport, String> {
+        let policy = policy.traceless()?;
+        self.validate()?;
+        Ok(ServeSim::new(&self.submissions(), self.config()).run_with(|_| policy.build(None)))
+    }
 }
 
 /// One simulated run. The simulation seed is taken from `ctx.seed`; the

@@ -20,17 +20,16 @@
 //! * progress and ETA lines go to **stderr** only, leaving stdout
 //!   deterministic.
 
-use crate::{cache_for_fraction, run_one_prepared, ExpContext, PolicySpec, PreparedWorkload};
-use parking_lot::Mutex;
-use refdist_cluster::{
-    ArrivalProcess, EngineScratch, QuotaKind, ResilienceConfig, RunReport, ServeConfig,
-    ServeSched, ServeSim, SimConfig,
+use crate::{
+    cache_for_fraction, run_one_prepared, ExpContext, PolicySpec, PreparedWorkload, ServeScenario,
 };
+use parking_lot::Mutex;
+use refdist_cluster::{EngineScratch, QuotaKind, ResilienceConfig, RunReport, ServeSched, SimConfig};
 use refdist_core::ProfileMode;
-use refdist_dag::AppSpec;
 use refdist_metrics::{CsvWriter, OrderedSink, TextTable};
 use refdist_workloads::Workload;
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -128,38 +127,44 @@ pub struct SweepCell {
 }
 
 impl SweepCell {
-    /// Canonical key identifying this cell in reports and golden files.
-    /// Fault-free cells keep the pre-chaos key shape.
-    pub fn key(&self) -> String {
-        let mut key = format!(
-            "{}/{}/f{:.4}/s{}",
-            self.workload.short_name(),
-            self.policy.name(),
-            self.capacity_frac,
-            self.seed
-        );
+    /// The cell's fields joined by `sep`, with `policy` (if any) after the
+    /// workload. Fault-free, single-app and passive-resilience cells keep
+    /// the shapes that predate those axes, so historical keys and seeds
+    /// stay stable.
+    fn env_key(&self, sep: char, policy: Option<&str>) -> String {
+        let mut key = self.workload.short_name().to_string();
+        if let Some(p) = policy {
+            let _ = write!(key, "{sep}{p}");
+        }
+        let _ = write!(key, "{sep}f{:.4}{sep}s{}", self.capacity_frac, self.seed);
         if self.chaos != 0.0 {
-            key.push_str(&format!("/c{:.4}", self.chaos));
+            let _ = write!(key, "{sep}c{:.4}", self.chaos);
         }
         if let Some(ax) = &self.serve {
-            key.push_str(&format!(
-                "/t{}/g{}/{}/q{}",
+            let _ = write!(
+                key,
+                "{sep}t{}{sep}g{}{sep}{}{sep}q{}",
                 ax.tenants, ax.mean_gap_us, ax.sched, ax.quota
-            ));
-            // Passive resilience keeps the pre-resilience key shape.
+            );
             if !ax.resilience.is_passive() {
                 let r = &ax.resilience;
-                key.push_str(&format!(
-                    "/r{}-{}-m{}-c{}-d{}",
+                let _ = write!(
+                    key,
+                    "{sep}r{}-{}-m{}-c{}-d{}",
                     r.max_app_attempts,
                     r.admission,
                     r.max_active_apps.unwrap_or(0),
                     r.queue_cap.unwrap_or(0),
                     r.deadline_us.unwrap_or(0)
-                ));
+                );
             }
         }
         key
+    }
+
+    /// Canonical key identifying this cell in reports and golden files.
+    pub fn key(&self) -> String {
+        self.env_key('/', Some(self.policy.name()))
     }
 
     /// The simulation seed for this cell: a hash of the cell's environment
@@ -169,33 +174,7 @@ impl SweepCell {
     /// (paired runs). Fault-free cells hash the pre-chaos key shape, so
     /// their seeds are stable across the axis's introduction.
     pub fn sim_seed(&self, master_seed: u64) -> u64 {
-        let mut env_key = format!(
-            "{}|f{:.4}|s{}",
-            self.workload.short_name(),
-            self.capacity_frac,
-            self.seed
-        );
-        if self.chaos != 0.0 {
-            env_key.push_str(&format!("|c{:.4}", self.chaos));
-        }
-        if let Some(ax) = &self.serve {
-            env_key.push_str(&format!(
-                "|t{}|g{}|{}|q{}",
-                ax.tenants, ax.mean_gap_us, ax.sched, ax.quota
-            ));
-            // Passive resilience keeps the pre-resilience seed shape.
-            if !ax.resilience.is_passive() {
-                let r = &ax.resilience;
-                env_key.push_str(&format!(
-                    "|r{}-{}-m{}-c{}-d{}",
-                    r.max_app_attempts,
-                    r.admission,
-                    r.max_active_apps.unwrap_or(0),
-                    r.queue_cap.unwrap_or(0),
-                    r.deadline_us.unwrap_or(0)
-                ));
-            }
-        }
+        let env_key = self.env_key('|', None);
         // FNV-1a over the key, finalized with a splitmix64 round so nearby
         // keys land far apart in seed space.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ master_seed;
@@ -599,8 +578,8 @@ impl Progress {
 }
 
 /// Run one multi-tenant serve cell: `ax.tenants` copies of the prepared
-/// workload arrive as a Poisson stream on a shared cluster, and the
-/// per-submission reports are folded into one aggregate [`RunReport`] via
+/// workload, one per tenant, served as a [`ServeScenario`], and the
+/// per-submission reports folded into one aggregate [`RunReport`] via
 /// [`refdist_cluster::ServeReport::merged_report`]. Serve mode always uses
 /// recurring profiles (each submission is a known, previously-seen app), and
 /// Belady is excluded — a whole-run trace is meaningless under interleaving.
@@ -611,59 +590,32 @@ fn run_serve_cell(
     policy: PolicySpec,
     ax: ServeAxis,
 ) -> (RunReport, ServePeaks, Option<ServeSlo>) {
-    assert!(
-        policy != PolicySpec::Belady,
-        "Belady-MIN is excluded from serve cells (no whole-run trace under interleaving)"
-    );
     let mut sim = SimConfig::new(ctx.cluster.with_cache(cache_bytes)).with_seed(ctx.seed);
     sim.faults = ctx.faults.clone();
-    let subs: Vec<(&AppSpec, u32)> = (0..ax.tenants).map(|t| (&prep.spec, t)).collect();
-    let serve = ServeSim::new(
-        &subs,
-        ServeConfig {
-            sim,
-            arrivals: ArrivalProcess::Poisson {
-                mean_gap_us: ax.mean_gap_us,
-            },
-            sched: ax.sched,
-            quota: ax.quota,
-            upfront: false,
-            intern: true,
-            resilience: ax.resilience,
-        },
-    );
-    // App-level retry needs a fresh policy instance per admission, so serve
-    // cells always go through the factory path.
-    let report = serve.run_with(|_| policy.build(None));
+    let scenario = ServeScenario {
+        templates: std::slice::from_ref(&prep.spec),
+        apps: ax.tenants,
+        sim,
+        axis: ax,
+    };
+    let report = scenario
+        .run(policy)
+        .unwrap_or_else(|e| panic!("serve cell: {e}"));
     let peaks = ServePeaks {
         active_apps: report.peak_active_apps,
         arena_slots: report.peak_arena_slots,
         resident_blocks: report.peak_resident_blocks,
         resident_bytes: report.peak_resident_bytes,
     };
-    let slo = report.resilience.as_ref().map(|res| {
-        let mut delays: Vec<u64> = res.queue_delay_us.clone();
-        delays.sort_unstable();
-        let pct = |q: f64| -> u64 {
-            if delays.is_empty() {
-                return 0;
-            }
-            let rank = ((delays.len() as f64) * q).ceil() as usize;
-            delays[rank.clamp(1, delays.len()) - 1]
-        };
-        let deadline_misses = (0..report.reports.len())
-            .filter(|&i| {
-                res.met_deadline(i, report.arrivals[i], report.completions[i]) == Some(false)
-            })
-            .count() as u64;
-        ServeSlo {
-            retries: res.total_retries(),
-            shed: res.shed_count(),
-            degraded: res.degraded_count(),
-            deadline_misses,
-            queue_p95_us: pct(0.95),
-            queue_p99_us: pct(0.99),
-        }
+    let slo = report.resilience.as_ref().map(|res| ServeSlo {
+        retries: res.total_retries(),
+        shed: res.shed_count(),
+        degraded: res.degraded_count(),
+        deadline_misses: report
+            .deadline_met()
+            .map_or(0, |met| (report.reports.len() - met) as u64),
+        queue_p95_us: report.queue_delay_percentile(0.95).unwrap_or_default(),
+        queue_p99_us: report.queue_delay_percentile(0.99).unwrap_or_default(),
     });
     (report.merged_report(), peaks, slo)
 }
@@ -965,6 +917,53 @@ mod tests {
             }
             .sim_seed(42)
         );
+    }
+
+    #[test]
+    fn serve_cell_keys_and_seeds_are_frozen() {
+        // Literals recorded before `key` and `sim_seed` shared one
+        // formatter: neither the '/' key nor the '|' seed input may move.
+        use refdist_cluster::AdmissionPolicy;
+        let ax = ServeAxis {
+            tenants: 3,
+            mean_gap_us: 200_000,
+            sched: ServeSched::FairShare,
+            quota: QuotaKind::EqualShare,
+            resilience: Default::default(),
+        };
+        let passive = SweepCell {
+            workload: Workload::KMeans,
+            policy: PolicySpec::Lru,
+            capacity_frac: 0.4,
+            seed: 42,
+            chaos: 0.0,
+            serve: Some(ax),
+        };
+        let resilient = SweepCell {
+            chaos: 0.02,
+            serve: Some(ServeAxis {
+                resilience: ResilienceConfig {
+                    max_app_attempts: 3,
+                    admission: AdmissionPolicy::Shed,
+                    max_active_apps: Some(2),
+                    queue_cap: Some(4),
+                    deadline_us: Some(5_000_000),
+                    ..Default::default()
+                },
+                ..ax
+            }),
+            ..passive
+        };
+        assert_eq!(
+            passive.key(),
+            "KM/LRU/f0.4000/s42/t3/g200000/fair-share/qequal-share"
+        );
+        assert_eq!(passive.sim_seed(42), 13_828_689_401_376_245_882);
+        assert_eq!(
+            resilient.key(),
+            "KM/LRU/f0.4000/s42/c0.0200/t3/g200000/fair-share/qequal-share/r3-shed-m2-c4-d5000000"
+        );
+        assert_eq!(resilient.sim_seed(42), 11_901_974_435_278_185_890);
     }
 
     #[test]

@@ -65,6 +65,6 @@ pub use faults::{
 pub use report::{RunReport, SchedStats};
 pub use runtime::{collect_trace, EngineScratch, Simulation};
 pub use serve::{
-    AdmissionPolicy, ArrivalProcess, QuotaKind, ResilienceConfig, ResilienceReport, ServeConfig,
-    ServeReport, ServeSched, ServeSim, TenantMux, TenantSummary,
+    percentile, AdmissionPolicy, ArrivalProcess, QuotaKind, ResilienceConfig, ResilienceReport,
+    ServeConfig, ServeReport, ServeSched, ServeSim, TenantMux, TenantSummary,
 };

@@ -280,6 +280,9 @@ impl ResilienceConfig {
         if self.max_app_attempts == 0 {
             return Err("max_app_attempts must be at least 1".into());
         }
+        if self.max_active_apps == Some(0) {
+            return Err("max_active_apps must be at least 1".into());
+        }
         if self.queue_cap.is_some() && self.max_active_apps.is_none() {
             return Err("queue_cap is meaningless without max_active_apps".into());
         }
@@ -330,6 +333,25 @@ impl ServeConfig {
             intern: true,
             resilience: ResilienceConfig::default(),
         }
+    }
+
+    /// Sanity-check the whole serve configuration: the cluster, the fault
+    /// plan and the resilience knobs, plus their one cross-field rule —
+    /// the upfront reference driver predates app-level retry and admission
+    /// control, so it accepts only a resilience config whose active part is
+    /// off (deadline accounting is pure reporting and is allowed through).
+    /// [`ServeSim`] refuses to run a config this rejects.
+    pub fn validate(&self) -> Result<(), String> {
+        self.sim.cluster.validate()?;
+        self.sim.faults.validate()?;
+        self.resilience.validate()?;
+        let res = &self.resilience;
+        if self.upfront && (res.max_app_attempts > 1 || res.max_active_apps.is_some()) {
+            return Err("app-level retry and admission control are streaming-only: \
+                        disable `upfront` or make the resilience config passive"
+                .into());
+        }
+        Ok(())
     }
 }
 
@@ -863,20 +885,10 @@ impl<'a> ServeSim<'a> {
     }
 
     fn dispatch(&self, factory: &mut dyn FnMut(usize) -> Box<dyn CachePolicy>) -> ServeReport {
-        if let Err(e) = self.cfg.resilience.validate() {
-            panic!("invalid resilience config: {e}");
+        if let Err(e) = self.cfg.validate() {
+            panic!("invalid serve config: {e}");
         }
         if self.cfg.upfront {
-            // The upfront driver is the byte-frozen reference path: it
-            // predates retry/admission control and must stay byte-identical
-            // to pre-resilience behaviour. Deadline accounting is pure
-            // reporting, so it is allowed through.
-            let res = &self.cfg.resilience;
-            assert!(
-                res.max_app_attempts <= 1 && res.max_active_apps.is_none(),
-                "app-level retry and admission control are streaming-only: \
-                 disable `upfront` or make the resilience config passive"
-            );
             self.run_upfront((0..self.subs.len()).map(factory).collect())
         } else {
             self.run_streaming(factory)
@@ -1501,8 +1513,9 @@ pub struct ServeReport {
     pub resilience: Option<ResilienceReport>,
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
+/// Nearest-rank percentile over an ascending-sorted slice (`0` when empty):
+/// the value at rank `ceil(len * q)`, clamped to `1..=len`.
+pub fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -1573,6 +1586,28 @@ impl ServeReport {
             .collect()
     }
 
+    /// Submissions that met the configured deadline (shed submissions never
+    /// do); `None` when the run had no deadline.
+    pub fn deadline_met(&self) -> Option<usize> {
+        let res = self.resilience.as_ref().filter(|r| r.deadline_us.is_some())?;
+        Some(
+            (0..self.reports.len())
+                .filter(|&i| {
+                    res.met_deadline(i, self.arrivals[i], self.completions[i]) == Some(true)
+                })
+                .count(),
+        )
+    }
+
+    /// Nearest-rank [`percentile`] `q` of the admission-queue delay over
+    /// every submission (shed ones at zero wait), microseconds; `None` on
+    /// runs whose resilience config was passive.
+    pub fn queue_delay_percentile(&self, q: f64) -> Option<u64> {
+        let mut delays = self.resilience.as_ref()?.queue_delay_us.clone();
+        delays.sort_unstable();
+        Some(percentile(&delays, q))
+    }
+
     /// Human-readable (and golden-file-stable) summary: stream header,
     /// per-tenant JCT distribution table, cross-tenant eviction table.
     pub fn summary(&self) -> String {
@@ -1629,13 +1664,7 @@ impl ServeReport {
                 SimDuration(percentile(&delays, 0.95)).as_secs_f64(),
                 SimDuration(percentile(&delays, 0.99)).as_secs_f64(),
             ));
-            if let Some(d) = res.deadline_us {
-                let met = (0..n)
-                    .filter(|&i| {
-                        res.met_deadline(i, self.arrivals[i], self.completions[i])
-                            == Some(true)
-                    })
-                    .count();
+            if let (Some(d), Some(met)) = (res.deadline_us, self.deadline_met()) {
                 s.push_str(&format!(
                     "slo: {}/{} met the {:.3}s deadline ({:.1}% attainment)\n",
                     met,
@@ -2051,10 +2080,44 @@ mod tests {
         };
         let mut c = serve_cfg(cfg(2, 2 << 20), ServeSched::Fifo, res);
         c.upfront = true;
+        // Retry budgets and admission caps need the streaming driver.
+        for active in [
+            ResilienceConfig { max_app_attempts: 2, ..res },
+            ResilienceConfig { max_active_apps: Some(2), ..res },
+        ] {
+            let bad = ServeConfig { resilience: active, ..c.clone() };
+            assert!(bad.validate().unwrap_err().contains("streaming-only"));
+        }
+        c.validate().unwrap();
         let sr = ServeSim::new(&[(&a, 0)], c).run_with(|_| Box::new(LruPolicy::new()));
         let r = sr.resilience.as_ref().expect("deadline reported upfront too");
         assert_eq!(r.app_attempts, vec![1]);
         assert!(sr.summary().contains("slo: 1/1 met"));
+    }
+
+    #[test]
+    fn validate_owns_every_serve_config_error() {
+        let ok = serve_cfg(cfg(2, 2 << 20), ServeSched::Fifo, ResilienceConfig::default());
+        ok.validate().unwrap();
+        let mut no_nodes = ok.clone();
+        no_nodes.sim.cluster.nodes = 0;
+        let mut no_churn = ok.clone();
+        no_churn.sim.faults.node_churn(0, 5);
+        let zero_active = ServeConfig {
+            resilience: ResilienceConfig {
+                max_active_apps: Some(0),
+                ..ResilienceConfig::default()
+            },
+            ..ok.clone()
+        };
+        for (bad, why) in [
+            (no_nodes, "at least one node"),
+            (no_churn, "churn MTBF/MTTR"),
+            (zero_active, "max_active_apps must be at least 1"),
+        ] {
+            let e = bad.validate().unwrap_err();
+            assert!(e.contains(why), "{e}");
+        }
     }
 
     #[test]

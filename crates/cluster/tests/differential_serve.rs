@@ -635,7 +635,7 @@ fn inert_resilience_config_is_byte_invisible_everywhere() {
 /// `CrashEvent`s fire against *per-application* stage numbering (fire-once,
 /// cluster-wide), and wall-clock events (timed crashes, churn) fire against
 /// the engine's monotone cluster clock — so a given chaos seed produces the
-/// same fault sequence whether the stream runs under the `--upfront`
+/// same fault sequence whether the stream runs under the upfront
 /// reference driver, the streaming driver, or streaming with template
 /// interning.
 #[test]

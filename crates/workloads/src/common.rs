@@ -45,6 +45,22 @@ impl WorkloadParams {
         }
     }
 
+    /// Reject parameters no generator can build from: zero partitions (the
+    /// block size divides by them) or a scale that is not a positive,
+    /// finite number.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.partitions == 0 {
+            return Err("partitions must be at least 1".into());
+        }
+        if !(self.scale.is_finite() && self.scale > 0.0) {
+            return Err(format!(
+                "scale must be positive and finite, got {}",
+                self.scale
+            ));
+        }
+        Ok(())
+    }
+
     /// Per-partition block size for a dataset of `total` bytes at scale.
     pub fn block(&self, total: u64) -> u64 {
         ((total as f64 * self.scale) as u64 / self.partitions as u64).max(1)
@@ -391,6 +407,23 @@ mod tests {
             ..p
         };
         assert_eq!(p2.iters(10), 3);
+    }
+
+    #[test]
+    fn validate_rejects_unbuildable_params() {
+        WorkloadParams::default().validate().unwrap();
+        let zero = WorkloadParams {
+            partitions: 0,
+            ..WorkloadParams::default()
+        };
+        assert!(zero.validate().is_err());
+        for scale in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let p = WorkloadParams {
+                scale,
+                ..WorkloadParams::default()
+            };
+            assert!(p.validate().is_err(), "scale {scale}");
+        }
     }
 
     #[test]

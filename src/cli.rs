@@ -5,6 +5,8 @@
 //! parsing and command execution are unit-testable.
 
 use crate::prelude::*;
+use refdist_bench::{cache_for_largest, check_fraction, PolicySpec, ServeAxis, ServeScenario};
+use refdist_cluster::{QuotaKind, ResilienceConfig, ServeSched};
 use refdist_metrics::{human_bytes, TextTable};
 use std::fmt::Write as _;
 
@@ -147,12 +149,6 @@ pub enum Command {
         /// Mean Poisson inter-arrival gap in microseconds; overrides
         /// `gap_ms` for long streams needing sub-millisecond pressure.
         gap_us: Option<u64>,
-        /// Run the build-everything-upfront reference path instead of
-        /// streaming admission/retirement.
-        upfront: bool,
-        /// Disable template-interned admission: replan every submission
-        /// from scratch (the per-submission reference path).
-        no_intern: bool,
         /// Heterogeneous template mix: workload short names the stream
         /// cycles through (overrides the positional workload).
         mix: Vec<String>,
@@ -252,13 +248,8 @@ SERVE OPTIONS (in addition to the applicable options above):
   --gap-ms <N>           mean Poisson inter-arrival gap in ms (default 500)
   --arrival-gap <US>     mean Poisson inter-arrival gap in microseconds
                          (overrides --gap-ms; for long dense streams)
-  --upfront              plan/profile/slot every submission before the
-                         first event (the reference path) instead of
-                         streaming admission and retirement
   --mix <a,b,..>         heterogeneous stream: submissions cycle through
                          these workloads (overrides the positional one)
-  --no-intern            replan every admission from scratch instead of
-                         reusing the per-template interned plan/profile
   --scheds <a,b,..>      inter-job schedulers: fifo | fair-share
                          (default fifo,fair-share)
   --quotas <a,b,..>      per-tenant cache quotas: unlimited | equal-share |
@@ -267,9 +258,9 @@ SERVE OPTIONS (in addition to the applicable options above):
   --churn <MTBF,MTTR>    wall-clock node churn: mean time between node
                          failures and mean repair time, in milliseconds
   --app-retries <N>      re-admit an aborted submission up to N times with
-                         capped exponential backoff (streaming only)
+                         capped exponential backoff
   --max-active <N>       admit at most N concurrent apps; later arrivals
-                         follow the --admission policy (streaming only)
+                         follow the --admission policy
   --admission <policy>   queue | shed | degrade (default queue); what an
                          arrival gets when the cluster is at --max-active
   --deadline <US>        per-submission SLO deadline in microseconds;
@@ -351,8 +342,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut apps: Option<u32> = None;
     let mut gap_ms = 500u64;
     let mut gap_us: Option<u64> = None;
-    let mut upfront = false;
-    let mut no_intern = false;
     let mut mix: Vec<String> = Vec::new();
     let mut scheds: Vec<String> = vec!["fifo".into(), "fair-share".into()];
     let mut quotas: Vec<String> = vec!["unlimited".into(), "equal-share".into()];
@@ -391,8 +380,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             "--apps" => apps = Some(f.parse_num("--apps")?),
             "--gap-ms" => gap_ms = f.parse_num("--gap-ms")?,
             "--arrival-gap" => gap_us = Some(f.parse_num("--arrival-gap")?),
-            "--upfront" => upfront = true,
-            "--no-intern" => no_intern = true,
             "--mix" => mix = f.parse_list("--mix")?,
             "--scheds" => scheds = f.parse_list("--scheds")?,
             "--quotas" => quotas = f.parse_list("--quotas")?,
@@ -413,6 +400,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
     }
 
+    // Every command's workloads are generated from `params`: reject values
+    // no generator can build from before anything is built.
+    params.validate()?;
     let workload_arg = || -> Result<String, String> {
         positional
             .first()
@@ -495,8 +485,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             apps,
             gap_ms,
             gap_us,
-            upfront,
-            no_intern,
             mix,
             scheds,
             quotas,
@@ -515,28 +503,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     }
 }
 
-fn build_policy(name: &str) -> Result<Box<dyn CachePolicy>, String> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "lru" => PolicyKind::Lru.build(),
-        "fifo" => PolicyKind::Fifo.build(),
-        "random" => PolicyKind::Random.build(),
-        "lrc" => PolicyKind::Lrc.build(),
-        "memtune" => PolicyKind::MemTune.build(),
-        "mrd" => Box::new(MrdPolicy::full()),
-        "mrd-evict" => Box::new(MrdPolicy::new(MrdConfig {
-            mode: MrdMode::EvictOnly,
-            ..Default::default()
-        })),
-        "mrd-prefetch" => Box::new(MrdPolicy::new(MrdConfig {
-            mode: MrdMode::PrefetchOnly,
-            ..Default::default()
-        })),
-        "mrd-job" => Box::new(MrdPolicy::new(MrdConfig {
-            metric: DistanceMetric::Job,
-            ..Default::default()
-        })),
-        other => return Err(format!("unknown policy `{other}`")),
-    })
+fn parse_policy(name: &str) -> Result<PolicySpec, String> {
+    PolicySpec::from_cli_name(name).ok_or_else(|| format!("unknown policy `{name}`"))
 }
 
 fn parse_sched(name: &str) -> Result<refdist_cluster::ServeSched, String> {
@@ -573,31 +541,19 @@ fn parse_admission(name: &str) -> Result<refdist_cluster::AdmissionPolicy, Strin
     })
 }
 
-fn cluster_preset(name: &str) -> Result<ClusterConfig, String> {
-    Ok(match name.to_ascii_lowercase().as_str() {
+/// A cluster preset with the `--nodes` override applied (unvalidated: solo
+/// commands validate it, serve commands through [`ServeScenario::validate`]).
+fn cluster_preset(name: &str, nodes: Option<u32>) -> Result<ClusterConfig, String> {
+    let mut cl = match name.to_ascii_lowercase().as_str() {
         "main" => ClusterConfig::main_cluster(),
         "lrc" => ClusterConfig::lrc_cluster(),
         "memtune" => ClusterConfig::memtune_cluster(),
         other => return Err(format!("unknown cluster preset `{other}`")),
-    })
-}
-
-/// Inputs of the `refdist chaos --serve` curve (bundled so the helper does
-/// not take a dozen positional arguments).
-struct ChaosServe {
-    w: Workload,
-    policies: Vec<String>,
-    rates: Vec<f64>,
-    cache_fraction: f64,
-    cl: ClusterConfig,
-    tenants: u32,
-    apps: Option<u32>,
-    gap_ms: u64,
-    deadline_us: Option<u64>,
-    app_retries: u32,
-    seed: u64,
-    csv: bool,
-    params: WorkloadParams,
+    };
+    if let Some(n) = nodes {
+        cl.nodes = n;
+    }
+    Ok(cl)
 }
 
 /// `refdist chaos --serve`: SLO attainment vs churn rate. Each rate is an
@@ -607,73 +563,49 @@ struct ChaosServe {
 /// re-admitted up to `--app-retries` times. A submission meets its SLO when
 /// it completes within `--deadline` microseconds of its arrival (default:
 /// twice that policy's fault-free maximum JCT, so the rate-0 baseline always
-/// attains 100%).
-fn chaos_serve(cs: ChaosServe) -> Result<String, String> {
-    use refdist_cluster::{
-        ArrivalProcess, QuotaKind, ResilienceConfig, ServeConfig, ServeReport, ServeSched,
-        ServeSim,
-    };
-    for p in &cs.policies {
-        build_policy(p)?;
-    }
-    if cs.tenants == 0 {
-        return Err("--tenants must be at least 1".into());
-    }
-    let spec = cs.w.build(&cs.params);
-    let footprint: u64 = spec.cached_rdds().map(|r| r.total_size()).sum();
-    let cache = (((footprint as f64 * cs.cache_fraction) / cs.cl.nodes as f64) as u64).max(1);
-    let napps = cs.apps.unwrap_or(cs.tenants).max(1) as usize;
-    let subs: Vec<(&AppSpec, u32)> = (0..napps as u32).map(|i| (&spec, i % cs.tenants)).collect();
-    let mean_gap_us = cs.gap_ms.saturating_mul(1_000);
-    let run_at = |rate: f64, deadline: Option<u64>, pname: &str| -> ServeReport {
-        let mut sim = SimConfig::new(cs.cl.clone().with_cache(cache)).with_seed(cs.seed);
+/// attains 100%). `base` is the validated fault-free, deadline-free stream.
+fn chaos_serve(
+    w: Workload,
+    base: &ServeScenario,
+    policies: &[PolicySpec],
+    rates: &[f64],
+    deadline_us: Option<u64>,
+    csv: bool,
+) -> Result<String, String> {
+    let napps = base.apps;
+    let run_at = |rate: f64, deadline: Option<u64>, policy: PolicySpec| {
+        let mut sc = base.clone();
         if rate > 0.0 {
             let mtbf_us = ((1_000_000.0 / rate) as u64).max(1);
-            sim.faults.node_churn(mtbf_us, (mtbf_us / 5).max(1));
+            sc.sim.faults.node_churn(mtbf_us, (mtbf_us / 5).max(1));
         }
-        let serve = ServeSim::new(
-            &subs,
-            ServeConfig {
-                sim,
-                arrivals: ArrivalProcess::Poisson { mean_gap_us },
-                sched: ServeSched::FairShare,
-                quota: QuotaKind::Unlimited,
-                upfront: false,
-                intern: true,
-                resilience: ResilienceConfig {
-                    max_app_attempts: cs.app_retries.saturating_add(1),
-                    deadline_us: deadline,
-                    ..Default::default()
-                },
-            },
-        );
-        serve.run_with(|_| build_policy(pname).expect("validated above"))
+        sc.axis.resilience.deadline_us = deadline;
+        sc.run(policy)
     };
     // One curve point: policy, rate, deadline, met, retries, crashes,
     // rejoins, makespan.
     type CurveRow = (String, f64, u64, usize, u64, u64, u64, f64);
     let mut rows: Vec<CurveRow> = Vec::new();
-    for pname in &cs.policies {
+    for &policy in policies {
         // Each policy's SLO is anchored to its own fault-free stream.
-        let deadline = cs.deadline_us.unwrap_or_else(|| {
-            let base = run_at(0.0, None, pname);
-            base.arrivals
-                .iter()
-                .zip(&base.completions)
-                .map(|(a, c)| c.saturating_sub(*a))
-                .max()
-                .unwrap_or(0)
-                .saturating_mul(2)
-                .max(1)
-        });
-        for &rate in &cs.rates {
-            let rep = run_at(rate, Some(deadline), pname);
+        let deadline = match deadline_us {
+            Some(d) => d,
+            None => {
+                let base = run_at(0.0, None, policy)?;
+                base.arrivals
+                    .iter()
+                    .zip(&base.completions)
+                    .map(|(a, c)| c.saturating_sub(*a))
+                    .max()
+                    .unwrap_or(0)
+                    .saturating_mul(2)
+                    .max(1)
+            }
+        };
+        for &rate in rates {
+            let rep = run_at(rate, Some(deadline), policy)?;
             let res = rep.resilience.as_ref().expect("deadline set");
-            let met = (0..napps)
-                .filter(|&i| {
-                    res.met_deadline(i, rep.arrivals[i], rep.completions[i]) == Some(true)
-                })
-                .count();
+            let met = rep.deadline_met().expect("deadline set");
             let crashes: u64 = rep.reports.iter().map(|r| r.faults.crashes).sum();
             let rejoins: u64 = rep.reports.iter().map(|r| r.faults.rejoins).sum();
             let policy_name = rep
@@ -702,7 +634,7 @@ fn chaos_serve(cs: ChaosServe) -> Result<String, String> {
             "-".into()
         }
     };
-    if cs.csv {
+    if csv {
         let mut out = String::from(
             "policy,rate,mtbf_s,deadline_s,slo_met,slo_total,attainment,\
              app_retries,crashes,rejoins,makespan_s\n",
@@ -750,20 +682,20 @@ fn chaos_serve(cs: ChaosServe) -> Result<String, String> {
             format!("{mk:.2}"),
         ]);
     }
-    let deadline_note = match cs.deadline_us {
+    let deadline_note = match deadline_us {
         Some(d) => format!("deadline {:.3}s", d as f64 / 1e6),
         None => "deadline 2x each policy's fault-free max JCT".into(),
     };
     let mut out = format!(
         "{} serve resilience on {} nodes: {} submissions over {} tenants, \
          {} app retries, {} (seed {})\n\n",
-        cs.w.short_name(),
-        cs.cl.nodes,
+        w.short_name(),
+        base.sim.cluster.nodes,
         napps,
-        cs.tenants,
-        cs.app_retries,
+        base.axis.tenants,
+        base.axis.resilience.max_app_attempts - 1,
         deadline_note,
-        cs.seed,
+        base.sim.seed,
     );
     out.push_str(&t.render());
     Ok(out)
@@ -856,23 +788,22 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             params,
         } => {
             let w = find_workload(&workload)?;
+            let policy = parse_policy(&policy)?.traceless()?;
+            let cl = cluster_preset(&cluster, nodes)?;
+            cl.validate()?;
             let spec = w.build(&params);
             let plan = AppPlan::build(&spec);
-            let mut cl = cluster_preset(&cluster)?;
-            if let Some(n) = nodes {
-                cl.nodes = n;
-            }
-            let footprint: u64 = spec.cached_rdds().map(|r| r.total_size()).sum();
-            let cache = cache_bytes
-                .unwrap_or(((footprint as f64 * cache_fraction) / cl.nodes as f64) as u64)
-                .max(1);
+            let cache = match cache_bytes {
+                Some(bytes) => bytes.max(1),
+                None => cache_for_largest(std::slice::from_ref(&spec), &cl, cache_fraction)?,
+            };
             let cfg = SimConfig::new(cl.with_cache(cache)).with_seed(seed);
             let mode = if adhoc {
                 ProfileMode::AdHoc
             } else {
                 ProfileMode::Recurring
             };
-            let mut p = build_policy(&policy)?;
+            let mut p = policy.build(None);
             let report = Simulation::new(&spec, &plan, mode, cfg).run(&mut *p);
             if let Some(a) = &report.aborted {
                 return Err(format!(
@@ -907,29 +838,25 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             params,
         } => {
             let w = find_workload(&workload)?;
+            let cl = cluster_preset("main", nodes)?;
+            cl.validate()?;
             let spec = w.build(&params);
             let plan = AppPlan::build(&spec);
-            let mut cl = ClusterConfig::main_cluster();
-            if let Some(n) = nodes {
-                cl.nodes = n;
-            }
-            let footprint: u64 = spec.cached_rdds().map(|r| r.total_size()).sum();
-            let cache = (((footprint as f64 * cache_fraction) / cl.nodes as f64) as u64).max(1);
+            let cache = cache_for_largest(std::slice::from_ref(&spec), &cl, cache_fraction)?;
             let cfg = SimConfig::new(cl.with_cache(cache));
             let sim = Simulation::new(&spec, &plan, ProfileMode::Recurring, cfg);
             let mut reports = Vec::new();
-            for name in [
-                "lru",
-                "fifo",
-                "random",
-                "lrc",
-                "memtune",
-                "mrd-evict",
-                "mrd-prefetch",
-                "mrd",
+            for policy in [
+                PolicySpec::Lru,
+                PolicySpec::Fifo,
+                PolicySpec::Random,
+                PolicySpec::Lrc,
+                PolicySpec::MemTune,
+                PolicySpec::MrdEvict,
+                PolicySpec::MrdPrefetch,
+                PolicySpec::MrdFull,
             ] {
-                let mut p = build_policy(name)?;
-                reports.push(sim.run(&mut *p));
+                reports.push(sim.run(&mut *policy.build(None)));
             }
             reports.sort_by_key(|r| r.jct);
             let baseline = reports
@@ -982,17 +909,15 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                 .iter()
                 .map(|w| find_workload(w))
                 .collect::<Result<_, _>>()?;
-            let ps: Vec<refdist_bench::PolicySpec> = policies
+            let ps: Vec<PolicySpec> = policies
                 .iter()
-                .map(|p| {
-                    refdist_bench::PolicySpec::from_cli_name(p)
-                        .ok_or_else(|| format!("unknown policy `{p}`"))
-                })
+                .map(|p| parse_policy(p))
                 .collect::<Result<_, _>>()?;
-            let mut cl = cluster_preset(&cluster)?;
-            if let Some(n) = nodes {
-                cl.nodes = n;
+            for &f in &fractions {
+                check_fraction(f)?;
             }
+            let cl = cluster_preset(&cluster, nodes)?;
+            cl.validate()?;
             let ctx = refdist_bench::ExpContext {
                 cluster: cl,
                 params,
@@ -1040,10 +965,7 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             params,
         } => {
             let w = find_workload(&workload)?;
-            let mut cl = cluster_preset(&cluster)?;
-            if let Some(n) = nodes {
-                cl.nodes = n;
-            }
+            let cl = cluster_preset(&cluster, nodes)?;
             for r in &rates {
                 if !r.is_finite() || *r < 0.0 || *r > 1.0 {
                     return Err(format!("--rates: `{r}` is not a probability in [0, 1]"));
@@ -1056,29 +978,36 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             rates.sort_by(|a, b| a.partial_cmp(b).expect("finite rates"));
             rates.dedup();
             if serve {
-                return chaos_serve(ChaosServe {
-                    w,
-                    policies,
-                    rates,
-                    cache_fraction,
-                    cl,
-                    tenants,
-                    apps,
-                    gap_ms,
-                    deadline_us,
-                    app_retries,
-                    seed,
-                    csv,
-                    params,
-                });
+                let policies = policies
+                    .iter()
+                    .map(|p| parse_policy(p)?.traceless())
+                    .collect::<Result<Vec<_>, _>>()?;
+                let spec = w.build(&params);
+                let base = ServeScenario {
+                    templates: std::slice::from_ref(&spec),
+                    apps: apps.unwrap_or(tenants).max(1),
+                    sim: SimConfig::new(cl).with_seed(seed),
+                    axis: ServeAxis {
+                        tenants,
+                        mean_gap_us: gap_ms.saturating_mul(1_000),
+                        sched: ServeSched::FairShare,
+                        quota: QuotaKind::Unlimited,
+                        resilience: ResilienceConfig {
+                            max_app_attempts: app_retries.saturating_add(1),
+                            ..Default::default()
+                        },
+                    },
+                }
+                .fit_cache(cache_fraction)?;
+                base.validate()?;
+                return chaos_serve(w, &base, &policies, &rates, deadline_us, csv);
             }
-            let ps: Vec<refdist_bench::PolicySpec> = policies
+            let ps: Vec<PolicySpec> = policies
                 .iter()
-                .map(|p| {
-                    refdist_bench::PolicySpec::from_cli_name(p)
-                        .ok_or_else(|| format!("unknown policy `{p}`"))
-                })
+                .map(|p| parse_policy(p))
                 .collect::<Result<_, _>>()?;
+            check_fraction(cache_fraction)?;
+            cl.validate()?;
             let ctx = refdist_bench::ExpContext {
                 cluster: cl,
                 params,
@@ -1182,8 +1111,6 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             apps,
             gap_ms,
             gap_us,
-            upfront,
-            no_intern,
             mix,
             scheds,
             quotas,
@@ -1198,80 +1125,50 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             app_retries,
             params,
         } => {
-            use refdist_cluster::{ArrivalProcess, ResilienceConfig, ServeConfig, ServeSim};
             // A heterogeneous mix cycles through the named workloads; the
             // plain form is the one-workload special case.
-            let names: Vec<String> = if mix.is_empty() {
-                vec![workload.clone()]
-            } else {
-                mix.clone()
-            };
+            let names = if mix.is_empty() { vec![workload] } else { mix };
             let ws = names
                 .iter()
                 .map(|n| find_workload(n))
                 .collect::<Result<Vec<_>, _>>()?;
-            if tenants == 0 {
-                return Err("--tenants must be at least 1".into());
-            }
-            if policy.eq_ignore_ascii_case("belady") {
-                return Err(
-                    "belady is not supported in serve mode (a whole-run trace is \
-                     meaningless under interleaving)"
-                        .into(),
-                );
-            }
-            let scheds: Vec<refdist_cluster::ServeSched> = scheds
+            let spec_policy = parse_policy(&policy)?.traceless()?;
+            let scheds: Vec<ServeSched> = scheds
                 .iter()
                 .map(|s| parse_sched(s))
                 .collect::<Result<_, _>>()?;
-            let quotas: Vec<refdist_cluster::QuotaKind> = quotas
+            let quotas: Vec<QuotaKind> = quotas
                 .iter()
                 .map(|q| parse_quota(q))
                 .collect::<Result<_, _>>()?;
             let admission = parse_admission(&admission)?;
-            if upfront && (app_retries > 0 || max_active.is_some()) {
-                return Err(
-                    "--app-retries and --max-active need streaming admission; drop --upfront"
-                        .into(),
-                );
-            }
-            if max_active == Some(0) {
-                return Err("--max-active must be at least 1".into());
-            }
-            if let Some((mtbf, mttr)) = churn {
-                if mtbf == 0 || mttr == 0 {
-                    return Err("--churn MTBF and MTTR must both be positive".into());
-                }
-            }
-            let resilience = ResilienceConfig {
-                max_app_attempts: app_retries.saturating_add(1),
-                admission,
-                max_active_apps: max_active,
-                deadline_us,
-                ..Default::default()
-            };
-            build_policy(&policy)?; // validate the name before the grid runs
             let specs: Vec<AppSpec> = ws.iter().map(|w| w.build(&params)).collect();
-            let mut cl = cluster_preset(&cluster)?;
-            if let Some(n) = nodes {
-                cl.nodes = n;
+            let mut sim = SimConfig::new(cluster_preset(&cluster, nodes)?).with_seed(seed);
+            if let Some((mtbf_ms, mttr_ms)) = churn {
+                sim.faults
+                    .node_churn(mtbf_ms.saturating_mul(1_000), mttr_ms.saturating_mul(1_000));
             }
-            // Size the cache against the largest template in the mix so the
-            // fraction keeps its meaning on heterogeneous streams.
-            let footprint: u64 = specs
-                .iter()
-                .map(|s| s.cached_rdds().map(|r| r.total_size()).sum::<u64>())
-                .max()
-                .unwrap_or(0);
-            let cache = (((footprint as f64 * cache_fraction) / cl.nodes as f64) as u64).max(1);
             let napps = apps.unwrap_or(tenants).max(1);
-            let mean_gap_us = gap_us.unwrap_or_else(|| gap_ms.saturating_mul(1_000));
-            // Submissions cycle through the mix and round-robin over the
-            // tenants; the default stream is the historical
-            // one-app-per-tenant grid of one workload.
-            let subs: Vec<(&AppSpec, u32)> = (0..napps)
-                .map(|i| (&specs[i as usize % specs.len()], i % tenants))
-                .collect();
+            let base = ServeScenario {
+                templates: &specs,
+                apps: napps,
+                sim,
+                axis: ServeAxis {
+                    tenants,
+                    mean_gap_us: gap_us.unwrap_or_else(|| gap_ms.saturating_mul(1_000)),
+                    sched: scheds[0],
+                    quota: quotas[0],
+                    resilience: ResilienceConfig {
+                        max_app_attempts: app_retries.saturating_add(1),
+                        admission,
+                        max_active_apps: max_active,
+                        deadline_us,
+                        ..Default::default()
+                    },
+                },
+            }
+            .fit_cache(cache_fraction)?;
+            base.validate()?;
             let label = ws
                 .iter()
                 .map(|w| w.short_name().to_string())
@@ -1281,20 +1178,16 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                 "{} x {} tenants on {} nodes, cache {}/node, mean gap {}ms, policy {}, seed {}\n",
                 label,
                 tenants,
-                cl.nodes,
-                human_bytes(cache),
-                mean_gap_us / 1_000,
+                base.sim.cluster.nodes,
+                human_bytes(base.sim.cluster.cache_bytes),
+                base.axis.mean_gap_us / 1_000,
                 policy,
                 seed
             );
             if napps != tenants {
-                out.push_str(&format!(
-                    "stream: {} submissions ({} mode)\n",
-                    napps,
-                    if upfront { "upfront" } else { "streaming" }
-                ));
+                let _ = writeln!(out, "stream: {napps} submissions (streaming mode)");
             }
-            if churn.is_some() || !resilience.is_passive() {
+            if churn.is_some() || !base.axis.resilience.is_passive() {
                 let mut bits: Vec<String> = Vec::new();
                 if let Some((b, r)) = churn {
                     bits.push(format!("churn mtbf {b}ms mttr {r}ms"));
@@ -1312,24 +1205,15 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             }
             for &sched in &scheds {
                 for &quota in &quotas {
-                    let mut sim = SimConfig::new(cl.clone().with_cache(cache)).with_seed(seed);
-                    if let Some((mtbf_ms, mttr_ms)) = churn {
-                        sim.faults
-                            .node_churn(mtbf_ms.saturating_mul(1_000), mttr_ms.saturating_mul(1_000));
-                    }
-                    let serve = ServeSim::new(
-                        &subs,
-                        ServeConfig {
-                            sim,
-                            arrivals: ArrivalProcess::Poisson { mean_gap_us },
+                    let cell = ServeScenario {
+                        axis: ServeAxis {
                             sched,
                             quota,
-                            upfront,
-                            intern: !no_intern,
-                            resilience,
+                            ..base.axis
                         },
-                    );
-                    let report = serve.run_with(|_| build_policy(&policy).expect("validated"));
+                        ..base.clone()
+                    };
+                    let report = cell.run(spec_policy)?;
                     out.push('\n');
                     out.push_str(&report.summary());
                     out.push_str(&format!(
@@ -1339,12 +1223,10 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                         report.peak_resident_blocks,
                         human_bytes(report.peak_resident_bytes),
                     ));
-                    if report.distinct_templates > 0 {
-                        out.push_str(&format!(
-                            "admission: {} distinct templates interned over {} submissions\n",
-                            report.distinct_templates, napps
-                        ));
-                    }
+                    out.push_str(&format!(
+                        "admission: {} distinct templates interned over {} submissions\n",
+                        report.distinct_templates, napps
+                    ));
                 }
             }
             Ok(out)
@@ -1621,7 +1503,6 @@ mod tests {
                 gap_ms,
                 scheds,
                 quotas,
-                no_intern,
                 mix,
                 ..
             } => {
@@ -1631,7 +1512,6 @@ mod tests {
                 assert_eq!(gap_ms, 500);
                 assert_eq!(scheds, vec!["fifo", "fair-share"]);
                 assert_eq!(quotas, vec!["unlimited", "equal-share"]);
-                assert!(!no_intern);
                 assert!(mix.is_empty());
             }
             other => panic!("wrong parse: {other:?}"),
@@ -1657,16 +1537,10 @@ mod tests {
             }
             other => panic!("wrong parse: {other:?}"),
         }
-        // --mix makes the positional workload optional; --no-intern sticks.
-        match parse(&args("serve --mix SP,CC,KM --no-intern")).unwrap() {
-            Command::Serve {
-                workload,
-                no_intern,
-                mix,
-                ..
-            } => {
+        // --mix makes the positional workload optional.
+        match parse(&args("serve --mix SP,CC,KM")).unwrap() {
+            Command::Serve { workload, mix, .. } => {
                 assert_eq!(workload, "SP");
-                assert!(no_intern);
                 assert_eq!(mix, vec!["SP", "CC", "KM"]);
             }
             other => panic!("wrong parse: {other:?}"),
@@ -1682,8 +1556,9 @@ mod tests {
         assert!(execute(parse(&args("serve SP --policy optimal")).unwrap()).is_err());
         assert!(execute(parse(&args("serve --mix SP,bogus")).unwrap()).is_err());
         assert!(execute(parse(&args("serve SP --admission lottery")).unwrap()).is_err());
-        assert!(execute(parse(&args("serve SP --upfront --app-retries 2")).unwrap()).is_err());
-        assert!(execute(parse(&args("serve SP --upfront --max-active 2")).unwrap()).is_err());
+        // The reference drivers are config fields, not flags.
+        assert!(parse(&args("serve SP --upfront")).is_err());
+        assert!(parse(&args("serve SP --no-intern")).is_err());
         assert!(execute(parse(&args("serve SP --max-active 0")).unwrap()).is_err());
         assert!(execute(parse(&args("serve SP --churn 0,5")).unwrap()).is_err());
     }
@@ -1790,22 +1665,93 @@ mod tests {
             out.contains("admission: 2 distinct templates interned over 6 submissions"),
             "{out}"
         );
-        // Replanning every admission must not change the simulation, only
-        // the admission-path accounting line.
-        let cold = execute(
-            parse(&args(
-                "serve --mix SP,CC --policy lru --tenants 2 --apps 6 --gap-ms 50 \
-                 --nodes 2 --partitions 8 --scale 0.02 --cache-fraction 0.3 \
-                 --scheds fifo --quotas unlimited --no-intern",
-            ))
-            .unwrap(),
-        )
+        // Replanning every admission (the non-interned reference driver)
+        // must not change the simulation the command printed.
+        let params = WorkloadParams {
+            partitions: 8,
+            scale: 0.02,
+            ..Default::default()
+        };
+        let specs = [
+            Workload::ShortestPaths.build(&params),
+            Workload::ConnectedComponents.build(&params),
+        ];
+        let scenario = ServeScenario {
+            templates: &specs,
+            apps: 6,
+            sim: SimConfig::new(cluster_preset("main", Some(2)).unwrap()),
+            axis: ServeAxis {
+                tenants: 2,
+                mean_gap_us: 50_000,
+                sched: ServeSched::Fifo,
+                quota: QuotaKind::Unlimited,
+                resilience: Default::default(),
+            },
+        }
+        .fit_cache(0.3)
         .unwrap();
-        assert!(!cold.contains("admission:"), "{cold}");
-        assert_eq!(
-            out.replace("admission: 2 distinct templates interned over 6 submissions\n", ""),
-            cold
-        );
+        let mut cfg = scenario.config();
+        cfg.intern = false;
+        let cold = refdist_cluster::ServeSim::new(&scenario.submissions(), cfg)
+            .run_with(|_| PolicySpec::Lru.build(None));
+        assert_eq!(cold.distinct_templates, 0);
+        assert!(out.contains(&cold.summary()), "{out}");
+    }
+
+    #[test]
+    fn bad_inputs_are_errors_not_panics() {
+        let tiny = "--nodes 2 --partitions 8 --scale 0.02";
+        let cases = [
+            "run SP --policy lru --nodes 0 --partitions 8 --scale 0.02".to_string(),
+            "compare SP --nodes 0 --partitions 8 --scale 0.02".into(),
+            "sweep --workloads SP --nodes 0 --partitions 8 --scale 0.02".into(),
+            "chaos SP --nodes 0 --partitions 8 --scale 0.02".into(),
+            "serve SP --nodes 0 --partitions 8 --scale 0.02".into(),
+            "chaos SP --serve --nodes 0 --partitions 8 --scale 0.02".into(),
+            "inspect SP --partitions 0".into(),
+            "dot SP --partitions 0".into(),
+            "run SP --policy lru --partitions 0".into(),
+            "serve SP --partitions 0".into(),
+            "chaos SP --serve --partitions 0".into(),
+            "run SP --policy lru --scale 0".into(),
+            "run SP --policy lru --scale -1".into(),
+            "run SP --policy lru --scale nan".into(),
+            "sweep --workloads SP --scale inf".into(),
+            format!("run SP --policy lru {tiny} --cache-fraction nan"),
+            format!("run SP --policy lru {tiny} --cache-fraction -1"),
+            format!("compare SP {tiny} --cache-fraction inf"),
+            format!("serve SP {tiny} --cache-fraction -1"),
+            format!("chaos SP {tiny} --cache-fraction nan"),
+            format!("chaos SP --serve {tiny} --cache-fraction -1"),
+            format!("sweep --workloads SP {tiny} --fractions -1"),
+            format!("sweep --workloads SP {tiny} --fractions 0.3,nan"),
+            format!("serve SP {tiny} --tenants 0"),
+            format!("chaos SP --serve {tiny} --tenants 0"),
+            format!("serve SP {tiny} --max-active 0"),
+            format!("serve SP {tiny} --churn 0,5"),
+        ];
+        for argv in &cases {
+            match std::panic::catch_unwind(|| parse(&args(argv)).and_then(execute)) {
+                Ok(Err(_)) => {}
+                Ok(Ok(out)) => panic!("`refdist {argv}` succeeded:\n{out}"),
+                Err(_) => panic!("`refdist {argv}` panicked"),
+            }
+        }
+    }
+
+    #[test]
+    fn belady_is_rejected_with_one_message() {
+        let tiny = "--nodes 2 --partitions 8 --scale 0.02";
+        let errors: Vec<String> = [
+            format!("run SP --policy belady {tiny}"),
+            format!("serve SP --policy belady {tiny}"),
+            format!("chaos SP --serve --policies lru,belady {tiny}"),
+        ]
+        .iter()
+        .map(|argv| execute(parse(&args(argv)).unwrap()).unwrap_err())
+        .collect();
+        assert!(errors[0].contains("belady needs a recorded whole-run trace"));
+        assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
     }
 
     #[test]

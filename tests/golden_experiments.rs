@@ -267,3 +267,37 @@ fn fig5_matches_golden() {
     let out = experiments::fig5_text(&ctx, &SweepOptions::default().threads(2));
     check_golden("fig5.txt", &out);
 }
+
+/// Run one `refdist` invocation through the CLI's own parse/execute path.
+fn cli(argv: &str) -> String {
+    let args: Vec<String> = argv.split_whitespace().map(String::from).collect();
+    refdist::cli::execute(refdist::cli::parse(&args).expect("argv parses"))
+        .unwrap_or_else(|e| panic!("`refdist {argv}` failed: {e}"))
+}
+
+#[test]
+fn cli_serve_mix_resilient_matches_golden() {
+    // The whole `refdist serve` output pinned byte-for-byte: a two-template
+    // mix over three tenants under churn, app retries, a 2-active queueing
+    // gate and a deadline, across the default sched x quota grid. Header,
+    // resilience line, per-section summaries, peaks and interning lines must
+    // not move unless the serve command or the engine behind it changes.
+    let out = cli(
+        "serve --mix SP,CC --policy mrd --tenants 3 --apps 9 --gap-ms 20 --nodes 3 \
+         --partitions 8 --scale 0.02 --cache-fraction 0.3 --churn 200,100 \
+         --app-retries 2 --max-active 2 --admission queue --deadline 20000000",
+    );
+    check_golden("cli_serve_mix.txt", &out);
+}
+
+#[test]
+fn cli_chaos_serve_csv_matches_golden() {
+    // The SLO-attainment-vs-churn-rate curve pinned byte-for-byte, including
+    // each policy's self-calibrated deadline (twice its fault-free max JCT).
+    let out = cli(
+        "chaos SP --serve --policies lru,mrd --rates 0,0.5,1 --tenants 2 --apps 6 \
+         --gap-ms 50 --nodes 3 --partitions 8 --scale 0.02 --cache-fraction 0.3 \
+         --app-retries 2 --csv",
+    );
+    check_golden("cli_chaos_serve.csv", &out);
+}
