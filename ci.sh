@@ -50,6 +50,12 @@ cargo test -q -p refdist-cluster --test differential_events
 echo "==> cargo test -q -p refdist-cluster --test engine_footprint"
 cargo test -q -p refdist-cluster --test engine_footprint
 
+# Serve hot-path scaling: allocations per eviction and peak heap growth per
+# active submission must stay flat from 4 to 16 concurrently active MRD
+# submissions (its own test binary, for the same reason).
+echo "==> cargo test -q -p refdist-cluster --test serve_footprint"
+cargo test -q -p refdist-cluster --test serve_footprint
+
 # The benchmark is a package of its own (refbench/), outside the workspace:
 # its unit tests and lints run against its own manifest.
 echo "==> cargo test --offline --manifest-path refbench/Cargo.toml"

@@ -68,6 +68,7 @@ use refdist_policies::{CachePolicy, LruPolicy};
 use refdist_simcore::{EventQueue, FifoResource, SimDuration, SimTime};
 use refdist_store::{BlockManager, BlockMaster, CacheStats, InsertError, NodeId};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A configured simulation of one application on one cluster.
@@ -287,9 +288,8 @@ impl SpecRegistry {
     }
 
     /// Live cached RDDs, ascending by id — the streaming replacement for the
-    /// reference prefetcher's whole-spec scan (retired apps' candidates were
-    /// dead weight there anyway: the tenant mux filters every candidate list
-    /// to the running app).
+    /// reference prefetcher's whole-spec scan (which keeps only the running
+    /// application's RDDs, so retired apps' entries were dead weight).
     fn cached_rdds(&self) -> impl Iterator<Item = &Rdd> + '_ {
         self.rdds.iter().flatten().filter(|r| r.is_cached())
     }
@@ -477,6 +477,13 @@ pub(crate) struct Engine<'a> {
     /// submission executes, it just cannot cache. Serve-driver controlled;
     /// always false elsewhere.
     pub(crate) cache_bypass: bool,
+    /// The running application's RDD ids and dense slot run. Purge and
+    /// prefetch candidates are collected from these alone, so a stage's
+    /// candidate scans cost O(its own application), not O(every live
+    /// one). Serve drivers set them per stage ([`Engine::set_run`]); a
+    /// single-app run covers everything.
+    run_rdds: Range<u32>,
+    run_slots: Range<u32>,
 }
 
 /// Slot free time marking an unavailable (down) node's cores: later than any
@@ -719,6 +726,8 @@ impl<'a> Engine<'a> {
             churn_next,
             churn_repair: vec![false; if churn_on { n } else { 0 }],
             cache_bypass: false,
+            run_rdds: 0..u32::MAX,
+            run_slots: 0..u32::MAX,
         }
     }
 
@@ -739,6 +748,14 @@ impl<'a> Engine<'a> {
         std::mem::swap(&mut self.sched_stats, &mut app.sched_stats);
         std::mem::swap(&mut self.fstats, &mut app.fstats);
         std::mem::swap(&mut self.aborted, &mut app.aborted);
+    }
+
+    /// Restrict purge and prefetch candidates to one application: its
+    /// combined RDD id range and its dense slot run (serve drivers, before
+    /// each of the application's stages).
+    pub(crate) fn set_run(&mut self, rdds: Range<u32>, slots: Range<u32>) {
+        self.run_rdds = rdds;
+        self.run_slots = slots;
     }
 
     /// Per-node cache-statistics snapshot. The serve driver diffs snapshots
@@ -1425,23 +1442,27 @@ impl<'a> Engine<'a> {
         }
         self.purge_buf.clear();
         if self.reference {
-            // Reference path: collect every node's residents and
-            // canonicalize (the original per-stage cost profile).
-            let buf = &mut self.purge_buf;
+            // Reference path: collect every node's residents of the running
+            // application and canonicalize (the original per-stage cost
+            // profile).
+            let (buf, rdds) = (&mut self.purge_buf, &self.run_rdds);
             buf.extend(
                 self.managers
                     .iter()
-                    .flat_map(|m| m.memory.resident().keys().copied()),
+                    .flat_map(|m| m.memory.resident().keys().copied())
+                    .filter(|b| rdds.contains(&b.rdd.0)),
             );
             buf.sort_unstable();
             buf.dedup();
         } else {
             // Dense path: the master registry mirrors every node's memory
-            // residency and its dense table iterates ascending by `BlockId`,
-            // so it already *is* the sorted, deduped candidate list — no
-            // per-stage collect + sort over all nodes.
+            // residency and its dense table iterates ascending by slot —
+            // ascending `BlockId` within the running application's run — so
+            // the run's share already *is* the sorted, deduped candidate
+            // list: no per-stage collect + sort over all nodes or apps.
             let master = &self.master;
-            self.purge_buf.extend(master.memory_resident());
+            self.purge_buf
+                .extend(master.memory_resident_in(self.run_slots.clone()));
         }
         if self.purge_buf.is_empty() {
             // Still let the policy refresh its purge bookkeeping.
@@ -2018,11 +2039,9 @@ impl<'a> Engine<'a> {
                 m
             };
             if self.reference {
-                // Reference path: rescan every cached RDD × partition (the
-                // original candidate collection, kept for honest
-                // baselining). The streaming registry scans live apps only;
-                // the tenant mux restricts candidates to the running app
-                // either way, so retired apps' entries were always filtered.
+                // Reference path: rescan every cached RDD × partition of the
+                // running application (the original candidate collection,
+                // kept for honest baselining).
                 let (whole, registry) = match &self.source {
                     SpecSource::Whole(s) => (Some(s.cached_rdds()), None),
                     SpecSource::Registry(r) => (None, Some(r.cached_rdds())),
@@ -2032,7 +2051,7 @@ impl<'a> Engine<'a> {
                     .flatten()
                     .chain(registry.into_iter().flatten())
                 {
-                    if current.contains(&r.id) {
+                    if current.contains(&r.id) || !self.run_rdds.contains(&r.id.0) {
                         continue;
                     }
                     for p in 0..r.num_partitions {
@@ -2051,13 +2070,14 @@ impl<'a> Engine<'a> {
             } else {
                 // Dense path: the maintained per-node bitset already holds
                 // exactly the materialized-but-not-resident home blocks;
-                // ascending slots are ascending `BlockId`s, so the order
-                // matches the reference path's sorted scan.
+                // ascending slots within the running application's run are
+                // ascending `BlockId`s, so the order matches the reference
+                // path's sorted scan.
                 let epoch = self.epoch;
                 let vis_base = self.vis_base;
                 missing.extend(
                     self.prefetchable[node]
-                        .ones()
+                        .ones_in(self.run_slots.clone())
                         .map(|s| self.arena.block(s))
                         .filter(|b| self.visited_epoch[b.rdd.index() - vis_base] != epoch),
                 );

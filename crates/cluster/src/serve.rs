@@ -42,6 +42,7 @@ use refdist_dag::{
 use refdist_policies::CachePolicy;
 use refdist_simcore::{SimDuration, SimTime};
 use refdist_store::{CacheStats, NodeId};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -355,41 +356,63 @@ impl ServeConfig {
     }
 }
 
+/// One admitted submission inside a [`TenantMux`].
+struct Live {
+    policy: Box<dyn CachePolicy>,
+    /// Per node: this submission's blocks resident there, with sizes — the
+    /// exact map its policy's `select_victims` is handed. An entry inserted
+    /// since the node's last victim selection holds size 0 until that
+    /// selection reads the size off the node's resident map (see
+    /// [`TenantMux::unread`]).
+    own: Vec<BTreeMap<BlockId, u64>>,
+}
+
 /// Multiplexes [`CachePolicy`] callbacks over one policy instance per
 /// submission. Block-keyed hooks route to the block's owning submission
 /// (evictions of a foreign tenant's block must reach *that* tenant's policy);
 /// stage/job hooks and victim selection route to the currently running
-/// submission. With a single submission every dispatch is a full pass-through
-/// — the byte-equality anchor of the differential serve tests.
+/// submission. Purge and prefetch candidates pass straight through: the
+/// engine collects them from the running submission's slot run only. With a
+/// single submission every dispatch is a full pass-through — the
+/// byte-equality anchor of the differential serve tests.
+///
+/// Victim selection works off state the mux keeps incrementally from the
+/// `on_insert`/`on_remove` hooks it routes anyway: per (node, submission)
+/// resident maps and per (node, tenant) byte totals. An eviction therefore
+/// hands each inner policy its own-blocks map as is — no per-call split of
+/// the node's resident map, no allocation, no per-block owner lookup — and
+/// costs O(active submissions) plus the inner policies' own work.
 pub struct TenantMux {
     /// One slot per submission; `None` before admission (streaming) and
     /// after retirement. Upfront construction fills every slot.
-    inner: Vec<Option<Box<dyn CachePolicy>>>,
+    inner: Vec<Option<Live>>,
     /// Admitted, unretired submissions, ascending.
     active: Vec<usize>,
     /// The full submission → tenant map (shared with the stores).
     map: Arc<TenantMap>,
-    /// Streaming compaction: an owned clone of the map whose retired
-    /// prefix has been dropped. Lookups route here when present, so mux
-    /// map state is O(active submissions), not O(stream). `None` until
-    /// the first compaction (and always on the upfront path).
-    compact: Option<TenantMap>,
+    /// The latest slot-arena snapshot (dense runs): block owners are one
+    /// array read off it. Without one, ownership falls back to the map's
+    /// search over submission starts (the hash-backed reference path).
+    arena: Option<Arc<BlockSlots>>,
     current: usize,
     /// `[evictor_tenant][victim_tenant]` victim-selection counts; the
-    /// diagonal counts a tenant evicting its own blocks. Sized from the
-    /// *full* map — compaction must not shrink the matrix.
+    /// diagonal counts a tenant evicting its own blocks.
     cross: Vec<Vec<u64>>,
-    /// `select_victims` scratch, reused across calls (the purge-path
-    /// pattern): per-submission split of the node's resident map,
-    /// per-tenant evictable bytes, the submission visit order, the
-    /// other-tenant sort buffer, and the indices of `per_app` entries
-    /// filled by the current call (so clearing is O(touched), never
-    /// O(stream)).
-    per_app: Vec<BTreeMap<BlockId, u64>>,
-    tenant_bytes: Vec<u64>,
+    /// Per node, per tenant: bytes of the tenant's blocks resident there
+    /// (sized entries of the `own` maps).
+    tenant_bytes: Vec<Vec<u64>>,
+    /// Per node: entries across every submission's `own` map.
+    node_blocks: Vec<usize>,
+    /// Per node: `(submission, block)` inserted since the node's last
+    /// victim selection — their sizes are still unread. The next selection
+    /// on the node reads each off the resident map it is handed, once.
+    /// Stale entries (removed since) are skipped then, and compacted away
+    /// when the list outgrows the node's residency, so it stays O(resident).
+    unread: Vec<Vec<(usize, BlockId)>>,
+    /// `select_victims` scratch, reused across calls: the submission visit
+    /// order and the other-tenant sort buffer.
     order: Vec<usize>,
     others: Vec<usize>,
-    filled: Vec<usize>,
 }
 
 impl TenantMux {
@@ -400,9 +423,8 @@ impl TenantMux {
         let n = policies.len();
         let mut mux = Self::new_streaming(n, map);
         for (a, p) in policies.into_iter().enumerate() {
-            mux.inner[a] = Some(p);
+            mux.admit(a, p, None);
         }
-        mux.active = (0..n).collect();
         mux
     }
 
@@ -415,19 +437,20 @@ impl TenantMux {
             inner: (0..n).map(|_| None).collect(),
             active: Vec::new(),
             map,
-            compact: None,
+            arena: None,
             current: 0,
             cross: vec![vec![0; nt]; nt],
-            per_app: vec![BTreeMap::new(); n],
-            tenant_bytes: vec![0; nt],
+            tenant_bytes: Vec::new(),
+            node_blocks: Vec::new(),
+            unread: Vec::new(),
             order: Vec::new(),
             others: Vec::with_capacity(nt),
-            filled: Vec::new(),
         }
     }
 
     /// Admit submission `app`: install its policy and (when dense state is
-    /// on) attach the current slot-arena snapshot.
+    /// on) attach the current slot-arena snapshot, which also becomes the
+    /// mux's ownership table.
     pub fn admit(
         &mut self,
         app: usize,
@@ -437,8 +460,12 @@ impl TenantMux {
         debug_assert!(self.inner[app].is_none(), "each submission admits once");
         if let Some(s) = slots {
             policy.attach_slots(s);
+            self.arena = Some(Arc::clone(s));
         }
-        self.inner[app] = Some(policy);
+        self.inner[app] = Some(Live {
+            policy,
+            own: Vec::new(),
+        });
         if let Err(pos) = self.active.binary_search(&app) {
             self.active.insert(pos, app);
         }
@@ -448,24 +475,14 @@ impl TenantMux {
     /// the policy holds — profile cursors, slot-keyed tables) and remove it
     /// from the active set. Its cross-eviction counts are kept.
     pub fn retire(&mut self, app: usize) {
-        debug_assert!(self.inner[app].is_some(), "retire follows admit");
-        self.inner[app] = None;
+        let live = self.inner[app].take();
+        debug_assert!(
+            live.is_some_and(|l| l.own.iter().all(BTreeMap::is_empty)),
+            "retire follows admit, and a retiring submission holds no memory"
+        );
         if let Ok(pos) = self.active.binary_search(&app) {
             self.active.remove(pos);
         }
-    }
-
-    /// Drop the tenant map's rows for the retired prefix `..low`. The
-    /// caller guarantees every submission below `low` is retired; `low`
-    /// itself stays live so lookups for any admitted submission keep
-    /// working.
-    pub fn compact_to(&mut self, low: usize) {
-        if low == 0 {
-            return;
-        }
-        let full = &self.map;
-        let c = self.compact.get_or_insert_with(|| (**full).clone());
-        c.retire_prefix(low);
     }
 
     /// Admitted, unretired submissions right now.
@@ -481,7 +498,7 @@ impl TenantMux {
 
     /// The policy name of submission `app` (which must be live).
     pub fn policy_name(&self, app: usize) -> String {
-        self.inner[app].as_ref().expect("live submission").name()
+        self.live(app).policy.name()
     }
 
     /// The cross-tenant eviction matrix accumulated so far
@@ -490,30 +507,111 @@ impl TenantMux {
         &self.cross
     }
 
-    /// The map to resolve ownership against: the compacted clone once
-    /// streaming retirement has advanced, the full map otherwise.
-    fn tmap(&self) -> &TenantMap {
-        self.compact.as_ref().unwrap_or(&self.map)
+    fn live(&self, app: usize) -> &Live {
+        self.inner[app].as_ref().expect("live submission")
     }
 
     fn cur(&mut self) -> &mut Box<dyn CachePolicy> {
-        self.inner[self.current]
+        &mut self.inner[self.current]
             .as_mut()
             .expect("current submission is admitted")
+            .policy
     }
 
+    /// The submission owning `block`: O(1) off the arena snapshot.
     fn owner(&self, block: BlockId) -> usize {
-        self.tmap().app_of(block.rdd)
+        self.arena
+            .as_ref()
+            .and_then(|s| s.owner(block.rdd))
+            .unwrap_or_else(|| self.map.app_of(block.rdd))
     }
 
-    /// Retain only the blocks owned by the current submission.
-    fn restrict(&self, blocks: &[BlockId]) -> Vec<BlockId> {
-        let r = self.tmap().rdd_range(self.current);
-        blocks
-            .iter()
-            .copied()
-            .filter(|b| r.contains(&b.rdd.0))
-            .collect()
+    /// Whether victim selection needs the per-(node, submission) state: a
+    /// single submission selects over the node map directly.
+    fn tracking(&self) -> bool {
+        self.inner.len() > 1
+    }
+
+    /// Size the per-node tables to cover `node`.
+    fn cover_node(&mut self, node: usize) {
+        if self.tenant_bytes.len() <= node {
+            let nt = self.cross.len();
+            self.tenant_bytes.resize_with(node + 1, || vec![0; nt]);
+            self.node_blocks.resize(node + 1, 0);
+            self.unread.resize_with(node + 1, Vec::new);
+        }
+    }
+
+    /// Read the sizes of the blocks inserted on `node` since its last
+    /// victim selection off the node's `resident` map. Idempotent per
+    /// entry, so duplicates (a block removed and re-inserted) are harmless.
+    fn settle_sizes(&mut self, node: usize, resident: &BTreeMap<BlockId, u64>) {
+        let TenantMux {
+            inner,
+            map,
+            tenant_bytes,
+            unread,
+            ..
+        } = self;
+        for (a, b) in unread[node].drain(..) {
+            let Some(size) = inner[a]
+                .as_mut()
+                .and_then(|l| l.own.get_mut(node))
+                .and_then(|m| m.get_mut(&b))
+            else {
+                continue; // removed since (or its submission retired)
+            };
+            let now = *resident.get(&b).expect("a tracked block is resident");
+            let t = map.tenant_of_app(a) as usize;
+            tenant_bytes[node][t] = tenant_bytes[node][t] - *size + now;
+            *size = now;
+        }
+    }
+
+    /// Drop stale `unread` entries of `node` (blocks removed since, and
+    /// duplicates), leaving exactly the still-unread ones.
+    fn compact_unread(&mut self, node: usize) {
+        let inner = &self.inner;
+        let list = &mut self.unread[node];
+        list.retain(|&(a, b)| {
+            inner[a]
+                .as_ref()
+                .and_then(|l| l.own.get(node))
+                .is_some_and(|m| m.contains_key(&b))
+        });
+        list.sort_unstable();
+        list.dedup();
+    }
+
+    /// Debug builds: the per-(node, submission) maps must union to exactly
+    /// the node's resident map, sizes included, each block under its owner,
+    /// and the per-tenant totals must match. Allocation-free, so the serve
+    /// footprint test measures the same heap traffic in debug and release.
+    #[cfg(debug_assertions)]
+    fn audit(&self, node: usize, resident: &BTreeMap<BlockId, u64>) {
+        let mut tracked = 0;
+        for &a in &self.active {
+            for (&b, &size) in self.live(a).own.get(node).into_iter().flatten() {
+                // Keys are unique per map and each block is checked against
+                // its one owner, so no block is tracked twice; with every
+                // entry resident and the counts equal, the union is exact.
+                assert_eq!(self.owner(b), a, "{b} tracked under a foreign submission");
+                assert_eq!(resident.get(&b), Some(&size), "{b} stale on node {node}");
+                tracked += 1;
+            }
+        }
+        assert_eq!(tracked, resident.len(), "mux residency diverged on node {node}");
+        assert_eq!(tracked, self.node_blocks[node]);
+        for (t, &bytes) in self.tenant_bytes[node].iter().enumerate() {
+            let sum: u64 = self
+                .active
+                .iter()
+                .filter(|&&a| self.map.tenant_of_app(a) as usize == t)
+                .flat_map(|&a| self.live(a).own.get(node))
+                .flat_map(|m| m.values())
+                .sum();
+            assert_eq!(sum, bytes, "tenant {t} bytes diverged on node {node}");
+        }
     }
 }
 
@@ -523,9 +621,11 @@ impl CachePolicy for TenantMux {
     }
 
     fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
-        for p in self.inner.iter_mut().flatten() {
-            p.attach_slots(slots);
+        for &a in &self.active {
+            let live = self.inner[a].as_mut().expect("active submission");
+            live.policy.attach_slots(slots);
         }
+        self.arena = Some(Arc::clone(slots));
     }
 
     fn on_job_submit(&mut self, job: JobId, visible: &AppProfile) {
@@ -538,24 +638,59 @@ impl CachePolicy for TenantMux {
 
     fn on_insert(&mut self, node: NodeId, block: BlockId) {
         let o = self.owner(block);
-        self.inner[o].as_mut().expect("live owner").on_insert(node, block);
+        let tracking = self.tracking();
+        let live = self.inner[o].as_mut().expect("live owner");
+        live.policy.on_insert(node, block);
+        if !tracking {
+            return;
+        }
+        let n = node.index();
+        if live.own.len() <= n {
+            live.own.resize_with(n + 1, BTreeMap::new);
+        }
+        let fresh = match live.own[n].entry(block) {
+            Entry::Vacant(e) => {
+                e.insert(0);
+                true
+            }
+            Entry::Occupied(_) => false,
+        };
+        if fresh {
+            self.cover_node(n);
+            self.node_blocks[n] += 1;
+            self.unread[n].push((o, block));
+            if self.unread[n].len() > 2 * self.node_blocks[n] + 64 {
+                self.compact_unread(n);
+            }
+        }
     }
 
     fn on_access(&mut self, node: NodeId, block: BlockId) {
         let o = self.owner(block);
-        self.inner[o].as_mut().expect("live owner").on_access(node, block);
+        self.inner[o]
+            .as_mut()
+            .expect("live owner")
+            .policy
+            .on_access(node, block);
     }
 
     fn on_remove(&mut self, node: NodeId, block: BlockId) {
         // Only live/draining submissions can own a cached block: retirement
         // requires zero memory residency, so routing is always resolvable.
         let o = self.owner(block);
-        self.inner[o].as_mut().expect("live owner").on_remove(node, block);
+        let live = self.inner[o].as_mut().expect("live owner");
+        live.policy.on_remove(node, block);
+        let n = node.index();
+        if let Some(size) = live.own.get_mut(n).and_then(|m| m.remove(&block)) {
+            self.node_blocks[n] -= 1;
+            self.tenant_bytes[n][self.map.tenant_of_app(o) as usize] -= size;
+        }
     }
 
     fn on_node_join(&mut self, node: NodeId) {
-        for p in self.inner.iter_mut().flatten() {
-            p.on_node_join(node);
+        for &a in &self.active {
+            let live = self.inner[a].as_mut().expect("active submission");
+            live.policy.on_node_join(node);
         }
     }
 
@@ -569,42 +704,25 @@ impl CachePolicy for TenantMux {
         shortfall: u64,
         resident: &BTreeMap<BlockId, u64>,
     ) -> Vec<BlockId> {
-        if self.inner.len() == 1 {
+        if !self.tracking() {
             // Single submission: exact pass-through.
-            return self.inner[0]
-                .as_mut()
-                .expect("live submission")
-                .select_victims(node, shortfall, resident);
+            return self.cur().select_victims(node, shortfall, resident);
         }
-        // Field expression, not `self.tmap()`: the scratch buffers below
-        // need disjoint mutable borrows alongside the map.
-        let map = self.compact.as_ref().unwrap_or(&self.map);
-        let nt = self.cross.len();
-        let cur_tenant = map.tenant_of_app(self.current) as usize;
+        let n = node.index();
+        self.cover_node(n);
+        self.settle_sizes(n, resident);
+        #[cfg(debug_assertions)]
+        self.audit(n, resident);
 
-        // Split the node's evictable map by owning submission. All the
-        // bookkeeping below runs on scratch buffers reused across calls —
-        // victim selection fires on every eviction, and the old per-call
-        // `Vec`/`BTreeMap` allocations dominated the serve hot path.
-        // `filled` records which per-submission maps this call touched, so
-        // both the clear and the byte totals are O(touched) + O(active),
-        // never O(stream).
-        self.filled.clear();
-        for (&b, &sz) in resident {
-            let a = map.app_of(b.rdd);
-            if self.per_app[a].is_empty() {
-                self.filled.push(a);
-            }
-            self.per_app[a].insert(b, sz);
-        }
+        let map = &self.map;
+        let cur_tenant = map.tenant_of_app(self.current) as usize;
+        let tenant_bytes = &self.tenant_bytes[n];
 
         // Own-first order: the evicting tenant's live submissions in
         // submission order, then other tenants by descending evictable
-        // bytes (most over-represented first; ties by ascending tenant id),
-        // each tenant's live submissions in submission order. Restricting
-        // to the active set is exact: a retired submission has no resident
-        // blocks, so the reference scan skipped it via the empty-map guard
-        // anyway.
+        // bytes on this node (most over-represented first; ties by
+        // ascending tenant id), each tenant's live submissions in
+        // submission order.
         self.order.clear();
         self.order.extend(
             self.active
@@ -612,19 +730,13 @@ impl CachePolicy for TenantMux {
                 .copied()
                 .filter(|&a| map.tenant_of_app(a) as usize == cur_tenant),
         );
-        self.tenant_bytes.clear();
-        self.tenant_bytes.resize(nt, 0);
-        for &a in &self.filled {
-            self.tenant_bytes[map.tenant_of_app(a) as usize] +=
-                self.per_app[a].values().sum::<u64>();
-        }
         self.others.clear();
+        self.others.extend(
+            (0..tenant_bytes.len()).filter(|&t| t != cur_tenant && tenant_bytes[t] > 0),
+        );
         self.others
-            .extend((0..nt).filter(|&t| t != cur_tenant && self.tenant_bytes[t] > 0));
-        self.others
-            .sort_by_key(|&t| (std::cmp::Reverse(self.tenant_bytes[t]), t));
-        for i in 0..self.others.len() {
-            let t = self.others[i];
+            .sort_by_key(|&t| (std::cmp::Reverse(tenant_bytes[t]), t));
+        for &t in &self.others {
             self.order.extend(
                 self.active
                     .iter()
@@ -635,57 +747,42 @@ impl CachePolicy for TenantMux {
 
         let mut victims = Vec::new();
         let mut freed = 0u64;
-        for i in 0..self.order.len() {
-            let a = self.order[i];
+        for &a in &self.order {
             if freed >= shortfall {
                 break;
             }
-            if self.per_app[a].is_empty() {
+            let Live { policy, own } = self.inner[a].as_mut().expect("active submission");
+            let Some(own) = own.get(n).filter(|m| !m.is_empty()) else {
                 continue;
-            }
+            };
             let vict_tenant = map.tenant_of_app(a) as usize;
-            let picked = self.inner[a].as_mut().expect("active submission").select_victims(
-                node,
-                shortfall - freed,
-                &self.per_app[a],
-            );
-            for b in picked {
-                freed += self.per_app[a].get(&b).copied().unwrap_or(0);
+            for b in policy.select_victims(node, shortfall - freed, own) {
+                freed += own.get(&b).copied().unwrap_or(0);
                 self.cross[cur_tenant][vict_tenant] += 1;
                 victims.push(b);
             }
-        }
-        for &a in &self.filled {
-            self.per_app[a].clear();
         }
         victims
     }
 
     fn purge_candidates(&mut self, in_memory: &[BlockId]) -> Vec<BlockId> {
-        // A submission's policy may only purge its own blocks — MRD's
-        // "infinite distance" verdict on a foreign tenant's block merely
-        // means *this* profile never references it.
-        let own = self.restrict(in_memory);
-        self.cur().purge_candidates(&own)
+        // The engine collects candidates from the running submission's
+        // blocks only: MRD's "infinite distance" verdict on a foreign
+        // tenant's block would merely mean *this* profile never references
+        // it.
+        self.cur().purge_candidates(in_memory)
     }
 
     fn wants_purge(&self) -> bool {
-        self.inner[self.current]
-            .as_ref()
-            .expect("current submission is admitted")
-            .wants_purge()
+        self.live(self.current).policy.wants_purge()
     }
 
     fn prefetch_order(&mut self, node: NodeId, missing: &[BlockId]) -> Vec<BlockId> {
-        let own = self.restrict(missing);
-        self.cur().prefetch_order(node, &own)
+        self.cur().prefetch_order(node, missing)
     }
 
     fn wants_prefetch(&self) -> bool {
-        self.inner[self.current]
-            .as_ref()
-            .expect("current submission is admitted")
-            .wants_prefetch()
+        self.live(self.current).policy.wants_prefetch()
     }
 }
 
@@ -706,7 +803,12 @@ struct UpfrontArtifacts {
     /// and job ids local.
     plans: Vec<Arc<AppPlan>>,
     profilers: Vec<Arc<AppProfiler>>,
+    /// The whole stream's slot arena, with block owners; laid out exactly
+    /// as `BlockSlots::new(&combined)` (every submission admitted in order
+    /// into an empty arena).
     arena: Arc<BlockSlots>,
+    /// Per submission: its `(slot_base, slot_len)` run in `arena`.
+    slot_runs: Vec<(u32, u32)>,
 }
 
 /// Run the inter-job scheduling loop over `arrivals`: `advance(a)` runs one
@@ -834,17 +936,35 @@ impl<'a> ServeSim<'a> {
         )
     }
 
+    /// Submission `i`'s `(rdd, cached partitions)` in the combined id
+    /// space: the shape [`SlotArena::admit`] takes.
+    fn slot_counts(&self, i: usize) -> Vec<(RddId, u32)> {
+        let off = self.map.offset(i);
+        self.subs[i]
+            .rdds
+            .iter()
+            .map(|r| {
+                let parts = if r.is_cached() { r.num_partitions } else { 0 };
+                (RddId(r.id.0 + off), parts)
+            })
+            .collect()
+    }
+
     fn upfront_artifacts(&self) -> &UpfrontArtifacts {
         self.upfront.get_or_init(|| {
             let combined = combine_specs(&self.subs);
             let (plans, profilers): (Vec<_>, Vec<_>) =
                 (0..self.subs.len()).map(|i| self.plan_one(i)).unzip();
-            let arena = Arc::new(BlockSlots::new(&combined));
+            let mut slots = SlotArena::new();
+            let slot_runs = (0..self.subs.len())
+                .map(|i| slots.admit(i as u32, &self.slot_counts(i)))
+                .collect();
             UpfrontArtifacts {
                 combined,
                 plans,
                 profilers,
-                arena,
+                arena: Arc::new(slots.snapshot()),
+                slot_runs,
             }
         })
     }
@@ -948,6 +1068,8 @@ impl<'a> ServeSim<'a> {
             }
             let stage = &art.plans[a].stages[next_stage[a]];
             engine.current_app = a as u32;
+            let (sb, sl) = art.slot_runs[a];
+            engine.set_run(self.map.rdd_range(a), sb..sb + sl);
             mux.set_current(a);
             engine.swap_app(&mut states[a]);
 
@@ -1055,13 +1177,6 @@ impl<'a> ServeSim<'a> {
         let mut slot_runs = vec![(0u32, 0u32); n];
         // Completed submissions still holding memory-resident blocks.
         let mut draining: Vec<usize> = Vec::new();
-        let mut retired = vec![false; n];
-        // Smallest submission index not yet retired; the mux map may be
-        // compacted up to (but never beyond) this point. A plain watermark
-        // — not `min(draining)` — because fair-share can admit out of
-        // index order, and un-admitted lower-index submissions still need
-        // their map rows.
-        let mut low = 0usize;
         let mut peaks = Peaks::default();
         // Per-run template cache: one memoized local-space plan/profile per
         // distinct submission structure. Lives for the whole stream — the
@@ -1138,15 +1253,7 @@ impl<'a> ServeSim<'a> {
                 };
                 let spec = self.subs[a];
                 let off = self.map.offset(a);
-                let counts: Vec<(RddId, u32)> = spec
-                    .rdds
-                    .iter()
-                    .map(|r| {
-                        let parts = if r.is_cached() { r.num_partitions } else { 0 };
-                        (RddId(r.id.0 + off), parts)
-                    })
-                    .collect();
-                slot_runs[a] = arena.admit(&counts);
+                slot_runs[a] = arena.admit(a as u32, &self.slot_counts(a));
                 let snap = Arc::new(arena.snapshot());
                 engine.admit_app(spec, off, &snap);
                 let policy = factory(a);
@@ -1161,6 +1268,8 @@ impl<'a> ServeSim<'a> {
             let profiler = profilers[a].as_ref().expect("admitted");
             let stage = &plan.stages[next_stage[a]];
             engine.current_app = a as u32;
+            let (sb, sl) = slot_runs[a];
+            engine.set_run(self.map.rdd_range(a), sb..sb + sl);
             mux.set_current(a);
             engine.swap_app(&mut states[a]);
 
@@ -1259,14 +1368,7 @@ impl<'a> ServeSim<'a> {
                 engine.retire_app(range.clone(), sb, sl);
                 arena.retire(RddId(range.start));
                 mux.retire(d);
-                retired[d] = true;
                 draining.remove(i);
-            }
-            while low < n && retired[low] {
-                low += 1;
-            }
-            if low > 0 {
-                mux.compact_to(low.min(n - 1));
             }
 
             let (rb, rby) = engine.resident_totals();

@@ -401,16 +401,14 @@ fn run_stream_with(
     tweak(&mut cfg);
     let serve = ServeSim::new(&subs, cfg);
     // One shared log across every submission's recorder: the *global*
-    // victim/purge call sequence must match, interleaving included.
+    // victim/purge call sequence must match, interleaving included. The
+    // factory runs once per admission, so app-level retries get a fresh
+    // instance of the same family.
     let log = Arc::new(DecisionLog::default());
     let fams = all_policies();
-    let policies: Vec<Box<dyn CachePolicy>> = (0..n)
-        .map(|i| {
-            Box::new(Recorder::new(fams[i % fams.len()].1(), Arc::clone(&log)))
-                as Box<dyn CachePolicy>
-        })
-        .collect();
-    let report = serve.run(policies);
+    let report = serve.run_with(|i| {
+        Box::new(Recorder::new(fams[i % fams.len()].1(), Arc::clone(&log)))
+    });
     (report, log.snapshot())
 }
 
@@ -703,4 +701,172 @@ fn serve_matches_legacy_under_heavy_pressure() {
         delay: Some(10_000),
     };
     assert_equivalent(&app, &cfg);
+}
+
+// ---------------------------------------------------------------------------
+// Frozen decision digests
+// ---------------------------------------------------------------------------
+
+/// FNV-1a: a digest that stays the same across toolchains (the std hashers
+/// promise no such thing).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Deterministic splitmix64 stream that generates the decision corpus.
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut x = self.0;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// How a decision-corpus scenario drives the stream beyond its base
+/// parameters.
+#[derive(Debug, Clone, Copy)]
+enum Variant {
+    Streaming,
+    Upfront,
+    /// Wall-clock node churn.
+    Churn,
+    /// Task failures that abort stages, with an app-level retry budget.
+    Retry,
+    /// An active-app cap that sheds arrivals.
+    Shed,
+    /// An active-app cap with a bounded pending queue (overflow sheds).
+    Queue,
+}
+
+/// The fixed, seeded scenario corpus behind `serve_decisions.txt`: every
+/// variant × FIFO/fair-share × unlimited/equal-share/byte quota, with app
+/// and cluster parameters drawn from one seeded stream. Each stream has ten
+/// submissions, so all nine policy instances of [`all_policies`] (all seven
+/// families, Random included) are interleaved in every scenario.
+fn decision_corpus() -> Vec<(String, StreamParams, CfgParams, Variant)> {
+    use Variant::*;
+    let mut g = Gen(0xD1CE_5EED);
+    let mut out = Vec::new();
+    for variant in [Streaming, Upfront, Churn, Retry, Shed, Queue] {
+        for fair_share in [false, true] {
+            for quota in 0u8..3 {
+                let stream = StreamParams {
+                    gaps: (0..9).map(|_| g.below(4) * 40_000).collect(),
+                    tenants: 1 + g.below(3) as usize,
+                    fair_share,
+                    quota,
+                    app: AppParams {
+                        iters: 1 + g.below(3) as usize,
+                        parts: 3 + g.below(6) as u32,
+                        block_kb: 1 + g.below(3),
+                        mem_only: g.below(2) == 0,
+                        two_rdds: g.below(2) == 0,
+                    },
+                    vary: g.below(2) == 0,
+                    poisson: g.below(4) == 0,
+                };
+                let nodes = 1 + g.below(3) as u32;
+                let cfg = CfgParams {
+                    nodes,
+                    cache_frac: [0.6, 1.0, 1.6, 2.5][g.below(4) as usize],
+                    exec_mem: [0.0, 0.3][g.below(2) as usize],
+                    jitter: [0.0, 0.1][g.below(2) as usize],
+                    seed: g.below(1 << 16),
+                    adaptive: g.below(2) == 0,
+                    failure: g.below(4) == 0,
+                    rejoin: nodes > 1 && g.below(3) == 0,
+                    delay: [None, Some(0), Some(10_000)][g.below(3) as usize],
+                };
+                let sched = if fair_share { "fair" } else { "fifo" };
+                let name = format!("{:02} {variant:?} {sched} quota{quota}", out.len());
+                out.push((name, stream, cfg, variant));
+            }
+        }
+    }
+    out
+}
+
+fn apply_variant(variant: Variant, sc: &mut ServeConfig) {
+    use refdist_cluster::{AdmissionPolicy, ResilienceConfig};
+    match variant {
+        Variant::Streaming | Variant::Upfront => {}
+        Variant::Churn => {
+            sc.sim.faults.node_churn(600_000, 200_000);
+        }
+        Variant::Retry => {
+            sc.sim.faults.task_failure_p = 0.15;
+            sc.sim.faults.max_task_attempts = 2;
+            sc.resilience = ResilienceConfig {
+                max_app_attempts: 3,
+                retry_backoff_us: 50_000,
+                ..ResilienceConfig::default()
+            };
+        }
+        Variant::Shed => {
+            sc.resilience = ResilienceConfig {
+                max_active_apps: Some(2),
+                admission: AdmissionPolicy::Shed,
+                ..ResilienceConfig::default()
+            };
+        }
+        Variant::Queue => {
+            sc.resilience = ResilienceConfig {
+                max_active_apps: Some(3),
+                admission: AdmissionPolicy::Queue,
+                queue_cap: Some(2),
+                ..ResilienceConfig::default()
+            };
+        }
+    }
+}
+
+/// One line per corpus scenario: decision counts and the FNV-1a digest of
+/// the global victim and purge log.
+fn decision_digests() -> String {
+    let mut out = String::new();
+    for (name, stream, cfg, variant) in decision_corpus() {
+        let upfront = matches!(variant, Variant::Upfront);
+        let (_, (victims, purges)) =
+            run_stream_with(&stream, &cfg, upfront, true, &|sc| apply_variant(variant, sc));
+        let nv: usize = victims.iter().map(|(_, v)| v.len()).sum();
+        let np: usize = purges.iter().map(Vec::len).sum();
+        let digest = fnv1a(format!("{victims:?}|{purges:?}").as_bytes());
+        out.push_str(&format!(
+            "{name}: victims {nv} purged {np} digest {digest:016x}\n"
+        ));
+    }
+    out
+}
+
+/// The global victim/purge decision sequence of every corpus scenario is
+/// frozen. The streaming-vs-upfront differential cannot see a change to
+/// the tenant mux (both drivers share it); this golden can. Regenerate with
+/// `UPDATE_GOLDEN=1 cargo test -p refdist-cluster --test differential_serve`
+/// and review the diff.
+#[test]
+fn serve_decisions_match_golden() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/serve_decisions.txt");
+    let actual = decision_digests();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &actual).expect("writing the decision golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).expect("reading the decision golden");
+    assert_eq!(
+        actual,
+        expected,
+        "serve decisions diverged from {}",
+        path.display()
+    );
 }

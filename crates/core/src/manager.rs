@@ -89,12 +89,13 @@ impl MrdManager {
 
     /// Synchronize a monitor's replica if it is stale
     /// (`sendReferenceDistance` / `getReferenceDistance`). Returns whether a
-    /// message was sent.
+    /// message was sent. The one table is shared with every monitor — no
+    /// per-node copy of its reference queues.
     pub fn sync_monitor(&mut self, monitor: &mut CacheMonitor) -> bool {
         if monitor.table_version() == Some(self.table.version()) {
             return false;
         }
-        monitor.receive_table(self.table.clone());
+        monitor.receive_table(&self.table);
         self.broadcasts += 1;
         true
     }

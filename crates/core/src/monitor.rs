@@ -6,15 +6,18 @@
 //! also tracks local block recency, used only to break ties between blocks
 //! whose reference distances are equal.
 //!
-//! When the runtime attaches a [`BlockSlots`] arena
-//! ([`CacheMonitor::attach_slots`]), the recency table becomes a dense
-//! per-slot vector and per-RDD reference distances are cached in a flat
-//! vector rebuilt on each table sync — the per-touch hot path then does no
-//! hashing and no tree walks. Behavior is identical to the hash-backed
-//! reference path (enforced by the differential tests in
+//! The replica itself is a flat per-RDD distance vector covering exactly
+//! the RDD span of the manager's table, rebuilt from the shared table on
+//! each sync (the manager never clones the table per node), so a distance
+//! lookup is one array read. When the runtime attaches a [`BlockSlots`]
+//! arena ([`CacheMonitor::attach_slots`]), the recency table becomes a
+//! windowed dense per-slot vector as well — the per-touch hot path then
+//! does no hashing and no tree walks, and a serve submission's monitor
+//! costs O(its own slots), not O(arena). Behavior is identical to the
+//! hash-backed reference path (enforced by the differential tests in
 //! `refdist-cluster`).
 
-use crate::distance::{DistanceMetric, RefDistance};
+use crate::distance::RefDistance;
 use crate::table::MrdTable;
 use refdist_dag::{BlockId, BlockSlots, SlotMap};
 use refdist_policies::OrderedIndex;
@@ -40,21 +43,62 @@ pub enum TieBreak {
     Lru,
 }
 
+/// The monitor's replica of the MRD table: the current distance of every
+/// RDD in the table's span, `base..base + by_rdd.len()`. RDDs outside the
+/// span, or inside it without references, are infinitely far — exactly
+/// [`MrdTable::distance`].
+#[derive(Debug, Clone, Default)]
+struct DistanceReplica {
+    base: u32,
+    by_rdd: Vec<RefDistance>,
+}
+
+impl DistanceReplica {
+    /// Refill from `table`, reusing the buffer. O(table).
+    fn refill(&mut self, table: &MrdTable) {
+        self.by_rdd.clear();
+        let mut rows = table.distances().peekable();
+        self.base = rows.peek().map_or(0, |&(r, _)| r.0);
+        for (r, d) in rows {
+            let i = (r.0 - self.base) as usize;
+            debug_assert!(i >= self.by_rdd.len(), "table rows ascend by RDD id");
+            self.by_rdd.resize(i, RefDistance::Infinite);
+            self.by_rdd.push(d);
+        }
+    }
+
+    #[inline]
+    fn get(&self, rdd: refdist_dag::RddId) -> RefDistance {
+        rdd.0
+            .checked_sub(self.base)
+            .and_then(|i| self.by_rdd.get(i as usize))
+            .copied()
+            .unwrap_or(RefDistance::Infinite)
+    }
+}
+
+/// Recency encoding for index keys: under MRU ties the *largest* touch
+/// evicts first, under LRU the smallest — both expressed as "larger
+/// encoding evicts first" so one `Reverse<u64>` covers both.
+fn enc(tie: TieBreak, touch: u64) -> u64 {
+    match tie {
+        TieBreak::Mru => touch,
+        TieBreak::Lru => !touch,
+    }
+}
+
 /// A worker node's MRD cache monitor.
 #[derive(Debug, Clone)]
 pub struct CacheMonitor {
     node: NodeId,
-    table: MrdTable,
+    /// Distances per the last received table.
+    dist: DistanceReplica,
     /// Version of the replica, compared against the manager's table.
     synced_version: Option<u64>,
     /// Times this monitor received a table replica.
     syncs: u64,
     clock: u64,
     last_touch: SlotMap<u64>,
-    /// Attached slot arena (dense mode) and the per-RDD distance cache
-    /// rebuilt from the replica on every sync; empty in hash mode.
-    slots: Option<Arc<BlockSlots>>,
-    dist_by_rdd: Vec<RefDistance>,
     /// Tie-break rule baked into the index keys.
     tie: TieBreak,
     /// Ordered victim index over the locally tracked blocks. Its keys embed
@@ -81,13 +125,11 @@ impl CacheMonitor {
     pub fn with_tie(node: NodeId, tie: TieBreak) -> Self {
         CacheMonitor {
             node,
-            table: MrdTable::new(DistanceMetric::Stage),
+            dist: DistanceReplica::default(),
             synced_version: None,
             syncs: 0,
             clock: 0,
             last_touch: SlotMap::hashed(),
-            slots: None,
-            dist_by_rdd: Vec::new(),
             tie,
             index: OrderedIndex::new(),
             index_version: None,
@@ -103,41 +145,11 @@ impl CacheMonitor {
             dense.insert(b, t);
         }
         self.last_touch = dense;
-        self.slots = Some(Arc::clone(slots));
-        self.rebuild_dist();
-    }
-
-    /// Refill the per-RDD distance cache from the current replica (dense
-    /// mode only; hash mode reads the table directly).
-    fn rebuild_dist(&mut self) {
-        let Some(slots) = &self.slots else { return };
-        self.dist_by_rdd.clear();
-        self.dist_by_rdd
-            .resize(slots.num_rdds(), RefDistance::Infinite);
-        // Window-relative indexing: `rdd_window` is a bounds-checked
-        // `r.index()` for whole-stream arenas (rdd_base 0) and subtracts the
-        // live window's base for streaming arena snapshots, so the cache
-        // stays O(live rdds) on long streams.
-        for (r, d) in self.table.distances() {
-            if let Some(i) = slots.rdd_window(r) {
-                self.dist_by_rdd[i] = d;
-            }
-        }
-    }
-
-    /// Recency encoding for index keys: under MRU ties the *largest* touch
-    /// evicts first, under LRU the smallest — both expressed as "larger
-    /// encoding evicts first" so one `Reverse<u64>` covers both.
-    fn enc(&self, touch: u64) -> u64 {
-        match self.tie {
-            TieBreak::Mru => touch,
-            TieBreak::Lru => !touch,
-        }
     }
 
     fn key_for(&self, block: BlockId) -> MrdKey {
         let touch = self.last_touch.get(block).copied().unwrap_or(0);
-        (Reverse(self.distance(block)), Reverse(self.enc(touch)))
+        (Reverse(self.distance(block)), Reverse(enc(self.tie, touch)))
     }
 
     /// Whether incremental index updates are valid (keys match the current
@@ -146,36 +158,23 @@ impl CacheMonitor {
         self.index_version == self.synced_version
     }
 
-    /// Rebuild the index from scratch against the current replica.
+    /// Rebuild the index from scratch against the current replica. Visits
+    /// the tracked blocks only: the recency table holds exactly the blocks
+    /// resident here, and a dense one spans just their slots.
     fn ensure_index(&mut self) {
         if self.index_fresh() {
             return;
         }
-        self.index.clear();
         let CacheMonitor {
             last_touch,
             index,
-            table,
-            slots,
-            dist_by_rdd,
+            dist,
             tie,
             ..
         } = self;
+        index.clear();
         for (b, &touch) in last_touch.iter() {
-            let d = if let Some(slots) = slots {
-                slots
-                    .rdd_window(b.rdd)
-                    .and_then(|i| dist_by_rdd.get(i))
-                    .copied()
-                    .unwrap_or(RefDistance::Infinite)
-            } else {
-                table.distance(b.rdd)
-            };
-            let e = match tie {
-                TieBreak::Mru => touch,
-                TieBreak::Lru => !touch,
-            };
-            index.upsert(b, (Reverse(d), Reverse(e)));
+            index.upsert(b, (Reverse(dist.get(b.rdd)), Reverse(enc(*tie, touch))));
         }
         self.index_version = self.synced_version;
     }
@@ -195,25 +194,18 @@ impl CacheMonitor {
         self.syncs
     }
 
-    /// Install a fresh replica from the manager.
-    pub fn receive_table(&mut self, table: MrdTable) {
+    /// Install a fresh replica of the manager's `table`: the manager
+    /// shares its one table with every monitor, each of which copies out
+    /// only the per-RDD distances it needs.
+    pub fn receive_table(&mut self, table: &MrdTable) {
         self.synced_version = Some(table.version());
-        self.table = table;
         self.syncs += 1;
-        self.rebuild_dist();
+        self.dist.refill(table);
     }
 
     /// Reference distance of a block per the local replica.
     pub fn distance(&self, block: BlockId) -> RefDistance {
-        if let Some(slots) = &self.slots {
-            slots
-                .rdd_window(block.rdd)
-                .and_then(|i| self.dist_by_rdd.get(i))
-                .copied()
-                .unwrap_or(RefDistance::Infinite)
-        } else {
-            self.table.distance(block.rdd)
-        }
+        self.dist.get(block.rdd)
     }
 
     /// Record a local insert/access (for tie-breaking recency).
@@ -308,6 +300,7 @@ impl CacheMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::DistanceMetric;
     use refdist_dag::{AppProfile, JobId, RddId, RddRefs, StageId};
     use std::collections::BTreeMap;
 
@@ -340,7 +333,7 @@ mod tests {
 
     fn synced(entries: &[(u32, &[u32])], current: u32) -> CacheMonitor {
         let mut m = CacheMonitor::new(NodeId(0));
-        m.receive_table(table(entries, current));
+        m.receive_table(&table(entries, current));
         m
     }
 
@@ -349,7 +342,7 @@ mod tests {
         let mut m = CacheMonitor::new(NodeId(0));
         let slots = Arc::new(BlockSlots::from_counts((0..10).map(|r| (RddId(r), 4))));
         m.attach_slots(&slots);
-        m.receive_table(table(entries, current));
+        m.receive_table(&table(entries, current));
         m
     }
 
@@ -394,7 +387,7 @@ mod tests {
     fn distance_tracks_replica_updates() {
         let mut m = synced(&[(0, &[5])], 0);
         assert_eq!(m.distance(blk(0, 0)), RefDistance::Finite(5));
-        m.receive_table(table(&[(0, &[5])], 4));
+        m.receive_table(&table(&[(0, &[5])], 4));
         assert_eq!(m.distance(blk(0, 0)), RefDistance::Finite(1));
         assert_eq!(m.syncs(), 2);
     }
@@ -442,8 +435,8 @@ mod tests {
         let resident: BTreeMap<BlockId, u64> = blocks.iter().map(|&b| (b, 2)).collect();
         assert_eq!(h.select_victims(5, &resident), d.select_victims(5, &resident));
         // Distances advance identically across a re-sync.
-        h.receive_table(table(entries, 4));
-        d.receive_table(table(entries, 4));
+        h.receive_table(&table(entries, 4));
+        d.receive_table(&table(entries, 4));
         for &b in &blocks {
             assert_eq!(h.distance(b), d.distance(b));
         }

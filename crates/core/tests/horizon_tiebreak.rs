@@ -55,7 +55,7 @@ fn monitor(entries: &[(u32, &[u32])]) -> CacheMonitor {
     let mut t = MrdTable::from_profile(DistanceMetric::Stage, &profile(entries));
     t.advance_to(0);
     let mut m = CacheMonitor::new(N);
-    m.receive_table(t);
+    m.receive_table(&t);
     m
 }
 
@@ -135,12 +135,12 @@ fn horizon_window_tracks_stage_progress() {
     let mut t = MrdTable::from_profile(DistanceMetric::Stage, &profile(entries));
     t.advance_to(0);
     let mut m = CacheMonitor::new(N);
-    m.receive_table(t.clone());
+    m.receive_table(&t);
     assert_eq!(m.distance(blk(0, 0)), RefDistance::Finite(8));
     assert!(m.prefetch_order(&[blk(0, 0)], 6).is_empty());
 
     t.advance_to(4);
-    m.receive_table(t);
+    m.receive_table(&t);
     assert_eq!(m.distance(blk(0, 0)), RefDistance::Finite(4));
     assert_eq!(m.prefetch_order(&[blk(0, 0)], 6), vec![blk(0, 0)]);
 }

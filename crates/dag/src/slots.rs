@@ -23,6 +23,9 @@ use std::sync::Arc;
 /// Sentinel base for RDDs with no slots (not cached, or zero partitions).
 const NO_SLOT: u32 = u32::MAX;
 
+/// Sentinel owner for window RDDs of no live application.
+const NO_OWNER: u32 = u32::MAX;
+
 /// Sentinel block occupying a freed slot in a [`SlotArena`]; never handed
 /// out, because freed slots carry no live bits in any engine table.
 const FREE_BLOCK: BlockId = BlockId {
@@ -45,6 +48,10 @@ pub struct BlockSlots {
     base: Vec<u32>,
     /// Per rdd id (window-relative): number of slotted partitions.
     parts: Vec<u32>,
+    /// Per rdd id (window-relative): the owning application's index, or
+    /// `NO_OWNER`. Only [`SlotArena`] snapshots carry owners; the
+    /// single-application constructors leave this empty.
+    owner: Vec<u32>,
     /// Reverse lookup: slot -> block. With `rdd_base == 0` slots ascend in
     /// `BlockId` order; arena snapshots may interleave recycled ranges, but
     /// stay `BlockId`-ordered *within* each application's contiguous range.
@@ -90,6 +97,7 @@ impl BlockSlots {
             rdd_base: 0,
             base,
             parts,
+            owner: Vec::new(),
             blocks,
         }
     }
@@ -121,10 +129,13 @@ impl BlockSlots {
         self.blocks.is_empty()
     }
 
-    /// Number of rdd ids the arena spans (covered or not).
+    /// The application that owns `rdd`, when this is an arena snapshot
+    /// and `rdd` belongs to a live application: one array read, the
+    /// per-block ownership lookup of the serve path.
     #[inline]
-    pub fn num_rdds(&self) -> usize {
-        self.base.len()
+    pub fn owner(&self, rdd: RddId) -> Option<usize> {
+        let o = *self.owner.get(self.rdd_window(rdd)?)?;
+        (o != NO_OWNER).then_some(o as usize)
     }
 
     /// Whether `rdd` has any slots.
@@ -174,9 +185,9 @@ impl BlockSlots {
 /// app's policy — costs O(active slots), keeping per-submission work flat.
 ///
 /// Why contiguity matters: within one application's run, slots ascend in
-/// `BlockId` order exactly as in a whole-stream arena, and the serve mux
-/// restricts every ordered scan (victim selection, purge candidates,
-/// prefetch candidates) to a single application's blocks. Absolute slot
+/// `BlockId` order exactly as in a whole-stream arena, and every ordered
+/// scan of the serve path (victim selection, purge candidates, prefetch
+/// candidates) covers a single application's blocks. Absolute slot
 /// values are never compared across applications, which is what keeps the
 /// streaming path byte-identical to the build-everything-upfront reference.
 #[derive(Debug, Default)]
@@ -185,6 +196,7 @@ pub struct SlotArena {
     rdd_base: u32,
     base: Vec<u32>,
     parts: Vec<u32>,
+    owner: Vec<u32>,
     /// Slot -> block for the whole capacity; freed slots hold `FREE_BLOCK`.
     blocks: Vec<BlockId>,
     /// Free runs `(slot_base, len)`, sorted by base, coalesced.
@@ -219,12 +231,13 @@ impl SlotArena {
         self.live.len()
     }
 
-    /// Admit one application: `counts` lists `(rdd, partition_count)` for
-    /// *every* rdd of the app in ascending id order (0 for uncached rdds),
-    /// exactly the shape [`BlockSlots::from_counts`] takes. Returns the
-    /// app's `(slot_base, slot_len)` run. The rdd ids must not overlap any
-    /// live application.
-    pub fn admit(&mut self, counts: &[(RddId, u32)]) -> (u32, u32) {
+    /// Admit application `app`: `counts` lists `(rdd, partition_count)`
+    /// for *every* rdd of the app in ascending id order (0 for uncached
+    /// rdds), exactly the shape [`BlockSlots::from_counts`] takes. Returns
+    /// the app's `(slot_base, slot_len)` run. The rdd ids must not overlap
+    /// any live application; snapshots report `app` as their
+    /// [`owner`](BlockSlots::owner).
+    pub fn admit(&mut self, app: u32, counts: &[(RddId, u32)]) -> (u32, u32) {
         assert!(!counts.is_empty(), "an app spans at least one rdd");
         let first = counts[0].0 .0;
         let last = counts[counts.len() - 1].0 .0;
@@ -241,12 +254,14 @@ impl SlotArena {
             let grow = (self.rdd_base - first) as usize;
             self.base.splice(0..0, std::iter::repeat_n(NO_SLOT, grow));
             self.parts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.owner.splice(0..0, std::iter::repeat_n(NO_OWNER, grow));
             self.rdd_base = first;
         }
         let end = (last - self.rdd_base) as usize + 1;
         if end > self.base.len() {
             self.base.resize(end, NO_SLOT);
             self.parts.resize(end, 0);
+            self.owner.resize(end, NO_OWNER);
         }
 
         // First-fit lowest free run; fall back to growing capacity.
@@ -271,7 +286,8 @@ impl SlotArena {
         let mut next = slot_base;
         for &(rdd, count) in counts {
             let wi = (rdd.0 - self.rdd_base) as usize;
-            debug_assert_eq!(self.base[wi], NO_SLOT, "rdd range overlaps a live app");
+            debug_assert_eq!(self.owner[wi], NO_OWNER, "rdd range overlaps a live app");
+            self.owner[wi] = app;
             if count == 0 {
                 continue;
             }
@@ -301,6 +317,7 @@ impl SlotArena {
         for wi in w0..w0 + nrdds as usize {
             self.base[wi] = NO_SLOT;
             self.parts[wi] = 0;
+            self.owner[wi] = NO_OWNER;
         }
         for s in slot_base..slot_base + slot_len {
             self.blocks[s as usize] = FREE_BLOCK;
@@ -334,11 +351,13 @@ impl SlotArena {
                 let drop = (lo - self.rdd_base) as usize;
                 self.base.drain(..drop);
                 self.parts.drain(..drop);
+                self.owner.drain(..drop);
                 self.rdd_base = lo;
             }
             None => {
                 self.base.clear();
                 self.parts.clear();
+                self.owner.clear();
             }
             _ => {}
         }
@@ -352,6 +371,7 @@ impl SlotArena {
             rdd_base: self.rdd_base,
             base: self.base.clone(),
             parts: self.parts.clone(),
+            owner: self.owner.clone(),
             blocks: self.blocks.clone(),
         }
     }
@@ -360,6 +380,14 @@ impl SlotArena {
 /// A map keyed by `BlockId`, backed either by a `HashMap` (the reference
 /// implementation, kept for the hash-vs-dense differential tests) or by a
 /// dense per-slot vector over a [`BlockSlots`] arena.
+///
+/// The dense backing is *windowed*: its value vector covers only the slot
+/// span written to it since the last [`clear`](Self::clear)
+/// (`lo..lo + vals.len()`, at most twice that span), not the whole arena.
+/// A table that only ever holds one application's blocks — a policy's
+/// per-block state in serve mode — therefore costs memory and iteration
+/// time in O(that application's slot run), however large the shared arena
+/// grows.
 ///
 /// Behavior is identical across backings; only iteration order differs
 /// (dense iterates ascending by slot, hash arbitrarily), so callers that
@@ -375,6 +403,8 @@ enum SlotMapRepr<V> {
     Hash(HashMap<BlockId, V>),
     Dense {
         slots: Arc<BlockSlots>,
+        /// Slot of `vals[0]`; meaningless while `vals` is empty.
+        lo: u32,
         vals: Vec<Option<V>>,
         len: usize,
     },
@@ -388,23 +418,45 @@ impl<V> SlotMap<V> {
         }
     }
 
-    /// Dense map over `slots`.
+    /// Dense map over `slots`. Allocates nothing until the first insert.
     pub fn dense(slots: Arc<BlockSlots>) -> Self {
+        SlotMap {
+            repr: SlotMapRepr::Dense {
+                slots,
+                lo: 0,
+                vals: Vec::new(),
+                len: 0,
+            },
+        }
+    }
+
+    /// Dense map whose window starts out covering all of `slots`: for a
+    /// table that spans the arena anyway (the cluster-wide block master),
+    /// one allocation up front instead of a run of growth steps.
+    pub fn dense_full(slots: Arc<BlockSlots>) -> Self {
         let mut vals = Vec::new();
         vals.resize_with(slots.len(), || None);
         SlotMap {
             repr: SlotMapRepr::Dense {
                 slots,
+                lo: 0,
                 vals,
                 len: 0,
             },
         }
     }
 
-    fn dense_idx(slots: &BlockSlots, block: BlockId) -> usize {
+    fn dense_slot(slots: &BlockSlots, block: BlockId) -> u32 {
         slots
             .slot(block)
-            .unwrap_or_else(|| panic!("block {block} outside the slot arena")) as usize
+            .unwrap_or_else(|| panic!("block {block} outside the slot arena"))
+    }
+
+    /// Index of `slot` in a window starting at `lo` of `n` values.
+    #[inline]
+    fn window_idx(lo: u32, n: usize, slot: u32) -> Option<usize> {
+        let i = slot.checked_sub(lo)? as usize;
+        (i < n).then_some(i)
     }
 
     /// Number of entries.
@@ -433,8 +485,9 @@ impl<V> SlotMap<V> {
     pub fn get(&self, block: BlockId) -> Option<&V> {
         match &self.repr {
             SlotMapRepr::Hash(m) => m.get(&block),
-            SlotMapRepr::Dense { slots, vals, .. } => {
-                vals[Self::dense_idx(slots, block)].as_ref()
+            SlotMapRepr::Dense { slots, lo, vals, .. } => {
+                let i = Self::window_idx(*lo, vals.len(), Self::dense_slot(slots, block))?;
+                vals[i].as_ref()
             }
         }
     }
@@ -444,18 +497,41 @@ impl<V> SlotMap<V> {
     pub fn get_mut(&mut self, block: BlockId) -> Option<&mut V> {
         match &mut self.repr {
             SlotMapRepr::Hash(m) => m.get_mut(&block),
-            SlotMapRepr::Dense { slots, vals, .. } => {
-                vals[Self::dense_idx(slots, block)].as_mut()
+            SlotMapRepr::Dense { slots, lo, vals, .. } => {
+                let i = Self::window_idx(*lo, vals.len(), Self::dense_slot(slots, block))?;
+                vals[i].as_mut()
             }
         }
     }
 
-    /// Insert or overwrite, returning the previous value.
+    /// Insert or overwrite, returning the previous value. A dense map
+    /// widens its window to cover the block's slot.
     pub fn insert(&mut self, block: BlockId, value: V) -> Option<V> {
         match &mut self.repr {
             SlotMapRepr::Hash(m) => m.insert(block, value),
-            SlotMapRepr::Dense { slots, vals, len } => {
-                let old = vals[Self::dense_idx(slots, block)].replace(value);
+            SlotMapRepr::Dense {
+                slots,
+                lo,
+                vals,
+                len,
+            } => {
+                let slot = Self::dense_slot(slots, block);
+                if vals.is_empty() {
+                    *lo = slot;
+                } else if slot < *lo {
+                    // Grow downward by at least the window's length, so a
+                    // descending run of inserts costs amortized O(1) each
+                    // (the upward side rides on `Vec`'s doubling).
+                    let new_lo = slot.min(lo.saturating_sub(vals.len() as u32));
+                    let grow = (*lo - new_lo) as usize;
+                    vals.splice(0..0, std::iter::repeat_with(|| None).take(grow));
+                    *lo = new_lo;
+                }
+                let i = (slot - *lo) as usize;
+                if i >= vals.len() {
+                    vals.resize_with(i + 1, || None);
+                }
+                let old = vals[i].replace(value);
                 if old.is_none() {
                     *len += 1;
                 }
@@ -468,8 +544,9 @@ impl<V> SlotMap<V> {
     pub fn remove(&mut self, block: BlockId) -> Option<V> {
         match &mut self.repr {
             SlotMapRepr::Hash(m) => m.remove(&block),
-            SlotMapRepr::Dense { slots, vals, len } => {
-                let old = vals[Self::dense_idx(slots, block)].take();
+            SlotMapRepr::Dense { slots, lo, vals, len } => {
+                let i = Self::window_idx(*lo, vals.len(), Self::dense_slot(slots, block))?;
+                let old = vals[i].take();
                 if old.is_some() {
                     *len -= 1;
                 }
@@ -483,7 +560,7 @@ impl<V> SlotMap<V> {
         match &mut self.repr {
             SlotMapRepr::Hash(m) => m.clear(),
             SlotMapRepr::Dense { vals, len, .. } => {
-                vals.iter_mut().for_each(|v| *v = None);
+                vals.clear();
                 *len = 0;
             }
         }
@@ -491,12 +568,11 @@ impl<V> SlotMap<V> {
 
     /// Swap in a newer arena snapshot whose capacity is a superset of the
     /// current one (streaming admission): live slot indices never move, so
-    /// existing entries stay valid; the value table grows to the new
-    /// capacity. No-op on the hash backing.
+    /// existing entries and the window stay valid. No-op on the hash
+    /// backing.
     pub fn adopt(&mut self, new: Arc<BlockSlots>) {
-        if let SlotMapRepr::Dense { slots, vals, .. } = &mut self.repr {
-            debug_assert!(new.len() >= vals.len(), "arena capacity never shrinks");
-            vals.resize_with(new.len(), || None);
+        if let SlotMapRepr::Dense { slots, .. } = &mut self.repr {
+            debug_assert!(new.len() >= slots.len(), "arena capacity never shrinks");
             *slots = new;
         }
     }
@@ -505,16 +581,29 @@ impl<V> SlotMap<V> {
     pub fn iter(&self) -> impl Iterator<Item = (BlockId, &V)> + '_ {
         let (hash, dense) = match &self.repr {
             SlotMapRepr::Hash(m) => (Some(m.iter().map(|(&b, v)| (b, v))), None),
-            SlotMapRepr::Dense { slots, vals, .. } => (
-                None,
-                Some(
-                    vals.iter()
-                        .enumerate()
-                        .filter_map(move |(i, v)| v.as_ref().map(|v| (slots.block(i as u32), v))),
-                ),
-            ),
+            SlotMapRepr::Dense { .. } => (None, Some(self.iter_run(0..u32::MAX))),
         };
         hash.into_iter().flatten().chain(dense.into_iter().flatten())
+    }
+
+    /// Iterate the entries whose slot lies in `run`, ascending by slot —
+    /// in O(run ∩ window), not O(arena). The serve engine collects one
+    /// application's purge candidates this way.
+    ///
+    /// # Panics
+    /// Panics on the hash backing, which has no slot order.
+    pub fn iter_run(&self, run: std::ops::Range<u32>) -> impl Iterator<Item = (BlockId, &V)> + '_ {
+        let SlotMapRepr::Dense { slots, lo, vals, .. } = &self.repr else {
+            panic!("slot runs address a dense map");
+        };
+        let lo = *lo;
+        let from = run.start.saturating_sub(lo) as usize;
+        let to = (run.end.saturating_sub(lo) as usize).min(vals.len());
+        let span = if from < to { from..to } else { 0..0 };
+        vals[span.clone()]
+            .iter()
+            .zip(span.start as u32..)
+            .filter_map(move |(v, i)| v.as_ref().map(|v| (slots.block(lo + i), v)))
     }
 }
 
@@ -615,17 +704,36 @@ impl SlotSet {
 
     /// Set slots in ascending order.
     pub fn ones(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    return None;
+        self.ones_in(0..u32::MAX)
+    }
+
+    /// Set slots within `run`, ascending: visits only the words the run
+    /// covers (clamped to the set's capacity), so one application's slot
+    /// run costs O(run / 64), not O(arena).
+    pub fn ones_in(&self, run: std::ops::Range<u32>) -> impl Iterator<Item = u32> + '_ {
+        let end = (run.end as usize).min(self.words.len() * 64);
+        let start = (run.start as usize).min(end);
+        let first = start / 64;
+        self.words[first..end.div_ceil(64)]
+            .iter()
+            .zip(first..)
+            .flat_map(move |(&w, i)| {
+                let mut w = w;
+                if i == first {
+                    w &= !0u64 << (start % 64);
                 }
-                let bit = w.trailing_zeros();
-                w &= w - 1;
-                Some(i as u32 * 64 + bit)
+                if (i + 1) * 64 > end {
+                    w &= (1u64 << (end - i * 64)) - 1;
+                }
+                std::iter::from_fn(move || {
+                    if w == 0 {
+                        return None;
+                    }
+                    let bit = w.trailing_zeros();
+                    w &= w - 1;
+                    Some(i as u32 * 64 + bit)
+                })
             })
-        })
     }
 }
 
@@ -716,7 +824,6 @@ mod tests {
     #[test]
     fn sparse_counts_skip_gaps() {
         let s = BlockSlots::from_counts([(RddId(2), 1), (RddId(5), 2)]);
-        assert_eq!(s.num_rdds(), 6);
         assert_eq!(s.slot(BlockId::new(RddId(2), 0)), Some(0));
         assert_eq!(s.slot(BlockId::new(RddId(5), 1)), Some(2));
         assert_eq!(s.slot(BlockId::new(RddId(3), 0)), None);
@@ -806,11 +913,11 @@ mod tests {
         let mut a = SlotArena::new();
         // App 0: rdds 0..3, cached counts 0/4/2 -> 6 slots at base 0.
         assert_eq!(
-            a.admit(&[(RddId(0), 0), (RddId(1), 4), (RddId(2), 2)]),
+            a.admit(0, &[(RddId(0), 0), (RddId(1), 4), (RddId(2), 2)]),
             (0, 6)
         );
         // App 1: rdds 3..5, counts 3/0 -> 3 slots at base 6.
-        assert_eq!(a.admit(&[(RddId(3), 3), (RddId(4), 0)]), (6, 3));
+        assert_eq!(a.admit(1, &[(RddId(3), 3), (RddId(4), 0)]), (6, 3));
         assert_eq!(a.capacity(), 9);
         assert_eq!((a.live_apps(), a.live_slots()), (2, 9));
 
@@ -829,7 +936,7 @@ mod tests {
         assert_eq!(snap.slot(BlockId::new(RddId(3), 1)), Some(7));
 
         // App 2 (5 slots) reuses the freed run; capacity does not grow.
-        assert_eq!(a.admit(&[(RddId(5), 5)]), (0, 5));
+        assert_eq!(a.admit(2, &[(RddId(5), 5)]), (0, 5));
         assert_eq!(a.capacity(), 9);
         let snap = a.snapshot();
         assert_eq!(snap.rdd_base(), 3);
@@ -842,10 +949,10 @@ mod tests {
 
         // App 3 needs 1 slot: first-fit takes the remaining free slot 5
         // before growing.
-        assert_eq!(a.admit(&[(RddId(6), 1)]), (5, 1));
+        assert_eq!(a.admit(3, &[(RddId(6), 1)]), (5, 1));
         assert_eq!(a.capacity(), 9);
         // App 4 (3 slots) must grow capacity — no free run is big enough.
-        assert_eq!(a.admit(&[(RddId(7), 3)]), (9, 3));
+        assert_eq!(a.admit(4, &[(RddId(7), 3)]), (9, 3));
         assert_eq!(a.capacity(), 12);
 
         // Retiring everything coalesces the free list back to one run.
@@ -857,7 +964,7 @@ mod tests {
         assert_eq!(a.capacity(), 12);
 
         // A fresh admission re-seats the window from scratch.
-        assert_eq!(a.admit(&[(RddId(20), 1)]), (0, 1));
+        assert_eq!(a.admit(5, &[(RddId(20), 1)]), (0, 1));
         assert_eq!(a.snapshot().rdd_base(), 20);
         assert_eq!(a.snapshot().slot(BlockId::new(RddId(20), 0)), Some(0));
     }
@@ -865,13 +972,13 @@ mod tests {
     #[test]
     fn arena_admission_below_the_window_reseats_it() {
         let mut a = SlotArena::new();
-        a.admit(&[(RddId(4), 2)]);
-        a.admit(&[(RddId(9), 1)]);
+        a.admit(6, &[(RddId(4), 2)]);
+        a.admit(7, &[(RddId(9), 1)]);
         a.retire(RddId(4));
         assert_eq!(a.snapshot().rdd_base(), 9);
         // Trace arrivals can admit below the advanced window. The free run
         // (2 slots) is too small for 3, so capacity grows.
-        assert_eq!(a.admit(&[(RddId(2), 3), (RddId(3), 0)]), (3, 3));
+        assert_eq!(a.admit(8, &[(RddId(2), 3), (RddId(3), 0)]), (3, 3));
         let snap = a.snapshot();
         assert_eq!(snap.rdd_base(), 2);
         assert_eq!(snap.slot(BlockId::new(RddId(2), 2)), Some(5));
@@ -882,9 +989,9 @@ mod tests {
     #[test]
     fn arena_zero_slot_app_is_tracked_without_slots() {
         let mut a = SlotArena::new();
-        assert_eq!(a.admit(&[(RddId(0), 0), (RddId(1), 0)]), (0, 0));
+        assert_eq!(a.admit(9, &[(RddId(0), 0), (RddId(1), 0)]), (0, 0));
         assert_eq!((a.live_apps(), a.live_slots(), a.capacity()), (1, 0, 0));
-        a.admit(&[(RddId(2), 2)]);
+        a.admit(10, &[(RddId(2), 2)]);
         a.retire(RddId(0));
         assert_eq!(a.snapshot().rdd_base(), 2);
         assert_eq!(a.live_apps(), 1);
@@ -893,10 +1000,10 @@ mod tests {
     #[test]
     fn slotmap_adopt_preserves_entries_across_growth() {
         let mut a = SlotArena::new();
-        a.admit(&[(RddId(0), 2)]);
+        a.admit(11, &[(RddId(0), 2)]);
         let mut m: SlotMap<u64> = SlotMap::dense(Arc::new(a.snapshot()));
         m.insert(BlockId::new(RddId(0), 1), 7);
-        a.admit(&[(RddId(1), 3)]);
+        a.admit(12, &[(RddId(1), 3)]);
         m.adopt(Arc::new(a.snapshot()));
         assert_eq!(m.get(BlockId::new(RddId(0), 1)), Some(&7));
         m.insert(BlockId::new(RddId(1), 2), 9);
@@ -926,5 +1033,152 @@ mod tests {
         s.reset(300);
         assert!(s.insert(299));
         assert_eq!(s.len(), 1);
+    }
+
+    /// A 3-rdd × 64-partition arena: 192 slots, three words of bits.
+    fn wide() -> Arc<BlockSlots> {
+        Arc::new(BlockSlots::from_counts((0..3).map(|r| (RddId(r), 64))))
+    }
+
+    fn entries(m: &SlotMap<u32>) -> Vec<(BlockId, u32)> {
+        m.iter().map(|(b, &v)| (b, v)).collect()
+    }
+
+    #[test]
+    fn dense_slotmap_window_grows_both_ways() {
+        let slots = wide();
+        let blk = |s: u32| slots.block(s);
+        let mut m: SlotMap<u32> = SlotMap::dense(Arc::clone(&slots));
+        assert!(m.is_empty() && m.get(blk(100)).is_none());
+        // First write opens the window; writes above and below widen it.
+        assert_eq!(m.insert(blk(100), 1), None);
+        assert_eq!(m.insert(blk(130), 2), None);
+        assert_eq!(m.insert(blk(70), 3), None);
+        assert_eq!(m.insert(blk(100), 4), Some(1));
+        assert_eq!(m.len(), 3);
+        // Slots outside the window read as absent without panicking.
+        assert_eq!(m.get(blk(0)), None);
+        assert_eq!(m.get(blk(191)), None);
+        assert_eq!(m.remove(blk(5)), None);
+        assert_eq!(
+            entries(&m),
+            vec![(blk(70), 3), (blk(100), 4), (blk(130), 2)]
+        );
+        *m.get_mut(blk(130)).unwrap() = 9;
+        assert_eq!(m.get(blk(130)), Some(&9));
+        // Removal down to empty, then writes on both sides of the old
+        // window; `clear` resets it.
+        for s in [70, 100, 130] {
+            assert!(m.remove(blk(s)).is_some());
+        }
+        assert!(m.is_empty() && entries(&m).is_empty());
+        m.insert(blk(2), 5);
+        m.insert(blk(191), 6);
+        assert_eq!(entries(&m), vec![(blk(2), 5), (blk(191), 6)]);
+        m.clear();
+        assert!(m.is_empty() && m.get(blk(2)).is_none());
+        m.insert(blk(120), 7);
+        assert_eq!(entries(&m), vec![(blk(120), 7)]);
+    }
+
+    #[test]
+    fn dense_slotmap_iter_run_clamps_to_the_window() {
+        let slots = wide();
+        let blk = |s: u32| slots.block(s);
+        let mut m: SlotMap<u32> = SlotMap::dense(Arc::clone(&slots));
+        for s in [10u32, 20, 64, 65, 150] {
+            m.insert(blk(s), s);
+        }
+        let run = |r: std::ops::Range<u32>| -> Vec<u32> {
+            m.iter_run(r).map(|(_, &v)| v).collect()
+        };
+        assert_eq!(run(0..u32::MAX), vec![10, 20, 64, 65, 150]);
+        assert_eq!(run(20..65), vec![20, 64]);
+        assert_eq!(run(0..10), Vec::<u32>::new());
+        assert_eq!(run(151..400), Vec::<u32>::new());
+        assert_eq!(run(64..64), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn dense_slotmap_adopt_keeps_the_window() {
+        let mut a = SlotArena::new();
+        a.admit(0, &[(RddId(0), 4)]);
+        a.admit(1, &[(RddId(1), 4)]);
+        let mut m: SlotMap<u32> = SlotMap::dense(Arc::new(a.snapshot()));
+        m.insert(BlockId::new(RddId(1), 2), 7);
+        a.admit(2, &[(RddId(2), 4)]);
+        m.adopt(Arc::new(a.snapshot()));
+        m.insert(BlockId::new(RddId(2), 0), 8);
+        assert_eq!(
+            entries(&m),
+            vec![(BlockId::new(RddId(1), 2), 7), (BlockId::new(RddId(2), 0), 8)]
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// Under any op sequence the windowed dense map agrees with the
+        /// hashed one, and iterates ascending by slot.
+        #[test]
+        fn dense_slotmap_matches_hashed(
+            ops in proptest::collection::vec((0u8..4, 0u32..192, 0u32..1000), 1..200)
+        ) {
+            let slots = wide();
+            let mut hash: SlotMap<u32> = SlotMap::hashed();
+            let mut dense: SlotMap<u32> = SlotMap::dense(Arc::clone(&slots));
+            for (op, slot, v) in ops {
+                let b = slots.block(slot);
+                match op {
+                    0 | 1 => proptest::prop_assert_eq!(hash.insert(b, v), dense.insert(b, v)),
+                    2 => proptest::prop_assert_eq!(hash.remove(b), dense.remove(b)),
+                    _ => proptest::prop_assert_eq!(hash.get(b), dense.get(b)),
+                }
+                proptest::prop_assert_eq!(hash.len(), dense.len());
+            }
+            let mut h = entries(&hash);
+            h.sort_unstable();
+            proptest::prop_assert_eq!(h, entries(&dense));
+        }
+    }
+
+    #[test]
+    fn slotset_ones_in_restricts_to_the_run() {
+        let mut s = SlotSet::new(200);
+        for slot in [0u32, 1, 63, 64, 65, 127, 128, 199] {
+            s.insert(slot);
+        }
+        let ones = |r: std::ops::Range<u32>| s.ones_in(r).collect::<Vec<_>>();
+        // Word-boundary ends on both sides.
+        assert_eq!(ones(64..128), vec![64, 65, 127]);
+        assert_eq!(ones(63..65), vec![63, 64]);
+        assert_eq!(ones(1..64), vec![1, 63]);
+        assert_eq!(ones(128..129), vec![128]);
+        // Empty runs, including ones on a word boundary.
+        assert_eq!(ones(64..64), Vec::<u32>::new());
+        assert_eq!(ones(70..70), Vec::<u32>::new());
+        assert_eq!(ones(2..63), Vec::<u32>::new());
+        // A run past capacity clamps instead of panicking.
+        assert_eq!(ones(190..1_000), vec![199]);
+        assert_eq!(ones(500..1_000), Vec::<u32>::new());
+        assert_eq!(ones(0..u32::MAX), s.ones().collect::<Vec<_>>());
+        assert_eq!(s.ones().count(), 8);
+    }
+
+    #[test]
+    fn arena_snapshots_report_owners() {
+        let mut a = SlotArena::new();
+        a.admit(7, &[(RddId(0), 0), (RddId(1), 2)]);
+        a.admit(9, &[(RddId(2), 1)]);
+        let snap = a.snapshot();
+        assert_eq!(snap.owner(RddId(0)), Some(7)); // uncached rdds too
+        assert_eq!(snap.owner(RddId(1)), Some(7));
+        assert_eq!(snap.owner(RddId(2)), Some(9));
+        assert_eq!(snap.owner(RddId(3)), None);
+        a.retire(RddId(0));
+        let snap = a.snapshot();
+        assert_eq!(snap.owner(RddId(1)), None);
+        assert_eq!(snap.owner(RddId(2)), Some(9));
+        // Single-application arenas carry no owners.
+        assert_eq!(arena().owner(RddId(1)), None);
     }
 }

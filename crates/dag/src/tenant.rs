@@ -26,22 +26,18 @@ use std::sync::Arc;
 
 /// Ownership map for a combined application: which submission each RDD of
 /// the combined spec came from, and which tenant each submission belongs
-/// to. Submissions are contiguous, ascending RDD ranges, so lookups are a
-/// partition point over the range starts.
+/// to. Submissions are contiguous, ascending RDD ranges, so an RDD lookup
+/// is a partition point over the range starts; per-submission lookups are
+/// one index. (The serve hot path resolves a block's owner off its slot
+/// arena snapshot instead — [`crate::BlockSlots::owner`].)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantMap {
-    /// `starts[i]` is the first combined RddId of submission `retired + i`.
+    /// `starts[i]` is the first combined RddId of submission `i`.
     starts: Vec<u32>,
-    /// `tenants[i]` is the tenant that owns submission `retired + i`.
+    /// `tenants[i]` is the tenant that owns submission `i`.
     tenants: Vec<u32>,
     /// One past the last RddId of the last submission.
     total: u32,
-    /// Leading submissions whose bookkeeping [`retire_prefix`]
-    /// (Self::retire_prefix) has dropped. Submission indices stay global —
-    /// accessors offset into the remaining suffix — but the per-submission
-    /// vectors only hold `first_live()..num_apps()`, keeping a long-stream
-    /// map O(active) instead of O(total submissions).
-    retired: usize,
 }
 
 impl TenantMap {
@@ -59,77 +55,49 @@ impl TenantMap {
             starts,
             tenants: tenants.to_vec(),
             total: at,
-            retired: 0,
         }
     }
 
-    /// Number of submissions (retired prefix included — indices are global).
+    /// Number of submissions.
     #[inline]
     pub fn num_apps(&self) -> usize {
-        self.retired + self.starts.len()
+        self.starts.len()
     }
 
-    /// First submission whose bookkeeping is still held.
-    #[inline]
-    pub fn first_live(&self) -> usize {
-        self.retired
-    }
-
-    /// Drop the bookkeeping of submissions `..first_live` (streaming serve:
-    /// every lower submission has retired and purged its blocks, so no
-    /// lookup for them can occur again). Amortized O(1) per submission.
-    pub fn retire_prefix(&mut self, first_live: usize) {
-        assert!(first_live < self.num_apps(), "the last submission stays");
-        if first_live <= self.retired {
-            return;
-        }
-        let k = first_live - self.retired;
-        self.starts.drain(..k);
-        self.tenants.drain(..k);
-        self.retired = first_live;
-    }
-
-    /// Number of distinct tenants (`max tenant id + 1`). Only meaningful
-    /// before any [`retire_prefix`](Self::retire_prefix).
+    /// Number of distinct tenants (`max tenant id + 1`).
     pub fn num_tenants(&self) -> usize {
         self.tenants.iter().copied().max().unwrap_or(0) as usize + 1
     }
 
-    /// The submission that owns `rdd`, which must not belong to a retired
-    /// prefix.
+    /// The submission that owns `rdd`.
     #[inline]
     pub fn app_of(&self, rdd: RddId) -> usize {
         debug_assert!(rdd.0 < self.total);
-        debug_assert!(
-            self.starts.first().is_some_and(|&s| s <= rdd.0),
-            "rdd of a retired submission"
-        );
-        self.retired + self.starts.partition_point(|&s| s <= rdd.0) - 1
+        self.starts.partition_point(|&s| s <= rdd.0) - 1
     }
 
     /// The tenant of submission `app`.
     #[inline]
     pub fn tenant_of_app(&self, app: usize) -> u32 {
-        self.tenants[app - self.retired]
+        self.tenants[app]
     }
 
     /// The tenant that owns `rdd`.
     #[inline]
     pub fn tenant_of(&self, rdd: RddId) -> u32 {
-        self.tenants[self.app_of(rdd) - self.retired]
+        self.tenants[self.app_of(rdd)]
     }
 
     /// The RDD-id offset of submission `app` in the combined spec.
     #[inline]
     pub fn offset(&self, app: usize) -> u32 {
-        self.starts[app - self.retired]
+        self.starts[app]
     }
 
     /// The combined RddId range of submission `app`.
     pub fn rdd_range(&self, app: usize) -> std::ops::Range<u32> {
-        let i = app - self.retired;
-        let end = self.starts.get(i + 1).copied().unwrap_or(self.total);
-        self.starts[i]..end
+        let end = self.starts.get(app + 1).copied().unwrap_or(self.total);
+        self.starts[app]..end
     }
 }
 
@@ -354,33 +322,6 @@ mod tests {
         assert_eq!(m.tenant_of(RddId(5)), 1);
         assert_eq!(m.tenant_of(RddId(11)), 0);
         assert_eq!(m.tenant_of_app(1), 1);
-    }
-
-    #[test]
-    fn retire_prefix_keeps_global_indices() {
-        let mut m = TenantMap::new(&[4, 6, 2, 3], &[0, 1, 0, 1]);
-        let full = m.clone();
-        m.retire_prefix(0); // no-op
-        assert_eq!(m, full);
-        m.retire_prefix(2);
-        assert_eq!(m.first_live(), 2);
-        assert_eq!(m.num_apps(), 4);
-        // Accessors agree with the uncompacted map on every live lookup.
-        for app in 2..4 {
-            assert_eq!(m.offset(app), full.offset(app));
-            assert_eq!(m.rdd_range(app), full.rdd_range(app));
-            assert_eq!(m.tenant_of_app(app), full.tenant_of_app(app));
-        }
-        for rdd in 10..15 {
-            assert_eq!(m.app_of(RddId(rdd)), full.app_of(RddId(rdd)));
-            assert_eq!(m.tenant_of(RddId(rdd)), full.tenant_of(RddId(rdd)));
-        }
-        // Re-retiring below the window is a no-op.
-        m.retire_prefix(1);
-        assert_eq!(m.first_live(), 2);
-        m.retire_prefix(3);
-        assert_eq!(m.rdd_range(3), 12..15);
-        assert_eq!(m.app_of(RddId(14)), 3);
     }
 
     #[test]

@@ -46,8 +46,8 @@ impl BlockMaster {
     /// Empty registry with dense per-slot tables over `slots`.
     pub fn with_slots(slots: Arc<BlockSlots>) -> Self {
         BlockMaster {
-            memory: SlotMap::dense(Arc::clone(&slots)),
-            disk: SlotMap::dense(slots),
+            memory: SlotMap::dense_full(Arc::clone(&slots)),
+            disk: SlotMap::dense_full(slots),
         }
     }
 
@@ -122,13 +122,14 @@ impl BlockMaster {
         self.memory.contains(block)
     }
 
-    /// Every block resident in at least one node's memory, one entry per
-    /// block. Dense registries iterate ascending by `BlockId` (slot order);
-    /// hash-backed ones in arbitrary order — callers needing canonical order
-    /// there must sort, exactly like the per-manager collection they
-    /// replace.
-    pub fn memory_resident(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.memory.iter().map(|(b, _)| b)
+    /// Every block resident in at least one node's memory whose slot lies
+    /// in `run`, one entry per block, ascending by slot — one application's
+    /// share of a dense registry, collected in O(run), not O(arena).
+    ///
+    /// # Panics
+    /// Panics on a hash-backed registry, which has no slot order.
+    pub fn memory_resident_in(&self, run: std::ops::Range<u32>) -> impl Iterator<Item = BlockId> + '_ {
+        self.memory.iter_run(run).map(|(b, _)| b)
     }
 
     /// Whether any node holds `block` at all.
@@ -264,17 +265,20 @@ mod tests {
 
     #[test]
     fn memory_resident_is_deduped_across_nodes() {
-        both(|mut m| {
-            m.register_memory(blk(0, 1), NodeId(0));
-            m.register_memory(blk(0, 1), NodeId(1));
-            m.register_memory(blk(0, 0), NodeId(1));
-            m.register_disk(blk(0, 2), NodeId(0)); // disk-only: not resident
-            let mut got: Vec<BlockId> = m.memory_resident().collect();
-            got.sort_unstable();
-            assert_eq!(got, vec![blk(0, 0), blk(0, 1)]);
-            m.unregister_memory(blk(0, 0), NodeId(1));
-            assert_eq!(m.memory_resident().count(), 1);
-        });
+        let slots = Arc::new(BlockSlots::from_counts([(RddId(0), 4)]));
+        let mut m = BlockMaster::with_slots(slots);
+        m.register_memory(blk(0, 1), NodeId(0));
+        m.register_memory(blk(0, 1), NodeId(1));
+        m.register_memory(blk(0, 0), NodeId(1));
+        m.register_memory(blk(0, 3), NodeId(0));
+        m.register_disk(blk(0, 2), NodeId(0)); // disk-only: not resident
+        let got: Vec<BlockId> = m.memory_resident_in(0..u32::MAX).collect();
+        assert_eq!(got, vec![blk(0, 0), blk(0, 1), blk(0, 3)]);
+        // A slot run restricts the scan.
+        let got: Vec<BlockId> = m.memory_resident_in(1..3).collect();
+        assert_eq!(got, vec![blk(0, 1)]);
+        m.unregister_memory(blk(0, 0), NodeId(1));
+        assert_eq!(m.memory_resident_in(0..4).count(), 2);
     }
 
     #[test]

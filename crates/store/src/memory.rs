@@ -43,9 +43,15 @@ struct Tenancy {
 }
 
 impl Tenancy {
+    /// The tenant owning `block`. A store over a serve arena snapshot reads
+    /// the owning submission off the snapshot in O(1); other stores fall
+    /// back to the map's search over submission starts.
     #[inline]
-    fn tenant(&self, block: BlockId) -> usize {
-        self.map.tenant_of(block.rdd) as usize
+    fn tenant(&self, block: BlockId, slots: Option<&BlockSlots>) -> usize {
+        match slots.and_then(|s| s.owner(block.rdd)) {
+            Some(app) => self.map.tenant_of_app(app) as usize,
+            None => self.map.tenant_of(block.rdd) as usize,
+        }
     }
 }
 
@@ -207,8 +213,9 @@ impl MemoryStore {
             return Err(InsertError::TooLarge);
         }
         let global_shortfall = size.saturating_sub(self.free());
-        if let Some(t) = &self.tenancy {
-            let tid = t.tenant(block);
+        let slots = self.bits.as_ref().map(|(s, _)| &**s);
+        let tenant = self.tenancy.as_ref().map(|t| t.tenant(block, slots));
+        if let (Some(t), Some(tid)) = (&self.tenancy, tenant) {
             if size > t.quota {
                 return Err(InsertError::TooLarge);
             }
@@ -222,8 +229,7 @@ impl MemoryStore {
                 shortfall: global_shortfall,
             });
         }
-        if let Some(t) = &mut self.tenancy {
-            let tid = t.tenant(block);
+        if let (Some(t), Some(tid)) = (&mut self.tenancy, tenant) {
             t.used[tid] += size;
         }
         if let Some((slots, set)) = &mut self.bits {
@@ -242,7 +248,7 @@ impl MemoryStore {
         }
         self.used -= size;
         if let Some(t) = &mut self.tenancy {
-            let tid = t.tenant(block);
+            let tid = t.tenant(block, self.bits.as_ref().map(|(s, _)| &**s));
             t.used[tid] -= size;
         }
         Some(size)
