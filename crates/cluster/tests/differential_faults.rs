@@ -9,86 +9,13 @@
 //! to a run that predates the subsystem entirely. This is what keeps every
 //! golden file, BENCH number, and sweep key from PRs 1–4 valid.
 
+mod common;
+
+use common::{core_policies, snapshot, Build, Decisions, Recorder};
 use proptest::prelude::*;
 use refdist_cluster::{ClusterConfig, FaultPlan, RunReport, SimConfig, Simulation};
-use refdist_core::{MrdPolicy, ProfileMode};
-use refdist_dag::{AppBuilder, AppPlan, AppSpec, BlockId, BlockSlots, StorageLevel};
-use refdist_policies::{CachePolicy, PolicyKind};
-use refdist_store::NodeId;
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// Logs every eviction batch and purge decision so runs can be compared on
-/// their decision *sequences*, not just aggregate counters.
-struct Recorder {
-    inner: Box<dyn CachePolicy>,
-    victims: Vec<(NodeId, Vec<BlockId>)>,
-    purges: Vec<Vec<BlockId>>,
-}
-
-impl Recorder {
-    fn new(inner: Box<dyn CachePolicy>) -> Self {
-        Recorder {
-            inner,
-            victims: Vec::new(),
-            purges: Vec::new(),
-        }
-    }
-}
-
-impl CachePolicy for Recorder {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-    fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
-        self.inner.attach_slots(slots);
-    }
-    fn on_job_submit(&mut self, job: refdist_dag::JobId, visible: &refdist_dag::AppProfile) {
-        self.inner.on_job_submit(job, visible);
-    }
-    fn on_stage_start(&mut self, stage: refdist_dag::StageId, visible: &refdist_dag::AppProfile) {
-        self.inner.on_stage_start(stage, visible);
-    }
-    fn on_insert(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_insert(node, block);
-    }
-    fn on_access(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_access(node, block);
-    }
-    fn on_remove(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_remove(node, block);
-    }
-    fn on_node_join(&mut self, node: NodeId) {
-        self.inner.on_node_join(node);
-    }
-    fn pick_victim(&mut self, node: NodeId, candidates: &[BlockId]) -> Option<BlockId> {
-        self.inner.pick_victim(node, candidates)
-    }
-    fn select_victims(
-        &mut self,
-        node: NodeId,
-        shortfall: u64,
-        resident: &BTreeMap<BlockId, u64>,
-    ) -> Vec<BlockId> {
-        let v = self.inner.select_victims(node, shortfall, resident);
-        self.victims.push((node, v.clone()));
-        v
-    }
-    fn purge_candidates(&mut self, in_memory: &[BlockId]) -> Vec<BlockId> {
-        let p = self.inner.purge_candidates(in_memory);
-        self.purges.push(p.clone());
-        p
-    }
-    fn prefetch_order(&mut self, node: NodeId, missing: &[BlockId]) -> Vec<BlockId> {
-        self.inner.prefetch_order(node, missing)
-    }
-    fn wants_prefetch(&self) -> bool {
-        self.inner.wants_prefetch()
-    }
-    fn wants_purge(&self) -> bool {
-        self.inner.wants_purge()
-    }
-}
+use refdist_core::ProfileMode;
+use refdist_dag::{AppBuilder, AppPlan, AppSpec, StorageLevel};
 
 #[derive(Debug, Clone)]
 struct Params {
@@ -147,29 +74,16 @@ fn inert_plan() -> FaultPlan {
     }
 }
 
-type Build = Box<dyn Fn() -> Box<dyn CachePolicy>>;
-
-fn all_policies() -> Vec<(&'static str, Build)> {
-    vec![
-        ("lru", Box::new(|| PolicyKind::Lru.build()) as Build),
-        ("fifo", Box::new(|| PolicyKind::Fifo.build())),
-        ("random", Box::new(|| PolicyKind::Random.build())),
-        ("lrc", Box::new(|| PolicyKind::Lrc.build())),
-        ("memtune", Box::new(|| PolicyKind::MemTune.build())),
-        ("mrd", Box::new(|| Box::new(MrdPolicy::full()))),
-    ]
-}
-
-fn run_once(spec: &AppSpec, plan: &AppPlan, cfg: SimConfig, build: &Build) -> (RunReport, Recorder) {
-    let mut rec = Recorder::new(build());
-    let report = Simulation::new(spec, plan, ProfileMode::Recurring, cfg).run(&mut rec);
-    (report, rec)
+fn run_once(spec: &AppSpec, plan: &AppPlan, cfg: SimConfig, build: &Build) -> (RunReport, Decisions) {
+    let (mut rec, log) = Recorder::wrap(build());
+    let report = Simulation::new(spec, plan, ProfileMode::Recurring, cfg).run(&mut *rec);
+    (report, snapshot(&log))
 }
 
 fn assert_invisible(p: &Params) {
     let spec = build_app(p);
     let plan = AppPlan::build(&spec);
-    for (name, build) in all_policies() {
+    for (name, build) in core_policies() {
         let clean_cfg = build_cfg(p, &spec);
         assert!(clean_cfg.faults.is_empty(), "default plan must be empty");
         let mut inert_cfg = build_cfg(p, &spec);
@@ -186,12 +100,8 @@ fn assert_invisible(p: &Params) {
             "report diverged for {name} on {p:?}"
         );
         assert_eq!(
-            clean_rec.victims, inert_rec.victims,
-            "victim sequence diverged for {name} on {p:?}"
-        );
-        assert_eq!(
-            clean_rec.purges, inert_rec.purges,
-            "purge sequence diverged for {name} on {p:?}"
+            clean_rec, inert_rec,
+            "decision sequence diverged for {name} on {p:?}"
         );
     }
 }
@@ -249,7 +159,7 @@ fn aborts_carry_the_app_id_and_are_counted() {
     let mut cfg = build_cfg(&p, &spec);
     cfg.faults.task_failure_p = 1.0;
     cfg.faults.max_task_attempts = 2;
-    let (report, _) = run_once(&spec, &plan, cfg, &all_policies()[0].1);
+    let (report, _) = run_once(&spec, &plan, cfg, &core_policies()[0].1);
     let abort = report.aborted.expect("certain failure must abort");
     assert_eq!(abort.app, 0, "single-app engine stamps app 0");
     assert_eq!(report.faults.aborts, 1);

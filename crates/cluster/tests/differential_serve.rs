@@ -11,105 +11,19 @@
 //! task placements included) and identical victim/purge decision sequences
 //! as observed through the policy interface.
 
+mod common;
+
+use common::{all_policies, check_golden, fnv1a, snapshot, Build, Decisions, Gen, Log, Recorder};
 use proptest::prelude::*;
 use refdist_cluster::{
     ArrivalProcess, ClusterConfig, QuotaKind, RunReport, ServeConfig, ServeReport, ServeSched,
     ServeSim, SimConfig, Simulation,
 };
-use refdist_core::{DistanceMetric, MrdConfig, MrdMode, MrdPolicy, ProfileMode};
-use refdist_dag::{AppBuilder, AppPlan, AppSpec, BlockId, BlockSlots, StorageLevel};
-use refdist_policies::{CachePolicy, PolicyKind};
-use refdist_store::NodeId;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
-
-/// Decision log shared between the test and a [`Recorder`] that gets moved
-/// into the serve driver (which consumes its policies).
-#[derive(Default)]
-struct DecisionLog {
-    victims: Mutex<Vec<(NodeId, Vec<BlockId>)>>,
-    purges: Mutex<Vec<Vec<BlockId>>>,
-}
-
-type VictimLog = Vec<(NodeId, Vec<BlockId>)>;
-type PurgeLog = Vec<Vec<BlockId>>;
-
-impl DecisionLog {
-    fn snapshot(&self) -> (VictimLog, PurgeLog) {
-        (
-            self.victims.lock().unwrap().clone(),
-            self.purges.lock().unwrap().clone(),
-        )
-    }
-}
-
-/// Wraps a policy and logs every eviction batch and purge decision into a
-/// shared [`DecisionLog`], so runs that consume the policy (the serve
-/// driver) can still be compared on their decision sequences.
-struct Recorder {
-    inner: Box<dyn CachePolicy>,
-    log: Arc<DecisionLog>,
-}
-
-impl Recorder {
-    fn new(inner: Box<dyn CachePolicy>, log: Arc<DecisionLog>) -> Self {
-        Recorder { inner, log }
-    }
-}
-
-impl CachePolicy for Recorder {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-    fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
-        self.inner.attach_slots(slots);
-    }
-    fn on_job_submit(&mut self, job: refdist_dag::JobId, visible: &refdist_dag::AppProfile) {
-        self.inner.on_job_submit(job, visible);
-    }
-    fn on_stage_start(&mut self, stage: refdist_dag::StageId, visible: &refdist_dag::AppProfile) {
-        self.inner.on_stage_start(stage, visible);
-    }
-    fn on_insert(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_insert(node, block);
-    }
-    fn on_access(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_access(node, block);
-    }
-    fn on_remove(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_remove(node, block);
-    }
-    fn on_node_join(&mut self, node: NodeId) {
-        self.inner.on_node_join(node);
-    }
-    fn pick_victim(&mut self, node: NodeId, candidates: &[BlockId]) -> Option<BlockId> {
-        self.inner.pick_victim(node, candidates)
-    }
-    fn select_victims(
-        &mut self,
-        node: NodeId,
-        shortfall: u64,
-        resident: &BTreeMap<BlockId, u64>,
-    ) -> Vec<BlockId> {
-        let v = self.inner.select_victims(node, shortfall, resident);
-        self.log.victims.lock().unwrap().push((node, v.clone()));
-        v
-    }
-    fn purge_candidates(&mut self, in_memory: &[BlockId]) -> Vec<BlockId> {
-        let p = self.inner.purge_candidates(in_memory);
-        self.log.purges.lock().unwrap().push(p.clone());
-        p
-    }
-    fn prefetch_order(&mut self, node: NodeId, missing: &[BlockId]) -> Vec<BlockId> {
-        self.inner.prefetch_order(node, missing)
-    }
-    fn wants_prefetch(&self) -> bool {
-        self.inner.wants_prefetch()
-    }
-    fn wants_purge(&self) -> bool {
-        self.inner.wants_purge()
-    }
-}
+use refdist_core::ProfileMode;
+use refdist_dag::{
+    remap_plan, remap_profile, AppBuilder, AppPlan, AppSpec, PlannedTemplate, StorageLevel,
+    TemplateCache,
+};
 
 /// Parameters of a randomized iterative application.
 #[derive(Debug, Clone)]
@@ -189,56 +103,16 @@ fn build_cfg(c: &CfgParams, spec: &AppSpec) -> SimConfig {
     cfg
 }
 
-type Build = Box<dyn Fn() -> Box<dyn CachePolicy>>;
-
-/// Every servable policy family: the five baselines plus MRD in all three
-/// modes and with job-granular distances (Belady is excluded by design —
-/// its whole-run trace has no meaning under serving).
-fn all_policies() -> Vec<(&'static str, Build)> {
-    let mut v: Vec<(&'static str, Build)> = vec![
-        ("lru", Box::new(|| PolicyKind::Lru.build())),
-        ("fifo", Box::new(|| PolicyKind::Fifo.build())),
-        ("random", Box::new(|| PolicyKind::Random.build())),
-        ("lrc", Box::new(|| PolicyKind::Lrc.build())),
-        ("memtune", Box::new(|| PolicyKind::MemTune.build())),
-    ];
-    for (name, mode, metric) in [
-        ("mrd-evict", MrdMode::EvictOnly, DistanceMetric::Stage),
-        ("mrd-prefetch", MrdMode::PrefetchOnly, DistanceMetric::Stage),
-        ("mrd-full", MrdMode::Full, DistanceMetric::Stage),
-        ("mrd-full-job", MrdMode::Full, DistanceMetric::Job),
-    ] {
-        v.push((
-            name,
-            Box::new(move || {
-                Box::new(MrdPolicy::new(MrdConfig {
-                    mode,
-                    metric,
-                    ..Default::default()
-                }))
-            }),
-        ));
-    }
-    v
-}
-
-fn run_legacy(
-    spec: &AppSpec,
-    plan: &AppPlan,
-    cfg: SimConfig,
-    build: &Build,
-) -> (RunReport, Arc<DecisionLog>) {
-    let log = Arc::new(DecisionLog::default());
-    let mut rec = Recorder::new(build(), Arc::clone(&log));
-    let report = Simulation::new(spec, plan, ProfileMode::Recurring, cfg).run(&mut rec);
+fn run_legacy(spec: &AppSpec, plan: &AppPlan, cfg: SimConfig, build: &Build) -> (RunReport, Log) {
+    let (mut rec, log) = Recorder::wrap(build());
+    let report = Simulation::new(spec, plan, ProfileMode::Recurring, cfg).run(&mut *rec);
     (report, log)
 }
 
-fn run_serve(spec: &AppSpec, cfg: SimConfig, build: &Build) -> (RunReport, Arc<DecisionLog>) {
-    let log = Arc::new(DecisionLog::default());
-    let rec = Recorder::new(build(), Arc::clone(&log));
+fn run_serve(spec: &AppSpec, cfg: SimConfig, build: &Build) -> (RunReport, Log) {
+    let (rec, log) = Recorder::wrap(build());
     let serve = ServeSim::new(&[(spec, 0)], ServeConfig::passthrough(cfg));
-    let mut sr = serve.run(vec![Box::new(rec)]);
+    let mut sr = serve.run(vec![rec]);
     assert_eq!(sr.reports.len(), 1);
     assert_eq!(sr.makespan, sr.reports[0].jct);
     (sr.reports.remove(0), log)
@@ -255,10 +129,11 @@ fn assert_equivalent(p: &AppParams, c: &CfgParams) {
             format!("{serve_report:?}"),
             "report diverged for {name} on {p:?} {c:?}"
         );
-        let (lv, lp) = legacy_log.snapshot();
-        let (sv, sp) = serve_log.snapshot();
-        assert_eq!(lv, sv, "victim sequence diverged for {name} on {p:?} {c:?}");
-        assert_eq!(lp, sp, "purge sequence diverged for {name} on {p:?} {c:?}");
+        assert_eq!(
+            snapshot(&legacy_log),
+            snapshot(&serve_log),
+            "decision sequence diverged for {name} on {p:?} {c:?}"
+        );
     }
 }
 
@@ -318,11 +193,37 @@ proptest! {
     }
 }
 
+/// Deterministic spot-check of the pressure-heavy corner (cache far smaller
+/// than the working set, execution-memory churn, prefetching, fault events),
+/// so the equivalence claim does not rest on random sampling alone.
+#[test]
+fn serve_matches_legacy_under_heavy_pressure() {
+    let app = AppParams {
+        iters: 3,
+        parts: 7,
+        block_kb: 2,
+        mem_only: false,
+        two_rdds: true,
+    };
+    let cfg = CfgParams {
+        nodes: 2,
+        cache_frac: 0.3,
+        exec_mem: 0.3,
+        jitter: 0.1,
+        seed: 7,
+        adaptive: true,
+        failure: true,
+        rejoin: true,
+        delay: Some(10_000),
+    };
+    assert_equivalent(&app, &cfg);
+}
+
 // ---------------------------------------------------------------------------
-// Streaming vs upfront
+// Multi-submission streams
 // ---------------------------------------------------------------------------
 
-/// Parameters of a randomized multi-submission stream.
+/// Parameters of a multi-submission stream.
 #[derive(Debug, Clone)]
 struct StreamParams {
     /// Inter-arrival gaps; the stream has `gaps.len() + 1` submissions.
@@ -338,24 +239,8 @@ struct StreamParams {
     poisson: bool,
 }
 
-fn run_stream(
-    p: &StreamParams,
-    c: &CfgParams,
-    upfront: bool,
-    intern: bool,
-) -> (ServeReport, (VictimLog, PurgeLog)) {
-    run_stream_with(p, c, upfront, intern, &|_| {})
-}
-
-fn run_stream_with(
-    p: &StreamParams,
-    c: &CfgParams,
-    upfront: bool,
-    intern: bool,
-    tweak: &dyn Fn(&mut ServeConfig),
-) -> (ServeReport, (VictimLog, PurgeLog)) {
-    let n = p.gaps.len() + 1;
-    let specs: Vec<AppSpec> = (0..n)
+fn stream_specs(p: &StreamParams) -> Vec<AppSpec> {
+    (0..p.gaps.len() + 1)
         .map(|i| {
             let mut ap = p.app.clone();
             if p.vary {
@@ -363,7 +248,19 @@ fn run_stream_with(
             }
             build_app(&ap)
         })
-        .collect();
+        .collect()
+}
+
+/// Run the stream with submission `i` under policy family `i % 9`, every
+/// recorder appending to one shared log: the *global* victim/purge call
+/// sequence, interleaving included. The factory runs once per admission,
+/// so app-level retries get a fresh instance of the same family.
+fn run_stream(
+    p: &StreamParams,
+    c: &CfgParams,
+    tweak: &dyn Fn(&mut ServeConfig),
+) -> (ServeReport, Decisions) {
+    let specs = stream_specs(p);
     let subs: Vec<(&AppSpec, u32)> = specs
         .iter()
         .enumerate()
@@ -374,193 +271,99 @@ fn run_stream_with(
         arrivals.push(arrivals.last().unwrap() + g);
     }
     let block = p.app.block_kb * 256 * 1024;
-    let cfg = ServeConfig {
-        sim: build_cfg(c, &specs[0]),
-        arrivals: if p.poisson {
-            ArrivalProcess::Poisson {
-                mean_gap_us: p.gaps.first().copied().unwrap_or(0).max(1),
-            }
-        } else {
-            ArrivalProcess::Trace(arrivals)
-        },
-        sched: if p.fair_share {
-            ServeSched::FairShare
-        } else {
-            ServeSched::Fifo
-        },
-        quota: match p.quota {
-            0 => QuotaKind::Unlimited,
-            1 => QuotaKind::EqualShare,
-            _ => QuotaKind::Bytes(block * 2),
-        },
-        upfront,
-        intern,
-        resilience: Default::default(),
+    let mut cfg = ServeConfig::passthrough(build_cfg(c, &specs[0]));
+    cfg.arrivals = if p.poisson {
+        ArrivalProcess::Poisson {
+            mean_gap_us: p.gaps.first().copied().unwrap_or(0).max(1),
+        }
+    } else {
+        ArrivalProcess::Trace(arrivals)
     };
-    let mut cfg = cfg;
+    cfg.sched = if p.fair_share {
+        ServeSched::FairShare
+    } else {
+        ServeSched::Fifo
+    };
+    cfg.quota = match p.quota {
+        0 => QuotaKind::Unlimited,
+        1 => QuotaKind::EqualShare,
+        _ => QuotaKind::Bytes(block * 2),
+    };
     tweak(&mut cfg);
     let serve = ServeSim::new(&subs, cfg);
-    // One shared log across every submission's recorder: the *global*
-    // victim/purge call sequence must match, interleaving included. The
-    // factory runs once per admission, so app-level retries get a fresh
-    // instance of the same family.
-    let log = Arc::new(DecisionLog::default());
+    let log = Log::default();
     let fams = all_policies();
-    let report = serve.run_with(|i| {
-        Box::new(Recorder::new(fams[i % fams.len()].1(), Arc::clone(&log)))
-    });
-    (report, log.snapshot())
+    let report = serve.run_with(|i| Recorder::sharing(fams[i % fams.len()].1(), &log));
+    (report, snapshot(&log))
 }
 
-fn assert_stream_equivalent(p: &StreamParams, c: &CfgParams) {
-    let (up, (uv, upu)) = run_stream(p, c, true, true);
-    let (st, (sv, spu)) = run_stream(p, c, false, true);
-    assert_eq!(
-        format!("{:?}", up.reports),
-        format!("{:?}", st.reports),
-        "per-submission reports diverged on {p:?} {c:?}"
-    );
-    assert_eq!(up.arrivals, st.arrivals, "{p:?} {c:?}");
-    assert_eq!(up.completions, st.completions, "{p:?} {c:?}");
-    assert_eq!(up.tenants, st.tenants, "{p:?} {c:?}");
-    assert_eq!(
-        up.cross_evictions, st.cross_evictions,
-        "eviction matrix diverged on {p:?} {c:?}"
-    );
-    assert_eq!(up.makespan, st.makespan, "{p:?} {c:?}");
-    assert_eq!(up.summary(), st.summary(), "{p:?} {c:?}");
-    assert_eq!(uv, sv, "victim sequence diverged on {p:?} {c:?}");
-    assert_eq!(upu, spu, "purge sequence diverged on {p:?} {c:?}");
-    // Residency is identical moment for moment, so the sampled peaks agree
-    // exactly; the streaming arena must never exceed the upfront one (which
-    // holds the whole stream).
-    assert_eq!(up.peak_resident_blocks, st.peak_resident_blocks);
-    assert_eq!(up.peak_resident_bytes, st.peak_resident_bytes);
-    assert!(
-        st.peak_arena_slots <= up.peak_arena_slots,
-        "streaming arena ({}) exceeded upfront ({}) on {p:?} {c:?}",
-        st.peak_arena_slots,
-        up.peak_arena_slots
-    );
-}
-
-/// Interned admission must be indistinguishable — report bytes and global
-/// victim/purge decision sequences — from replanning every submission from
-/// scratch. The planner and analyzer are deterministic, so a template cache
-/// hit followed by an offset rebase has to reproduce `plan_one` exactly.
-fn assert_interned_equivalent(p: &StreamParams, c: &CfgParams) {
-    let (cold, (cv, cp)) = run_stream(p, c, false, false);
-    let (hot, (hv, hp)) = run_stream(p, c, false, true);
-    assert_eq!(
-        format!("{:?}", cold.reports),
-        format!("{:?}", hot.reports),
-        "per-submission reports diverged between cold and interned admission on {p:?} {c:?}"
-    );
-    assert_eq!(cold.summary(), hot.summary(), "{p:?} {c:?}");
-    assert_eq!(cold.cross_evictions, hot.cross_evictions, "{p:?} {c:?}");
-    assert_eq!(cv, hv, "victim sequence diverged on {p:?} {c:?}");
-    assert_eq!(cp, hp, "purge sequence diverged on {p:?} {c:?}");
-    // Cold admission never touches the template cache; interned admission is
-    // bounded by template diversity: `vary` cycles iters over 1 + (i % 3).
-    assert_eq!(cold.distinct_templates, 0);
-    let n = p.gaps.len() + 1;
-    let distinct = if p.vary { n.min(3) } else { 1 };
-    assert!(
-        (1..=distinct).contains(&hot.distinct_templates),
-        "expected 1..={distinct} distinct templates, interned {} on {p:?} {c:?}",
-        hot.distinct_templates
-    );
-}
-
-fn stream_strategy() -> impl Strategy<Value = StreamParams> {
-    (
-        (
-            prop::collection::vec(0u64..400_000, 1..4),
-            1usize..3,
-            any::<bool>(),
-        ),
-        (0u8..3, app_strategy(), any::<bool>(), any::<bool>()),
-    )
-        .prop_map(
-            |((gaps, tenants, fair_share), (quota, app, vary, poisson))| StreamParams {
-                gaps,
-                tenants,
-                fair_share,
-                quota,
-                app,
-                vary,
-                poisson,
-            },
-        )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-    #[test]
-    fn streaming_serve_is_byte_identical_to_upfront(
-        stream in stream_strategy(),
-        cfg in cfg_strategy(),
-    ) {
-        assert_stream_equivalent(&stream, &cfg);
-    }
-
-    #[test]
-    fn interned_admission_is_byte_identical_to_per_submission(
-        stream in stream_strategy(),
-        cfg in cfg_strategy(),
-    ) {
-        assert_interned_equivalent(&stream, &cfg);
+/// The upfront and the non-interned drivers must reproduce the streaming,
+/// interned run: reports, summary, eviction matrix, sampled residency
+/// peaks and the global decision sequence.
+fn assert_drivers_agree(
+    name: &str,
+    p: &StreamParams,
+    c: &CfgParams,
+    tweak: &dyn Fn(&mut ServeConfig),
+    st: &ServeReport,
+    sd: &Decisions,
+) {
+    for (upfront, intern) in [(true, true), (false, false)] {
+        let (r, d) = run_stream(p, c, &|sc| {
+            tweak(sc);
+            sc.upfront = upfront;
+            sc.intern = intern;
+        });
+        let what = format!("{name} (upfront={upfront}, intern={intern})");
+        assert_eq!(format!("{:?}", r.reports), format!("{:?}", st.reports), "{what}");
+        assert_eq!(r.arrivals, st.arrivals, "{what}");
+        assert_eq!(r.completions, st.completions, "{what}");
+        assert_eq!(r.cross_evictions, st.cross_evictions, "{what}");
+        assert_eq!(r.summary(), st.summary(), "{what}");
+        assert_eq!(r.peak_resident_blocks, st.peak_resident_blocks, "{what}");
+        assert_eq!(r.peak_resident_bytes, st.peak_resident_bytes, "{what}");
+        assert_eq!(&d, sd, "{what}: decision sequence diverged");
     }
 }
 
-/// Deterministic streaming spot-check of the nastiest corner: fair-share
-/// dispatch (out-of-index-order admission), a byte quota, node failure and
-/// rejoin chaos, heterogeneous submissions, and a cache far smaller than
-/// the combined working set — the regime where admission re-seating, ghost
-/// disk accounting and drain-then-retire ordering all have to be exact.
-#[test]
-fn streaming_matches_upfront_under_heavy_pressure() {
-    let stream = StreamParams {
-        gaps: vec![40_000, 0, 120_000, 10_000],
-        tenants: 2,
-        fair_share: true,
-        quota: 2,
-        app: AppParams {
-            iters: 3,
-            parts: 5,
-            block_kb: 2,
-            mem_only: false,
-            two_rdds: true,
-        },
-        vary: true,
-        poisson: false,
-    };
-    let cfg = CfgParams {
-        nodes: 2,
-        cache_frac: 0.4,
-        exec_mem: 0.3,
-        jitter: 0.1,
-        seed: 11,
-        adaptive: true,
-        failure: true,
-        rejoin: true,
-        delay: Some(10_000),
-    };
-    assert_stream_equivalent(&stream, &cfg);
-    assert_interned_equivalent(&stream, &cfg);
-    // FIFO + unlimited quota exercises the drain-heavy path instead.
-    let mut s2 = stream.clone();
-    s2.fair_share = false;
-    s2.quota = 0;
-    let mut c2 = cfg.clone();
-    c2.cache_frac = 0.3;
-    c2.seed = 23;
-    assert_stream_equivalent(&s2, &c2);
-    assert_interned_equivalent(&s2, &c2);
+/// One golden line: decision counts and the FNV-1a digest of the whole
+/// `ServeReport` plus the global victim and purge log.
+fn stream_line(name: &str, report: &ServeReport, d: &Decisions) -> String {
+    let (nv, np) = d.counts();
+    let digest = fnv1a(format!("{report:?}|{:?}|{:?}", d.victims, d.purges).as_bytes());
+    format!("{name}: victims {nv} purged {np} digest {digest:016x}\n")
 }
 
-/// The stream/config pair the resilience differentials run on: heavy cache
-/// pressure, chaos events, heterogeneous submissions across two tenants.
+fn random_app(g: &mut Gen) -> AppParams {
+    AppParams {
+        iters: g.range(1, 4) as usize,
+        parts: g.range(1, 8) as u32,
+        block_kb: g.range(1, 4),
+        mem_only: g.flip(),
+        two_rdds: g.flip(),
+    }
+}
+
+fn random_cfg(g: &mut Gen) -> CfgParams {
+    let nodes = g.range(1, 4) as u32;
+    CfgParams {
+        nodes,
+        cache_frac: g.pick(&[0.0, 0.3, 0.6, 2.0]),
+        exec_mem: g.pick(&[0.0, 0.3]),
+        jitter: g.pick(&[0.0, 0.1]),
+        seed: g.below(1 << 16),
+        adaptive: g.flip(),
+        failure: g.flip(),
+        rejoin: g.flip() && nodes > 1,
+        delay: g.pick(&[None, Some(0), Some(10_000)]),
+    }
+}
+
+/// The stream/config pair of the pressure spot-checks: fair-share dispatch
+/// (out-of-index-order admission), a byte quota, node failure and rejoin,
+/// heterogeneous submissions, and a cache far smaller than the combined
+/// working set — the regime where admission re-seating, ghost disk
+/// accounting and drain-then-retire ordering all have to be exact.
 fn pressure_stream() -> (StreamParams, CfgParams) {
     (
         StreamParams {
@@ -592,10 +395,112 @@ fn pressure_stream() -> (StreamParams, CfgParams) {
     )
 }
 
+/// Stage-indexed chaos (from the config: node failure and a rejoin) plus
+/// the full wall-clock arsenal: a timed crash, a timed slowdown, churn.
+fn chaos(sc: &mut ServeConfig) {
+    sc.sim.faults.timed_crash(1, 200_000, Some(150_000));
+    sc.sim.faults.timed_slowdown(0, 3.0, 100_000, Some(400_000));
+    sc.sim.faults.node_churn(900_000, 300_000);
+}
+
+type Tweak = fn(&mut ServeConfig);
+
+/// The seeded stream corpus behind `serve_equivalence.txt`: 32 random
+/// streams (1–4 submissions over 1–2 tenants, every quota kind, both
+/// disciplines, trace and Poisson arrivals, chaos events), then the
+/// pressure stream under fair-share and under FIFO with an unlimited quota
+/// and a smaller cache (the drain-heavy path), and the pressure stream
+/// under wall-clock chaos.
+fn stream_corpus() -> Vec<(String, StreamParams, CfgParams, Tweak)> {
+    let mut g = Gen(0x5E4E_57AE);
+    let mut out: Vec<(String, StreamParams, CfgParams, Tweak)> = Vec::new();
+    for i in 0..32 {
+        let stream = StreamParams {
+            gaps: (0..g.range(1, 4)).map(|_| g.below(400_000)).collect(),
+            tenants: g.range(1, 3) as usize,
+            fair_share: g.flip(),
+            quota: g.below(3) as u8,
+            app: random_app(&mut g),
+            vary: g.flip(),
+            poisson: g.flip(),
+        };
+        out.push((format!("stream {i:02}"), stream, random_cfg(&mut g), |_| {}));
+    }
+    let (stream, cfg) = pressure_stream();
+    out.push(("pressure fair".into(), stream.clone(), cfg.clone(), |_| {}));
+    let mut fifo = stream.clone();
+    fifo.fair_share = false;
+    fifo.quota = 0;
+    let mut small = cfg.clone();
+    small.cache_frac = 0.3;
+    small.seed = 23;
+    out.push(("pressure fifo".into(), fifo, small, |_| {}));
+    out.push(("pressure chaos".into(), stream, cfg, chaos));
+    out
+}
+
+fn stream_digests() -> String {
+    let mut out = String::new();
+    for (name, stream, cfg, tweak) in stream_corpus() {
+        let (report, decisions) = run_stream(&stream, &cfg, &tweak);
+        assert_drivers_agree(&name, &stream, &cfg, &tweak, &report, &decisions);
+        if name == "pressure chaos" {
+            let crashes: u64 = report.reports.iter().map(|r| r.faults.crashes).sum();
+            assert!(crashes > 0, "the chaos plan must take nodes down during the stream");
+        }
+        out.push_str(&stream_line(&name, &report, &decisions));
+    }
+    out
+}
+
+/// Every corpus stream's `ServeReport` and global decision sequence is
+/// frozen. Regenerate with
+/// `UPDATE_GOLDEN=1 cargo test -p refdist-cluster --test differential_serve`
+/// and review the diff.
+#[test]
+fn serve_equivalence_matches_golden() {
+    check_golden(
+        "serve_equivalence.txt",
+        &stream_digests(),
+        "UPDATE_GOLDEN=1 cargo test -p refdist-cluster --test differential_serve",
+    );
+}
+
+/// Interned admission rebases one memoized local-space plan and profile
+/// per template; planning every submission from scratch must produce the
+/// same artifacts, value for value, at every offset — including for a
+/// renamed spec, which shares its template with the original.
+#[test]
+fn interned_plans_match_from_scratch_planning() {
+    let mut g = Gen(0x1A7E_421E);
+    let mut cache = TemplateCache::new();
+    let mut offset = 0u32;
+    for i in 0..48 {
+        let mut spec = build_app(&random_app(&mut g));
+        if i % 5 == 0 {
+            spec.name = format!("renamed-{i}");
+        }
+        let interned = cache.intern(&spec);
+        let scratch = PlannedTemplate::build(&spec);
+        assert_eq!(
+            format!("{:?}", remap_plan(&interned.plan, offset)),
+            format!("{:?}", remap_plan(&scratch.plan, offset)),
+            "plan diverged for spec {i} at offset {offset}"
+        );
+        assert_eq!(
+            format!("{:?}", remap_profile(&interned.profile, offset)),
+            format!("{:?}", remap_profile(&scratch.profile, offset)),
+            "profile diverged for spec {i} at offset {offset}"
+        );
+        offset += spec.rdds.len() as u32;
+    }
+    assert!(cache.len() < 48, "repeat structures must hit the template cache");
+}
+
 /// A `ResilienceConfig` with every *inert* knob set to a non-default value
 /// must be byte-invisible — reports, summaries and the global victim/purge
-/// decision sequences — to every serve path: streaming and upfront, interned
-/// and cold, FIFO and fair-share, with quota and chaos in play.
+/// decision sequences — under FIFO and fair-share, with quota and chaos in
+/// play.
 #[test]
 fn inert_resilience_config_is_byte_invisible_everywhere() {
     let (mut stream, cfg) = pressure_stream();
@@ -612,128 +517,42 @@ fn inert_resilience_config_is_byte_invisible_everywhere() {
     };
     for fair_share in [true, false] {
         stream.fair_share = fair_share;
-        for (upfront, intern) in [(false, true), (false, false), (true, true)] {
-            let (base, blog) = run_stream(&stream, &cfg, upfront, intern);
-            let (res, rlog) = run_stream_with(&stream, &cfg, upfront, intern, &inert);
-            assert_eq!(
-                format!("{:?}", base.reports),
-                format!("{:?}", res.reports),
-                "inert resilience config changed reports (fair_share={fair_share}, upfront={upfront}, intern={intern})"
-            );
-            assert_eq!(base.summary(), res.summary());
-            assert_eq!(base.completions, res.completions);
-            assert_eq!(base.cross_evictions, res.cross_evictions);
-            assert_eq!(blog, rlog, "decision sequences diverged under an inert config");
-            assert!(res.resilience.is_none(), "passive config must not report resilience");
-        }
+        let (base, blog) = run_stream(&stream, &cfg, &|_| {});
+        let (res, rlog) = run_stream(&stream, &cfg, &inert);
+        assert_eq!(
+            format!("{base:?}"),
+            format!("{res:?}"),
+            "inert resilience config changed the report (fair_share={fair_share})"
+        );
+        assert_eq!(base.summary(), res.summary());
+        assert_eq!(blog, rlog, "decision sequences diverged under an inert config");
+        assert!(res.resilience.is_none(), "passive config must not report resilience");
     }
 }
 
-/// Regression pin for the serve×chaos stage-indexing contract: stage-indexed
-/// `CrashEvent`s fire against *per-application* stage numbering (fire-once,
-/// cluster-wide), and wall-clock events (timed crashes, churn) fire against
-/// the engine's monotone cluster clock — so a given chaos seed produces the
-/// same fault sequence whether the stream runs under the upfront
-/// reference driver, the streaming driver, or streaming with template
-/// interning.
+/// Serve×chaos stage-indexing contract: stage-indexed `CrashEvent`s fire
+/// against *per-application* stage numbering (fire-once, cluster-wide) and
+/// wall-clock events (timed crashes, churn) against the engine's monotone
+/// cluster clock, so a given chaos seed replays the same fault sequence
+/// byte for byte.
 #[test]
-fn chaos_fault_sequence_is_driver_invariant() {
+fn chaos_fault_sequence_replays_from_the_seed() {
     let (stream, cfg) = pressure_stream();
-    // Stage-indexed chaos (from `cfg`: node_failure + crash_with_rejoin)
-    // plus the full wall-clock arsenal.
-    let chaos = |sc: &mut ServeConfig| {
-        sc.sim.faults.timed_crash(1, 200_000, Some(150_000));
-        sc.sim.faults.timed_slowdown(0, 3.0, 100_000, Some(400_000));
-        sc.sim.faults.node_churn(900_000, 300_000);
-    };
-    let (up, ulog) = run_stream_with(&stream, &cfg, true, true, &chaos);
-    let (st, slog) = run_stream_with(&stream, &cfg, false, true, &chaos);
-    let (cold, clog) = run_stream_with(&stream, &cfg, false, false, &chaos);
-
-    let faults = |r: &ServeReport| -> Vec<String> {
-        r.reports.iter().map(|x| format!("{:?}", x.faults)).collect()
-    };
-    assert_eq!(
-        faults(&up),
-        faults(&st),
-        "per-submission fault sequence diverged between upfront and streaming"
-    );
-    assert_eq!(
-        faults(&st),
-        faults(&cold),
-        "per-submission fault sequence diverged between interned and cold admission"
-    );
-    // The whole run — not just the fault counters — is driver-invariant.
-    assert_eq!(format!("{:?}", up.reports), format!("{:?}", st.reports));
-    assert_eq!(format!("{:?}", st.reports), format!("{:?}", cold.reports));
-    assert_eq!(ulog, slog);
-    assert_eq!(slog, clog);
-    // And the chaos actually fired: this pin is vacuous on a quiet cluster.
+    let (st, slog) = run_stream(&stream, &cfg, &chaos);
     let total: u64 = st.reports.iter().map(|r| r.faults.crashes).sum();
     assert!(total > 0, "chaos plan must take nodes down during the stream");
-    // Same chaos seed, same run: byte-deterministic replay.
-    let (again, alog) = run_stream_with(&stream, &cfg, false, true, &chaos);
-    assert_eq!(format!("{:?}", st.reports), format!("{:?}", again.reports));
+    let (again, alog) = run_stream(&stream, &cfg, &chaos);
+    assert_eq!(format!("{st:?}"), format!("{again:?}"));
     assert_eq!(slog, alog);
-}
-
-/// Deterministic spot-check of the pressure-heavy corner (cache far smaller
-/// than the working set, execution-memory churn, prefetching, fault events),
-/// so the equivalence claim does not rest on random sampling alone.
-#[test]
-fn serve_matches_legacy_under_heavy_pressure() {
-    let app = AppParams {
-        iters: 3,
-        parts: 7,
-        block_kb: 2,
-        mem_only: false,
-        two_rdds: true,
-    };
-    let cfg = CfgParams {
-        nodes: 2,
-        cache_frac: 0.3,
-        exec_mem: 0.3,
-        jitter: 0.1,
-        seed: 7,
-        adaptive: true,
-        failure: true,
-        rejoin: true,
-        delay: Some(10_000),
-    };
-    assert_equivalent(&app, &cfg);
 }
 
 // ---------------------------------------------------------------------------
 // Frozen decision digests
 // ---------------------------------------------------------------------------
 
-/// FNV-1a: a digest that stays the same across toolchains (the std hashers
-/// promise no such thing).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
-/// Deterministic splitmix64 stream that generates the decision corpus.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = self.0;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 /// How a decision-corpus scenario drives the stream beyond its base
-/// parameters.
+/// parameters. `Upfront` rows were recorded on the build-everything-upfront
+/// driver, which made the same decisions as the streaming one.
 #[derive(Debug, Clone, Copy)]
 enum Variant {
     Streaming,
@@ -835,12 +654,13 @@ fn apply_variant(variant: Variant, sc: &mut ServeConfig) {
 fn decision_digests() -> String {
     let mut out = String::new();
     for (name, stream, cfg, variant) in decision_corpus() {
-        let upfront = matches!(variant, Variant::Upfront);
-        let (_, (victims, purges)) =
-            run_stream_with(&stream, &cfg, upfront, true, &|sc| apply_variant(variant, sc));
-        let nv: usize = victims.iter().map(|(_, v)| v.len()).sum();
-        let np: usize = purges.iter().map(Vec::len).sum();
-        let digest = fnv1a(format!("{victims:?}|{purges:?}").as_bytes());
+        let (_, d) = run_stream(&stream, &cfg, &|sc| apply_variant(variant, sc));
+        if matches!(variant, Variant::Upfront) {
+            let (_, up) = run_stream(&stream, &cfg, &|sc| sc.upfront = true);
+            assert_eq!(up, d, "{name}: the upfront driver decided differently");
+        }
+        let (nv, np) = d.counts();
+        let digest = fnv1a(format!("{:?}|{:?}", d.victims, d.purges).as_bytes());
         out.push_str(&format!(
             "{name}: victims {nv} purged {np} digest {digest:016x}\n"
         ));
@@ -849,24 +669,14 @@ fn decision_digests() -> String {
 }
 
 /// The global victim/purge decision sequence of every corpus scenario is
-/// frozen. The streaming-vs-upfront differential cannot see a change to
-/// the tenant mux (both drivers share it); this golden can. Regenerate with
+/// frozen, tenant mux included. Regenerate with
 /// `UPDATE_GOLDEN=1 cargo test -p refdist-cluster --test differential_serve`
 /// and review the diff.
 #[test]
 fn serve_decisions_match_golden() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden/serve_decisions.txt");
-    let actual = decision_digests();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &actual).expect("writing the decision golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).expect("reading the decision golden");
-    assert_eq!(
-        actual,
-        expected,
-        "serve decisions diverged from {}",
-        path.display()
+    check_golden(
+        "serve_decisions.txt",
+        &decision_digests(),
+        "UPDATE_GOLDEN=1 cargo test -p refdist-cluster --test differential_serve",
     );
 }

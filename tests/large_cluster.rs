@@ -4,6 +4,9 @@
 //! working (and keep agreeing with the linear reference scheduler) on every
 //! change.
 
+mod common;
+
+use common::{check_golden, fnv1a};
 use refdist::cluster::EngineScratch;
 use refdist::prelude::*;
 
@@ -76,6 +79,18 @@ fn indexed_matches_linear_at_128_nodes() {
         format!("{:?}", reports[0]),
         format!("{:?}", reports[1]),
         "linear and indexed schedulers must be indistinguishable at 128 nodes"
+    );
+    let r = &reports[1];
+    check_golden(
+        "large_cluster.txt",
+        &format!(
+            "lru x128 nodes: {} tasks, {} remote placements, {} evictions, digest {:016x}\n",
+            r.tasks,
+            r.sched.remote_placements,
+            r.stats.evictions,
+            fnv1a(format!("{r:?}").as_bytes())
+        ),
+        "UPDATE_GOLDEN=1 cargo test --test large_cluster",
     );
 }
 

@@ -3,11 +3,16 @@
 //!
 //! 1. **Equivalence**: a streaming run is byte-identical to the
 //!    build-everything-upfront reference on the same stream (reports,
-//!    completions, eviction matrix, summary).
+//!    completions, eviction matrix, summary). The streams' digests are
+//!    frozen in `tests/golden/serve_stream*.txt`; an intended change
+//!    regenerates them with `UPDATE_GOLDEN=1 cargo test --test serve_stream`.
 //! 2. **O(active) state**: the slot arena's high-water mark tracks *peak
 //!    concurrency*, not stream length — retired submissions' slot ranges
 //!    are recycled into later admissions.
 
+mod common;
+
+use common::{check_golden, fnv1a};
 use refdist::cluster::{
     ArrivalProcess, ClusterConfig, QuotaKind, ServeConfig, ServeReport, ServeSched, ServeSim,
     SimConfig,
@@ -35,6 +40,23 @@ fn stream_cfg(seed: u64) -> SimConfig {
     cfg.exec_mem_fraction = 0.0;
     cfg
 }
+
+/// One golden line: the FNV-1a digests of a run's per-submission reports,
+/// arrivals, completions and cross-tenant eviction matrix.
+fn stream_line(label: &str, r: &ServeReport) -> String {
+    let d = |s: String| fnv1a(s.as_bytes());
+    format!(
+        "{label}: {} submissions, reports {:016x}, arrivals {:016x}, completions {:016x}, \
+         evictions {:016x}\n",
+        r.reports.len(),
+        d(format!("{:?}", r.reports)),
+        d(format!("{:?}", r.arrivals)),
+        d(format!("{:?}", r.completions)),
+        d(format!("{:?}", r.cross_evictions)),
+    )
+}
+
+const REGEN: &str = "UPDATE_GOLDEN=1 cargo test --test serve_stream";
 
 fn run(n: usize, tenants: u32, upfront: bool) -> ServeReport {
     let spec = little_app(2);
@@ -74,6 +96,7 @@ fn thousand_submission_stream_is_bounded_and_equivalent() {
     assert_eq!(up.summary(), st.summary());
     assert_eq!(up.peak_resident_blocks, st.peak_resident_blocks);
     assert_eq!(up.peak_resident_bytes, st.peak_resident_bytes);
+    check_golden("serve_stream.txt", &stream_line("fair-share x1000", &st), REGEN);
 
     // The upfront arena holds the whole stream; the streaming arena must
     // track peak concurrency instead. With ~25 stages of work per app and
@@ -145,6 +168,7 @@ fn streaming_and_upfront_agree_on_fifo_and_quotas() {
     // covers both dispatch disciplines end to end.
     let spec = little_app(2);
     let subs: Vec<(&AppSpec, u32)> = (0..64).map(|i| (&spec, i % 3)).collect();
+    let mut lines = String::new();
     for quota in [QuotaKind::Unlimited, QuotaKind::Bytes(128 * 1024)] {
         let mk = |upfront: bool| {
             let serve = ServeSim::new(
@@ -166,5 +190,7 @@ fn streaming_and_upfront_agree_on_fifo_and_quotas() {
         assert_eq!(format!("{:?}", up.reports), format!("{:?}", st.reports));
         assert_eq!(up.summary(), st.summary());
         assert!(st.peak_arena_slots <= up.peak_arena_slots);
+        lines.push_str(&stream_line(&format!("fifo x64 quota {quota}"), &st));
     }
+    check_golden("serve_stream_fifo.txt", &lines, REGEN);
 }
