@@ -35,14 +35,24 @@ cargo test -q -p refdist-cluster --test differential_serve
 echo "==> cargo test -q -p refdist-bench --test determinism"
 cargo test -q -p refdist-bench --test determinism
 
-# Event-engine suites: the calendar-vs-heap pop-order property (adversarial
-# schedules: same-instant floods, far-future outliers, schedule-mid-drain)
-# and the full-simulation differential proving `SimConfig::heap_events` off
-# vs on is byte-identical across solo, chaos and serve runs.
+# Event-queue property suite: the calendar queue must pop exactly a binary
+# min-heap oracle's sequence under adversarial schedules (same-instant
+# floods, far-future outliers, schedule-mid-drain).
 echo "==> cargo test -q -p refdist-simcore --test proptest_simcore"
 cargo test -q -p refdist-simcore --test proptest_simcore
-echo "==> cargo test -q -p refdist-cluster --test differential_events"
-cargo test -q -p refdist-cluster --test differential_events
+
+# Frozen decision digests, named so a decision change is called out in the
+# CI log: the engine corpus (block state, scheduler, event queue; solo and
+# serve), the serve stream and decision corpora, and the tier-1 long-stream
+# and 128-node digests. A refactor or performance change must leave every
+# golden line as it is (DESIGN.md "Frozen decision digests").
+echo "==> cargo test -q -p refdist-cluster --test engine_decisions"
+cargo test -q -p refdist-cluster --test engine_decisions
+echo "==> cargo test -q -p refdist-cluster --test differential_serve serve_equivalence_matches_golden serve_decisions_match_golden"
+cargo test -q -p refdist-cluster --test differential_serve -- \
+  serve_equivalence_matches_golden serve_decisions_match_golden
+echo "==> cargo test -q --test serve_stream --test large_cluster"
+cargo test -q --test serve_stream --test large_cluster
 
 # Per-node state footprint: a many-node PageRank run's heap growth must stay
 # within a few bits per block slot per node plus O(resident) (its own test
@@ -74,16 +84,20 @@ for suite in policy_overhead dag_planning sim_throughput victim_selection sched_
   cargo bench -q -p refdist-bench --bench "$suite" -- --test
 done
 
-# Protocol-bench smoke: run the recorded-bench binaries in quick mode in a
+# Protocol-bench smoke: run the recorded-bench binary in quick mode in a
 # scratch dir so the checked-in BENCH_*.json files are not clobbered. This
-# exercises the full record-and-write path, including the linear-vs-indexed
-# scheduler equivalence assertions inside bench_sched.
+# exercises the full record-and-write path (`--out`), including the
+# bench's own assertions (migrations happen, the serve arena stays
+# O(active)).
 ( bench_tmp="$(mktemp -d)"
   trap 'rm -rf "$bench_tmp"' EXIT
   cd "$bench_tmp"
   echo "==> REFDIST_QUICK=1 bench_sched (scratch dir)"
   REFDIST_QUICK=1 cargo run --release -q -p refdist-bench --bin bench_sched \
-    --manifest-path "$OLDPWD/Cargo.toml" --target-dir "$OLDPWD/target"
+    --manifest-path "$OLDPWD/Cargo.toml" --target-dir "$OLDPWD/target" \
+    -- --out bench_smoke.json
+  grep -q '"suite":"serve_stream"' bench_smoke.json \
+    || { echo "bench smoke: no serve_stream record written"; exit 1; }
 
   # Chaos CLI smoke: a tiny resilience curve must run end-to-end (fault
   # injection -> sweep -> degradation table) and exit zero.

@@ -1,6 +1,5 @@
-//! Event-queue micro-benchmarks: the binary-heap reference backend against
-//! the calendar queue, on the schedule shapes the simulator actually
-//! produces. `fill_drain` is the speculation pattern (schedule a whole
+//! Event-queue micro-benchmarks: the calendar queue on the schedule shapes
+//! the simulator actually produces. `fill_drain` is the speculation pattern (schedule a whole
 //! stage's completions, then pop them all), `interleaved` is the steady
 //! hold-one-schedule-one regime of a long event loop, and the schedules
 //! cover uniform offsets, bursty same-instant floods, and serve-style
@@ -51,30 +50,19 @@ fn schedule(shape: &str, n: usize) -> Vec<u64> {
         .collect()
 }
 
-fn make_queue(backend: &str) -> EventQueue<u32> {
-    match backend {
-        "heap" => EventQueue::heap(),
-        "calendar" => EventQueue::new(),
-        _ => unreachable!("unknown backend"),
-    }
-}
-
-/// Schedule `n` events, then drain the queue dry (the speculation pattern).
-/// Two sizes: at 10k the heap's log factor is still mild and the calendar
-/// mostly pays its constant overhead; at 250k the calendar's O(1) per op
-/// pulls ahead (and keeps growing — at 1M it is 3-5x on spread schedules).
+/// Schedule `n` events, then drain the queue dry (the speculation pattern),
+/// at two sizes: per-op cost stays flat from 10k to 250k events.
 fn bench_fill_drain(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue/fill_drain");
     for n in [10_000usize, 250_000] {
-    for shape in ["uniform", "bursty", "arrivals"] {
-        let offsets = schedule(shape, n);
-        for backend in ["heap", "calendar"] {
+        for shape in ["uniform", "bursty", "arrivals"] {
+            let offsets = schedule(shape, n);
             group.throughput(Throughput::Elements(n as u64));
             group.bench_with_input(
-                BenchmarkId::new(backend, format!("{shape}/{n}")),
+                BenchmarkId::new("calendar", format!("{shape}/{n}")),
                 &offsets,
                 |b, offsets| {
-                    let mut q = make_queue(backend);
+                    let mut q = EventQueue::new();
                     b.iter(|| {
                         q.clear();
                         for (i, &dt) in offsets.iter().enumerate() {
@@ -90,7 +78,6 @@ fn bench_fill_drain(c: &mut Criterion) {
             );
         }
     }
-    }
     group.finish();
 }
 
@@ -102,32 +89,30 @@ fn bench_interleaved(c: &mut Criterion) {
     let live = 256usize;
     for shape in ["uniform", "arrivals"] {
         let offsets = schedule(shape, n);
-        for backend in ["heap", "calendar"] {
-            group.throughput(Throughput::Elements(n as u64));
-            group.bench_with_input(
-                BenchmarkId::new(backend, shape),
-                &offsets,
-                |b, offsets| {
-                    let mut q = make_queue(backend);
-                    b.iter(|| {
-                        q.clear();
-                        q.reserve(live);
-                        let mut acc = 0u64;
-                        for (i, &dt) in offsets.iter().enumerate() {
-                            q.schedule(SimTime(q.now().0 + dt), i as u32);
-                            if q.len() > live {
-                                let (t, p) = q.pop().unwrap();
-                                acc ^= t.0 ^ p as u64;
-                            }
-                        }
-                        while let Some((t, p)) = q.pop() {
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(
+            BenchmarkId::new("calendar", shape),
+            &offsets,
+            |b, offsets| {
+                let mut q = EventQueue::new();
+                b.iter(|| {
+                    q.clear();
+                    q.reserve(live);
+                    let mut acc = 0u64;
+                    for (i, &dt) in offsets.iter().enumerate() {
+                        q.schedule(SimTime(q.now().0 + dt), i as u32);
+                        if q.len() > live {
+                            let (t, p) = q.pop().unwrap();
                             acc ^= t.0 ^ p as u64;
                         }
-                        black_box(acc)
-                    });
-                },
-            );
-        }
+                    }
+                    while let Some((t, p)) = q.pop() {
+                        acc ^= t.0 ^ p as u64;
+                    }
+                    black_box(acc)
+                });
+            },
+        );
     }
     group.finish();
 }

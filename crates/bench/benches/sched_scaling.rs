@@ -1,10 +1,9 @@
-//! Scheduler scaling: the same whole simulations under the linear reference
-//! scheduler (`SimConfig::linear_sched` — per-task scans over cores, plus
-//! the full nodes×cores scan under delay scheduling) and the incrementally
-//! maintained slot index, at growing cluster sizes. Complements the
-//! `bench_sched` protocol binary (which records the cross-PR JSON files);
-//! this suite is the statistically sampled criterion view, and its `--test`
-//! mode is part of the CI smoke run.
+//! Scheduler scaling: the same whole simulations, placed by the
+//! incrementally maintained slot index, at growing cluster sizes (delay
+//! scheduling and a straggler keep the cluster-wide order busy).
+//! Complements the `bench_sched` protocol binary (which records the
+//! cross-PR JSON files); this suite is the statistically sampled criterion
+//! view, and its `--test` mode is part of the CI smoke run.
 //!
 //! The `artifact_sharing` group measures what cross-cell artifact sharing
 //! saves a sweep: per-cell `Simulation::new` + `run` (profiler and arena
@@ -39,25 +38,22 @@ fn bench_sched_scaling(c: &mut Criterion) {
         let spec = sched_app(nodes);
         let plan = AppPlan::build(&spec);
         let tasks: u64 = plan.stages.iter().map(|s| s.num_tasks as u64).sum();
-        for (name, linear) in [("linear", true), ("indexed", false)] {
-            let mut cfg = SimConfig::new(ClusterConfig::tiny(nodes, 1 << 40));
-            cfg.cluster.cores_per_node = 4;
-            cfg.delay_scheduling_us = Some(5_000);
-            cfg.faults.slow_node(0, 4.0);
-            cfg.linear_sched = linear;
-            let sim = Simulation::new(&spec, &plan, ProfileMode::Recurring, cfg);
-            group.throughput(Throughput::Elements(tasks));
-            group.bench_with_input(
-                BenchmarkId::new(name, format!("{nodes}n")),
-                &sim,
-                |b, sim| {
-                    b.iter(|| {
-                        let mut p = PolicyKind::Lru.build();
-                        black_box(sim.run(&mut *p))
-                    });
-                },
-            );
-        }
+        let mut cfg = SimConfig::new(ClusterConfig::tiny(nodes, 1 << 40));
+        cfg.cluster.cores_per_node = 4;
+        cfg.delay_scheduling_us = Some(5_000);
+        cfg.faults.slow_node(0, 4.0);
+        let sim = Simulation::new(&spec, &plan, ProfileMode::Recurring, cfg);
+        group.throughput(Throughput::Elements(tasks));
+        group.bench_with_input(
+            BenchmarkId::new("indexed", format!("{nodes}n")),
+            &sim,
+            |b, sim| {
+                b.iter(|| {
+                    let mut p = PolicyKind::Lru.build();
+                    black_box(sim.run(&mut *p))
+                });
+            },
+        );
     }
     group.finish();
 }

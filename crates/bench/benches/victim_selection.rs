@@ -1,13 +1,9 @@
-//! Victim-selection hot path: naive O(n) scan vs. the ordered index
-//! (ISSUE 2).
+//! Victim-selection hot path: the policies' ordered victim indexes.
 //!
 //! Each benchmark drives one steady-state churn step — an access, an
 //! insert-under-pressure, and exactly one eviction through
-//! `select_victims` — at cache populations of 1k, 10k and 100k blocks. The
-//! `naive` variant wraps the policy in `NaiveScan`, reproducing the old
-//! per-eviction re-collect + `pick_victim` protocol; the `indexed` variant
-//! uses the policies' maintained ordered indexes. The ratio between the two
-//! at a given population is the speedup the index buys.
+//! `select_victims` — at cache populations of 1k, 10k and 100k blocks, so
+//! the growth of the step cost with the population is the index's.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use refdist_bench::{bench_policies, Churn};
@@ -27,16 +23,14 @@ fn bench_evict_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("evict_churn");
     for &blocks in populations() {
         for (name, build) in bench_policies() {
-            for (proto, naive) in [("naive", true), ("indexed", false)] {
-                let mut churn = Churn::new(build, blocks, naive);
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{name}/{proto}"), blocks),
-                    &blocks,
-                    |b, _| {
-                        b.iter(|| black_box(churn.step()));
-                    },
-                );
-            }
+            let mut churn = Churn::new(build, blocks);
+            group.bench_with_input(
+                BenchmarkId::new(format!("{name}/indexed"), blocks),
+                &blocks,
+                |b, _| {
+                    b.iter(|| black_box(churn.step()));
+                },
+            );
         }
     }
     group.finish();

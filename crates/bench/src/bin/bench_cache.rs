@@ -1,25 +1,21 @@
-//! Cache hot-path benchmark (ISSUEs 2 and 3): measures the eviction /
-//! simulation hot path under three protocols and writes each side to a
-//! machine-readable file:
+//! Cache hot-path benchmark: measures the eviction / simulation hot path
+//! (the ordered-index `select_victims` path on dense slot-addressed
+//! per-block state) and writes the records to `BENCH_pr3.json`, the
+//! `dense` protocol file. The `naive` and `indexed` rows of
+//! `BENCH_baseline.json` / `BENCH_pr2.json` measured implementations that
+//! no longer exist; their last recorded numbers are kept in those files and
+//! in EXPERIMENTS.md "Performance history".
 //!
-//! * `BENCH_baseline.json` — `naive`: the pre-index re-scan protocol
-//!   (`NaiveScan`) on hash-backed engine state (the original cost profile).
-//! * `BENCH_pr2.json` — `indexed`: the ordered-index `select_victims` path,
-//!   still on hash-backed engine state (`SimConfig::reference_state`).
-//! * `BENCH_pr3.json` — `dense`: the indexed path on dense slot-addressed
-//!   per-block state (the configuration the runtime uses now).
-//!
-//! All three files come from one invocation on one machine, so any pair is
-//! comparable. One record per line: micro records report `ns_per_evict` for
-//! one churn step (access + insert-under-pressure + one eviction) at a given
-//! cache population; macro records report `ms_total` for a complete
+//! One record per line: micro records report `ns_per_evict` for one churn
+//! step (access + insert-under-pressure + one eviction) at a given cache
+//! population; macro records report `ms_total` for a complete
 //! eviction-heavy simulation. `bench_diff` joins two files and prints
 //! speedups (and gates CI regressions with `--check`).
 //!
 //! `REFDIST_QUICK=1` shrinks populations and measurement windows for smoke
-//! runs (the output files are still written).
+//! runs (the output file is still written).
 
-use refdist_bench::{bench_policies, cache_for_fraction, Churn, ExpContext, NaiveScan, PolicySpec};
+use refdist_bench::{bench_policies, cache_for_fraction, Churn, ExpContext, PolicySpec};
 use refdist_cluster::{SimConfig, Simulation};
 use refdist_core::ProfileMode;
 use refdist_dag::AppPlan;
@@ -28,13 +24,8 @@ use refdist_workloads::Workload;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Measurement protocols, in historical order: (name, naive wrapper, dense
-/// engine/policy state).
-const PROTOCOLS: [(&str, bool, bool); 3] = [
-    ("naive", true, false),
-    ("indexed", false, false),
-    ("dense", false, true),
-];
+/// The measured protocol's name in the records.
+const PROTOCOL: &str = "dense";
 
 struct Record {
     suite: &'static str,
@@ -60,8 +51,8 @@ fn quick() -> bool {
 }
 
 /// Mean ns per churn step, measured over a time-boxed window after warmup.
-fn time_churn(build: fn() -> Box<dyn CachePolicy>, blocks: usize, naive: bool, dense: bool) -> f64 {
-    let mut churn = Churn::with_mode(build, blocks, naive, dense);
+fn time_churn(build: fn() -> Box<dyn CachePolicy>, blocks: usize) -> f64 {
+    let mut churn = Churn::new(build, blocks);
     let budget_ms: u64 = if quick() { 40 } else { 400 };
     let warmup = (blocks / 8).clamp(32, 2_000);
     for _ in 0..warmup {
@@ -82,9 +73,8 @@ fn time_churn(build: fn() -> Box<dyn CachePolicy>, blocks: usize, naive: bool, d
 }
 
 /// One eviction-heavy simulation workload; returns (best-of-reps wall ms,
-/// hit ratio). Best-of keeps the record robust to scheduler noise; the hit
-/// ratio is identical across reps and protocols (asserted by the caller).
-fn time_macro(policy: PolicySpec, naive: bool, dense: bool) -> (f64, f64) {
+/// hit ratio). Best-of keeps the record robust to scheduler noise.
+fn time_macro(policy: PolicySpec) -> (f64, f64) {
     let mut ctx = ExpContext::main().quick();
     if quick() {
         ctx.params.partitions = 32;
@@ -104,13 +94,8 @@ fn time_macro(policy: PolicySpec, naive: bool, dense: bool) -> (f64, f64) {
     let mut best_ms = f64::INFINITY;
     let mut hits = 0.0;
     for _ in 0..reps {
-        let mut cfg = SimConfig::new(ctx.cluster.with_cache(cache)).with_seed(ctx.seed);
-        cfg.reference_state = !dense;
-        let mut p: Box<dyn CachePolicy> = if naive {
-            Box::new(NaiveScan::new(policy.build(None)))
-        } else {
-            policy.build(None)
-        };
+        let cfg = SimConfig::new(ctx.cluster.with_cache(cache)).with_seed(ctx.seed);
+        let mut p = policy.build(None);
         let start = Instant::now();
         let report = Simulation::new(&spec, &plan, ProfileMode::Recurring, cfg).run(&mut *p);
         best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
@@ -120,8 +105,7 @@ fn time_macro(policy: PolicySpec, naive: bool, dense: bool) -> (f64, f64) {
 }
 
 fn main() {
-    // One record vector per output file, index-aligned with PROTOCOLS.
-    let mut records: [Vec<Record>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    let mut records: Vec<Record> = Vec::new();
 
     let populations: &[usize] = if quick() {
         &[1_000, 10_000]
@@ -130,101 +114,47 @@ fn main() {
     };
 
     println!("== micro: evict_churn (ns/evict, lower is better) ==");
-    println!(
-        "{:<10} {:>8} {:>14} {:>14} {:>14} {:>9}",
-        "policy", "blocks", "naive", "indexed", "dense", "speedup"
-    );
+    println!("{:<10} {:>8} {:>14}", "policy", "blocks", "ns/evict");
     for &blocks in populations {
         for (name, build) in bench_policies() {
-            let naive_ns = time_churn(build, blocks, true, false);
-            let indexed_ns = time_churn(build, blocks, false, false);
-            // The baseline policies keep no slot-indexed state of their own
-            // (`attach_slots` is a no-op for them), so their dense churn is
-            // the indexed code path verbatim — reuse the measurement rather
-            // than re-sampling the same code and reporting noise as a delta.
-            let dense_ns = if name == "MRD" {
-                time_churn(build, blocks, false, true)
-            } else {
-                indexed_ns
-            };
-            println!(
-                "{:<10} {:>8} {:>11.0} ns {:>11.0} ns {:>11.0} ns {:>8.1}x",
-                name,
+            let ns = time_churn(build, blocks);
+            println!("{name:<10} {blocks:>8} {ns:>11.0} ns");
+            records.push(Record {
+                suite: "micro",
+                bench: "evict_churn".into(),
+                policy: name.into(),
                 blocks,
-                naive_ns,
-                indexed_ns,
-                dense_ns,
-                naive_ns / dense_ns
-            );
-            for (i, (out, value)) in records
-                .iter_mut()
-                .zip([naive_ns, indexed_ns, dense_ns])
-                .enumerate()
-            {
-                out.push(Record {
-                    suite: "micro",
-                    bench: "evict_churn".into(),
-                    policy: name.into(),
-                    blocks,
-                    protocol: PROTOCOLS[i].0,
-                    metric: "ns_per_evict",
-                    value,
-                });
-            }
+                protocol: PROTOCOL,
+                metric: "ns_per_evict",
+                value: ns,
+            });
         }
     }
 
     println!();
     println!("== macro: ConnectedComponents @ 20% cache (ms, lower is better) ==");
-    println!(
-        "{:<10} {:>12} {:>12} {:>12} {:>9}",
-        "policy", "naive", "indexed", "dense", "speedup"
-    );
+    println!("{:<10} {:>12} {:>10}", "policy", "wall", "hit ratio");
     for policy in [PolicySpec::Lru, PolicySpec::MrdFull] {
-        let mut row: Vec<(f64, f64)> = Vec::new();
-        for &(_, naive, dense) in &PROTOCOLS {
-            row.push(time_macro(policy, naive, dense));
-        }
-        let (naive_ms, naive_hits) = row[0];
-        let (indexed_ms, _) = row[1];
-        let (dense_ms, _) = row[2];
-        for &(_, hits) in &row {
-            assert!(
-                (naive_hits - hits).abs() < 1e-12,
-                "protocols disagree on behavior for {}: hit ratio {naive_hits} vs {hits}",
-                policy.name()
-            );
-        }
-        println!(
-            "{:<10} {:>9.0} ms {:>9.0} ms {:>9.0} ms {:>8.2}x",
-            policy.name(),
-            naive_ms,
-            indexed_ms,
-            dense_ms,
-            naive_ms / dense_ms
-        );
-        for (i, (out, (ms, _))) in records.iter_mut().zip(&row).enumerate() {
-            out.push(Record {
-                suite: "macro",
-                bench: "cc_sweep".into(),
-                policy: policy.name().into(),
-                blocks: 0,
-                protocol: PROTOCOLS[i].0,
-                metric: "ms_total",
-                value: *ms,
-            });
-        }
+        let (ms, hits) = time_macro(policy);
+        println!("{:<10} {ms:>9.0} ms {hits:>10.4}", policy.name());
+        records.push(Record {
+            suite: "macro",
+            bench: "cc_sweep".into(),
+            policy: policy.name().into(),
+            blocks: 0,
+            protocol: PROTOCOL,
+            metric: "ms_total",
+            value: ms,
+        });
     }
 
-    let paths = ["BENCH_baseline.json", "BENCH_pr2.json", "BENCH_pr3.json"];
-    for (path, records) in paths.iter().zip(&records) {
-        let mut out = String::from("[\n");
-        for (i, r) in records.iter().enumerate() {
-            let sep = if i + 1 == records.len() { "\n" } else { ",\n" };
-            let _ = write!(out, "{}{}", r.to_json(), sep);
-        }
-        out.push_str("]\n");
-        std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path} ({} records)", records.len());
+    let path = "BENCH_pr3.json";
+    let mut out = String::from("[\n");
+    for (i, r) in records.iter().enumerate() {
+        let sep = if i + 1 == records.len() { "\n" } else { ",\n" };
+        let _ = write!(out, "{}{}", r.to_json(), sep);
     }
+    out.push_str("]\n");
+    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    println!("wrote {path} ({} records)", records.len());
 }

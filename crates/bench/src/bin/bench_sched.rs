@@ -1,65 +1,53 @@
-//! Task-scheduler scaling benchmark (ISSUE 4): measures end-to-end
-//! simulation wall time under the two interchangeable schedulers as the
-//! cluster grows, and writes each side to a machine-readable file:
+//! Protocol benchmark of the simulator's recorded hot paths, written as one
+//! JSON record per line to the file given with `--out FILE` (nothing is
+//! written without it):
 //!
-//! * `BENCH_sched_linear.json` — `linear`: the original per-task linear
-//!   scans (`SimConfig::linear_sched`), including the full nodes×cores scan
-//!   per task that delay scheduling performs.
-//! * `BENCH_pr10.json` — `indexed`: the incrementally maintained
-//!   [`SlotIndex`](refdist_cluster) ordered-set scheduler (the default).
+//!     bench_sched --out BENCH_prN.json
 //!
-//! The workload is a wide iterative app — 8 partitions per node, so every
-//! stage runs multiple task waves per node — with delay scheduling on and a
-//! straggler injected, the regime where the linear global scan dominates
-//! large clusters. Reports from both schedulers are asserted byte-identical
-//! before any timing is recorded.
+//! `bench_diff` joins two such files on (suite, bench, policy, blocks) and
+//! `ci.sh` gates the two newest checked-in `BENCH_pr*.json` files with it.
+//! The suites:
 //!
-//! `BENCH_pr10.json` additionally re-measures the `bench_cache` macro
-//! protocol (`cc_sweep` on dense state, fault-free and chaotic) and the
-//! `serve` suite (multi-tenant streams under fair-share scheduling and
-//! equal-share quotas) so `ci.sh`'s regression guard can join them against
-//! the checked-in `BENCH_pr9.json` from the same machine — the streaming
-//! serve driver threads through the engine's admission/retirement hooks,
-//! and this is the check that neither costs anything on the macro paths.
+//! * `sched` — end-to-end wall time of a wide iterative app (8 partitions
+//!   per node, so every stage runs several task waves per node) with delay
+//!   scheduling on and a straggler injected, as the cluster grows: the slot
+//!   index's placement cost.
+//! * `sim_throughput` — the full engine (dense block state, slot index,
+//!   calendar event queue) on the same wide app under cache pressure, with
+//!   speculation exercising the event queue. Outside `REFDIST_QUICK`, a
+//!   1024-node mega row pushes ~a million tasks through the engine alone.
+//! * `macro` — the `bench_cache` macro protocol (`cc_sweep` on dense state,
+//!   fault-free and chaotic).
+//! * `serve_stream` — Poisson app streams at several lengths and arrival
+//!   rates through the serve driver; each cell also records the slot
+//!   arena's high-water mark (`peak_slots`), so the regression guard gates
+//!   O(active) memory alongside wall time.
+//! * `serve_resilience` — churn rate (off / mild / harsh MTBF) against the
+//!   admission policy (queue vs shed) over 1024-app resilient streams:
+//!   app-level retry with backoff, a bounded admission gate, and a
+//!   per-submission deadline. The churned cells assert nonzero app retries
+//!   (and sheds, under the shedding gate) and record deterministic
+//!   retry/shed/SLO counts alongside wall time, so the guard pins
+//!   behaviour as well as cost.
+//! * `admission` — the admission-planning path alone (build or intern the
+//!   template's local-space plan/profile, rebase, wrap the profiler), cold
+//!   vs template-interned over 1/4/16 distinct templates; the interned
+//!   path must amortize to at least 3x on the full run.
 //!
-//! A `serve_resilience` suite sweeps churn rate (off / mild / harsh MTBF)
-//! against the admission policy (queue vs shed) over 1024-app resilient
-//! streams: app-level retry with backoff, a bounded admission gate, and a
-//! per-submission deadline. The fault-free cells price the resilience
-//! control plane itself; the churned cells assert nonzero app retries (and
-//! sheds, under the shedding gate) and record deterministic retry/shed/SLO
-//! counts alongside wall time, so the guard pins behaviour as well as cost.
+//! The reference implementations earlier files also measured (linear slot
+//! scans, hash-backed block state, the binary-heap event queue, the
+//! build-everything-upfront serve driver) are gone; their last recorded
+//! rows live in `BENCH_pr10.json`, `BENCH_sched_linear.json` and
+//! EXPERIMENTS.md "Performance history".
 //!
-//! An `admission` suite times the admission-planning path alone — build or
-//! intern the template's local-space plan/profile, rebase to the
-//! submission's offset, wrap the profiler — cold vs template-interned over
-//! 1/4/16 distinct templates, and asserts the interned path amortizes to at
-//! least 3x on the full run.
-//!
-//! A `serve_stream` suite measures the streaming serve driver itself:
-//! Poisson app streams at several lengths and arrival rates, run both
-//! through the lazy-admission/drain-then-retire streaming path and the
-//! build-everything-upfront reference (asserted byte-identical first).
-//! Each cell also records the slot arena's high-water mark (`peak_slots`),
-//! so the regression guard gates O(active) memory alongside wall time.
-//!
-//! A `sim_throughput` suite times the *fully stacked* engine — dense
-//! slot-indexed state + indexed scheduler + calendar event queue — against
-//! the full reference configuration (`SimConfig::reference_state`: hash
-//! state + linear scans + binary heap) on the same wide app under cache
-//! pressure, with speculation exercising the event queue. Reports are
-//! asserted byte-identical before timing. Outside `REFDIST_QUICK`, a
-//! 1024-node mega row pushes ~a million tasks through the engine alone (the
-//! reference path at that scale is minutes, not seconds).
-//!
-//! `REFDIST_QUICK=1` shrinks cluster sizes and repetitions for smoke runs
-//! (the output files are still written).
+//! `REFDIST_QUICK=1` shrinks cluster sizes and repetitions for smoke runs.
 
 use refdist_bench::{cache_for_fraction, ExpContext, PolicySpec, ServeAxis, ServeScenario};
 use refdist_cluster::{
     AdmissionPolicy, ClusterConfig, QuotaKind, ResilienceConfig, RunReport, ServeReport,
     ServeSched, ServeSim, SimConfig, Simulation,
 };
+use std::process::ExitCode;
 use refdist_core::ProfileMode;
 use refdist_dag::{AppBuilder, AppPlan, AppSpec, StorageLevel};
 use refdist_workloads::Workload;
@@ -109,22 +97,21 @@ fn sched_app_jobs(nodes: u32, jobs: usize) -> AppSpec {
     b.build()
 }
 
-fn sched_cfg(nodes: u32, linear: bool) -> SimConfig {
+fn sched_cfg(nodes: u32) -> SimConfig {
     // A cache that holds the whole dataset keeps eviction churn out of the
     // measurement; the per-task costs left are scheduling and cache hits.
     let mut cfg = SimConfig::new(ClusterConfig::tiny(nodes, 1 << 40));
     cfg.cluster.cores_per_node = 4;
-    // Delay scheduling is what makes the linear scheduler scan every slot in
-    // the cluster per task; the straggler guarantees migrations happen.
+    // Delay scheduling asks for the cluster-wide earliest slot per task;
+    // the straggler guarantees migrations happen.
     cfg.delay_scheduling_us = Some(5_000);
     cfg.faults.slow_node(0, 4.0);
-    cfg.linear_sched = linear;
     cfg
 }
 
-/// Best-of-reps wall ms for one scheduler, plus the report for equivalence
-/// checking (identical across reps — the simulation is deterministic).
-fn time_sched(spec: &AppSpec, plan: &AppPlan, nodes: u32, linear: bool) -> (f64, RunReport) {
+/// Best-of-reps wall ms, plus the report (identical across reps — the
+/// simulation is deterministic).
+fn time_sched(spec: &AppSpec, plan: &AppPlan, nodes: u32) -> (f64, RunReport) {
     // Best-of-15: contention on the recording machine comes in bursts of
     // seconds, so spreading more ms-scale reps across a longer window is
     // what makes the minimum a stable estimate of the quiet-machine time.
@@ -132,7 +119,7 @@ fn time_sched(spec: &AppSpec, plan: &AppPlan, nodes: u32, linear: bool) -> (f64,
     let mut best_ms = f64::INFINITY;
     let mut report = None;
     for _ in 0..reps {
-        let cfg = sched_cfg(nodes, linear);
+        let cfg = sched_cfg(nodes);
         let sim = Simulation::new(spec, plan, ProfileMode::Recurring, cfg);
         let mut lru = refdist_policies::PolicyKind::Lru.build();
         let start = Instant::now();
@@ -147,9 +134,7 @@ fn time_sched(spec: &AppSpec, plan: &AppPlan, nodes: u32, linear: bool) -> (f64,
 /// footprint fits), delay scheduling, a straggler, and speculative
 /// execution — so per-task state transitions, slot selection, eviction and
 /// the per-stage completion-event queue are all on the measured path.
-/// `reference` flips every subsystem to its reference implementation at
-/// once: hash-backed block state, linear slot scans, binary-heap events.
-fn throughput_cfg(spec: &AppSpec, nodes: u32, reference: bool) -> SimConfig {
+fn throughput_cfg(spec: &AppSpec, nodes: u32) -> SimConfig {
     let footprint: u64 = spec.cached_rdds().map(|r| r.total_size()).sum();
     let mut cfg = SimConfig::new(ClusterConfig::tiny(
         nodes,
@@ -159,22 +144,15 @@ fn throughput_cfg(spec: &AppSpec, nodes: u32, reference: bool) -> SimConfig {
     cfg.delay_scheduling_us = Some(5_000);
     cfg.faults.slow_node(0, 4.0);
     cfg.faults.speculation_quantile = 0.75;
-    cfg.reference_state = reference;
     cfg
 }
 
 /// Best-of-reps wall ms for one full-stack configuration.
-fn time_throughput(
-    spec: &AppSpec,
-    plan: &AppPlan,
-    nodes: u32,
-    reference: bool,
-    reps: usize,
-) -> (f64, RunReport) {
+fn time_throughput(spec: &AppSpec, plan: &AppPlan, nodes: u32, reps: usize) -> (f64, RunReport) {
     let mut best_ms = f64::INFINITY;
     let mut report = None;
     for _ in 0..reps {
-        let cfg = throughput_cfg(spec, nodes, reference);
+        let cfg = throughput_cfg(spec, nodes);
         let sim = Simulation::new(spec, plan, ProfileMode::Recurring, cfg);
         let mut lru = refdist_policies::PolicyKind::Lru.build();
         let start = Instant::now();
@@ -185,8 +163,8 @@ fn time_throughput(
     (best_ms, report.expect("at least one rep"))
 }
 
-/// The `bench_cache` macro protocol on dense state, re-measured so
-/// `BENCH_pr7.json` joins against `BENCH_pr6.json` from this machine.
+/// The `bench_cache` macro protocol on dense state, re-measured so each
+/// recorded file joins against its predecessor from the same machine.
 fn time_macro(policy: PolicySpec, faults: refdist_cluster::FaultPlan) -> f64 {
     let mut ctx = ExpContext::main().quick();
     ctx.faults = faults;
@@ -217,53 +195,6 @@ fn time_macro(policy: PolicySpec, faults: refdist_cluster::FaultPlan) -> f64 {
     best_ms
 }
 
-/// Multi-tenant serve baseline: `tenants` Poisson-arriving copies of the
-/// macro workload share one cluster under fair-share scheduling and
-/// equal-share quotas. Best-of-reps wall ms for the whole stream; the
-/// `ServeSim` (plans, remapped profiles, arena) is built once and reused,
-/// mirroring how the sweep engine amortizes per-workload artifacts.
-fn time_serve(policy: PolicySpec, tenants: u32) -> f64 {
-    let mut ctx = ExpContext::main().quick();
-    if quick() {
-        ctx.params.partitions = 32;
-        ctx.params.scale = 0.1;
-    } else {
-        ctx.params.partitions = 128;
-        ctx.params.scale = 0.5;
-    }
-    let spec = Workload::ConnectedComponents.build(&ctx.params);
-    let scenario = ServeScenario {
-        templates: std::slice::from_ref(&spec),
-        apps: tenants,
-        sim: SimConfig::new(ctx.cluster.clone()).with_seed(ctx.seed),
-        axis: ServeAxis {
-            tenants,
-            mean_gap_us: 500_000,
-            sched: ServeSched::FairShare,
-            quota: QuotaKind::EqualShare,
-            resilience: Default::default(),
-        },
-    }
-    .fit_cache(0.2)
-    .expect("valid cache fraction");
-    let mut cfg = scenario.config();
-    // The legacy serve suite keeps measuring the upfront path so its numbers
-    // stay comparable across bench baselines; the serve_stream suite covers
-    // streaming.
-    cfg.upfront = true;
-    let serve = ServeSim::new(&scenario.submissions(), cfg);
-    let reps = if quick() { 1 } else { 20 };
-    let mut best_ms = f64::INFINITY;
-    for _ in 0..reps {
-        let policies = (0..tenants).map(|_| policy.build(None)).collect();
-        let start = Instant::now();
-        let report = serve.run(policies);
-        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        std::hint::black_box(report);
-    }
-    best_ms
-}
-
 /// A small two-job iterative app for long streams: cheap enough per
 /// submission that four-digit streams are dominated by serve-driver
 /// overhead (admission, retirement, arena recycling), not task simulation.
@@ -278,6 +209,11 @@ fn stream_app() -> AppSpec {
         b.action(format!("job{i}"), s);
     }
     b.build()
+}
+
+/// Cached-block slots one submission of `spec` occupies.
+fn stream_slots(spec: &AppSpec) -> u64 {
+    spec.cached_rdds().map(|r| u64::from(r.num_partitions)).sum()
 }
 
 /// `k` structurally distinct variants of the stream app (partition count and
@@ -328,23 +264,16 @@ fn stream_scenario(
 }
 
 /// Best-of-reps wall ms for one serve-stream cell, end to end: a fresh
-/// `ServeSim` per rep, so each side pays its own planning model inside the
-/// timed region — lazy per-admission planning for streaming, the combined
-/// whole-stream build for upfront. That asymmetry is the measurement.
-fn time_serve_stream(
-    spec: &AppSpec,
-    apps: u32,
-    mean_gap_us: u64,
-    upfront: bool,
-) -> (f64, ServeReport) {
+/// `ServeSim` per rep, so per-admission planning is inside the timed
+/// region.
+fn time_serve_stream(spec: &AppSpec, apps: u32, mean_gap_us: u64) -> (f64, ServeReport) {
     let scenario = stream_scenario(spec, apps, mean_gap_us, Default::default());
     let subs = scenario.submissions();
     let reps = if quick() { 1 } else { 5 };
     let mut best_ms = f64::INFINITY;
     let mut report = None;
     for _ in 0..reps {
-        let mut cfg = scenario.config();
-        cfg.upfront = upfront;
+        let cfg = scenario.config();
         let policies = (0..apps)
             .map(|_| refdist_policies::PolicyKind::Lru.build())
             .collect();
@@ -408,8 +337,8 @@ fn time_serve_resilience(
 /// Best-of-reps wall ms for the admission-planning path alone over a
 /// submission stream cycling through `specs`: build (or intern) the
 /// local-space plan/profile, rebase both to the submission's offset, and
-/// wrap the profiler — exactly what the streaming serve driver does at each
-/// arrival event, minus the simulation itself.
+/// wrap the profiler — exactly what the serve driver does at each arrival
+/// event, minus the simulation itself.
 fn time_admission(specs: &[AppSpec], apps: u32, interned: bool) -> f64 {
     use refdist_core::AppProfiler;
     use refdist_dag::{remap_plan, remap_profile, PlannedTemplate, TemplateCache};
@@ -438,119 +367,96 @@ fn time_admission(specs: &[AppSpec], apps: u32, interned: bool) -> f64 {
     best_ms
 }
 
-fn main() {
-    let mut linear_records: Vec<Record> = Vec::new();
-    let mut indexed_records: Vec<Record> = Vec::new();
+/// The `--out FILE` argument, if given; any other argument is an error.
+fn out_path() -> Result<Option<String>, String> {
+    let mut args = std::env::args().skip(1);
+    let mut out = None;
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--out" => out = Some(args.next().ok_or("--out needs a file name")?),
+            _ => return Err(format!("unknown argument `{a}` (usage: bench_sched [--out FILE])")),
+        }
+    }
+    Ok(out)
+}
+
+fn main() -> ExitCode {
+    let out_path = match out_path() {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let mut records: Vec<Record> = Vec::new();
 
     let node_counts: &[u32] = if quick() { &[8, 32] } else { &[8, 32, 128, 256] };
 
     println!("== sched: wide app, delay scheduling on (ms, lower is better) ==");
-    println!(
-        "{:<8} {:>8} {:>12} {:>12} {:>9}",
-        "nodes", "tasks", "linear", "indexed", "speedup"
-    );
+    println!("{:<8} {:>8} {:>12}", "nodes", "tasks", "wall");
     for &nodes in node_counts {
         let spec = sched_app(nodes);
         let plan = AppPlan::build(&spec);
-        let (linear_ms, linear_report) = time_sched(&spec, &plan, nodes, true);
-        let (indexed_ms, indexed_report) = time_sched(&spec, &plan, nodes, false);
-        assert_eq!(
-            format!("{linear_report:?}"),
-            format!("{indexed_report:?}"),
-            "schedulers disagree at {nodes} nodes"
-        );
+        let (ms, report) = time_sched(&spec, &plan, nodes);
         assert!(
-            linear_report.sched.remote_placements > 0,
-            "no migrations at {nodes} nodes — the global-scan path went unmeasured"
+            report.sched.remote_placements > 0,
+            "no migrations at {nodes} nodes — the global-order path went unmeasured"
         );
-        println!(
-            "{:<8} {:>8} {:>9.1} ms {:>9.1} ms {:>8.2}x",
-            nodes,
-            linear_report.tasks,
-            linear_ms,
-            indexed_ms,
-            linear_ms / indexed_ms
-        );
-        for (out, protocol, value) in [
-            (&mut linear_records, "linear", linear_ms),
-            (&mut indexed_records, "indexed", indexed_ms),
-        ] {
-            out.push(Record {
-                suite: "sched",
-                bench: "task_placement".into(),
-                policy: "LRU".into(),
-                blocks: nodes as usize,
-                protocol,
-                metric: "ms_total",
-                value,
-            });
-        }
+        println!("{:<8} {:>8} {:>9.1} ms", nodes, report.tasks, ms);
+        records.push(Record {
+            suite: "sched",
+            bench: "task_placement".into(),
+            policy: "LRU".into(),
+            blocks: nodes as usize,
+            protocol: "indexed",
+            metric: "ms_total",
+            value: ms,
+        });
     }
 
     println!();
-    println!("== sim_throughput: full reference stack vs full engine (ms) ==");
-    println!(
-        "{:<8} {:>8} {:>12} {:>12} {:>9}",
-        "nodes", "tasks", "reference", "engine", "speedup"
-    );
+    println!("== sim_throughput: full engine (ms) ==");
+    println!("{:<8} {:>8} {:>12}", "nodes", "tasks", "wall");
     let tp_nodes: &[u32] = if quick() { &[8] } else { &[64, 128] };
     for &nodes in tp_nodes {
         let spec = sched_app(nodes);
         let plan = AppPlan::build(&spec);
         let reps = if quick() { 1 } else { 8 };
-        let (ref_ms, ref_report) = time_throughput(&spec, &plan, nodes, true, reps);
-        let (eng_ms, eng_report) = time_throughput(&spec, &plan, nodes, false, reps);
-        assert_eq!(
-            format!("{ref_report:?}"),
-            format!("{eng_report:?}"),
-            "reference and engine stacks disagree at {nodes} nodes"
-        );
-        println!(
-            "{:<8} {:>8} {:>9.1} ms {:>9.1} ms {:>8.2}x",
-            nodes,
-            eng_report.tasks,
-            ref_ms,
-            eng_ms,
-            ref_ms / eng_ms
-        );
-        // Distinct bench names: the regression guard joins on
-        // (suite, bench, policy, blocks) and must track each stack apart.
-        for (bench, value) in [("wide_app_ref", ref_ms), ("wide_app", eng_ms)] {
-            indexed_records.push(Record {
-                suite: "sim_throughput",
-                bench: bench.into(),
-                policy: "LRU".into(),
-                blocks: nodes as usize,
-                protocol: if bench == "wide_app" { "engine" } else { "reference" },
-                metric: "ms_total",
-                value,
-            });
-        }
+        let (ms, report) = time_throughput(&spec, &plan, nodes, reps);
+        println!("{:<8} {:>8} {:>9.1} ms", nodes, report.tasks, ms);
+        records.push(Record {
+            suite: "sim_throughput",
+            bench: "wide_app".into(),
+            policy: "LRU".into(),
+            blocks: nodes as usize,
+            protocol: "engine",
+            metric: "ms_total",
+            value: ms,
+        });
     }
     if !quick() {
-        // Mega smoke: ~a million tasks through the engine alone. The point
-        // is that the calendar queue and dense task records keep per-task
-        // cost flat at a scale where the reference stack is O(minutes).
+        // Mega smoke: ~a million tasks through the engine. The calendar
+        // queue and dense task records keep per-task cost flat at a scale
+        // where scans over the cluster would be O(minutes).
         let nodes = 1024;
         let spec = sched_app_jobs(nodes, 60);
         let plan = AppPlan::build(&spec);
-        let (eng_ms, eng_report) = time_throughput(&spec, &plan, nodes, false, 1);
+        let (ms, report) = time_throughput(&spec, &plan, nodes, 1);
         println!(
-            "{:<8} {:>8} {:>12} {:>9.1} ms ({:.2} us/task)",
+            "{:<8} {:>8} {:>9.1} ms ({:.2} us/task)",
             nodes,
-            eng_report.tasks,
-            "(engine only)",
-            eng_ms,
-            eng_ms * 1e3 / eng_report.tasks as f64
+            report.tasks,
+            ms,
+            ms * 1e3 / report.tasks as f64
         );
-        indexed_records.push(Record {
+        records.push(Record {
             suite: "sim_throughput",
             bench: "mega".into(),
             policy: "LRU".into(),
             blocks: nodes as usize,
             protocol: "engine",
             metric: "ms_total",
-            value: eng_ms,
+            value: ms,
         });
     }
 
@@ -559,7 +465,7 @@ fn main() {
     for policy in [PolicySpec::Lru, PolicySpec::MrdFull] {
         let ms = time_macro(policy, refdist_cluster::FaultPlan::default());
         println!("{:<10} {:>9.0} ms", policy.name(), ms);
-        indexed_records.push(Record {
+        records.push(Record {
             suite: "macro",
             bench: "cc_sweep".into(),
             policy: policy.name().into(),
@@ -577,7 +483,7 @@ fn main() {
         println!("{:<10} {:>9.0} ms", "LRU", ms);
         // Distinct bench name: bench_diff joins on (suite, bench, policy,
         // blocks), and this run must not shadow the fault-free record.
-        indexed_records.push(Record {
+        records.push(Record {
             suite: "macro",
             bench: "cc_sweep_chaos".into(),
             policy: "LRU".into(),
@@ -589,36 +495,14 @@ fn main() {
     }
 
     println!();
-    println!("== serve: multi-tenant CC streams, fair-share + equal-share quota (ms) ==");
-    for (policy, tenants) in [
-        (PolicySpec::Lru, 3u32),
-        (PolicySpec::MrdFull, 3),
-        (PolicySpec::Lru, 6),
-    ] {
-        let ms = time_serve(policy, tenants);
-        println!("{:<10} x{:<3} {:>9.0} ms", policy.name(), tenants, ms);
-        // First baselined in BENCH_pr6.json; from this PR on the guard joins
-        // these rows, covering the EventQueue-driven serve selection loop.
-        indexed_records.push(Record {
-            suite: "serve",
-            bench: "cc_stream".into(),
-            policy: policy.name().into(),
-            blocks: tenants as usize,
-            protocol: "fair-share",
-            metric: "ms_total",
-            value: ms,
-        });
-    }
-
-    println!();
-    println!("== serve_stream: Poisson app streams, streaming vs upfront (ms) ==");
+    println!("== serve_stream: Poisson app streams (ms) ==");
     println!(
-        "{:<6} {:>7} {:>11} {:>11} {:>7} {:>7} {:>7} {:>10}",
-        "apps", "gap ms", "upfront", "streaming", "ratio", "arena", "active", "us/sub"
+        "{:<6} {:>7} {:>11} {:>7} {:>7} {:>10}",
+        "apps", "gap ms", "wall", "arena", "active", "us/sub"
     );
     let stream_spec = stream_app();
-    let stream_cells: &[(u32, u64, &str, &str, &str)] = if quick() {
-        &[(64, 20_000, "stream_gap20", "upfront_gap20", "arena_gap20")]
+    let stream_cells: &[(u32, u64, &str, &str)] = if quick() {
+        &[(64, 20_000, "stream_gap20", "arena_gap20")]
     } else {
         // Mean gaps sit at and above the two-node cluster's service rate:
         // 40 ms is near-critical load (about ten submissions live at once),
@@ -626,61 +510,45 @@ fn main() {
         // open queue unstable — the backlog, and with it the arena, would
         // rightly grow with stream length and measure queueing, not serving.
         &[
-            (256, 80_000, "stream_gap80", "upfront_gap80", "arena_gap80"),
-            (1024, 80_000, "stream_gap80", "upfront_gap80", "arena_gap80"),
-            (1024, 40_000, "stream_gap40", "upfront_gap40", "arena_gap40"),
+            (256, 80_000, "stream_gap80", "arena_gap80"),
+            (1024, 80_000, "stream_gap80", "arena_gap80"),
+            (1024, 40_000, "stream_gap40", "arena_gap40"),
         ]
     };
-    for &(apps, gap_us, stream_bench, upfront_bench, arena_bench) in stream_cells {
-        let (up_ms, up) = time_serve_stream(&stream_spec, apps, gap_us, true);
-        let (st_ms, st) = time_serve_stream(&stream_spec, apps, gap_us, false);
-        assert_eq!(
-            format!("{:?}", up.reports),
-            format!("{:?}", st.reports),
-            "streaming and upfront disagree at {apps} apps / {gap_us} us gap"
-        );
-        assert_eq!(up.summary(), st.summary());
-        // The O(active) claim, checked where it is measured: the streaming
-        // arena's high-water mark tracks peak concurrency while the
-        // upfront arena holds the whole stream. Short quick-mode streams
-        // never get far ahead of their own concurrency, so the strict
-        // bound only applies at real stream lengths.
-        let bound = if apps >= 256 {
-            up.peak_arena_slots / 4
-        } else {
-            up.peak_arena_slots
-        };
+    for &(apps, gap_us, stream_bench, arena_bench) in stream_cells {
+        let (ms, st) = time_serve_stream(&stream_spec, apps, gap_us);
+        // The O(active) claim, checked where it is measured: the arena's
+        // high-water mark tracks peak concurrency, far below the slots of
+        // the whole stream. Short quick-mode streams never get far ahead
+        // of their own concurrency, so the strict bound only applies at
+        // real stream lengths.
+        let whole: u64 = st.reports.len() as u64 * stream_slots(&stream_spec);
+        let bound = if apps >= 256 { whole / 4 } else { whole };
         assert!(
             st.peak_arena_slots < bound,
-            "streaming arena {} slots vs upfront {} at {apps} apps",
-            st.peak_arena_slots,
-            up.peak_arena_slots
+            "arena {} slots vs {whole} for the whole stream at {apps} apps",
+            st.peak_arena_slots
         );
         println!(
-            "{:<6} {:>7} {:>8.1} ms {:>8.1} ms {:>6.2}x {:>7} {:>7} {:>10.1}",
+            "{:<6} {:>7} {:>8.1} ms {:>7} {:>7} {:>10.1}",
             apps,
             gap_us / 1_000,
-            up_ms,
-            st_ms,
-            up_ms / st_ms,
+            ms,
             st.peak_arena_slots,
             st.peak_active_apps,
-            st_ms * 1e3 / f64::from(apps)
+            ms * 1e3 / f64::from(apps)
         );
-        // Streaming and upfront get distinct bench names: the regression
-        // guard joins on (suite, bench, policy, blocks) and must track the
-        // two drivers apart; the arena row gates space, not time.
+        // The arena row gates space, not time.
         for (bench, metric, value) in [
-            (stream_bench, "ms_total", st_ms),
-            (upfront_bench, "ms_total", up_ms),
+            (stream_bench, "ms_total", ms),
             (arena_bench, "peak_slots", st.peak_arena_slots as f64),
         ] {
-            indexed_records.push(Record {
+            records.push(Record {
                 suite: "serve_stream",
                 bench: bench.into(),
                 policy: "LRU".into(),
                 blocks: apps as usize,
-                protocol: if bench == upfront_bench { "upfront" } else { "streaming" },
+                protocol: "streaming",
                 metric,
                 value,
             });
@@ -740,7 +608,7 @@ fn main() {
                 );
             }
         }
-        indexed_records.push(Record {
+        records.push(Record {
             suite: "serve_resilience",
             bench: bench.into(),
             policy: "LRU".into(),
@@ -758,7 +626,7 @@ fn main() {
                 ("shed", res.shed_count() as f64),
                 ("slo_met", slo_met as f64),
             ] {
-                indexed_records.push(Record {
+                records.push(Record {
                     suite: "serve_resilience",
                     bench: format!("{bench}_{suffix}"),
                     policy: "LRU".into(),
@@ -807,7 +675,7 @@ fn main() {
             _ => "tpl16",
         };
         for (protocol, value) in [("cold", cold_ms), ("interned", hot_ms)] {
-            indexed_records.push(Record {
+            records.push(Record {
                 suite: "admission",
                 bench: bench.into(),
                 policy: "LRU".into(),
@@ -819,17 +687,19 @@ fn main() {
         }
     }
 
-    for (path, records) in [
-        ("BENCH_sched_linear.json", &linear_records),
-        ("BENCH_pr10.json", &indexed_records),
-    ] {
-        let mut out = String::from("[\n");
-        for (i, r) in records.iter().enumerate() {
-            let sep = if i + 1 == records.len() { "\n" } else { ",\n" };
-            let _ = write!(out, "{}{}", r.to_json(), sep);
-        }
-        out.push_str("]\n");
-        std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path} ({} records)", records.len());
+    let Some(path) = out_path else {
+        return ExitCode::SUCCESS;
+    };
+    let mut out = String::from("[\n");
+    for (i, r) in records.iter().enumerate() {
+        let sep = if i + 1 == records.len() { "\n" } else { ",\n" };
+        let _ = write!(out, "{}{}", r.to_json(), sep);
     }
+    out.push_str("]\n");
+    if let Err(e) = std::fs::write(&path, out) {
+        eprintln!("error: writing {path}: {e}");
+        return ExitCode::FAILURE;
+    }
+    println!("wrote {path} ({} records)", records.len());
+    ExitCode::SUCCESS
 }

@@ -1,25 +1,15 @@
-//! Cache hot-path benchmark harness (ISSUE 2).
-//!
-//! Two pieces, shared by the `victim_selection` criterion bench, the
-//! `bench_cache` binary that emits `BENCH_baseline.json` / `BENCH_pr2.json`,
-//! and the protocol-equivalence test in `tests/determinism.rs`:
-//!
-//! * [`NaiveScan`] — a wrapper that forces any policy back onto the
-//!   pre-index eviction protocol (re-collect the sorted candidate list, ask
-//!   for ONE victim, notify `on_remove`, repeat), exactly as the old
-//!   `evict_one` loop drove it. Wrapping a policy in it reproduces the
-//!   baseline cost profile without keeping dead code around.
-//! * [`Churn`] — a steady-state eviction churn driver: a full cache of `n`
-//!   unit-size blocks where every step inserts one block and must evict one
-//!   first. Step cost is dominated by victim selection, so `ns/step` for the
-//!   naive wrapper vs. the indexed policy measures the O(n)-scan vs.
-//!   O(log n)-index gap directly.
+//! Cache hot-path benchmark harness, shared by the `victim_selection`
+//! criterion bench, the `bench_cache` binary and the churn determinism test
+//! in `tests/determinism.rs`: [`Churn`] is a steady-state eviction churn
+//! driver — a full cache of `n` unit-size blocks where every step inserts
+//! one block and must evict one first. Step cost is dominated by victim
+//! selection, so `ns/step` measures a policy's victim index directly.
 
 use refdist_core::{DistanceMetric, MrdConfig, MrdMode, MrdPolicy};
 use refdist_dag::{AppProfile, BlockId, BlockSlots, JobId, RddId, RddRefs, StageId, StageTouches};
 use refdist_policies::{CachePolicy, PolicyKind};
 use refdist_store::NodeId;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// The single node the churn driver runs on.
@@ -50,103 +40,6 @@ pub fn bench_policies() -> Vec<(&'static str, PolicyBuilder)> {
             }))
         }),
     ]
-}
-
-/// Forces a policy onto the pre-index, one-victim-at-a-time eviction
-/// protocol by overriding [`CachePolicy::select_victims`] with the old
-/// `evict_one` loop: collect the sorted candidate list, `pick_victim`,
-/// notify the inner policy's `on_remove`, repeat until the shortfall is
-/// covered.
-///
-/// Because the inner policy is told about each removal *during* selection
-/// (as the old runtime did), the wrapper swallows the runtime's follow-up
-/// `on_remove` for those victims so the inner policy is not notified twice.
-pub struct NaiveScan {
-    inner: Box<dyn CachePolicy>,
-    pending: HashSet<(NodeId, BlockId)>,
-}
-
-impl NaiveScan {
-    /// Wrap `inner` in the naive protocol.
-    pub fn new(inner: Box<dyn CachePolicy>) -> Self {
-        NaiveScan {
-            inner,
-            pending: HashSet::new(),
-        }
-    }
-}
-
-impl CachePolicy for NaiveScan {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
-        self.inner.attach_slots(slots);
-    }
-
-    fn on_job_submit(&mut self, job: JobId, visible: &AppProfile) {
-        self.inner.on_job_submit(job, visible);
-    }
-
-    fn on_stage_start(&mut self, stage: StageId, visible: &AppProfile) {
-        self.inner.on_stage_start(stage, visible);
-    }
-
-    fn on_insert(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_insert(node, block);
-    }
-
-    fn on_access(&mut self, node: NodeId, block: BlockId) {
-        self.inner.on_access(node, block);
-    }
-
-    fn on_remove(&mut self, node: NodeId, block: BlockId) {
-        if !self.pending.remove(&(node, block)) {
-            self.inner.on_remove(node, block);
-        }
-    }
-
-    fn pick_victim(&mut self, node: NodeId, candidates: &[BlockId]) -> Option<BlockId> {
-        self.inner.pick_victim(node, candidates)
-    }
-
-    fn select_victims(
-        &mut self,
-        node: NodeId,
-        shortfall: u64,
-        resident: &BTreeMap<BlockId, u64>,
-    ) -> Vec<BlockId> {
-        let mut candidates: Vec<BlockId> = resident.keys().copied().collect();
-        let mut victims = Vec::new();
-        let mut freed = 0u64;
-        while freed < shortfall && !candidates.is_empty() {
-            let Some(victim) = self.inner.pick_victim(node, &candidates) else {
-                break;
-            };
-            let Ok(pos) = candidates.binary_search(&victim) else {
-                break;
-            };
-            candidates.remove(pos);
-            self.inner.on_remove(node, victim);
-            self.pending.insert((node, victim));
-            freed += resident[&victim];
-            victims.push(victim);
-        }
-        victims
-    }
-
-    fn purge_candidates(&mut self, in_memory: &[BlockId]) -> Vec<BlockId> {
-        self.inner.purge_candidates(in_memory)
-    }
-
-    fn prefetch_order(&mut self, node: NodeId, missing: &[BlockId]) -> Vec<BlockId> {
-        self.inner.prefetch_order(node, missing)
-    }
-
-    fn wants_prefetch(&self) -> bool {
-        self.inner.wants_prefetch()
-    }
 }
 
 /// A profile covering the churn block universe: RDD r is referenced at three
@@ -200,36 +93,17 @@ pub struct Churn {
 
 impl Churn {
     /// A churn driver over `n` resident blocks (plus an `n/4` spare pool).
-    /// `naive` wraps the policy in [`NaiveScan`].
-    pub fn new(build: fn() -> Box<dyn CachePolicy>, n: usize, naive: bool) -> Self {
-        Self::with_mode(build, n, naive, false)
-    }
-
-    /// [`Churn::new`] with an explicit state mode: `dense` offers the policy
-    /// a [`BlockSlots`] arena covering the whole churn universe before any
-    /// other hook, exactly as the runtime does in dense mode. Policies
-    /// without slot-indexed state ignore it.
-    pub fn with_mode(
-        build: fn() -> Box<dyn CachePolicy>,
-        n: usize,
-        naive: bool,
-        dense: bool,
-    ) -> Self {
-        let mut policy = if naive {
-            Box::new(NaiveScan::new(build())) as Box<dyn CachePolicy>
-        } else {
-            build()
-        };
-        if dense {
-            let universe = n + (n / 4).max(1);
-            let parts = universe.div_ceil(RDDS as usize) as u32;
-            let arena = Arc::new(BlockSlots::from_counts((0..RDDS).map(|r| (RddId(r), parts))));
-            policy.attach_slots(&arena);
-        }
+    /// The policy is offered a [`BlockSlots`] arena covering the whole
+    /// churn universe before any other hook, exactly as the runtime does.
+    pub fn new(build: fn() -> Box<dyn CachePolicy>, n: usize) -> Self {
+        let mut policy = build();
+        let universe = n + (n / 4).max(1);
+        let parts = universe.div_ceil(RDDS as usize) as u32;
+        let arena = Arc::new(BlockSlots::from_counts((0..RDDS).map(|r| (RddId(r), parts))));
+        policy.attach_slots(&arena);
         let profile = churn_profile();
         policy.on_job_submit(JobId(0), &profile);
         policy.on_stage_start(StageId(0), &profile);
-        let universe = n + (n / 4).max(1);
         let mut resident = BTreeMap::new();
         let mut spare = VecDeque::new();
         for i in 0..universe {
@@ -314,37 +188,11 @@ mod tests {
     #[test]
     fn churn_keeps_residency_constant() {
         let (_, build) = bench_policies()[0];
-        let mut c = Churn::new(build, 100, false);
+        let mut c = Churn::new(build, 100);
         for _ in 0..300 {
             c.step();
         }
         assert_eq!(c.len(), 100);
         assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn naive_wrapper_matches_indexed_for_every_policy() {
-        for (name, build) in bench_policies() {
-            let mut naive = Churn::new(build, 64, true);
-            let mut indexed = Churn::new(build, 64, false);
-            for i in 0..512 {
-                let a = naive.step();
-                let b = indexed.step();
-                assert_eq!(a, b, "victim diverged at step {i} for {name}");
-            }
-        }
-    }
-
-    #[test]
-    fn dense_state_matches_hashed_for_every_policy() {
-        for (name, build) in bench_policies() {
-            let mut hashed = Churn::with_mode(build, 64, false, false);
-            let mut dense = Churn::with_mode(build, 64, false, true);
-            for i in 0..512 {
-                let a = hashed.step();
-                let b = dense.step();
-                assert_eq!(a, b, "victim diverged at step {i} for {name}");
-            }
-        }
     }
 }

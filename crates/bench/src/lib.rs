@@ -10,7 +10,7 @@ pub mod cachebench;
 pub mod experiments;
 pub mod sweep;
 
-pub use cachebench::{bench_policies, Churn, NaiveScan};
+pub use cachebench::{bench_policies, Churn};
 pub use refdist_cluster::EngineScratch;
 pub use sweep::{
     default_threads, pool_map, run_sweep, CellResult, ServeAxis, ServePeaks, SweepCell,
@@ -262,9 +262,7 @@ impl<'a> ServeScenario<'a> {
             .collect()
     }
 
-    /// The streaming, template-interned serve configuration. Reference
-    /// drivers (upfront, non-interned) are for tests and benches, which
-    /// flip [`ServeConfig::upfront`] / [`ServeConfig::intern`] on this.
+    /// The stream's serve configuration.
     pub fn config(&self) -> ServeConfig {
         let mut cfg = ServeConfig::passthrough(self.sim.clone());
         cfg.arrivals = ArrivalProcess::Poisson {

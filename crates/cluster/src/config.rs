@@ -158,32 +158,10 @@ pub struct SimConfig {
     /// earliest slot (paying remote reads). `None` = always run at home,
     /// which is the calibrated default.
     pub delay_scheduling_us: Option<u64>,
-    /// Run the engine on its original hash-backed per-block state instead of
-    /// the dense slot-indexed tables. The hash path is kept as the reference
-    /// implementation: the differential tests run every simulation both ways
-    /// and require byte-identical reports, and the benches use it as the
-    /// honest "before" baseline. Off (dense) by default.
-    pub reference_state: bool,
-    /// Schedule tasks with the original linear slot scans (per-task
-    /// `min_by_key` over the home node's cores, plus a full nodes×cores scan
-    /// per task when delay scheduling is on) instead of the incrementally
-    /// maintained slot index. Kept as the scheduler's reference
-    /// implementation — the differential tests require identical placement
-    /// sequences from both, and `bench_sched` measures the gap. Implied by
-    /// [`reference_state`](Self::reference_state). Off (indexed) by default.
-    pub linear_sched: bool,
     /// Record every task placement as `(node, slot, start)` in
     /// [`RunReport::placements`](crate::RunReport::placements). Used by the
-    /// scheduler-equivalence tests; off by default.
+    /// frozen decision digests; off by default.
     pub collect_placements: bool,
-    /// Run every event queue (speculation deadlines, serve-mode FIFO
-    /// arrival streams) on the original binary-heap backend instead of the
-    /// calendar queue. Kept as the event engine's reference implementation —
-    /// the differential tests run every simulation both ways and require
-    /// byte-identical reports, placements, and victim/purge sequences.
-    /// Implied by [`reference_state`](Self::reference_state). Off (calendar)
-    /// by default.
-    pub heap_events: bool,
 }
 
 impl SimConfig {
@@ -201,10 +179,7 @@ impl SimConfig {
             faults: FaultPlan::default(),
             adaptive_threshold: false,
             delay_scheduling_us: None,
-            reference_state: false,
-            linear_sched: false,
             collect_placements: false,
-            heap_events: false,
         }
     }
 
@@ -212,13 +187,6 @@ impl SimConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Whether event queues should use the reference heap backend
-    /// ([`heap_events`](Self::heap_events), implied by
-    /// [`reference_state`](Self::reference_state)).
-    pub fn use_heap_events(&self) -> bool {
-        self.heap_events || self.reference_state
     }
 }
 
@@ -274,21 +242,7 @@ mod tests {
         assert!(s.faults.is_empty());
         assert!(!s.adaptive_threshold);
         assert!(s.delay_scheduling_us.is_none());
-        assert!(!s.reference_state);
-        assert!(!s.linear_sched);
         assert!(!s.collect_placements);
-        assert!(!s.heap_events);
-        assert!(!s.use_heap_events());
         assert_eq!(s.with_seed(7).seed, 7);
-    }
-
-    #[test]
-    fn reference_state_implies_heap_events() {
-        let mut s = SimConfig::new(ClusterConfig::tiny(2, 100));
-        s.reference_state = true;
-        assert!(s.use_heap_events());
-        let mut s = SimConfig::new(ClusterConfig::tiny(2, 100));
-        s.heap_events = true;
-        assert!(s.use_heap_events());
     }
 }

@@ -50,9 +50,10 @@ use refdist_dag::StageId;
 /// id reaches `at_stage` (fire-once, tracked cluster-wide), i.e. against the
 /// merged stream's stage numbering, not against any one submission. Which
 /// submission that is depends only on arrival order and per-app stage
-/// counts, both fixed by the seed — so a chaos seed yields the same fault
-/// sequence under the streaming, upfront, and interned drivers (pinned by
-/// `chaos_fault_sequence_is_driver_invariant` in `differential_serve.rs`).
+/// counts, both fixed by the seed — so a chaos seed replays the same fault
+/// sequence (pinned by `chaos_fault_sequence_replays_from_the_seed` in
+/// `differential_serve.rs` and the `pressure chaos` row of
+/// `tests/golden/serve_equivalence.txt`).
 /// For events that must not depend on stream composition at all, use
 /// [`TimedCrash`]/[`ChurnProcess`].
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -36,19 +36,18 @@
 //! the prefetcher reads an incrementally maintained bitset instead of
 //! rescanning every cached RDD × partition each stage. Per node, that is a
 //! few bits per slot plus O(resident) maps: arrival times are kept only for
-//! in-flight *resident* blocks, behind a per-node bit. The original
-//! hash-backed representation is preserved behind
-//! [`SimConfig::reference_state`] as the reference implementation; the
-//! differential tests run both and require byte-identical reports.
+//! in-flight *resident* blocks, behind a per-node bit. The stores, the block
+//! master and every policy are slot-indexed over the same arena.
 //!
 //! ## Scheduler index and shared artifacts
 //!
 //! Task placement runs off an incrementally maintained slot index
-//! ([`crate::sched::SlotIndex`]) instead of linear scans over every core;
-//! the original scans are kept behind [`SimConfig::linear_sched`] with the
-//! same byte-identical-placements guarantee (`tests/differential_sched.rs`).
-//! Run-independent artifacts — the [`AppProfiler`] and the [`BlockSlots`]
-//! arena — are held as `Arc`s on [`Simulation`] so sweeps can build them
+//! ([`crate::sched::SlotIndex`]): O(log n) per placement instead of a scan
+//! over every core. Every placement, eviction and purge this engine decides
+//! is pinned by the frozen decision digests
+//! (`tests/golden/engine_decisions.txt`). Run-independent artifacts — the
+//! [`AppProfiler`] and the [`BlockSlots`] arena — are held as `Arc`s on
+//! [`Simulation`] so sweeps can build them
 //! once per workload ([`Simulation::with_artifacts`]) and every run of the
 //! same cell shares them; per-run engine allocations can likewise be
 //! recycled across runs through [`EngineScratch`].
@@ -56,7 +55,7 @@
 use crate::config::SimConfig;
 use crate::faults::{FaultStats, StageAbort};
 use crate::report::{RunReport, SchedStats};
-use crate::sched::SlotIndex;
+use crate::sched::{SlotIndex, NODE_DOWN};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use refdist_core::{AppProfiler, ProfileMode};
@@ -67,7 +66,7 @@ use refdist_dag::{
 use refdist_policies::{CachePolicy, LruPolicy};
 use refdist_simcore::{EventQueue, FifoResource, SimDuration, SimTime};
 use refdist_store::{BlockManager, BlockMaster, CacheStats, InsertError, NodeId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -256,10 +255,9 @@ pub fn collect_trace(spec: &AppSpec, plan: &AppPlan, cfg: &SimConfig) -> Vec<Blo
 }
 
 /// Where the engine resolves RDD metadata from: the whole application spec
-/// (single-app runs and the upfront serve path), or an owned, windowed
-/// registry that streaming serve populates at admission and drains at
-/// retirement, so resolvable metadata is `O(live apps)` rather than
-/// `O(total stream)`.
+/// (single-app runs), or an owned, windowed registry that streaming serve
+/// populates at admission and drains at retirement, so resolvable metadata
+/// is `O(live apps)` rather than `O(total stream)`.
 pub(crate) enum SpecSource<'a> {
     Whole(&'a AppSpec),
     Registry(SpecRegistry),
@@ -285,13 +283,6 @@ impl SpecRegistry {
 
     fn len(&self) -> usize {
         self.rdds.len()
-    }
-
-    /// Live cached RDDs, ascending by id — the streaming replacement for the
-    /// reference prefetcher's whole-spec scan (which keeps only the running
-    /// application's RDDs, so retired apps' entries were dead weight).
-    fn cached_rdds(&self) -> impl Iterator<Item = &Rdd> + '_ {
-        self.rdds.iter().flatten().filter(|r| r.is_cached())
     }
 
     /// Insert `spec`'s RDDs shifted by `offset` into the global id space.
@@ -354,10 +345,8 @@ pub(crate) struct Engine<'a> {
     net: Vec<FifoResource>,
     /// Per node, per core: time the slot becomes free (authoritative).
     slots: Vec<Vec<SimTime>>,
-    /// Ordered mirror of `slots` for O(log n) placement; `None` when the
-    /// linear reference scheduler is in use (`cfg.linear_sched` or
-    /// `cfg.reference_state`).
-    sched: Option<SlotIndex>,
+    /// Ordered mirror of `slots` for O(log n) placement.
+    sched: SlotIndex,
     /// Home vs delay-scheduled-remote placement counters.
     sched_stats: SchedStats,
     /// Per-task `(node, slot, start)` log (`cfg.collect_placements`).
@@ -365,24 +354,11 @@ pub(crate) struct Engine<'a> {
 
     /// Block → dense slot mapping over the cached RDDs.
     arena: Arc<BlockSlots>,
-    /// Hash-backed reference state (`cfg.reference_state`).
-    reference: bool,
 
     /// Resident blocks whose bytes are still in flight: usable only after
     /// the time. Every removal path clears the entry, so this holds
-    /// O(resident) entries; dense mode reads it only behind `pending_d`.
+    /// O(resident) entries, read only behind `pending_d`.
     pending: HashMap<(usize, BlockId), SimTime>,
-
-    // --- reference (hash-backed) per-block state ---
-    /// Prefetched blocks not yet used (for wasted-prefetch accounting).
-    prefetched_unused: HashSet<(usize, BlockId)>,
-    /// Blocks that have been computed at least once this run.
-    materialized: HashSet<BlockId>,
-    /// Per-task de-duplication of lineage walks (reference mode allocates a
-    /// fresh set per task, matching the original cost profile).
-    visited_ref: HashSet<RddId>,
-
-    // --- dense (slot-indexed) per-block state ---
     /// Per node: slots with an entry in `pending`, so a local hit on a
     /// settled block is a bit test.
     pending_d: Vec<SlotSet>,
@@ -407,11 +383,9 @@ pub(crate) struct Engine<'a> {
     purge_buf: Vec<BlockId>,
     /// Struct-of-arrays task records for the running stage (speculation).
     stage_tasks: TaskTable,
-    /// Prefetch candidate buffer, reused across nodes and stages (dense
-    /// mode; the reference path keeps its per-stage allocation).
+    /// Prefetch candidate buffer, reused across nodes and stages.
     missing_buf: Vec<BlockId>,
-    /// Task-completion event queue for the speculation threshold: calendar
-    /// by default, heap under `cfg.heap_events`/`reference_state`.
+    /// Task-completion event queue for the speculation threshold.
     events: EventQueue<u32>,
 
     /// Per-node prefetch thresholds (adaptive when configured).
@@ -438,10 +412,10 @@ pub(crate) struct Engine<'a> {
     frng: SmallRng,
     fstats: FaultStats,
     aborted: Option<StageAbort>,
-    /// Per node: disk blocks of *retired* applications that streaming mode
-    /// already purged but the upfront path would still hold. A later crash
-    /// of the node counts them into `lost_blocks` (then forgets them), so
-    /// crash accounting stays byte-identical to the upfront run.
+    /// Per node: disk spills of *retired* applications, purged at
+    /// retirement but still counted as the node's until it next crashes. A
+    /// crash counts them into `lost_blocks` (then forgets them), so a crash
+    /// loses the same blocks whether or not their owners have retired.
     ghost_disk: Vec<u64>,
     /// Per scripted crash: whether it already fired. Legacy runs visit each
     /// stage id exactly once so this is inert there; the serve driver replays
@@ -485,11 +459,6 @@ pub(crate) struct Engine<'a> {
     run_rdds: Range<u32>,
     run_slots: Range<u32>,
 }
-
-/// Slot free time marking an unavailable (down) node's cores: later than any
-/// reachable simulated time, so ordered scans and the slot index never pick
-/// them.
-const NODE_DOWN: SimTime = SimTime(u64::MAX);
 
 /// The fault-draw stream for `seed`: a splitmix of the master seed,
 /// decorrelated from the jitter stream but fully determined by `seed`.
@@ -613,8 +582,7 @@ impl<'a> Engine<'a> {
         mut s: EngineScratch,
     ) -> Self {
         let n = cfg.cluster.nodes as usize;
-        let reference = cfg.reference_state;
-        let nslots = if reference { 0 } else { arena.len() };
+        let nslots = arena.len();
         // Shape the recycled scratch buffers into exactly the state fresh
         // allocations would have — run_with_scratch feeds a previous run's
         // buffers back in, possibly from a different cluster/workload size.
@@ -629,23 +597,15 @@ impl<'a> Engine<'a> {
         reset_sets(&mut s.prefetched_d, n, nslots);
         reset_sets(&mut s.prefetchable, n, nslots);
         s.visited_epoch.clear();
-        if !reference {
-            s.visited_epoch.resize(nrdds, 0);
-        }
+        s.visited_epoch.resize(nrdds, 0);
         s.purge_buf.clear();
         s.stage_tasks.clear();
         s.missing_buf.clear();
-        if s.events.is_heap() == cfg.use_heap_events() {
-            s.events.clear();
-        } else {
-            s.events = EventQueue::with_heap(cfg.use_heap_events());
-        }
-        let sched = (!reference && !cfg.linear_sched).then(|| {
-            SlotIndex::new(
-                &s.slots,
-                cfg.delay_scheduling_us.is_some() || cfg.faults.needs_global_slots(),
-            )
-        });
+        s.events.clear();
+        let sched = SlotIndex::new(
+            &s.slots,
+            cfg.delay_scheduling_us.is_some() || cfg.faults.needs_global_slots(),
+        );
         // Churn: draw every node's initial time-to-failure up front, in node
         // order, so the draw sequence is fixed by the seed alone.
         let churn_on = cfg.faults.churn.is_some();
@@ -662,19 +622,14 @@ impl<'a> Engine<'a> {
             nodes: n,
             managers: (0..n)
                 .map(|i| {
-                    let node = NodeId(i as u32);
-                    if reference {
-                        BlockManager::new(node, cfg.cluster.cache_bytes)
-                    } else {
-                        BlockManager::with_slots(node, cfg.cluster.cache_bytes, Arc::clone(&arena))
-                    }
+                    BlockManager::with_slots(
+                        NodeId(i as u32),
+                        cfg.cluster.cache_bytes,
+                        Arc::clone(&arena),
+                    )
                 })
                 .collect(),
-            master: if reference {
-                BlockMaster::new()
-            } else {
-                BlockMaster::with_slots(Arc::clone(&arena))
-            },
+            master: BlockMaster::with_slots(Arc::clone(&arena)),
             disk: (0..n)
                 .map(|_| FifoResource::new(cfg.cluster.disk_bw))
                 .collect(),
@@ -685,11 +640,7 @@ impl<'a> Engine<'a> {
             sched,
             sched_stats: SchedStats::default(),
             placements: Vec::new(),
-            reference,
             pending: HashMap::new(),
-            prefetched_unused: HashSet::new(),
-            materialized: HashSet::new(),
-            visited_ref: HashSet::new(),
             pending_d: s.pending_d,
             materialized_d: s.materialized_d,
             prefetched_d: s.prefetched_d,
@@ -774,9 +725,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Admit one application into the streaming engine: its RDDs (shifted by
-    /// `offset` into the global id space) become resolvable, and — in dense
-    /// mode — every slot-indexed table grows to `snap`, the arena snapshot
-    /// taken after the app's slot range was allocated. Tables grow to the
+    /// `offset` into the global id space) become resolvable, and every
+    /// slot-indexed table grows to `snap`, the arena snapshot taken after
+    /// the app's slot range was allocated. Tables grow to the
     /// arena's *capacity*, which tracks peak-active slots, not the stream
     /// length: retired ranges are recycled in place.
     pub(crate) fn admit_app(&mut self, spec: &AppSpec, offset: u32, snap: &Arc<BlockSlots>) {
@@ -786,9 +737,6 @@ impl<'a> Engine<'a> {
         let front = reg.admit(spec, offset);
         let len = reg.len();
         self.vis_base = reg.rdd_base;
-        if self.reference {
-            return;
-        }
         // Keep the epoch window index-aligned with the registry window.
         if front > 0 {
             self.visited_epoch
@@ -814,22 +762,18 @@ impl<'a> Engine<'a> {
     /// ghost accounting — see `ghost_disk`), zero its dense per-block state
     /// in the to-be-recycled slot range, and drop its RDDs from the registry
     /// (advancing the window when it was the oldest live app). No cache
-    /// statistics are touched: the upfront path never removes these blocks,
-    /// so any stat here would diverge from it.
+    /// statistics are touched: retirement is bookkeeping, not cache
+    /// behaviour, so a stream's counters are those of its runs alone.
     ///
     /// In-flight and unused-prefetch marks exist only on resident blocks,
     /// so an app with none resident has none to scrub.
     pub(crate) fn retire_app(&mut self, rdds: std::ops::Range<u32>, slot_base: u32, slot_len: u32) {
         debug_assert!(!self.any_resident(rdds.clone()), "retiring a resident app");
         debug_assert!(
-            self.pending
-                .keys()
-                .chain(&self.prefetched_unused)
-                .all(|(_, b)| !rdds.contains(&b.rdd.0))
-                && (self.reference
-                    || self.prefetched_d.iter().all(|set| {
-                        (slot_base..slot_base + slot_len).all(|s| !set.contains(s))
-                    })),
+            self.pending.keys().all(|(_, b)| !rdds.contains(&b.rdd.0))
+                && self.prefetched_d.iter().all(|set| {
+                    (slot_base..slot_base + slot_len).all(|s| !set.contains(s))
+                }),
             "pending or prefetched marks outlived residency"
         );
         for ri in rdds.clone() {
@@ -853,12 +797,9 @@ impl<'a> Engine<'a> {
                     self.master.unregister_disk(b, n);
                     self.ghost_disk[n.index()] += 1;
                 }
-                if self.reference {
-                    self.materialized.remove(&b);
-                }
             }
         }
-        if !self.reference && slot_len > 0 {
+        if slot_len > 0 {
             self.materialized_d.clear_range(slot_base, slot_len);
             for set in &mut self.prefetchable {
                 set.clear_range(slot_base, slot_len);
@@ -868,9 +809,7 @@ impl<'a> Engine<'a> {
             panic!("retire_app is a streaming-engine operation");
         };
         let drained = reg.retire(rdds);
-        if !self.reference && drained > 0 {
-            self.visited_epoch.drain(..drained);
-        }
+        self.visited_epoch.drain(..drained);
         self.vis_base = reg.rdd_base;
     }
 
@@ -986,43 +925,32 @@ impl<'a> Engine<'a> {
         bytes * self.cfg.deser_us_per_mb / (1 << 20)
     }
 
-    /// Dense slot of a cached-RDD block (dense mode only; every block the
-    /// engine tracks belongs to a cached RDD, so the arena covers it).
+    /// Dense slot of a cached-RDD block (every block the engine tracks
+    /// belongs to a cached RDD, so the arena covers it).
     fn slot(&self, b: BlockId) -> u32 {
         self.arena
             .slot(b)
             .expect("engine-tracked blocks belong to cached RDDs")
     }
 
-    /// Start a task's lineage walk: reset the visited set.
+    /// Start a task's lineage walk: a fresh epoch empties the visited set.
     fn begin_task(&mut self) {
-        if self.reference {
-            self.visited_ref = HashSet::new();
-        } else {
-            self.epoch += 1;
-        }
+        self.epoch += 1;
     }
 
     /// Mark `rdd` visited in the current task; true on first visit.
     fn visit(&mut self, rdd: RddId) -> bool {
-        if self.reference {
-            self.visited_ref.insert(rdd)
-        } else {
-            let e = &mut self.visited_epoch[rdd.index() - self.vis_base];
-            if *e == self.epoch {
-                false
-            } else {
-                *e = self.epoch;
-                true
-            }
-        }
+        let e = &mut self.visited_epoch[rdd.index() - self.vis_base];
+        let first = *e != self.epoch;
+        *e = self.epoch;
+        first
     }
 
     /// When `b`'s bytes are still in flight to `node`: the arrival time,
     /// else `SimTime::ZERO` (callers `max()` it into their start time, and
     /// `max` with `ZERO` is the identity).
     fn pending_avail(&self, node: usize, b: BlockId) -> SimTime {
-        if !self.reference && !self.pending_d[node].contains(self.slot(b)) {
+        if !self.pending_d[node].contains(self.slot(b)) {
             return SimTime::ZERO;
         }
         self.pending
@@ -1032,67 +960,43 @@ impl<'a> Engine<'a> {
     }
 
     fn set_pending(&mut self, node: usize, b: BlockId, at: SimTime) {
-        if !self.reference {
-            let s = self.slot(b);
-            self.pending_d[node].insert(s);
-        }
+        let s = self.slot(b);
+        self.pending_d[node].insert(s);
         self.pending.insert((node, b), at);
     }
 
     fn clear_pending(&mut self, node: usize, b: BlockId) {
-        let was_pending = self.reference || {
-            let s = self.slot(b);
-            self.pending_d[node].remove(s)
-        };
-        if was_pending {
+        let s = self.slot(b);
+        if self.pending_d[node].remove(s) {
             self.pending.remove(&(node, b));
         }
     }
 
     fn is_materialized(&self, b: BlockId) -> bool {
-        if self.reference {
-            self.materialized.contains(&b)
-        } else {
-            self.materialized_d.contains(self.slot(b))
-        }
+        self.materialized_d.contains(self.slot(b))
     }
 
     fn mark_materialized(&mut self, b: BlockId) {
-        if self.reference {
-            self.materialized.insert(b);
-        } else {
-            let s = self.slot(b);
-            self.materialized_d.insert(s);
-            self.sync_prefetchable(b);
-        }
+        let s = self.slot(b);
+        self.materialized_d.insert(s);
+        self.sync_prefetchable(b);
     }
 
     fn mark_prefetched(&mut self, node: usize, b: BlockId) {
-        if self.reference {
-            self.prefetched_unused.insert((node, b));
-        } else {
-            let s = self.slot(b);
-            self.prefetched_d[node].insert(s);
-        }
+        let s = self.slot(b);
+        self.prefetched_d[node].insert(s);
     }
 
     /// Clear `b`'s unused-prefetch mark on `node`; true if it was set.
     fn take_prefetched(&mut self, node: usize, b: BlockId) -> bool {
-        if self.reference {
-            self.prefetched_unused.remove(&(node, b))
-        } else {
-            let s = self.slot(b);
-            self.prefetched_d[node].remove(s)
-        }
+        let s = self.slot(b);
+        self.prefetched_d[node].remove(s)
     }
 
     /// Recompute `b`'s membership in its home node's prefetchable set
     /// (materialized and not resident in the home memory). Idempotent;
     /// called at every transition that can change either input.
     fn sync_prefetchable(&mut self, b: BlockId) {
-        if self.reference {
-            return;
-        }
         let home = self.home(b.partition);
         let s = self.slot(b);
         let on = self.materialized_d.contains(s) && !self.managers[home].memory.contains(b);
@@ -1104,13 +1008,9 @@ impl<'a> Engine<'a> {
     }
 
     fn run(&mut self, policy: &mut dyn CachePolicy) -> RunReport {
-        if !self.reference {
-            // Offer the arena before any other hook so policies can switch
-            // their per-block state to slot-indexed tables. The reference
-            // path never attaches: hash-backed policy state is part of the
-            // reference implementation.
-            policy.attach_slots(&self.arena);
-        }
+        // Offer the arena before any other hook so policies can switch
+        // their per-block state to slot-indexed tables.
+        policy.attach_slots(&self.arena);
         let plan = self.plan.expect("single-app runs carry a plan");
         let profiler = self.profiler.expect("single-app runs carry a profiler");
         let mut submitted: Option<JobId> = None;
@@ -1360,9 +1260,7 @@ impl<'a> Engine<'a> {
         self.down[node] = true;
         for slot in 0..self.slots[node].len() {
             let old = std::mem::replace(&mut self.slots[node][slot], NODE_DOWN);
-            if let Some(idx) = &mut self.sched {
-                idx.commit(node, slot, old, NODE_DOWN);
-            }
+            self.sched.commit(node, slot, old, NODE_DOWN);
         }
     }
 
@@ -1374,9 +1272,7 @@ impl<'a> Engine<'a> {
         self.rejoin_at[node] = None;
         for slot in 0..self.slots[node].len() {
             let old = std::mem::replace(&mut self.slots[node][slot], self.now);
-            if let Some(idx) = &mut self.sched {
-                idx.commit(node, slot, old, self.now);
-            }
+            self.sched.commit(node, slot, old, self.now);
         }
         policy.on_node_join(NodeId(node as u32));
         self.fstats.rejoins += 1;
@@ -1400,9 +1296,8 @@ impl<'a> Engine<'a> {
         for &(b, _) in &lost_disk {
             self.master.unregister_disk(b, id);
         }
-        // Ghosts: retired apps' disk blocks that streaming mode has already
-        // purged, but which this crash would have destroyed on the upfront
-        // path — count them once so the loss totals match byte for byte.
+        // Ghosts: retired apps' disk spills, already purged at retirement
+        // but still the node's to lose — a crash counts them once.
         self.managers[node].stats.lost_blocks +=
             (lost_mem.len() + lost_disk.len()) as u64 + self.ghost_disk[node];
         self.ghost_disk[node] = 0;
@@ -1440,30 +1335,14 @@ impl<'a> Engine<'a> {
             // residency collection entirely.
             return;
         }
+        // The master registry mirrors every node's memory residency and its
+        // dense table iterates ascending by slot — ascending `BlockId` within
+        // the running application's run — so the run's share already *is*
+        // the sorted, deduped candidate list: no per-stage collect + sort
+        // over all nodes or apps.
         self.purge_buf.clear();
-        if self.reference {
-            // Reference path: collect every node's residents of the running
-            // application and canonicalize (the original per-stage cost
-            // profile).
-            let (buf, rdds) = (&mut self.purge_buf, &self.run_rdds);
-            buf.extend(
-                self.managers
-                    .iter()
-                    .flat_map(|m| m.memory.resident().keys().copied())
-                    .filter(|b| rdds.contains(&b.rdd.0)),
-            );
-            buf.sort_unstable();
-            buf.dedup();
-        } else {
-            // Dense path: the master registry mirrors every node's memory
-            // residency and its dense table iterates ascending by slot —
-            // ascending `BlockId` within the running application's run — so
-            // the run's share already *is* the sorted, deduped candidate
-            // list: no per-stage collect + sort over all nodes or apps.
-            let master = &self.master;
-            self.purge_buf
-                .extend(master.memory_resident_in(self.run_slots.clone()));
-        }
+        self.purge_buf
+            .extend(self.master.memory_resident_in(self.run_slots.clone()));
         if self.purge_buf.is_empty() {
             // Still let the policy refresh its purge bookkeeping.
             let _ = policy.purge_candidates(&[]);
@@ -1490,25 +1369,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Cluster-wide earliest free slot `(node, slot, free_time)`: O(log n)
-    /// from the index, or the reference flat scan. Down nodes carry the
-    /// `NODE_DOWN` free time, so neither path ever picks one while any live
-    /// slot exists.
-    fn earliest_global_slot(&self) -> (usize, usize, SimTime) {
-        match &self.sched {
-            Some(idx) => idx.earliest_global(),
-            None => (0..self.nodes)
-                .flat_map(|n| {
-                    self.slots[n]
-                        .iter()
-                        .enumerate()
-                        .map(move |(i, &t)| (n, i, t))
-                })
-                .min_by_key(|&(n, i, t)| (t, n, i))
-                .expect("cluster has slots"),
-        }
-    }
-
     /// Run all tasks of a stage; returns the stage end time.
     fn run_stage_tasks(&mut self, stage: &Stage, policy: &mut dyn CachePolicy) -> SimTime {
         let stage_start = self.now;
@@ -1525,34 +1385,23 @@ impl<'a> Engine<'a> {
         }
         for p in 0..stage.num_tasks {
             let home = self.home(p);
-            // Earliest-free slot on the home node: O(log cores) from the
-            // index, or the reference linear scan. Both break free-time ties
-            // on the lowest slot index. A down home node has no slots to
-            // offer; its tasks run on the cluster-wide earliest slot.
+            // Earliest-free slot on the home node, lowest slot index on a
+            // free-time tie. A down home node has no slots to offer; its
+            // tasks run on the cluster-wide earliest slot (down nodes carry
+            // the `NODE_DOWN` free time, so that is a live one whenever any
+            // live slot exists).
             let (mut node, mut slot_idx, mut slot_free) = if self.down[home] {
-                self.earliest_global_slot()
+                self.sched.earliest_global()
             } else {
-                match &self.sched {
-                    Some(idx) => {
-                        let (i, t) = idx.earliest_on(home);
-                        (home, i, t)
-                    }
-                    None => {
-                        let (i, &t) = self.slots[home]
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(i, &t)| (t, *i))
-                            .expect("nodes have at least one core");
-                        (home, i, t)
-                    }
-                }
+                let (i, t) = self.sched.earliest_on(home);
+                (home, i, t)
             };
             // Delay scheduling: if enabled and the home node keeps the task
             // waiting too long past the globally earliest slot, run it
             // remotely and pay remote reads instead.
             if let Some(delay) = self.cfg.delay_scheduling_us {
                 if node == home {
-                    let (gn, gi, gt) = self.earliest_global_slot();
+                    let (gn, gi, gt) = self.sched.earliest_global();
                     if slot_free.max(stage_start).micros() > gt.max(stage_start).micros() + delay {
                         (node, slot_idx, slot_free) = (gn, gi, gt);
                     }
@@ -1599,9 +1448,7 @@ impl<'a> Engine<'a> {
             };
 
             let old = std::mem::replace(&mut self.slots[node][slot_idx], task_end);
-            if let Some(idx) = &mut self.sched {
-                idx.commit(node, slot_idx, old, task_end);
-            }
+            self.sched.commit(node, slot_idx, old, task_end);
             self.tasks_run += 1;
             stage_end = stage_end.max(task_end);
             if self.aborted.is_some() {
@@ -1693,8 +1540,8 @@ impl<'a> Engine<'a> {
         self.events.clear();
         let mut stage_end = SimTime::ZERO;
         // Stragglers are visited in task (partition) order — not completion
-        // order — so the speculative copies' RNG draws replay identically
-        // to the reference implementation.
+        // order — so the speculative copies' RNG draws do not depend on
+        // how completion ties are broken.
         for i in 0..n {
             let (end, p) = (tasks.finish[i], i as u32);
             let (onode, oslot, ostart) = (
@@ -1706,7 +1553,7 @@ impl<'a> Engine<'a> {
                 stage_end = stage_end.max(end);
                 continue;
             }
-            let (node, slot_idx, free) = self.earliest_global_slot();
+            let (node, slot_idx, free) = self.sched.earliest_global();
             if free == NODE_DOWN {
                 // No live slot to speculate on; keep the original attempt.
                 stage_end = stage_end.max(end);
@@ -1716,9 +1563,7 @@ impl<'a> Engine<'a> {
             let copy_start = free.max(threshold);
             let copy_end = self.run_attempt(stage, p, node, copy_start, policy);
             let old = std::mem::replace(&mut self.slots[node][slot_idx], copy_end);
-            if let Some(idx) = &mut self.sched {
-                idx.commit(node, slot_idx, old, copy_end);
-            }
+            self.sched.commit(node, slot_idx, old, copy_end);
             if copy_end < end {
                 self.fstats.spec_wins += 1;
                 stage_end = stage_end.max(copy_end);
@@ -1728,9 +1573,7 @@ impl<'a> Engine<'a> {
                 if self.slots[onode][oslot] == end {
                     let kill = copy_end.max(ostart);
                     let prev = std::mem::replace(&mut self.slots[onode][oslot], kill);
-                    if let Some(idx) = &mut self.sched {
-                        idx.commit(onode, oslot, prev, kill);
-                    }
+                    self.sched.commit(onode, oslot, prev, kill);
                 }
             } else {
                 self.fstats.spec_losses += 1;
@@ -2002,25 +1845,15 @@ impl<'a> Engine<'a> {
     /// demand I/O.
     fn run_prefetch(&mut self, stage: &Stage, visible: &AppProfile, policy: &mut dyn CachePolicy) {
         // RDDs the current stage itself touches are being handled by its
-        // tasks; prefetch targets strictly future references. The reference
-        // path keeps the original per-stage `HashSet`; dense mode stamps the
-        // stage's RDDs into the epoch table instead (a fresh epoch, same
+        // tasks; prefetch targets strictly future references. The stage's
+        // RDDs are stamped into the epoch table (a fresh epoch, the same
         // mechanism as the per-task lineage walks — no allocation).
-        let current: HashSet<RddId> = if self.reference {
-            visible
-                .per_stage
-                .get(stage.id.index())
-                .map(|t| t.reads.iter().chain(&t.creates).copied().collect())
-                .unwrap_or_default()
-        } else {
-            self.epoch += 1;
-            if let Some(t) = visible.per_stage.get(stage.id.index()) {
-                for &r in t.reads.iter().chain(&t.creates) {
-                    self.visited_epoch[r.index() - self.vis_base] = self.epoch;
-                }
+        self.epoch += 1;
+        if let Some(t) = visible.per_stage.get(stage.id.index()) {
+            for &r in t.reads.iter().chain(&t.creates) {
+                self.visited_epoch[r.index() - self.vis_base] = self.epoch;
             }
-            HashSet::new()
-        };
+        }
 
         for node in 0..self.nodes {
             if self.down[node] {
@@ -2029,63 +1862,22 @@ impl<'a> Engine<'a> {
             if self.cfg.adaptive_threshold {
                 self.adapt_threshold(node);
             }
-            // Reference mode allocates a fresh candidate list per node (the
-            // original cost profile); dense mode reuses the scratch buffer.
-            let mut missing = if self.reference {
-                Vec::new()
-            } else {
-                let mut m = std::mem::take(&mut self.missing_buf);
-                m.clear();
-                m
-            };
-            if self.reference {
-                // Reference path: rescan every cached RDD × partition of the
-                // running application (the original candidate collection,
-                // kept for honest baselining).
-                let (whole, registry) = match &self.source {
-                    SpecSource::Whole(s) => (Some(s.cached_rdds()), None),
-                    SpecSource::Registry(r) => (None, Some(r.cached_rdds())),
-                };
-                for r in whole
-                    .into_iter()
-                    .flatten()
-                    .chain(registry.into_iter().flatten())
-                {
-                    if current.contains(&r.id) || !self.run_rdds.contains(&r.id.0) {
-                        continue;
-                    }
-                    for p in 0..r.num_partitions {
-                        if self.home(p) != node {
-                            continue;
-                        }
-                        let b = BlockId::new(r.id, p);
-                        if self.materialized.contains(&b)
-                            && !self.managers[node].memory.contains(b)
-                        {
-                            missing.push(b);
-                        }
-                    }
-                }
-                missing.sort_unstable();
-            } else {
-                // Dense path: the maintained per-node bitset already holds
-                // exactly the materialized-but-not-resident home blocks;
-                // ascending slots within the running application's run are
-                // ascending `BlockId`s, so the order matches the reference
-                // path's sorted scan.
-                let epoch = self.epoch;
-                let vis_base = self.vis_base;
-                missing.extend(
-                    self.prefetchable[node]
-                        .ones_in(self.run_slots.clone())
-                        .map(|s| self.arena.block(s))
-                        .filter(|b| self.visited_epoch[b.rdd.index() - vis_base] != epoch),
-                );
-            }
+            // The maintained per-node bitset already holds exactly the
+            // materialized-but-not-resident home blocks; ascending slots
+            // within the running application's run are ascending
+            // `BlockId`s, so candidates arrive sorted.
+            let mut missing = std::mem::take(&mut self.missing_buf);
+            missing.clear();
+            let epoch = self.epoch;
+            let vis_base = self.vis_base;
+            missing.extend(
+                self.prefetchable[node]
+                    .ones_in(self.run_slots.clone())
+                    .map(|s| self.arena.block(s))
+                    .filter(|b| self.visited_epoch[b.rdd.index() - vis_base] != epoch),
+            );
             let mut order = policy.prefetch_order(NodeId(node as u32), &missing);
-            if !self.reference {
-                self.missing_buf = missing;
-            }
+            self.missing_buf = missing;
             order.truncate(self.cfg.max_prefetch_per_node);
             for b in order {
                 let size = self.block_size(b);

@@ -1,29 +1,29 @@
 //! Incrementally maintained task-slot index for the scheduler hot path.
 //!
-//! The original scheduler (kept behind [`crate::SimConfig::linear_sched`] as
-//! the reference implementation) finds a task's slot by scanning: a
-//! `min_by_key` over the home node's cores per task, plus — when delay
-//! scheduling is on — a flat-map over *all* nodes × cores per task for the
-//! cluster-wide earliest slot. Both scans are linear in cluster size, which
-//! dominates large-cluster runs (O(tasks × nodes × cores) per stage).
+//! A task runs on the earliest-free core of its home node; under delay
+//! scheduling, speculation, or a downed home node it may instead take the
+//! cluster-wide earliest-free core. Scanning for either is linear in
+//! cluster size — O(tasks × nodes × cores) per stage — so [`SlotIndex`]
+//! keeps the free times in ordered sets updated in O(log n) per commit:
 //!
-//! [`SlotIndex`] keeps the same information in ordered sets updated in
-//! O(log n) per task completion:
-//!
-//! * per node, a `BTreeSet<(free_time, slot)>` whose `first()` is exactly
-//!   the linear scan's `min_by_key(|(i, &t)| (t, *i))` — earliest free
-//!   time, lowest slot index on a tie;
+//! * per node, a `BTreeSet<(free_time, slot)>` whose `first()` is the
+//!   earliest free time, lowest slot index on a tie;
 //! * cluster-wide, a `BTreeSet<(free_time, node, slot)>` whose `first()` is
-//!   exactly the flat-map's `min_by_key(|&(n, i, t)| (t, n, i))` — earliest
-//!   free time, then lowest node, then lowest slot. Maintained only when
-//!   delay scheduling can ask for it.
+//!   the earliest free time, then lowest node, then lowest slot. Maintained
+//!   only when delay scheduling or a fault plan can ask for it.
 //!
-//! Tie-breaking equivalence is enforced by the scheduler differential tests
-//! (`tests/differential_sched.rs`), which require byte-identical placement
-//! sequences from both schedulers across randomized configurations.
+//! A down node's cores carry [`NODE_DOWN`], later than any reachable time,
+//! so neither order picks one while a live core exists. The unit tests
+//! check both orders against the linear scans they replace; the placement
+//! sequences are pinned by `tests/golden/engine_decisions.txt`.
 
 use refdist_simcore::SimTime;
 use std::collections::BTreeSet;
+
+/// Slot free time marking an unavailable (down) node's cores: later than any
+/// reachable simulated time, so the slot index never picks them while a
+/// live slot exists.
+pub(crate) const NODE_DOWN: SimTime = SimTime(u64::MAX);
 
 /// Ordered view over per-node task-slot free times. The authoritative free
 /// times stay in the engine's `slots` table; the index mirrors them.
@@ -107,7 +107,7 @@ impl SlotIndex {
 mod tests {
     use super::*;
 
-    /// The linear scans the index replaces, verbatim.
+    /// The linear scans the index replaces: the oracle of its orders.
     fn linear_home(slots: &[SimTime]) -> (usize, SimTime) {
         let (i, &t) = slots
             .iter()
@@ -137,18 +137,40 @@ mod tests {
         };
         let mut free: Vec<Vec<SimTime>> = (0..5).map(|_| vec![SimTime::ZERO; 3]).collect();
         let mut idx = SlotIndex::new(&free, true);
-        for step in 0..500 {
+        let mut down = [false; 5];
+        let mut crashes = 0;
+        for step in 0..2000 {
             for (n, node_free) in free.iter().enumerate() {
                 assert_eq!(idx.earliest_on(n), linear_home(node_free), "step {step}");
             }
+            let (gn, _, gt) = idx.earliest_global();
             assert_eq!(idx.earliest_global(), linear_global(&free), "step {step}");
+            if down.contains(&false) {
+                assert!(!down[gn] && gt != NODE_DOWN, "picked down node {gn} at step {step}");
+            }
             let n = (next() % free.len() as u64) as usize;
+            if next() % 16 == 0 {
+                // Crash or rejoin the node: park every core at NODE_DOWN,
+                // or free them all at a fresh time.
+                down[n] = !down[n];
+                crashes += down[n] as u32;
+                let t = if down[n] { NODE_DOWN } else { SimTime(next() % 8) };
+                for s in 0..free[n].len() {
+                    let old = std::mem::replace(&mut free[n][s], t);
+                    idx.commit(n, s, old, t);
+                }
+                continue;
+            }
+            if down[n] {
+                continue;
+            }
             let s = (next() % free[n].len() as u64) as usize;
             // Mix fresh times with repeats of existing ones so ties happen.
             let t = SimTime(next() % 8);
             let old = std::mem::replace(&mut free[n][s], t);
             idx.commit(n, s, old, t);
         }
+        assert!(crashes > 10, "the walk must take nodes down");
     }
 
     #[test]

@@ -2,23 +2,29 @@
 //! cluster.
 //!
 //! The single-app engine executes one planned DAG to completion. Serving
-//! generalizes it without forking the stage machinery: the submissions are
-//! concatenated into one combined [`AppSpec`] with per-submission RDD-id
-//! offsets ([`refdist_dag::combine_specs`]), so block ids stay globally
-//! unique and the stores, block master, slot arena and scheduler index work
-//! unchanged. One [`Engine`] instance owns the shared cluster state; each
-//! submission keeps its own [`AppState`] slice (clock, RNG streams,
-//! accumulators, fault accounting) that the driver swaps in around every
-//! stage. The inter-job scheduler picks which application's next stage runs;
-//! cache-policy callbacks route through a [`TenantMux`] that owns one policy
-//! instance per submission.
+//! generalizes it without forking the stage machinery. Every submission
+//! owns a disjoint range of global RDD ids ([`TenantMap`] offsets), so
+//! block ids stay globally unique and the stores, block master, slot arena
+//! and scheduler index work unchanged. One streaming [`Engine`] owns the
+//! shared cluster state; each submission keeps its own [`AppState`] slice
+//! (clock, RNG streams, accumulators, fault accounting) that the driver
+//! swaps in around every stage. The inter-job scheduler picks which
+//! application's next stage runs; cache-policy callbacks route through a
+//! [`TenantMux`] that owns one policy instance per live submission.
+//!
+//! The driver streams: a submission is admitted at its arrival event —
+//! planned and profiled through a per-run [`TemplateCache`], so repeat
+//! structures are planned once and rebased — and retired once it has
+//! completed and drained, so engine, mux and arena state are
+//! O(peak-active), not O(stream). Every decision it makes is pinned by the
+//! frozen decision digests (`tests/golden/serve_*.txt`).
 //!
 //! **Equivalence by construction**: with one submission, zero arrival delay
-//! and an unlimited quota, the combined spec is a clone of the original, the
-//! mux passes every hook through unchanged, and the driver performs exactly
-//! the legacy `Engine::run` call sequence — `tests/differential_serve.rs`
-//! asserts byte-identical reports, placements and victim/purge sequences
-//! against the single-app engine for every policy.
+//! and an unlimited quota, the mux passes every hook through unchanged and
+//! the driver performs exactly the single-app `Engine::run` call sequence —
+//! `tests/differential_serve.rs` asserts byte-identical reports,
+//! placements and victim/purge sequences against the single-app engine for
+//! every policy.
 //!
 //! Tenancy is a *grouping* of submissions: several submissions may belong to
 //! one tenant. Per-tenant cache quotas (enforced inside
@@ -31,13 +37,13 @@
 
 use crate::config::SimConfig;
 use crate::report::RunReport;
-use crate::runtime::{AppState, Engine, EngineScratch, Simulation};
+use crate::runtime::{AppState, Engine, EngineScratch};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use refdist_core::AppProfiler;
 use refdist_dag::{
-    combine_specs, remap_plan, remap_profile, AppPlan, AppProfile, AppSpec, BlockId, BlockSlots,
-    JobId, RddId, SlotArena, StageId, TemplateCache, TenantMap,
+    remap_plan, remap_profile, AppPlan, AppProfile, AppSpec, BlockId, BlockSlots, JobId, RddId,
+    SlotArena, StageId, TemplateCache, TenantMap,
 };
 use refdist_policies::CachePolicy;
 use refdist_simcore::{SimDuration, SimTime};
@@ -45,7 +51,7 @@ use refdist_store::{CacheStats, NodeId};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// How application arrivals are generated.
 #[derive(Debug, Clone, PartialEq)]
@@ -212,10 +218,6 @@ impl fmt::Display for AdmissionPolicy {
 /// byte-invisible: the driver takes no extra branch, draws no extra random
 /// number, and reports no resilience section (the differential serve suite
 /// pins this).
-///
-/// Retry and admission control are *streaming-driver* features: the upfront
-/// reference path predates them and stays byte-frozen, so it rejects a
-/// non-passive config (deadline accounting excepted — it is pure reporting).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceConfig {
     /// Total admissions a submission may consume, aborts included. 1 (the
@@ -302,20 +304,6 @@ pub struct ServeConfig {
     pub sched: ServeSched,
     /// Per-tenant cache quota.
     pub quota: QuotaKind,
-    /// Build every submission's plan, profile and slot range up front
-    /// (the original serve path, kept as the byte-equality reference).
-    /// When `false` (the default posture) the driver streams: each
-    /// submission is admitted at its arrival event and retired once
-    /// drained, so engine state is O(peak-active), not O(stream).
-    pub upfront: bool,
-    /// Streaming admission interns per-template planning artifacts
-    /// ([`TemplateCache`]): repeat submissions of a structurally identical
-    /// spec reuse one memoized local-space plan/profile and pay only the
-    /// `Arc`-sharing rebase. When `false`, every admission replans from
-    /// scratch (`plan_one` — the per-submission reference path the
-    /// differential suite checks interning against). The upfront path
-    /// always replans per submission and ignores this flag.
-    pub intern: bool,
     /// App-level retry and overload admission control. Passive by default;
     /// see [`ResilienceConfig`].
     pub resilience: ResilienceConfig,
@@ -330,29 +318,17 @@ impl ServeConfig {
             arrivals: ArrivalProcess::Trace(Vec::new()),
             sched: ServeSched::Fifo,
             quota: QuotaKind::Unlimited,
-            upfront: false,
-            intern: true,
             resilience: ResilienceConfig::default(),
         }
     }
 
     /// Sanity-check the whole serve configuration: the cluster, the fault
-    /// plan and the resilience knobs, plus their one cross-field rule —
-    /// the upfront reference driver predates app-level retry and admission
-    /// control, so it accepts only a resilience config whose active part is
-    /// off (deadline accounting is pure reporting and is allowed through).
-    /// [`ServeSim`] refuses to run a config this rejects.
+    /// plan and the resilience knobs. [`ServeSim`] refuses to run a config
+    /// this rejects.
     pub fn validate(&self) -> Result<(), String> {
         self.sim.cluster.validate()?;
         self.sim.faults.validate()?;
-        self.resilience.validate()?;
-        let res = &self.resilience;
-        if self.upfront && (res.max_app_attempts > 1 || res.max_active_apps.is_some()) {
-            return Err("app-level retry and admission control are streaming-only: \
-                        disable `upfront` or make the resilience config passive"
-                .into());
-        }
-        Ok(())
+        self.resilience.validate()
     }
 }
 
@@ -383,16 +359,15 @@ struct Live {
 /// the node's resident map, no allocation, no per-block owner lookup — and
 /// costs O(active submissions) plus the inner policies' own work.
 pub struct TenantMux {
-    /// One slot per submission; `None` before admission (streaming) and
-    /// after retirement. Upfront construction fills every slot.
+    /// One slot per submission; `None` before admission and after
+    /// retirement.
     inner: Vec<Option<Live>>,
     /// Admitted, unretired submissions, ascending.
     active: Vec<usize>,
     /// The full submission → tenant map (shared with the stores).
     map: Arc<TenantMap>,
-    /// The latest slot-arena snapshot (dense runs): block owners are one
-    /// array read off it. Without one, ownership falls back to the map's
-    /// search over submission starts (the hash-backed reference path).
+    /// The latest slot-arena snapshot (`None` before the first admission):
+    /// block owners are one array read off it.
     arena: Option<Arc<BlockSlots>>,
     current: usize,
     /// `[evictor_tenant][victim_tenant]` victim-selection counts; the
@@ -416,21 +391,9 @@ pub struct TenantMux {
 }
 
 impl TenantMux {
-    /// One policy per submission, in submission order, all admitted up
-    /// front (the reference serve path).
-    pub fn new(policies: Vec<Box<dyn CachePolicy>>, map: Arc<TenantMap>) -> TenantMux {
-        assert_eq!(policies.len(), map.num_apps(), "one policy per submission");
-        let n = policies.len();
-        let mut mux = Self::new_streaming(n, map);
-        for (a, p) in policies.into_iter().enumerate() {
-            mux.admit(a, p, None);
-        }
-        mux
-    }
-
-    /// Streaming construction: `n` submissions, none admitted yet. Policies
-    /// arrive one at a time through [`TenantMux::admit`].
-    pub fn new_streaming(n: usize, map: Arc<TenantMap>) -> TenantMux {
+    /// A mux over `n` submissions, none admitted yet. Policies arrive one
+    /// at a time through [`TenantMux::admit`].
+    pub fn new(n: usize, map: Arc<TenantMap>) -> TenantMux {
         assert_eq!(n, map.num_apps(), "one slot per submission");
         let nt = map.num_tenants();
         TenantMux {
@@ -448,20 +411,12 @@ impl TenantMux {
         }
     }
 
-    /// Admit submission `app`: install its policy and (when dense state is
-    /// on) attach the current slot-arena snapshot, which also becomes the
-    /// mux's ownership table.
-    pub fn admit(
-        &mut self,
-        app: usize,
-        mut policy: Box<dyn CachePolicy>,
-        slots: Option<&Arc<BlockSlots>>,
-    ) {
+    /// Admit submission `app`: install its policy and attach the current
+    /// slot-arena snapshot, which also becomes the mux's ownership table.
+    pub fn admit(&mut self, app: usize, mut policy: Box<dyn CachePolicy>, slots: &Arc<BlockSlots>) {
         debug_assert!(self.inner[app].is_none(), "each submission admits once");
-        if let Some(s) = slots {
-            policy.attach_slots(s);
-            self.arena = Some(Arc::clone(s));
-        }
+        policy.attach_slots(slots);
+        self.arena = Some(Arc::clone(slots));
         self.inner[app] = Some(Live {
             policy,
             own: Vec::new(),
@@ -523,7 +478,7 @@ impl TenantMux {
         self.arena
             .as_ref()
             .and_then(|s| s.owner(block.rdd))
-            .unwrap_or_else(|| self.map.app_of(block.rdd))
+            .unwrap_or_else(|| panic!("{block} belongs to no admitted submission"))
     }
 
     /// Whether victim selection needs the per-(node, submission) state: a
@@ -795,42 +750,16 @@ struct Peaks {
     active_apps: u64,
 }
 
-/// The whole-stream artifacts the reference (upfront) path works from:
-/// everything planned, profiled and slot-assigned before the first event.
-struct UpfrontArtifacts {
-    combined: AppSpec,
-    /// Per-submission plans, RDD ids shifted into the combined space, stage
-    /// and job ids local.
-    plans: Vec<Arc<AppPlan>>,
-    profilers: Vec<Arc<AppProfiler>>,
-    /// The whole stream's slot arena, with block owners; laid out exactly
-    /// as `BlockSlots::new(&combined)` (every submission admitted in order
-    /// into an empty arena).
-    arena: Arc<BlockSlots>,
-    /// Per submission: its `(slot_base, slot_len)` run in `arena`.
-    slot_runs: Vec<(u32, u32)>,
-}
-
 /// Run the inter-job scheduling loop over `arrivals`: `advance(a)` runs one
-/// stage of submission `a` and returns `(done, clock_after)`. Shared by the
-/// streaming and upfront drivers so the two paths cannot drift in dispatch
-/// order — equivalence reduces to the `advance` bodies.
-fn drive(
-    sched: ServeSched,
-    use_heap: bool,
-    arrivals: &[u64],
-    mut advance: impl FnMut(usize) -> (bool, u64),
-) {
+/// stage of submission `a` and returns `(done, clock_after)`.
+fn drive(sched: ServeSched, arrivals: &[u64], mut advance: impl FnMut(usize) -> (bool, u64)) {
     match sched {
         ServeSched::Fifo => {
             // Arrived submissions run to completion in `(arrival, index)`
             // order. The event queue pops exactly that order: every app
             // is scheduled once, in index order, so the queue's FIFO
-            // sequence tie-break equals the reference scan's
-            // smallest-index tie-break. Calendar-backed by default, heap
-            // under `heap_events`/`reference_state`.
-            let mut q: refdist_simcore::EventQueue<u32> =
-                refdist_simcore::EventQueue::with_heap(use_heap);
+            // sequence tie-break is the smallest-index tie-break.
+            let mut q = refdist_simcore::EventQueue::new();
             q.reserve(arrivals.len());
             for (i, &at) in arrivals.iter().enumerate() {
                 q.schedule(SimTime(at), i as u32);
@@ -842,11 +771,10 @@ fn drive(
         }
         ServeSched::FairShare => {
             // Ready set ordered by `(app clock, submission index)`:
-            // O(log n) per stage instead of the old O(n) rescan. Clocks
-            // change every stage, so the reference tie-break (smallest
-            // index among equal clocks) must come from the composite
-            // key, not queue insertion order — which is why this is a
-            // `BTreeSet` and not the FIFO event queue.
+            // O(log n) per stage. Clocks change every stage, so the
+            // tie-break (smallest index among equal clocks) must come from
+            // the composite key, not queue insertion order — which is why
+            // this is a `BTreeSet` and not the FIFO event queue.
             let mut ready: std::collections::BTreeSet<(u64, usize)> =
                 arrivals.iter().enumerate().map(|(i, &at)| (at, i)).collect();
             while let Some(&(k, i)) = ready.iter().next() {
@@ -862,25 +790,18 @@ fn drive(
 
 /// One serve run: a set of submissions (each tagged with a tenant), a shared
 /// cluster, and the serve policy knobs. Construction just records the
-/// stream; per-submission planning/profiling happens at admission time
-/// (streaming, the default) or lazily all at once ([`ServeConfig::upfront`]).
+/// stream; per-submission planning and profiling happen at admission time.
 pub struct ServeSim<'a> {
     subs: Vec<&'a AppSpec>,
     map: Arc<TenantMap>,
     cfg: ServeConfig,
-    /// Reference-path artifacts, built on first upfront run. Lazy (rather
-    /// than eager in `new`) so streaming runs never pay O(stream) planning,
-    /// and `OnceLock` (rather than per-run) so benchmark harnesses reusing
-    /// one `ServeSim` across timed runs keep planning out of the timed
-    /// region, as the eager constructor did.
-    upfront: OnceLock<UpfrontArtifacts>,
 }
 
 impl<'a> ServeSim<'a> {
     /// Record `submissions` (each `(spec, tenant)`) for serving under
     /// `cfg`. Each submission is planned and profiled *locally* — so
     /// reference-distance policies see exactly the profile the app would
-    /// have alone — then shifted into the combined RDD space.
+    /// have alone — then shifted into its global RDD id range.
     pub fn new(submissions: &[(&'a AppSpec, u32)], cfg: ServeConfig) -> ServeSim<'a> {
         assert!(!submissions.is_empty(), "at least one submission");
         let specs: Vec<&AppSpec> = submissions.iter().map(|&(s, _)| s).collect();
@@ -891,7 +812,6 @@ impl<'a> ServeSim<'a> {
             subs: specs,
             map,
             cfg,
-            upfront: OnceLock::new(),
         }
     }
 
@@ -900,30 +820,14 @@ impl<'a> ServeSim<'a> {
         &self.map
     }
 
-    /// Plan and profile submission `i` locally, then shift into the
-    /// combined RDD space. Shared by upfront construction and the
-    /// non-interned streaming admission, so both paths see bit-identical
-    /// plans and profiles.
-    fn plan_one(&self, i: usize) -> (Arc<AppPlan>, Arc<AppProfiler>) {
-        let spec = self.subs[i];
-        let tpl = refdist_dag::PlannedTemplate::build(spec);
-        let off = self.map.offset(i);
-        (
-            remap_plan(&tpl.plan, off),
-            Arc::new(AppProfiler::from_shared(
-                spec.name.clone(),
-                remap_profile(&tpl.profile, off),
-            )),
-        )
-    }
-
     /// Template-interned admission: look the submission's structural
     /// template up in `cache` (planning and profiling it only on first
     /// sight) and rebase the shared local-space artifacts to the
     /// submission's offset. Planner and analyzer are deterministic
     /// functions of the structure, so the result is value-identical to
-    /// [`plan_one`] — the differential serve suite pins that.
-    fn plan_interned(&self, i: usize, cache: &mut TemplateCache) -> (Arc<AppPlan>, Arc<AppProfiler>) {
+    /// planning the submission from scratch — the differential serve suite
+    /// pins that.
+    fn plan(&self, i: usize, cache: &mut TemplateCache) -> (Arc<AppPlan>, Arc<AppProfiler>) {
         let spec = self.subs[i];
         let tpl = cache.intern(spec);
         let off = self.map.offset(i);
@@ -936,8 +840,8 @@ impl<'a> ServeSim<'a> {
         )
     }
 
-    /// Submission `i`'s `(rdd, cached partitions)` in the combined id
-    /// space: the shape [`SlotArena::admit`] takes.
+    /// Submission `i`'s `(rdd, cached partitions)` in the global id space:
+    /// the shape [`SlotArena::admit`] takes.
     fn slot_counts(&self, i: usize) -> Vec<(RddId, u32)> {
         let off = self.map.offset(i);
         self.subs[i]
@@ -948,25 +852,6 @@ impl<'a> ServeSim<'a> {
                 (RddId(r.id.0 + off), parts)
             })
             .collect()
-    }
-
-    fn upfront_artifacts(&self) -> &UpfrontArtifacts {
-        self.upfront.get_or_init(|| {
-            let combined = combine_specs(&self.subs);
-            let (plans, profilers): (Vec<_>, Vec<_>) =
-                (0..self.subs.len()).map(|i| self.plan_one(i)).unzip();
-            let mut slots = SlotArena::new();
-            let slot_runs = (0..self.subs.len())
-                .map(|i| slots.admit(i as u32, &self.slot_counts(i)))
-                .collect();
-            UpfrontArtifacts {
-                combined,
-                plans,
-                profilers,
-                arena: Arc::new(slots.snapshot()),
-                slot_runs,
-            }
-        })
     }
 
     /// The effective per-tenant quota in bytes, `None` when unlimited.
@@ -1004,139 +889,14 @@ impl<'a> ServeSim<'a> {
         self.dispatch(&mut factory)
     }
 
-    fn dispatch(&self, factory: &mut dyn FnMut(usize) -> Box<dyn CachePolicy>) -> ServeReport {
-        if let Err(e) = self.cfg.validate() {
-            panic!("invalid serve config: {e}");
-        }
-        if self.cfg.upfront {
-            self.run_upfront((0..self.subs.len()).map(factory).collect())
-        } else {
-            self.run_streaming(factory)
-        }
-    }
-
-    /// The reference path: every submission planned, profiled and
-    /// slot-assigned before the first event. State is O(stream).
-    fn run_upfront(&self, policies: Vec<Box<dyn CachePolicy>>) -> ServeReport {
-        let n = self.subs.len();
-        let cfg = &self.cfg.sim;
-        let nodes = cfg.cluster.nodes as usize;
-        let arrivals = self.cfg.arrivals.arrivals(n, cfg.seed);
-        let art = self.upfront_artifacts();
-
-        let sim = Simulation::with_artifacts(
-            &art.combined,
-            &art.plans[0],
-            Arc::clone(&art.profilers[0]),
-            Arc::clone(&art.arena),
-            cfg.clone(),
-        );
-        let mut engine = Engine::new(&sim, EngineScratch::default());
-        if let Some(q) = self.quota_bytes() {
-            engine.enable_store_tenancy(&self.map, q);
-        }
-        let mut mux = TenantMux::new(policies, Arc::clone(&self.map));
-        if !cfg.reference_state {
-            mux.attach_slots(&art.arena);
-        }
-
-        let mut states: Vec<AppState> = (0..n)
-            .map(|i| AppState::fresh(app_seed(cfg.seed, i), SimTime(arrivals[i])))
-            .collect();
-        let mut visible: Vec<Arc<AppProfile>> = art
-            .profilers
-            .iter()
-            .map(|p| p.visible_at_job_shared(JobId(0)))
-            .collect();
-        let mut submitted: Vec<Option<JobId>> = vec![None; n];
-        let mut next_stage = vec![0usize; n];
-        let mut per_node_acc: Vec<Vec<CacheStats>> = vec![vec![CacheStats::default(); nodes]; n];
-        let mut done = vec![false; n];
-        let mut reports: Vec<Option<RunReport>> = (0..n).map(|_| None).collect();
-        let mut completions = vec![0u64; n];
-        let mut peaks = Peaks {
-            arena_slots: art.arena.len() as u64,
-            ..Peaks::default()
-        };
-        let mut live_now = 0u64;
-
-        // Advance application `a` by one stage; returns `(done, clock)`
-        // where `clock` is the app's virtual time after the stage.
-        let advance = |a: usize| -> (bool, u64) {
-            if next_stage[a] == 0 {
-                live_now += 1;
-            }
-            let stage = &art.plans[a].stages[next_stage[a]];
-            engine.current_app = a as u32;
-            let (sb, sl) = art.slot_runs[a];
-            engine.set_run(self.map.rdd_range(a), sb..sb + sl);
-            mux.set_current(a);
-            engine.swap_app(&mut states[a]);
-
-            // Submit any of this app's jobs up to the stage's job, exactly
-            // as the legacy loop does.
-            let next = submitted[a].map_or(0, |j| j.0 + 1);
-            for j in next..=stage.job.0 {
-                visible[a] = art.profilers[a].visible_at_job_shared(JobId(j));
-                mux.on_job_submit(JobId(j), &visible[a]);
-                submitted[a] = Some(JobId(j));
-            }
-            mux.on_stage_start(stage.id, &visible[a]);
-
-            let base = engine.node_stats();
-            engine.run_one_stage(stage, &visible[a], &mut mux);
-            let after = engine.node_stats();
-            for (acc, (b, f)) in per_node_acc[a]
-                .iter_mut()
-                .zip(base.iter().zip(after.iter()))
-            {
-                acc.merge(&f.delta(b));
-            }
-
-            engine.swap_app(&mut states[a]);
-            next_stage[a] += 1;
-            if states[a].aborted.is_some() || next_stage[a] == art.plans[a].stages.len() {
-                done[a] = true;
-                completions[a] = states[a].now.0;
-                live_now -= 1;
-                reports[a] = Some(self.finish_report(
-                    a,
-                    &mut states[a],
-                    &per_node_acc[a],
-                    arrivals[a],
-                    1,
-                    &mux,
-                ));
-            }
-            let (rb, rby) = engine.resident_totals();
-            peaks.resident_blocks = peaks.resident_blocks.max(rb);
-            peaks.resident_bytes = peaks.resident_bytes.max(rby);
-            peaks.active_apps = peaks.active_apps.max(live_now);
-            (done[a], states[a].now.0)
-        };
-        drive(self.cfg.sched, cfg.use_heap_events(), &arrivals, advance);
-
-        // Only the deadline can be non-passive here (dispatch rejects the
-        // rest): pure post-hoc accounting over an unchanged run.
-        let res = &self.cfg.resilience;
-        let resilience = (!res.is_passive()).then(|| ResilienceReport {
-            app_attempts: vec![1; n],
-            shed: vec![false; n],
-            degraded: vec![false; n],
-            queue_delay_us: vec![0; n],
-            deadline_us: res.deadline_us,
-        });
-        self.make_report(reports, arrivals, completions, &mux, peaks, 0, resilience)
-    }
-
-    /// The streaming path: a submission's plan, profile, policy state and
-    /// slot range materialize at its arrival event and are torn down once
-    /// it has completed *and* no block it owns is memory-resident (the
+    /// The driver: a submission's plan, profile, policy state and slot
+    /// range materialize at its arrival event and are torn down once it has
+    /// completed *and* no block it owns is memory-resident (the
     /// drain-then-retire rule — retiring at completion would change which
     /// blocks later evictions see, and therefore the victim sequences).
     /// Engine, mux and arena state are O(peak-active), not O(stream).
     ///
-    /// This driver also owns the two active resilience features: app-level
+    /// The driver also owns the two active resilience features: app-level
     /// retry (an aborted submission is fully torn down — blocks purged,
     /// slots returned, policy dropped — and re-admitted through the same
     /// admission path after a capped exponential backoff) and overload
@@ -1144,7 +904,10 @@ impl<'a> ServeSim<'a> {
     /// [`ResilienceConfig::max_active_apps`]). With a passive config every
     /// resilience branch is statically false and the run is byte-identical
     /// to the pre-resilience driver.
-    fn run_streaming(&self, factory: &mut dyn FnMut(usize) -> Box<dyn CachePolicy>) -> ServeReport {
+    fn dispatch(&self, factory: &mut dyn FnMut(usize) -> Box<dyn CachePolicy>) -> ServeReport {
+        if let Err(e) = self.cfg.validate() {
+            panic!("invalid serve config: {e}");
+        }
         let n = self.subs.len();
         let cfg = &self.cfg.sim;
         let nodes = cfg.cluster.nodes as usize;
@@ -1159,7 +922,7 @@ impl<'a> ServeSim<'a> {
         if let Some(q) = self.quota_bytes() {
             engine.enable_store_tenancy(&self.map, q);
         }
-        let mut mux = TenantMux::new_streaming(n, Arc::clone(&self.map));
+        let mut mux = TenantMux::new(n, Arc::clone(&self.map));
 
         let mut plans: Vec<Option<Arc<AppPlan>>> = (0..n).map(|_| None).collect();
         let mut profilers: Vec<Option<Arc<AppProfiler>>> = (0..n).map(|_| None).collect();
@@ -1246,18 +1009,14 @@ impl<'a> ServeSim<'a> {
                 // Admission: plan and profile this submission now, at its
                 // arrival event, and carve its block range out of the
                 // recyclable slot arena.
-                let (plan, profiler) = if self.cfg.intern {
-                    self.plan_interned(a, &mut templates)
-                } else {
-                    self.plan_one(a)
-                };
+                let (plan, profiler) = self.plan(a, &mut templates);
                 let spec = self.subs[a];
                 let off = self.map.offset(a);
                 slot_runs[a] = arena.admit(a as u32, &self.slot_counts(a));
                 let snap = Arc::new(arena.snapshot());
                 engine.admit_app(spec, off, &snap);
                 let policy = factory(a);
-                mux.admit(a, policy, (!cfg.reference_state).then_some(&snap));
+                mux.admit(a, policy, &snap);
                 visible[a] = Some(profiler.visible_at_job_shared(JobId(0)));
                 plans[a] = Some(plan);
                 profilers[a] = Some(profiler);
@@ -1378,7 +1137,7 @@ impl<'a> ServeSim<'a> {
             peaks.active_apps = peaks.active_apps.max(mux.active_apps() as u64);
             (done[a], states[a].now.0)
         };
-        drive(self.cfg.sched, cfg.use_heap_events(), &arrivals, advance);
+        drive(self.cfg.sched, &arrivals, advance);
 
         let distinct = templates.len();
         let resilience = (!res.is_passive()).then_some(ResilienceReport {
@@ -1599,15 +1358,14 @@ pub struct ServeReport {
     pub peak_resident_blocks: u64,
     /// High-water mark of memory-resident bytes across the cluster.
     pub peak_resident_bytes: u64,
-    /// High-water mark of the slot arena, in slots. Streaming runs grow
-    /// this with peak *active* footprint (ranges recycle); upfront runs
-    /// pay the whole stream at once.
+    /// High-water mark of the slot arena, in slots: it grows with peak
+    /// *active* footprint, as retired ranges recycle.
     pub peak_arena_slots: u64,
     /// High-water mark of concurrently live (arrived, unretired)
     /// submissions.
     pub peak_active_apps: u64,
-    /// Distinct structural templates the interned streaming admission
-    /// planned. Zero on the upfront path and when interning is disabled.
+    /// Distinct structural templates admission planned (every other
+    /// submission reused one of them).
     pub distinct_templates: usize,
     /// Per-submission resilience accounting (retries, sheds, degrades,
     /// queue delays, deadline). `None` whenever the run's
@@ -1860,6 +1618,7 @@ impl ServeReport {
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
+    use crate::runtime::Simulation;
     use refdist_core::ProfileMode;
     use refdist_dag::{AppBuilder, StorageLevel};
     use refdist_policies::LruPolicy;
@@ -1927,8 +1686,6 @@ mod tests {
                 arrivals: ArrivalProcess::Trace(vec![0, 100_000]),
                 sched: ServeSched::FairShare,
                 quota: QuotaKind::EqualShare,
-                upfront: false,
-                intern: true,
                 resilience: ResilienceConfig::default(),
             },
         );
@@ -1964,8 +1721,6 @@ mod tests {
             arrivals: ArrivalProcess::Trace(vec![0]),
             sched,
             quota: QuotaKind::Unlimited,
-            upfront: false,
-            intern: true,
             resilience,
         }
     }
@@ -2171,30 +1926,6 @@ mod tests {
             ServeSim::new(&[(&a, 0), (&b, 1)], c2).run_with(|_| Box::new(LruPolicy::new()))
         };
         assert_eq!(format!("{:?}", sr.reports), format!("{:?}", passive.reports));
-    }
-
-    #[test]
-    fn upfront_rejects_active_resilience_but_allows_deadline() {
-        let a = little_app("alpha", 2);
-        let res = ResilienceConfig {
-            deadline_us: Some(1_000_000_000),
-            ..ResilienceConfig::default()
-        };
-        let mut c = serve_cfg(cfg(2, 2 << 20), ServeSched::Fifo, res);
-        c.upfront = true;
-        // Retry budgets and admission caps need the streaming driver.
-        for active in [
-            ResilienceConfig { max_app_attempts: 2, ..res },
-            ResilienceConfig { max_active_apps: Some(2), ..res },
-        ] {
-            let bad = ServeConfig { resilience: active, ..c.clone() };
-            assert!(bad.validate().unwrap_err().contains("streaming-only"));
-        }
-        c.validate().unwrap();
-        let sr = ServeSim::new(&[(&a, 0)], c).run_with(|_| Box::new(LruPolicy::new()));
-        let r = sr.resilience.as_ref().expect("deadline reported upfront too");
-        assert_eq!(r.app_attempts, vec![1]);
-        assert!(sr.summary().contains("slo: 1/1 met"));
     }
 
     #[test]

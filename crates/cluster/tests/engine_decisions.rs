@@ -18,7 +18,10 @@
 //!
 //! Each family ends with named spot-checks of its nastiest corner. The
 //! corpora are drawn from explicit seeds, so neither the proptest runner
-//! nor `PROPTEST_CASES` can change them. A refactor or performance change
+//! nor `PROPTEST_CASES` can change them. Every line was recorded while the
+//! engine still carried reference implementations of these mechanisms
+//! (hash-backed block state, linear slot scans, a binary-heap event queue)
+//! and each scenario was asserted identical under both. A refactor or performance change
 //! must leave every line as is; an intended behaviour change regenerates
 //! the file with
 //! `UPDATE_GOLDEN=1 cargo test -p refdist-cluster --test engine_decisions`
@@ -61,21 +64,6 @@ fn run_solo(spec: &AppSpec, plan: &AppPlan, cfg: SimConfig, build: &Build) -> Ou
         report: format!("{report:?}"),
         decisions: snapshot(&log),
     }
-}
-
-/// Run `run` under `cfg` and under `cfg` with a reference implementation
-/// switched on by `knob`; the two must be indistinguishable.
-fn vs_reference(
-    name: &str,
-    cfg: SimConfig,
-    knob: impl Fn(&mut SimConfig),
-    run: impl Fn(SimConfig) -> Outcome,
-) -> Outcome {
-    let mut reference = cfg.clone();
-    knob(&mut reference);
-    let production = run(cfg);
-    assert_eq!(run(reference), production, "{name}: reference and production diverged");
-    production
 }
 
 /// Per-node cache capacity holding `frac` of `spec`'s cached footprint,
@@ -266,12 +254,7 @@ fn state_lines(out: &mut String) {
         let plan = AppPlan::build(&spec);
         let mut mrd_purged = 0;
         for (policy, build) in all_policies() {
-            let o = vs_reference(
-                &format!("{name} {policy}"),
-                state_cfg(&c, &spec),
-                |c| c.reference_state = true,
-                |cfg| run_solo(&spec, &plan, cfg, &build),
-            );
+            let o = run_solo(&spec, &plan, state_cfg(&c, &spec), &build);
             if policy.starts_with("mrd") {
                 mrd_purged += o.decisions.counts().1;
             }
@@ -393,12 +376,7 @@ fn sched_lines(out: &mut String) {
         let spec = sched_app(&app);
         let plan = AppPlan::build(&spec);
         for (policy, build) in [&policies[0], &policies[5]] {
-            let o = vs_reference(
-                &format!("{name} {policy}"),
-                sched_cfg(&c, &spec),
-                |c| c.linear_sched = true,
-                |cfg| run_solo(&spec, &plan, cfg, build),
-            );
+            let o = run_solo(&spec, &plan, sched_cfg(&c, &spec), build);
             out.push_str(&o.line(&format!("{name} {policy}")));
         }
     }
@@ -508,7 +486,7 @@ fn events_corpus() -> Vec<(String, EventParams)> {
 /// Three submissions across two tenants (LRU, MRD, LRC), Poisson arrivals
 /// and equal-share quotas; the whole `ServeReport` and the global decision
 /// order are digested.
-fn run_events_serve(p: &EventParams, sched: ServeSched, heap: bool) -> Outcome {
+fn run_events_serve(p: &EventParams, sched: ServeSched) -> Outcome {
     let spec_a = events_app(p);
     let spec_b = events_app(&EventParams {
         iters: (p.iters % 2) + 1,
@@ -516,7 +494,6 @@ fn run_events_serve(p: &EventParams, sched: ServeSched, heap: bool) -> Outcome {
     });
     let subs: Vec<(&AppSpec, u32)> = vec![(&spec_a, 0), (&spec_b, 0), (&spec_a, 1)];
     let mut cfg = ServeConfig::passthrough(events_cfg(p, &spec_a));
-    cfg.sim.heap_events = heap;
     cfg.arrivals = ArrivalProcess::Poisson {
         mean_gap_us: 200_000,
     };
@@ -542,19 +519,13 @@ fn events_lines(out: &mut String) {
         let plan = AppPlan::build(&spec);
         if name != "events serve-pressure" {
             for (policy, build) in core_policies() {
-                let o = vs_reference(
-                    &format!("{name} {policy}"),
-                    events_cfg(&p, &spec),
-                    |c| c.heap_events = true,
-                    |cfg| run_solo(&spec, &plan, cfg, &build),
-                );
+                let o = run_solo(&spec, &plan, events_cfg(&p, &spec), &build);
                 out.push_str(&o.line(&format!("{name} {policy}")));
             }
         }
         if name != "events pressure" {
             for sched in [ServeSched::Fifo, ServeSched::FairShare] {
-                let o = run_events_serve(&p, sched, false);
-                assert_eq!(run_events_serve(&p, sched, true), o, "{name} {sched}: heap diverged");
+                let o = run_events_serve(&p, sched);
                 out.push_str(&o.line(&format!("{name} serve-{sched}")));
             }
         }

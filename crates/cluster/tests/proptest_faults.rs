@@ -291,8 +291,6 @@ fn serve_check(p: &ServeParams) {
                     ServeSched::Fifo
                 },
                 quota: QuotaKind::Unlimited,
-                upfront: false,
-                intern: true,
                 resilience: ResilienceConfig {
                     max_app_attempts: p.retries + 1,
                     // Small backoffs keep churned streams short.

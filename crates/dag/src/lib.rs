@@ -57,4 +57,4 @@ pub use plan::{AppPlan, JobPlan, Stage, StageKind};
 pub use rdd::{Dependency, Rdd, StorageLevel};
 pub use slots::{BlockSlots, SlotArena, SlotMap, SlotSet};
 pub use template::{PlannedTemplate, TemplateCache};
-pub use tenant::{combine_specs, remap_plan, remap_profile, shift_rdd, TenantMap};
+pub use tenant::{remap_plan, remap_profile, shift_rdd, TenantMap};

@@ -11,9 +11,7 @@
 //!
 //! Slot order equals `BlockId` order (ascending rdd id, then partition),
 //! because bases are assigned in increasing rdd order. Iterating slots
-//! ascending therefore visits blocks in exactly the order the hash-backed
-//! code obtained by sorting, which is what keeps the dense path
-//! byte-identical to the reference implementation.
+//! ascending therefore visits blocks in sorted order with no sort.
 
 use crate::app::AppSpec;
 use crate::ids::{BlockId, RddId};
@@ -188,8 +186,8 @@ impl BlockSlots {
 /// `BlockId` order exactly as in a whole-stream arena, and every ordered
 /// scan of the serve path (victim selection, purge candidates, prefetch
 /// candidates) covers a single application's blocks. Absolute slot
-/// values are never compared across applications, which is what keeps the
-/// streaming path byte-identical to the build-everything-upfront reference.
+/// values are never compared across applications, so a submission's
+/// decisions do not depend on where its range landed.
 #[derive(Debug, Default)]
 pub struct SlotArena {
     /// Live rdd window, exactly as in a [`BlockSlots`] snapshot.
@@ -377,9 +375,9 @@ impl SlotArena {
     }
 }
 
-/// A map keyed by `BlockId`, backed either by a `HashMap` (the reference
-/// implementation, kept for the hash-vs-dense differential tests) or by a
-/// dense per-slot vector over a [`BlockSlots`] arena.
+/// A map keyed by `BlockId`, backed either by a `HashMap` (a policy's
+/// per-block state before the engine attaches an arena) or by a dense
+/// per-slot vector over a [`BlockSlots`] arena.
 ///
 /// The dense backing is *windowed*: its value vector covers only the slot
 /// span written to it since the last [`clear`](Self::clear)
@@ -411,7 +409,7 @@ enum SlotMapRepr<V> {
 }
 
 impl<V> SlotMap<V> {
-    /// Hash-backed map (the reference path).
+    /// Hash-backed map, for use before an arena is known.
     pub fn hashed() -> Self {
         SlotMap {
             repr: SlotMapRepr::Hash(HashMap::new()),
@@ -609,7 +607,7 @@ impl<V> SlotMap<V> {
 
 /// A plain dense bitset over the slots of a [`BlockSlots`] arena. Used for
 /// per-run block flags (materialized, prefetched-unused, prefetchable) on
-/// the dense path; the hash-backed reference path keeps its `HashSet`s.
+/// the simulator's hot path.
 #[derive(Debug, Clone, Default)]
 pub struct SlotSet {
     words: Vec<u64>,

@@ -4,7 +4,7 @@
 //! *templates*: submissions whose DAG structure — RDD partition counts,
 //! block sizes, compute costs, storage levels, lineage, and action targets —
 //! is identical, differing only in which tenant submits them and at what
-//! offset their RDD ids land in the combined id space. Planning
+//! offset their RDD ids land in the global id space. Planning
 //! ([`AppPlan::build`]) and reference analysis ([`RefAnalyzer::profile`])
 //! depend only on that structure, so their results can be computed once per
 //! distinct template and shared by every repeat submission.
@@ -21,7 +21,7 @@
 //! in [`JobPlan::action`](crate::plan::JobPlan) inside the cached plan.
 //!
 //! The cached artifacts stay in *local* RddId space (ids `0..spec.rdds.len()`
-//! as the template's own builder assigned them). Per-submission combined-space
+//! as the template's own builder assigned them). Per-submission global-space
 //! ids never recycle across a stream — only slot ranges do — so caching any
 //! rebased form would miss every time; instead the rebase itself is cheap:
 //! [`remap_plan`](crate::tenant::remap_plan) /

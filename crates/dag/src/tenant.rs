@@ -1,38 +1,35 @@
-//! Multi-tenant application combination.
+//! Multi-tenant RDD id spaces.
 //!
 //! The serve mode (crates/cluster) runs a *stream* of applications on one
 //! shared cluster. Rather than teaching every layer of the stack about
-//! multiple RDD namespaces, the submissions are concatenated into one
-//! combined [`AppSpec`] whose RDD ids are offset per submission, so block
-//! ids stay globally unique and the stores, block master and slot arena
-//! work unchanged. This module owns that translation:
+//! multiple RDD namespaces, each submission's RDD ids are offset past the
+//! previous submissions', so block ids stay globally unique and the stores,
+//! block master and slot arena work unchanged. This module owns that
+//! translation:
 //!
-//! * [`combine_specs`] builds the combined spec (a 1-submission combine is
-//!   the identity, which is what the differential serve tests lean on);
+//! * [`shift_rdd`] moves one RDD (id and lineage) to its global id;
 //! * [`remap_plan`] / [`remap_profile`] shift a submission's *locally*
-//!   built plan and reference profile into the combined RDD space, so
+//!   built plan and reference profile into the global RDD space, so
 //!   reference-distance policies see exactly the profile they would have
 //!   seen running the app alone;
-//! * [`TenantMap`] answers "which submission / tenant owns this RDD?" —
-//!   the primitive quota accounting and tenant-aware eviction are built on.
+//! * [`TenantMap`] records each submission's id range and tenant — the
+//!   primitive quota accounting and tenant-aware eviction are built on.
 
 use crate::analyze::{AppProfile, RddRefs, StageTouches};
-use crate::app::{Action, AppSpec};
 use crate::ids::RddId;
 use crate::plan::{AppPlan, Stage, StageKind};
 use crate::rdd::{Dependency, Rdd};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Ownership map for a combined application: which submission each RDD of
-/// the combined spec came from, and which tenant each submission belongs
-/// to. Submissions are contiguous, ascending RDD ranges, so an RDD lookup
-/// is a partition point over the range starts; per-submission lookups are
-/// one index. (The serve hot path resolves a block's owner off its slot
-/// arena snapshot instead — [`crate::BlockSlots::owner`].)
+/// Ownership map for a serve stream: each submission's contiguous,
+/// ascending range of global RDD ids, and the tenant each submission
+/// belongs to. Per-submission lookups are one index; a block's owning
+/// submission is read off its slot arena snapshot
+/// ([`crate::BlockSlots::owner`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantMap {
-    /// `starts[i]` is the first combined RddId of submission `i`.
+    /// `starts[i]` is the first global RddId of submission `i`.
     starts: Vec<u32>,
     /// `tenants[i]` is the tenant that owns submission `i`.
     tenants: Vec<u32>,
@@ -69,32 +66,19 @@ impl TenantMap {
         self.tenants.iter().copied().max().unwrap_or(0) as usize + 1
     }
 
-    /// The submission that owns `rdd`.
-    #[inline]
-    pub fn app_of(&self, rdd: RddId) -> usize {
-        debug_assert!(rdd.0 < self.total);
-        self.starts.partition_point(|&s| s <= rdd.0) - 1
-    }
-
     /// The tenant of submission `app`.
     #[inline]
     pub fn tenant_of_app(&self, app: usize) -> u32 {
         self.tenants[app]
     }
 
-    /// The tenant that owns `rdd`.
-    #[inline]
-    pub fn tenant_of(&self, rdd: RddId) -> u32 {
-        self.tenants[self.app_of(rdd)]
-    }
-
-    /// The RDD-id offset of submission `app` in the combined spec.
+    /// The RDD-id offset of submission `app` in the global id space.
     #[inline]
     pub fn offset(&self, app: usize) -> u32 {
         self.starts[app]
     }
 
-    /// The combined RddId range of submission `app`.
+    /// The global RddId range of submission `app`.
     pub fn rdd_range(&self, app: usize) -> std::ops::Range<u32> {
         let end = self.starts.get(app + 1).copied().unwrap_or(self.total);
         self.starts[app]..end
@@ -113,9 +97,9 @@ fn shift_dep(d: Dependency, offset: u32) -> Dependency {
     }
 }
 
-/// Clone `r` with its id and lineage shifted into the combined RDD space.
-/// Streaming admission uses this to splice one submission's RDDs into the
-/// engine's live registry without materializing the whole combined spec.
+/// Clone `r` with its id and lineage shifted into the global RDD space.
+/// Admission uses this to splice one submission's RDDs into the engine's
+/// live registry.
 pub fn shift_rdd(r: &Rdd, offset: u32) -> Rdd {
     Rdd {
         id: shift(r.id, offset),
@@ -128,46 +112,7 @@ pub fn shift_rdd(r: &Rdd, offset: u32) -> Rdd {
     }
 }
 
-/// Concatenate submissions into one combined spec, offsetting each
-/// submission's RDD ids past the previous submissions'. Dependencies and
-/// action targets are remapped, so the combined spec validates; within a
-/// submission the lineage is untouched. Combining a single spec yields a
-/// clone of it (identity).
-pub fn combine_specs(subs: &[&AppSpec]) -> AppSpec {
-    assert!(!subs.is_empty(), "at least one submission");
-    if subs.len() == 1 {
-        return subs[0].clone();
-    }
-    let name = subs
-        .iter()
-        .map(|s| s.name.as_str())
-        .collect::<Vec<_>>()
-        .join("+");
-    let mut rdds = Vec::with_capacity(subs.iter().map(|s| s.rdds.len()).sum());
-    let mut actions = Vec::with_capacity(subs.iter().map(|s| s.actions.len()).sum());
-    let mut offset = 0u32;
-    for sub in subs {
-        for r in &sub.rdds {
-            rdds.push(shift_rdd(r, offset));
-        }
-        for a in &sub.actions {
-            actions.push(Action {
-                target: shift(a.target, offset),
-                name: a.name.clone(),
-            });
-        }
-        offset += sub.rdds.len() as u32;
-    }
-    let combined = AppSpec {
-        name,
-        rdds,
-        actions,
-    };
-    debug_assert_eq!(combined.validate(), Ok(()));
-    combined
-}
-
-/// Shift a submission's locally built plan into the combined RDD space.
+/// Shift a submission's locally built plan into the global RDD space.
 /// Only RDD ids move; stage and job ids stay local to the submission (the
 /// serve driver runs each submission's stages through its own plan).
 ///
@@ -202,7 +147,7 @@ pub fn remap_plan(plan: &Arc<AppPlan>, offset: u32) -> Arc<AppPlan> {
     })
 }
 
-/// Shift a submission's locally built reference profile into the combined
+/// Shift a submission's locally built reference profile into the global
 /// RDD space. Stage and job ids stay local, matching [`remap_plan`]; the
 /// policies driven by this profile therefore see exactly the reference
 /// distances the app would have alone.
@@ -249,7 +194,7 @@ pub fn remap_profile(profile: &Arc<AppProfile>, offset: u32) -> Arc<AppProfile> 
 mod tests {
     use super::*;
     use crate::analyze::RefAnalyzer;
-    use crate::app::AppBuilder;
+    use crate::app::{AppBuilder, AppSpec};
 
     fn little_app(name: &str, iters: usize) -> AppSpec {
         let mut b = AppBuilder::new(name);
@@ -264,10 +209,8 @@ mod tests {
     }
 
     #[test]
-    fn single_submission_combine_is_identity() {
+    fn zero_offset_remap_is_identity() {
         let a = little_app("solo", 2);
-        let c = combine_specs(&[&a]);
-        assert_eq!(format!("{a:?}"), format!("{c:?}"));
         let plan = Arc::new(AppPlan::build(&a));
         assert_eq!(format!("{plan:?}"), format!("{:?}", remap_plan(&plan, 0)));
         let profile = Arc::new(RefAnalyzer::new(&a, &plan).profile());
@@ -282,27 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn combined_spec_validates_and_offsets_lineage() {
-        let a = little_app("a", 2);
-        let b = little_app("b", 3);
-        let c = combine_specs(&[&a, &b]);
-        assert_eq!(c.validate(), Ok(()));
-        assert_eq!(c.name, "a+b");
-        assert_eq!(c.rdds.len(), a.rdds.len() + b.rdds.len());
-        assert_eq!(c.actions.len(), a.actions.len() + b.actions.len());
-        let off = a.rdds.len() as u32;
-        // b's lineage is shifted wholesale: same structure, offset ids.
-        for (orig, shifted) in b.rdds.iter().zip(&c.rdds[a.rdds.len()..]) {
-            assert_eq!(shifted.id.0, orig.id.0 + off);
-            assert_eq!(shifted.name, orig.name);
-            for (d0, d1) in orig.deps.iter().zip(&shifted.deps) {
-                assert_eq!(d1.parent().0, d0.parent().0 + off);
-                assert_eq!(d1.is_shuffle(), d0.is_shuffle());
-            }
-        }
-    }
-
-    #[test]
     fn tenant_map_partitions_the_rdd_space() {
         let m = TenantMap::new(&[4, 6, 2], &[0, 1, 0]);
         assert_eq!(m.num_apps(), 3);
@@ -313,15 +235,9 @@ mod tests {
         assert_eq!(m.rdd_range(0), 0..4);
         assert_eq!(m.rdd_range(1), 4..10);
         assert_eq!(m.rdd_range(2), 10..12);
-        assert_eq!(m.app_of(RddId(0)), 0);
-        assert_eq!(m.app_of(RddId(3)), 0);
-        assert_eq!(m.app_of(RddId(4)), 1);
-        assert_eq!(m.app_of(RddId(9)), 1);
-        assert_eq!(m.app_of(RddId(10)), 2);
-        assert_eq!(m.app_of(RddId(11)), 2);
-        assert_eq!(m.tenant_of(RddId(5)), 1);
-        assert_eq!(m.tenant_of(RddId(11)), 0);
+        assert_eq!(m.tenant_of_app(0), 0);
         assert_eq!(m.tenant_of_app(1), 1);
+        assert_eq!(m.tenant_of_app(2), 0);
     }
 
     #[test]

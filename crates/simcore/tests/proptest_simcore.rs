@@ -3,6 +3,34 @@
 
 use proptest::prelude::*;
 use refdist_simcore::{EventQueue, FifoResource, SimDuration, SimTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Pop-order oracle: a binary min-heap over `(time, seq)` — earliest time
+/// first, FIFO among ties — mirroring the queue's API.
+#[derive(Default)]
+struct HeapOracle {
+    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    seq: u64,
+    now: SimTime,
+}
+
+impl HeapOracle {
+    fn schedule(&mut self, time: SimTime, payload: u64) {
+        self.heap.push(Reverse((time, self.seq, payload)));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let Reverse((time, _, payload)) = self.heap.pop()?;
+        self.now = time;
+        Some((time, payload))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((time, _, _))| *time)
+    }
+}
 
 /// One step of an adversarial queue schedule: a flood of `n` events at
 /// `now + dt` (ties when `n > 1` or `dt` repeats), or popping up to `n`.
@@ -35,13 +63,13 @@ proptest! {
         prop_assert_eq!(q.now(), SimTime(*times.iter().max().unwrap()));
     }
 
-    /// Calendar and heap backends must pop identical `(time, payload)`
-    /// sequences — and agree on `len`/`now` at every step — under
+    /// The calendar queue must pop the heap oracle's `(time, payload)`
+    /// sequence — and agree on `len`/`now` at every step — under
     /// adversarial schedules: same-instant floods, far-future outliers, and
     /// scheduling while the queue is mid-drain. Offsets are always added to
     /// the current virtual time so no op schedules into the past.
     #[test]
-    fn calendar_and_heap_pop_identical_sequences(
+    fn calendar_pops_the_heap_oracle_sequence(
         ops in prop::collection::vec(
             prop_oneof![
                 // Bursts of same-instant events (FIFO-tie floods).
@@ -56,16 +84,14 @@ proptest! {
             1..60,
         )
     ) {
-        let mut heap = EventQueue::heap();
+        let mut heap = HeapOracle::default();
         let mut cal = EventQueue::new();
-        prop_assert!(heap.is_heap());
-        prop_assert!(!cal.is_heap());
         let mut tag = 0u64;
         for op in ops {
             match op {
                 Op::Flood { dt, n } => {
                     for _ in 0..n {
-                        let t = SimTime(heap.now().0 + dt);
+                        let t = SimTime(heap.now.0 + dt);
                         heap.schedule(t, tag);
                         cal.schedule(t, tag);
                         tag += 1;
@@ -75,14 +101,14 @@ proptest! {
                     for _ in 0..n {
                         let (h, c) = (heap.pop(), cal.pop());
                         prop_assert_eq!(h, c);
-                        prop_assert_eq!(heap.now(), cal.now());
+                        prop_assert_eq!(heap.now, cal.now());
                         if h.is_none() {
                             break;
                         }
                     }
                 }
             }
-            prop_assert_eq!(heap.len(), cal.len());
+            prop_assert_eq!(heap.heap.len(), cal.len());
             prop_assert_eq!(heap.peek_time(), cal.peek_time());
         }
         // Full drain must agree to the end.
@@ -93,7 +119,7 @@ proptest! {
                 break;
             }
         }
-        prop_assert_eq!(heap.now(), cal.now());
+        prop_assert_eq!(heap.now, cal.now());
     }
 
     #[test]

@@ -31,18 +31,8 @@ pub struct BlockManager {
 }
 
 impl BlockManager {
-    /// Create a manager for `node` with `memory_capacity` bytes of cache.
-    pub fn new(node: NodeId, memory_capacity: u64) -> Self {
-        BlockManager {
-            node,
-            memory: MemoryStore::new(memory_capacity),
-            disk: DiskStore::new(),
-            stats: CacheStats::new(),
-        }
-    }
-
-    /// Like [`BlockManager::new`], but the memory store also keeps a
-    /// residency bit per slot of `slots`.
+    /// Create a manager for `node` with `memory_capacity` bytes of cache
+    /// over the blocks of `slots`.
     pub fn with_slots(
         node: NodeId,
         memory_capacity: u64,
@@ -122,14 +112,21 @@ impl BlockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use refdist_dag::RddId;
+    use refdist_dag::{BlockSlots, RddId};
+    use std::sync::Arc;
 
     fn blk(r: u32, p: u32) -> BlockId {
         BlockId::new(RddId(r), p)
     }
 
+    /// A manager over rdd 0 × partitions 0..4.
+    fn mgr_with(node: u32, capacity: u64) -> BlockManager {
+        let slots = BlockSlots::from_counts([(RddId(0), 4)]);
+        BlockManager::with_slots(NodeId(node), capacity, Arc::new(slots))
+    }
+
     fn mgr() -> BlockManager {
-        BlockManager::new(NodeId(0), 100)
+        mgr_with(0, 100)
     }
 
     #[test]
@@ -182,7 +179,7 @@ mod tests {
         assert_eq!(m.free_fraction(), 1.0);
         m.put_memory(blk(0, 0), 25).unwrap();
         assert!((m.free_fraction() - 0.75).abs() < 1e-12);
-        let z = BlockManager::new(NodeId(1), 0);
+        let z = mgr_with(1, 0);
         assert_eq!(z.free_fraction(), 0.0);
     }
 }

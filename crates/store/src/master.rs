@@ -4,9 +4,8 @@
 //! and the MRD prefetcher resolving a source copy query it. Each block's
 //! holders are a small sorted `Vec<NodeId>` so lookups are deterministic
 //! (lowest node id wins a remote-source tie, exactly as the previous
-//! `BTreeSet` representation ordered them); the per-block tables are
-//! [`SlotMap`]s — dense vectors when built over a [`BlockSlots`] arena
-//! ([`BlockMaster::with_slots`]), hash maps otherwise.
+//! `BTreeSet` representation ordered them); the per-block tables are dense
+//! [`SlotMap`]s over a [`BlockSlots`] arena.
 
 use crate::NodeId;
 use refdist_dag::{BlockId, BlockSlots, SlotMap};
@@ -28,21 +27,7 @@ pub struct BlockMaster {
     disk: SlotMap<NodeVec>,
 }
 
-impl Default for BlockMaster {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl BlockMaster {
-    /// Empty hash-backed registry.
-    pub fn new() -> Self {
-        BlockMaster {
-            memory: SlotMap::hashed(),
-            disk: SlotMap::hashed(),
-        }
-    }
-
     /// Empty registry with dense per-slot tables over `slots`.
     pub fn with_slots(slots: Arc<BlockSlots>) -> Self {
         BlockMaster {
@@ -124,10 +109,7 @@ impl BlockMaster {
 
     /// Every block resident in at least one node's memory whose slot lies
     /// in `run`, one entry per block, ascending by slot — one application's
-    /// share of a dense registry, collected in O(run), not O(arena).
-    ///
-    /// # Panics
-    /// Panics on a hash-backed registry, which has no slot order.
+    /// share of the registry, collected in O(run), not O(arena).
     pub fn memory_resident_in(&self, run: std::ops::Range<u32>) -> impl Iterator<Item = BlockId> + '_ {
         self.memory.iter_run(run).map(|(b, _)| b)
     }
@@ -172,101 +154,90 @@ mod tests {
         BlockId::new(RddId(r), p)
     }
 
-    /// Run a test body against both backings; the dense arena covers rdds
-    /// 0..1 × partitions 0..4.
-    fn both(f: impl Fn(BlockMaster)) {
-        f(BlockMaster::new());
-        let slots = Arc::new(BlockSlots::from_counts([(RddId(0), 4)]));
-        f(BlockMaster::with_slots(slots));
+    /// A registry whose arena covers rdd 0 × partitions 0..4.
+    fn master() -> BlockMaster {
+        BlockMaster::with_slots(Arc::new(BlockSlots::from_counts([(RddId(0), 4)])))
     }
 
     #[test]
     fn register_and_lookup() {
-        both(|mut m| {
-            m.register_memory(blk(0, 0), NodeId(1));
-            m.register_disk(blk(0, 0), NodeId(2));
-            assert_eq!(
-                m.memory_locations(blk(0, 0)).collect::<Vec<_>>(),
-                vec![NodeId(1)]
-            );
-            assert_eq!(
-                m.disk_locations(blk(0, 0)).collect::<Vec<_>>(),
-                vec![NodeId(2)]
-            );
-            assert!(m.in_memory_anywhere(blk(0, 0)));
-            assert!(m.anywhere(blk(0, 0)));
-        });
+        let mut m = master();
+        m.register_memory(blk(0, 0), NodeId(1));
+        m.register_disk(blk(0, 0), NodeId(2));
+        assert_eq!(
+            m.memory_locations(blk(0, 0)).collect::<Vec<_>>(),
+            vec![NodeId(1)]
+        );
+        assert_eq!(
+            m.disk_locations(blk(0, 0)).collect::<Vec<_>>(),
+            vec![NodeId(2)]
+        );
+        assert!(m.in_memory_anywhere(blk(0, 0)));
+        assert!(m.anywhere(blk(0, 0)));
     }
 
     #[test]
     fn unregister_cleans_up() {
-        both(|mut m| {
-            m.register_memory(blk(0, 0), NodeId(1));
-            m.unregister_memory(blk(0, 0), NodeId(1));
-            assert!(!m.in_memory_anywhere(blk(0, 0)));
-            assert!(!m.anywhere(blk(0, 0)));
-            // Unregistering again is harmless.
-            m.unregister_memory(blk(0, 0), NodeId(1));
-        });
+        let mut m = master();
+        m.register_memory(blk(0, 0), NodeId(1));
+        m.unregister_memory(blk(0, 0), NodeId(1));
+        assert!(!m.in_memory_anywhere(blk(0, 0)));
+        assert!(!m.anywhere(blk(0, 0)));
+        // Unregistering again is harmless.
+        m.unregister_memory(blk(0, 0), NodeId(1));
     }
 
     #[test]
     fn double_register_keeps_one_entry() {
-        both(|mut m| {
-            m.register_memory(blk(0, 0), NodeId(1));
-            m.register_memory(blk(0, 0), NodeId(1));
-            assert_eq!(m.memory_locations(blk(0, 0)).count(), 1);
-            m.unregister_memory(blk(0, 0), NodeId(1));
-            assert!(!m.in_memory_anywhere(blk(0, 0)));
-        });
+        let mut m = master();
+        m.register_memory(blk(0, 0), NodeId(1));
+        m.register_memory(blk(0, 0), NodeId(1));
+        assert_eq!(m.memory_locations(blk(0, 0)).count(), 1);
+        m.unregister_memory(blk(0, 0), NodeId(1));
+        assert!(!m.in_memory_anywhere(blk(0, 0)));
     }
 
     #[test]
     fn best_source_prefers_local_memory() {
-        both(|mut m| {
-            m.register_memory(blk(0, 0), NodeId(0));
-            m.register_memory(blk(0, 0), NodeId(1));
-            assert_eq!(m.best_source(blk(0, 0), NodeId(1)), Some((NodeId(1), true)));
-        });
+        let mut m = master();
+        m.register_memory(blk(0, 0), NodeId(0));
+        m.register_memory(blk(0, 0), NodeId(1));
+        assert_eq!(m.best_source(blk(0, 0), NodeId(1)), Some((NodeId(1), true)));
     }
 
     #[test]
     fn best_source_prefers_local_disk_over_remote_memory() {
-        both(|mut m| {
-            m.register_memory(blk(0, 0), NodeId(2));
-            m.register_disk(blk(0, 0), NodeId(1));
-            assert_eq!(
-                m.best_source(blk(0, 0), NodeId(1)),
-                Some((NodeId(1), false))
-            );
-        });
+        let mut m = master();
+        m.register_memory(blk(0, 0), NodeId(2));
+        m.register_disk(blk(0, 0), NodeId(1));
+        assert_eq!(
+            m.best_source(blk(0, 0), NodeId(1)),
+            Some((NodeId(1), false))
+        );
     }
 
     #[test]
     fn best_source_falls_back_to_remote() {
-        both(|mut m| {
-            m.register_disk(blk(0, 0), NodeId(3));
-            assert_eq!(
-                m.best_source(blk(0, 0), NodeId(0)),
-                Some((NodeId(3), false))
-            );
-            assert_eq!(m.best_source(blk(0, 3), NodeId(0)), None);
-        });
+        let mut m = master();
+        m.register_disk(blk(0, 0), NodeId(3));
+        assert_eq!(
+            m.best_source(blk(0, 0), NodeId(0)),
+            Some((NodeId(3), false))
+        );
+        assert_eq!(m.best_source(blk(0, 3), NodeId(0)), None);
     }
 
     #[test]
     fn remote_memory_beats_remote_disk() {
-        both(|mut m| {
-            m.register_disk(blk(0, 0), NodeId(1));
-            m.register_memory(blk(0, 0), NodeId(2));
-            assert_eq!(m.best_source(blk(0, 0), NodeId(0)), Some((NodeId(2), true)));
-        });
+        let mut m = master();
+        m.register_disk(blk(0, 0), NodeId(1));
+        m.register_memory(blk(0, 0), NodeId(2));
+        assert_eq!(m.best_source(blk(0, 0), NodeId(0)), Some((NodeId(2), true)));
     }
 
     #[test]
     fn memory_resident_is_deduped_across_nodes() {
-        let slots = Arc::new(BlockSlots::from_counts([(RddId(0), 4)]));
-        let mut m = BlockMaster::with_slots(slots);
+        let mut m = master();
         m.register_memory(blk(0, 1), NodeId(0));
         m.register_memory(blk(0, 1), NodeId(1));
         m.register_memory(blk(0, 0), NodeId(1));
@@ -283,62 +254,59 @@ mod tests {
 
     #[test]
     fn per_block_unregister_clears_exactly_one_node() {
-        both(|mut m| {
-            m.register_memory(blk(0, 0), NodeId(1));
-            m.register_memory(blk(0, 1), NodeId(1));
-            m.register_memory(blk(0, 1), NodeId(2));
-            m.register_disk(blk(0, 1), NodeId(1));
-            m.register_disk(blk(0, 2), NodeId(1));
-            m.register_disk(blk(0, 3), NodeId(2));
-            // Executor loss: de-register each copy node 1 held.
-            for b in [blk(0, 0), blk(0, 1)] {
-                m.unregister_memory(b, NodeId(1));
-            }
-            for b in [blk(0, 1), blk(0, 2)] {
-                m.unregister_disk(b, NodeId(1));
-            }
-            assert!(!m.anywhere(blk(0, 0)));
-            assert!(!m.anywhere(blk(0, 2)));
-            // Copies on surviving nodes are untouched.
-            assert_eq!(
-                m.memory_locations(blk(0, 1)).collect::<Vec<_>>(),
-                vec![NodeId(2)]
-            );
-            assert_eq!(m.disk_locations(blk(0, 1)).count(), 0);
-            assert_eq!(
-                m.disk_locations(blk(0, 3)).collect::<Vec<_>>(),
-                vec![NodeId(2)]
-            );
-            // Re-registration after a rejoin works as usual.
-            m.register_memory(blk(0, 0), NodeId(1));
-            assert!(m.in_memory_anywhere(blk(0, 0)));
-        });
+        let mut m = master();
+        m.register_memory(blk(0, 0), NodeId(1));
+        m.register_memory(blk(0, 1), NodeId(1));
+        m.register_memory(blk(0, 1), NodeId(2));
+        m.register_disk(blk(0, 1), NodeId(1));
+        m.register_disk(blk(0, 2), NodeId(1));
+        m.register_disk(blk(0, 3), NodeId(2));
+        // Executor loss: de-register each copy node 1 held.
+        for b in [blk(0, 0), blk(0, 1)] {
+            m.unregister_memory(b, NodeId(1));
+        }
+        for b in [blk(0, 1), blk(0, 2)] {
+            m.unregister_disk(b, NodeId(1));
+        }
+        assert!(!m.anywhere(blk(0, 0)));
+        assert!(!m.anywhere(blk(0, 2)));
+        // Copies on surviving nodes are untouched.
+        assert_eq!(
+            m.memory_locations(blk(0, 1)).collect::<Vec<_>>(),
+            vec![NodeId(2)]
+        );
+        assert_eq!(m.disk_locations(blk(0, 1)).count(), 0);
+        assert_eq!(
+            m.disk_locations(blk(0, 3)).collect::<Vec<_>>(),
+            vec![NodeId(2)]
+        );
+        // Re-registration after a rejoin works as usual.
+        m.register_memory(blk(0, 0), NodeId(1));
+        assert!(m.in_memory_anywhere(blk(0, 0)));
     }
 
     #[test]
     fn first_holder_merges_memory_and_disk() {
-        both(|mut m| {
-            assert_eq!(m.first_holder(blk(0, 0)), None);
-            m.register_memory(blk(0, 0), NodeId(3));
-            m.register_disk(blk(0, 0), NodeId(2));
-            m.register_memory(blk(0, 0), NodeId(5));
-            let mut order = Vec::new();
-            while let Some(n) = m.first_holder(blk(0, 0)) {
-                order.push(n);
-                m.unregister_memory(blk(0, 0), n);
-                m.unregister_disk(blk(0, 0), n);
-            }
-            assert_eq!(order, vec![NodeId(2), NodeId(3), NodeId(5)]);
-        });
+        let mut m = master();
+        assert_eq!(m.first_holder(blk(0, 0)), None);
+        m.register_memory(blk(0, 0), NodeId(3));
+        m.register_disk(blk(0, 0), NodeId(2));
+        m.register_memory(blk(0, 0), NodeId(5));
+        let mut order = Vec::new();
+        while let Some(n) = m.first_holder(blk(0, 0)) {
+            order.push(n);
+            m.unregister_memory(blk(0, 0), n);
+            m.unregister_disk(blk(0, 0), n);
+        }
+        assert_eq!(order, vec![NodeId(2), NodeId(3), NodeId(5)]);
     }
 
     #[test]
     fn deterministic_remote_choice() {
-        both(|mut m| {
-            m.register_memory(blk(0, 0), NodeId(5));
-            m.register_memory(blk(0, 0), NodeId(3));
-            // Sorted holder list: the lowest node id wins.
-            assert_eq!(m.best_source(blk(0, 0), NodeId(0)), Some((NodeId(3), true)));
-        });
+        let mut m = master();
+        m.register_memory(blk(0, 0), NodeId(5));
+        m.register_memory(blk(0, 0), NodeId(3));
+        // Sorted holder list: the lowest node id wins.
+        assert_eq!(m.best_source(blk(0, 0), NodeId(0)), Some((NodeId(3), true)));
     }
 }

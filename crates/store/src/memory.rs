@@ -6,12 +6,10 @@
 //! driven by the cluster runtime.
 //!
 //! Like Spark's `MemoryStore`, the store keeps an entry only for each block
-//! *resident* on its node: one sorted map of resident blocks to sizes. A
-//! store built over a [`BlockSlots`] arena ([`MemoryStore::with_slots`])
-//! adds one residency bit per slot, so `contains` on the simulator's
-//! per-access path is a bit test with no hashing or tree walk; behavior is
-//! identical either way (the hash-vs-dense differential tests in
-//! `refdist-cluster` enforce it).
+//! *resident* on its node: one sorted map of resident blocks to sizes. It is
+//! built over a [`BlockSlots`] arena and mirrors the map's key set in one
+//! residency bit per slot, so `contains` on the simulator's per-access path
+//! is a bit test with no hashing or tree walk.
 
 use refdist_dag::{BlockId, BlockSlots, SlotSet, TenantMap};
 use std::collections::BTreeMap;
@@ -43,15 +41,14 @@ struct Tenancy {
 }
 
 impl Tenancy {
-    /// The tenant owning `block`. A store over a serve arena snapshot reads
-    /// the owning submission off the snapshot in O(1); other stores fall
-    /// back to the map's search over submission starts.
+    /// The tenant owning `block`: the owning submission is one read off the
+    /// arena snapshot.
     #[inline]
-    fn tenant(&self, block: BlockId, slots: Option<&BlockSlots>) -> usize {
-        match slots.and_then(|s| s.owner(block.rdd)) {
-            Some(app) => self.map.tenant_of_app(app) as usize,
-            None => self.map.tenant_of(block.rdd) as usize,
-        }
+    fn tenant(&self, block: BlockId, slots: &BlockSlots) -> usize {
+        let app = slots
+            .owner(block.rdd)
+            .unwrap_or_else(|| panic!("block {block} has no owning submission"));
+        self.map.tenant_of_app(app) as usize
     }
 }
 
@@ -67,16 +64,17 @@ pub struct MemoryStore {
     /// table, and the candidate map handed to `CachePolicy::select_victims`
     /// with no per-pressure-event collect + sort.
     resident: BTreeMap<BlockId, u64>,
-    /// Dense stores only: the arena and one residency bit per slot,
-    /// mirroring `resident`'s key set.
-    bits: Option<(Arc<BlockSlots>, SlotSet)>,
+    /// The slot arena, and one residency bit per slot mirroring
+    /// `resident`'s key set.
+    slots: Arc<BlockSlots>,
+    bits: SlotSet,
     /// Per-tenant quota accounting; `None` (the default and the entire
     /// single-app path) is byte-invisible.
     tenancy: Option<Tenancy>,
 }
 
-/// The dense slot of `block`; every block a dense store sees belongs to
-/// its arena.
+/// The dense slot of `block`; every block a store sees belongs to its
+/// arena.
 fn slot_of(slots: &BlockSlots, block: BlockId) -> u32 {
     slots
         .slot(block)
@@ -84,29 +82,21 @@ fn slot_of(slots: &BlockSlots, block: BlockId) -> u32 {
 }
 
 impl MemoryStore {
-    /// A store with the given byte capacity, answering `contains` from the
-    /// resident map.
-    pub fn new(capacity: u64) -> Self {
+    /// A store with the given byte capacity over the blocks of `slots`.
+    pub fn with_slots(capacity: u64, slots: Arc<BlockSlots>) -> Self {
         MemoryStore {
             capacity,
             used: 0,
             reserved: 0,
             resident: BTreeMap::new(),
-            bits: None,
+            bits: SlotSet::new(slots.len()),
+            slots,
             tenancy: None,
         }
     }
 
-    /// A store that also keeps a residency bit per slot of `slots`.
-    pub fn with_slots(capacity: u64, slots: Arc<BlockSlots>) -> Self {
-        let set = SlotSet::new(slots.len());
-        MemoryStore {
-            bits: Some((slots, set)),
-            ..Self::new(capacity)
-        }
-    }
-
-    /// Enforce a per-tenant byte `quota` over the submissions of `map`.
+    /// Enforce a per-tenant byte `quota` over the submissions of `map`,
+    /// whose blocks' owners the arena snapshots record (a serve arena).
     /// Must be called while the store is empty; inserts that would push a
     /// tenant over its quota then report the extra bytes as part of the
     /// eviction shortfall (the cluster layer evicts that tenant's own
@@ -124,12 +114,9 @@ impl MemoryStore {
 
     /// Adopt a newer slot-arena snapshot (streaming admission): the
     /// residency bitset grows to the new capacity, keeping every bit.
-    /// No-op on stores without one.
     pub fn adopt(&mut self, slots: &Arc<BlockSlots>) {
-        if let Some((s, set)) = &mut self.bits {
-            set.grow(slots.len());
-            *s = Arc::clone(slots);
-        }
+        self.bits.grow(slots.len());
+        self.slots = Arc::clone(slots);
     }
 
     /// Resident bytes of one tenant (0 when tenancy is disabled).
@@ -186,10 +173,7 @@ impl MemoryStore {
     /// Whether `block` is resident.
     #[inline]
     pub fn contains(&self, block: BlockId) -> bool {
-        match &self.bits {
-            Some((slots, set)) => set.contains(slot_of(slots, block)),
-            None => self.resident.contains_key(&block),
-        }
+        self.bits.contains(slot_of(&self.slots, block))
     }
 
     /// Size of a resident block.
@@ -213,8 +197,7 @@ impl MemoryStore {
             return Err(InsertError::TooLarge);
         }
         let global_shortfall = size.saturating_sub(self.free());
-        let slots = self.bits.as_ref().map(|(s, _)| &**s);
-        let tenant = self.tenancy.as_ref().map(|t| t.tenant(block, slots));
+        let tenant = self.tenancy.as_ref().map(|t| t.tenant(block, &self.slots));
         if let (Some(t), Some(tid)) = (&self.tenancy, tenant) {
             if size > t.quota {
                 return Err(InsertError::TooLarge);
@@ -232,9 +215,7 @@ impl MemoryStore {
         if let (Some(t), Some(tid)) = (&mut self.tenancy, tenant) {
             t.used[tid] += size;
         }
-        if let Some((slots, set)) = &mut self.bits {
-            set.insert(slot_of(slots, block));
-        }
+        self.bits.insert(slot_of(&self.slots, block));
         self.resident.insert(block, size);
         self.used += size;
         Ok(())
@@ -243,12 +224,10 @@ impl MemoryStore {
     /// Remove a block, returning its size if it was resident.
     pub fn remove(&mut self, block: BlockId) -> Option<u64> {
         let size = self.resident.remove(&block)?;
-        if let Some((slots, set)) = &mut self.bits {
-            set.remove(slot_of(slots, block));
-        }
+        self.bits.remove(slot_of(&self.slots, block));
         self.used -= size;
         if let Some(t) = &mut self.tenancy {
-            let tid = t.tenant(block, self.bits.as_ref().map(|(s, _)| &**s));
+            let tid = t.tenant(block, &self.slots);
             t.used[tid] -= size;
         }
         Some(size)
@@ -258,10 +237,8 @@ impl MemoryStore {
     /// id for deterministic downstream processing.
     pub fn drain(&mut self) -> Vec<(BlockId, u64)> {
         let all: Vec<(BlockId, u64)> = std::mem::take(&mut self.resident).into_iter().collect();
-        if let Some((slots, set)) = &mut self.bits {
-            for &(b, _) in &all {
-                set.remove(slot_of(slots, b));
-            }
+        for &(b, _) in &all {
+            self.bits.remove(slot_of(&self.slots, b));
         }
         self.used = 0;
         if let Some(t) = &mut self.tenancy {
@@ -281,90 +258,83 @@ impl MemoryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use refdist_dag::RddId;
+    use refdist_dag::{RddId, SlotArena};
 
     fn blk(r: u32, p: u32) -> BlockId {
         BlockId::new(RddId(r), p)
     }
 
-    /// Run a test body against both backings; the dense arena covers rdds
-    /// 0..4 × partitions 0..4 (every block the tests touch).
-    fn both(f: impl Fn(MemoryStore)) {
-        f(MemoryStore::new(100));
-        let slots = Arc::new(BlockSlots::from_counts((0..4).map(|r| (RddId(r), 4))));
-        f(MemoryStore::with_slots(100, slots));
+    /// A store whose arena covers rdds 0..4 × partitions 0..4 (every block
+    /// the tests touch).
+    fn store(capacity: u64) -> MemoryStore {
+        let slots = BlockSlots::from_counts((0..4).map(|r| (RddId(r), 4)));
+        MemoryStore::with_slots(capacity, Arc::new(slots))
     }
 
     #[test]
     fn insert_and_accounting() {
-        both(|mut m| {
-            m.insert(blk(0, 0), 40).unwrap();
-            m.insert(blk(0, 1), 30).unwrap();
-            assert_eq!(m.used(), 70);
-            assert_eq!(m.free(), 30);
-            assert_eq!(m.len(), 2);
-            assert!(m.contains(blk(0, 0)));
-            assert_eq!(m.size_of(blk(0, 1)), Some(30));
-        });
+        let mut m = store(100);
+        m.insert(blk(0, 0), 40).unwrap();
+        m.insert(blk(0, 1), 30).unwrap();
+        assert_eq!(m.used(), 70);
+        assert_eq!(m.free(), 30);
+        assert_eq!(m.len(), 2);
+        assert!(m.contains(blk(0, 0)));
+        assert_eq!(m.size_of(blk(0, 1)), Some(30));
     }
 
     #[test]
     fn insert_reports_shortfall() {
-        both(|mut m| {
-            m.insert(blk(0, 0), 80).unwrap();
-            assert_eq!(
-                m.insert(blk(0, 1), 50),
-                Err(InsertError::NeedsEviction { shortfall: 30 })
-            );
-            // Store unchanged on failure.
-            assert_eq!(m.used(), 80);
-            assert!(!m.contains(blk(0, 1)));
-        });
+        let mut m = store(100);
+        m.insert(blk(0, 0), 80).unwrap();
+        assert_eq!(
+            m.insert(blk(0, 1), 50),
+            Err(InsertError::NeedsEviction { shortfall: 30 })
+        );
+        // Store unchanged on failure.
+        assert_eq!(m.used(), 80);
+        assert!(!m.contains(blk(0, 1)));
     }
 
     #[test]
     fn oversized_block_is_too_large() {
-        both(|mut m| {
-            assert_eq!(m.insert(blk(0, 0), 101), Err(InsertError::TooLarge));
-        });
+        let mut m = store(100);
+        assert_eq!(m.insert(blk(0, 0), 101), Err(InsertError::TooLarge));
     }
 
     #[test]
     fn reinsert_is_noop() {
-        both(|mut m| {
-            m.insert(blk(0, 0), 40).unwrap();
-            m.insert(blk(0, 0), 40).unwrap();
-            assert_eq!(m.used(), 40);
-            assert_eq!(m.len(), 1);
-        });
+        let mut m = store(100);
+        m.insert(blk(0, 0), 40).unwrap();
+        m.insert(blk(0, 0), 40).unwrap();
+        assert_eq!(m.used(), 40);
+        assert_eq!(m.len(), 1);
     }
 
     #[test]
     fn remove_returns_size() {
-        both(|mut m| {
-            m.insert(blk(0, 0), 40).unwrap();
-            assert_eq!(m.remove(blk(0, 0)), Some(40));
-            assert_eq!(m.remove(blk(0, 0)), None);
-            assert_eq!(m.used(), 0);
-        });
+        let mut m = store(100);
+        m.insert(blk(0, 0), 40).unwrap();
+        assert_eq!(m.remove(blk(0, 0)), Some(40));
+        assert_eq!(m.remove(blk(0, 0)), None);
+        assert_eq!(m.used(), 0);
     }
 
     #[test]
     fn resident_map_tracks_inserts_and_removals() {
-        both(|mut m| {
-            m.insert(blk(1, 0), 30).unwrap();
-            m.insert(blk(0, 0), 20).unwrap();
-            // Sorted by id, with sizes.
-            let set: Vec<_> = m.resident().iter().map(|(&b, &s)| (b, s)).collect();
-            assert_eq!(set, vec![(blk(0, 0), 20), (blk(1, 0), 30)]);
-            // Removal and drain clear entries and residency alike.
-            m.remove(blk(1, 0));
-            assert!(!m.resident().contains_key(&blk(1, 0)));
-            assert!(!m.contains(blk(1, 0)));
-            m.drain();
-            assert!(m.resident().is_empty());
-            assert!(!m.contains(blk(0, 0)));
-        });
+        let mut m = store(100);
+        m.insert(blk(1, 0), 30).unwrap();
+        m.insert(blk(0, 0), 20).unwrap();
+        // Sorted by id, with sizes.
+        let set: Vec<_> = m.resident().iter().map(|(&b, &s)| (b, s)).collect();
+        assert_eq!(set, vec![(blk(0, 0), 20), (blk(1, 0), 30)]);
+        // Removal and drain clear entries and residency alike.
+        m.remove(blk(1, 0));
+        assert!(!m.resident().contains_key(&blk(1, 0)));
+        assert!(!m.contains(blk(1, 0)));
+        m.drain();
+        assert!(m.resident().is_empty());
+        assert!(!m.contains(blk(0, 0)));
     }
 
     #[test]
@@ -384,55 +354,56 @@ mod tests {
 
     #[test]
     fn exact_fit_succeeds() {
-        both(|mut m| {
-            m.insert(blk(0, 0), 100).unwrap();
-            assert_eq!(m.free(), 0);
-        });
+        let mut m = store(100);
+        m.insert(blk(0, 0), 100).unwrap();
+        assert_eq!(m.free(), 0);
     }
 
     #[test]
     fn drain_empties_the_store() {
-        both(|mut m| {
-            m.insert(blk(1, 0), 30).unwrap();
-            m.insert(blk(0, 1), 20).unwrap();
-            let drained = m.drain();
-            assert_eq!(drained, vec![(blk(0, 1), 20), (blk(1, 0), 30)]);
-            assert_eq!(m.used(), 0);
-            assert!(m.is_empty());
-        });
+        let mut m = store(100);
+        m.insert(blk(1, 0), 30).unwrap();
+        m.insert(blk(0, 1), 20).unwrap();
+        let drained = m.drain();
+        assert_eq!(drained, vec![(blk(0, 1), 20), (blk(1, 0), 30)]);
+        assert_eq!(m.used(), 0);
+        assert!(m.is_empty());
     }
 
     #[test]
     fn reservation_shrinks_free_space() {
-        both(|mut m| {
-            m.insert(blk(0, 0), 40).unwrap();
-            m.set_reserved(30);
-            assert_eq!(m.free(), 30);
-            assert_eq!(
-                m.insert(blk(0, 1), 50),
-                Err(InsertError::NeedsEviction { shortfall: 20 })
-            );
-            m.set_reserved(0);
-            assert!(m.insert(blk(0, 1), 50).is_ok());
-        });
+        let mut m = store(100);
+        m.insert(blk(0, 0), 40).unwrap();
+        m.set_reserved(30);
+        assert_eq!(m.free(), 30);
+        assert_eq!(
+            m.insert(blk(0, 1), 50),
+            Err(InsertError::NeedsEviction { shortfall: 20 })
+        );
+        m.set_reserved(0);
+        assert!(m.insert(blk(0, 1), 50).is_ok());
     }
 
     #[test]
     fn over_reservation_saturates_free() {
-        both(|mut m| {
-            m.insert(blk(0, 0), 80).unwrap();
-            m.set_reserved(90); // blocks still occupy the span; free saturates
-            assert_eq!(m.free(), 0);
-            assert_eq!(m.reserved(), 90);
-            // Reservations are capped at capacity.
-            m.set_reserved(500);
-            assert_eq!(m.reserved(), 100);
-        });
+        let mut m = store(100);
+        m.insert(blk(0, 0), 80).unwrap();
+        m.set_reserved(90); // blocks still occupy the span; free saturates
+        assert_eq!(m.free(), 0);
+        assert_eq!(m.reserved(), 90);
+        // Reservations are capped at capacity.
+        m.set_reserved(500);
+        assert_eq!(m.reserved(), 100);
     }
 
-    /// Two tenants: rdds 0..2 belong to tenant 0, rdds 2..4 to tenant 1.
+    /// Two tenants: rdds 0..2 belong to tenant 0, rdds 2..4 to tenant 1,
+    /// each rdd with 4 partitions, in a serve arena that records owners.
     fn tenant_store(capacity: u64, quota: u64) -> MemoryStore {
-        let mut m = MemoryStore::new(capacity);
+        let mut arena = SlotArena::new();
+        for app in 0..2 {
+            arena.admit(app, &[(RddId(2 * app), 4), (RddId(2 * app + 1), 4)]);
+        }
+        let mut m = MemoryStore::with_slots(capacity, Arc::new(arena.snapshot()));
         m.enable_tenancy(Arc::new(TenantMap::new(&[2, 2], &[0, 1])), quota);
         m
     }
@@ -506,14 +477,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty store")]
     fn tenancy_on_nonempty_store_panics() {
-        let mut m = MemoryStore::new(100);
+        let mut m = store(100);
         m.insert(blk(0, 0), 10).unwrap();
         m.enable_tenancy(Arc::new(TenantMap::new(&[4], &[0])), 50);
     }
 
     #[test]
     fn zero_capacity_store_rejects_everything() {
-        let mut m = MemoryStore::new(0);
+        let mut m = store(0);
         assert_eq!(m.insert(blk(0, 0), 1), Err(InsertError::TooLarge));
         assert!(m.insert(blk(0, 1), 0).is_ok()); // zero-size fits anywhere
     }

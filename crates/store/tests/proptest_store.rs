@@ -3,7 +3,7 @@
 //! operation sequences.
 
 use proptest::prelude::*;
-use refdist_dag::{BlockId, BlockSlots, RddId, TenantMap};
+use refdist_dag::{BlockId, BlockSlots, RddId, SlotArena, TenantMap};
 use refdist_store::{BlockMaster, InsertError, MemoryStore, NodeId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,23 +34,27 @@ fn tenant_of(b: BlockId) -> u32 {
     (b.rdd.0 >= 8) as u32
 }
 
+/// A serve arena covering every block `blk` can name: submission 0 owns
+/// rdds 0..8, submission 1 rdds 8..16, each with 16 partitions.
+fn universe() -> BlockSlots {
+    let mut arena = SlotArena::new();
+    for app in 0..2 {
+        let counts: Vec<(RddId, u32)> = (8 * app..8 * app + 8).map(|r| (RddId(r), 16)).collect();
+        arena.admit(app, &counts);
+    }
+    arena.snapshot()
+}
+
 proptest! {
     #[test]
     fn memory_store_accounting_invariants(
         capacity in 0u64..256,
-        dense in any::<bool>(),
         tenancy in any::<bool>(),
         quota in 0u64..256,
         ops in prop::collection::vec(op_strategy(), 0..200),
     ) {
         let quota = tenancy.then_some(quota);
-        let mut store = if dense {
-            // The arena covers every block `blk` can name.
-            let slots = BlockSlots::from_counts((0..16).map(|r| (RddId(r), 16)));
-            MemoryStore::with_slots(capacity, Arc::new(slots))
-        } else {
-            MemoryStore::new(capacity)
-        };
+        let mut store = MemoryStore::with_slots(capacity, Arc::new(universe()));
         if let Some(q) = quota {
             store.enable_tenancy(Arc::new(TenantMap::new(&[8, 8], &[0, 1])), q);
         }
@@ -112,8 +116,8 @@ proptest! {
             prop_assert_eq!(store.len(), model.len());
             prop_assert_eq!(store.free(), capacity.saturating_sub(used + reserved));
             prop_assert!(store.used() + store.free() <= capacity);
-            // The residency bitset (dense) or the map lookup (otherwise)
-            // agrees with the resident map and the model on every block.
+            // The residency bitset agrees with the resident map and the
+            // model on every block.
             for b in (0..=255u8).map(blk) {
                 let size = model.get(&b).copied();
                 prop_assert_eq!(store.contains(b), size.is_some());
@@ -136,7 +140,7 @@ proptest! {
         events in prop::collection::vec((any::<u8>(), 0u32..4, any::<bool>(), any::<bool>()), 0..200),
     ) {
         // (block, node, memory?, register?)
-        let mut master = BlockMaster::new();
+        let mut master = BlockMaster::with_slots(Arc::new(universe()));
         let mut mem: HashMap<(BlockId, NodeId), ()> = HashMap::new();
         let mut disk: HashMap<(BlockId, NodeId), ()> = HashMap::new();
         for (b, n, memory, reg) in events {

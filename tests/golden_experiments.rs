@@ -120,8 +120,6 @@ fn serve_fair_matches_golden() {
             },
             sched: ServeSched::FairShare,
             quota: QuotaKind::Unlimited,
-            upfront: false,
-            intern: true,
             resilience: Default::default(),
         },
     );
@@ -163,8 +161,6 @@ fn serve_churn_matches_golden() {
             ]),
             sched: ServeSched::FairShare,
             quota: QuotaKind::Unlimited,
-            upfront: false,
-            intern: true,
             resilience: ResilienceConfig {
                 max_app_attempts: 3,
                 retry_backoff_us: 50_000,
@@ -222,8 +218,6 @@ fn serve_survives_a_tenant_crash_mid_stream() {
             arrivals: ArrivalProcess::Trace(vec![0, 50_000, 100_000]),
             sched: ServeSched::FairShare,
             quota: QuotaKind::Unlimited,
-            upfront: false,
-            intern: true,
             resilience: Default::default(),
         },
     );
