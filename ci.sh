@@ -54,17 +54,15 @@ cargo test -q -p refdist-cluster --test differential_serve -- \
 echo "==> cargo test -q --test serve_stream --test large_cluster"
 cargo test -q --test serve_stream --test large_cluster
 
-# Per-node state footprint: a many-node PageRank run's heap growth must stay
-# within a few bits per block slot per node plus O(resident) (its own test
-# binary, so its counting allocator sees nothing else).
-echo "==> cargo test -q -p refdist-cluster --test engine_footprint"
-cargo test -q -p refdist-cluster --test engine_footprint
-
-# Serve hot-path scaling: allocations per eviction and peak heap growth per
-# active submission must stay flat from 4 to 16 concurrently active MRD
-# submissions (its own test binary, for the same reason).
-echo "==> cargo test -q -p refdist-cluster --test serve_footprint"
-cargo test -q -p refdist-cluster --test serve_footprint
+# The performance gate: exact per-layer work counts (event queue, slot
+# index, store, policy hooks, serve admission and retirement, heap
+# allocations and peak bytes) of small fixed versions of the benchmark's
+# workloads, compared line by line against tests/golden/work_counts.txt,
+# plus the heap-footprint bounds (per-node state O(resident), serve cost
+# flat in active submissions, serve arena O(active)). It measures the code
+# under test, so any added work fails it on a named count.
+echo "==> cargo test -q --test work_counts"
+cargo test -q --test work_counts
 
 # The benchmark is a package of its own (refbench/), outside the workspace:
 # its unit tests and lints run against its own manifest.
@@ -84,20 +82,16 @@ for suite in policy_overhead dag_planning sim_throughput victim_selection sched_
   cargo bench -q -p refdist-bench --bench "$suite" -- --test
 done
 
-# Protocol-bench smoke: run the recorded-bench binary in quick mode in a
-# scratch dir so the checked-in BENCH_*.json files are not clobbered. This
-# exercises the full record-and-write path (`--out`), including the
-# bench's own assertions (migrations happen, the serve arena stays
-# O(active)).
+# Wall-clock bench smoke: bench_sched in quick mode must run every suite,
+# including its own assertions (migrations happen), and print each table.
+# Timing is not checked.
 ( bench_tmp="$(mktemp -d)"
   trap 'rm -rf "$bench_tmp"' EXIT
   cd "$bench_tmp"
   echo "==> REFDIST_QUICK=1 bench_sched (scratch dir)"
-  REFDIST_QUICK=1 cargo run --release -q -p refdist-bench --bin bench_sched \
-    --manifest-path "$OLDPWD/Cargo.toml" --target-dir "$OLDPWD/target" \
-    -- --out bench_smoke.json
-  grep -q '"suite":"serve_stream"' bench_smoke.json \
-    || { echo "bench smoke: no serve_stream record written"; exit 1; }
+  REFDIST_QUICK=1 "$OLDPWD/target/release/bench_sched" > bench_smoke.txt
+  grep -q '^== admission' bench_smoke.txt \
+    || { echo "bench smoke: no admission table printed"; exit 1; }
 
   # Chaos CLI smoke: a tiny resilience curve must run end-to-end (fault
   # injection -> sweep -> degradation table) and exit zero.
@@ -167,35 +161,5 @@ done
     echo "bad-input smoke: the CLI panicked"; exit 1
   fi
 )
-
-# Show hot-path deltas when both recorded benchmark files are present
-# (informational; bench_diff only fails on missing/corrupt files).
-if [[ -f BENCH_baseline.json && -f BENCH_pr2.json ]]; then
-  echo "==> bench_diff BENCH_baseline.json BENCH_pr2.json"
-  cargo run --release -q -p refdist-bench --bin bench_diff
-fi
-
-# Bench regression guard: compare the two newest recorded BENCH_pr*.json
-# files and fail if any joined metric regressed more than 10%. Each file
-# is recorded on one machine — as one bench_sched invocation or, when the
-# machine's throughput drifts in multi-minute phases, as the per-record
-# best (minimum) of a dozen alternating old/new invocations: both sides
-# sampled in the same windows so the comparison stays apples-to-apples,
-# and the minimum because the workload is deterministic so noise is
-# strictly additive — the median flaps with whichever phase a round
-# lands in (pr8/pr9 were re-baselined with alternating medians, pr9/pr10
-# with alternating best-of-12, each same-day/same-machine). Set
-# REFDIST_SKIP_BENCH_GUARD=1 to skip (e.g. when re-recording baselines
-# on different hardware).
-if [[ "${REFDIST_SKIP_BENCH_GUARD:-0}" != "1" ]]; then
-  mapfile -t bench_files < <(ls BENCH_pr*.json 2>/dev/null | sort -V)
-  if (( ${#bench_files[@]} >= 2 )); then
-    prev="${bench_files[-2]}"
-    newest="${bench_files[-1]}"
-    echo "==> bench_diff --check --max-regress 10 $prev $newest"
-    cargo run --release -q -p refdist-bench --bin bench_diff -- \
-      --check --max-regress 10 "$prev" "$newest"
-  fi
-fi
 
 echo "ci.sh: all checks passed"

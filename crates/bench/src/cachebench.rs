@@ -1,9 +1,9 @@
-//! Cache hot-path benchmark harness, shared by the `victim_selection`
-//! criterion bench, the `bench_cache` binary and the churn determinism test
-//! in `tests/determinism.rs`: [`Churn`] is a steady-state eviction churn
-//! driver — a full cache of `n` unit-size blocks where every step inserts
-//! one block and must evict one first. Step cost is dominated by victim
-//! selection, so `ns/step` measures a policy's victim index directly.
+//! Victim-selection churn driver, shared by the `victim_selection`
+//! criterion bench and the churn determinism test in `tests/determinism.rs`:
+//! [`Churn`] is a steady-state eviction churn driver — a full cache of `n`
+//! unit-size blocks where every step inserts one block and must evict one
+//! first. Step cost is dominated by victim selection, so `ns/step` measures
+//! a policy's victim index directly.
 
 use refdist_core::{DistanceMetric, MrdConfig, MrdMode, MrdPolicy};
 use refdist_dag::{AppProfile, BlockId, BlockSlots, JobId, RddId, RddRefs, StageId, StageTouches};

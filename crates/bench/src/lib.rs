@@ -276,11 +276,11 @@ impl<'a> ServeScenario<'a> {
 
     /// Check the stream's shape, then the config ([`ServeConfig::validate`]).
     pub fn validate(&self) -> Result<(), String> {
-        if self.templates.is_empty() || self.apps == 0 {
-            return Err("a serve stream needs at least one submission".into());
-        }
         if self.axis.tenants == 0 {
             return Err("a serve stream needs at least one tenant".into());
+        }
+        if self.templates.is_empty() || self.apps == 0 {
+            return Err("a serve stream needs at least one submission".into());
         }
         self.config().validate()
     }

@@ -63,7 +63,7 @@ pub use faults::{
     TimedSlowdown,
 };
 pub use report::{RunReport, SchedStats};
-pub use runtime::{collect_trace, EngineScratch, Simulation};
+pub use runtime::{collect_trace, EngineScratch, Simulation, WorkCounts};
 pub use serve::{
     percentile, AdmissionPolicy, ArrivalProcess, QuotaKind, ResilienceConfig, ResilienceReport,
     ServeConfig, ServeReport, ServeSched, ServeSim, TenantMux, TenantSummary,

@@ -59,14 +59,14 @@ use crate::sched::{SlotIndex, NODE_DOWN};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use refdist_core::{AppProfiler, ProfileMode};
+use refdist_dag::hash::HashMap;
 use refdist_dag::{
     shift_rdd, AppPlan, AppProfile, AppSpec, BlockId, BlockSlots, JobId, Rdd, RddId, SlotSet,
     Stage, StageKind, TenantMap,
 };
 use refdist_policies::{CachePolicy, LruPolicy};
-use refdist_simcore::{EventQueue, FifoResource, SimDuration, SimTime};
+use refdist_simcore::{EventQueue, FifoResource, QueueWork, SimDuration, SimTime};
 use refdist_store::{BlockManager, BlockMaster, CacheStats, InsertError, NodeId};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -170,6 +170,34 @@ pub struct EngineScratch {
     stage_tasks: TaskTable,
     missing_buf: Vec<BlockId>,
     events: EventQueue<u32>,
+    work: WorkCounts,
+}
+
+impl EngineScratch {
+    /// Work done by every run this scratch served, summed.
+    pub fn work(&self) -> WorkCounts {
+        WorkCounts {
+            events: self.events.work(),
+            ..self.work
+        }
+    }
+}
+
+/// Deterministic engine work no report, policy wrapper or allocator sees,
+/// read off [`EngineScratch::work`] after the runs it served. Plain
+/// always-on counters: they never reach a report, so recording them changes
+/// no output.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// The speculation event queue's schedules, pops and rebuilds.
+    pub events: QueueWork,
+    /// Slot-index commits: one per placed task attempt, speculative copy,
+    /// and core moved by a crash or rejoin.
+    pub slot_commits: u64,
+    /// Applications admitted into a streaming engine.
+    pub admissions: u64,
+    /// Applications retired from a streaming engine.
+    pub retirements: u64,
 }
 
 /// Struct-of-arrays record of one stage's launched tasks, indexed by the
@@ -387,6 +415,9 @@ pub(crate) struct Engine<'a> {
     missing_buf: Vec<BlockId>,
     /// Task-completion event queue for the speculation threshold.
     events: EventQueue<u32>,
+    /// Admission and retirement counts so far (slot commits are read off
+    /// `sched` when the scratch is handed back).
+    work: WorkCounts,
 
     /// Per-node prefetch thresholds (adaptive when configured).
     thresholds: Vec<f64>,
@@ -640,7 +671,7 @@ impl<'a> Engine<'a> {
             sched,
             sched_stats: SchedStats::default(),
             placements: Vec::new(),
-            pending: HashMap::new(),
+            pending: HashMap::default(),
             pending_d: s.pending_d,
             materialized_d: s.materialized_d,
             prefetched_d: s.prefetched_d,
@@ -651,6 +682,7 @@ impl<'a> Engine<'a> {
             stage_tasks: s.stage_tasks,
             missing_buf: s.missing_buf,
             events: s.events,
+            work: s.work,
             purge_buf: s.purge_buf,
             arena,
             thresholds: vec![cfg.prefetch_threshold; n],
@@ -734,6 +766,7 @@ impl<'a> Engine<'a> {
         let SpecSource::Registry(reg) = &mut self.source else {
             panic!("admit_app is a streaming-engine operation");
         };
+        self.work.admissions += 1;
         let front = reg.admit(spec, offset);
         let len = reg.len();
         self.vis_base = reg.rdd_base;
@@ -776,6 +809,7 @@ impl<'a> Engine<'a> {
                 }),
             "pending or prefetched marks outlived residency"
         );
+        self.work.retirements += 1;
         for ri in rdds.clone() {
             let id = RddId(ri);
             let (cached, parts) = {
@@ -885,7 +919,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Hand the reusable buffers back for the next run.
-    fn into_scratch(self) -> EngineScratch {
+    pub(crate) fn into_scratch(self) -> EngineScratch {
         EngineScratch {
             slots: self.slots,
             pending_d: self.pending_d,
@@ -897,6 +931,10 @@ impl<'a> Engine<'a> {
             stage_tasks: self.stage_tasks,
             missing_buf: self.missing_buf,
             events: self.events,
+            work: WorkCounts {
+                slot_commits: self.work.slot_commits + self.sched.commits,
+                ..self.work
+            },
         }
     }
 

@@ -34,6 +34,8 @@ pub(crate) struct SlotIndex {
     /// Cluster-wide: (free_time, node, slot), ascending; `None` when the
     /// global minimum is never queried (no delay scheduling).
     global: Option<BTreeSet<(SimTime, u32, u32)>>,
+    /// Calls to [`SlotIndex::commit`] since the index was built.
+    pub commits: u64,
 }
 
 impl SlotIndex {
@@ -61,7 +63,11 @@ impl SlotIndex {
                 })
                 .collect()
         });
-        SlotIndex { per_node, global }
+        SlotIndex {
+            per_node,
+            global,
+            commits: 0,
+        }
     }
 
     /// Earliest-free slot on `node`: `(slot, free_time)`, lowest slot index
@@ -93,6 +99,7 @@ impl SlotIndex {
     /// Record that `(node, slot)` moved from free time `old` to `new`.
     #[inline]
     pub fn commit(&mut self, node: usize, slot: usize, old: SimTime, new: SimTime) {
+        self.commits += 1;
         let removed = self.per_node[node].remove(&(old, slot as u32));
         debug_assert!(removed, "index out of sync with the slot table");
         self.per_node[node].insert((new, slot as u32));

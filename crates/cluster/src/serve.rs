@@ -879,14 +879,27 @@ impl<'a> ServeSim<'a> {
         );
         let mut policies: Vec<Option<Box<dyn CachePolicy>>> =
             policies.into_iter().map(Some).collect();
-        self.dispatch(&mut |i| policies[i].take().expect("each submission admits once"))
+        self.dispatch(
+            &mut |i| policies[i].take().expect("each submission admits once"),
+            &mut EngineScratch::default(),
+        )
     }
 
     /// Execute the stream with `factory(i)` supplying a policy instance for
     /// every *admission* of submission `i` — called once per submission
     /// normally, once more per app-level retry.
-    pub fn run_with(&self, mut factory: impl FnMut(usize) -> Box<dyn CachePolicy>) -> ServeReport {
-        self.dispatch(&mut factory)
+    pub fn run_with(&self, factory: impl FnMut(usize) -> Box<dyn CachePolicy>) -> ServeReport {
+        self.run_with_scratch(factory, &mut EngineScratch::default())
+    }
+
+    /// [`ServeSim::run_with`] on `scratch`'s buffers, leaving them — and the
+    /// stream's [`crate::WorkCounts`] — in `scratch` afterwards.
+    pub fn run_with_scratch(
+        &self,
+        mut factory: impl FnMut(usize) -> Box<dyn CachePolicy>,
+        scratch: &mut EngineScratch,
+    ) -> ServeReport {
+        self.dispatch(&mut factory, scratch)
     }
 
     /// The driver: a submission's plan, profile, policy state and slot
@@ -904,7 +917,11 @@ impl<'a> ServeSim<'a> {
     /// [`ResilienceConfig::max_active_apps`]). With a passive config every
     /// resilience branch is statically false and the run is byte-identical
     /// to the pre-resilience driver.
-    fn dispatch(&self, factory: &mut dyn FnMut(usize) -> Box<dyn CachePolicy>) -> ServeReport {
+    fn dispatch(
+        &self,
+        factory: &mut dyn FnMut(usize) -> Box<dyn CachePolicy>,
+        scratch: &mut EngineScratch,
+    ) -> ServeReport {
         if let Err(e) = self.cfg.validate() {
             panic!("invalid serve config: {e}");
         }
@@ -918,7 +935,7 @@ impl<'a> ServeSim<'a> {
 
         let mut arena = SlotArena::new();
         let mut engine =
-            Engine::new_streaming(cfg, Arc::new(arena.snapshot()), EngineScratch::default());
+            Engine::new_streaming(cfg, Arc::new(arena.snapshot()), std::mem::take(scratch));
         if let Some(q) = self.quota_bytes() {
             engine.enable_store_tenancy(&self.map, q);
         }
@@ -1138,6 +1155,7 @@ impl<'a> ServeSim<'a> {
             (done[a], states[a].now.0)
         };
         drive(self.cfg.sched, &arrivals, advance);
+        *scratch = engine.into_scratch();
 
         let distinct = templates.len();
         let resilience = (!res.is_passive()).then_some(ResilienceReport {

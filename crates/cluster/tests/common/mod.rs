@@ -1,9 +1,13 @@
 //! Helpers shared by the cluster integration tests: the decision-recording
-//! policy wrapper, the FNV-1a digest, the seeded corpus generator, and the
-//! golden-file check for the frozen decision digests.
+//! policy wrapper and the seeded corpus generator, plus the FNV-1a digest
+//! and golden-file check the root package's tests share.
 
 // Each test binary compiles this module on its own and uses a subset of it.
-#![allow(dead_code)]
+#![allow(dead_code, unused_imports)]
+
+#[path = "../../../../tests/common/mod.rs"]
+mod golden;
+pub use golden::{check_golden, fnv1a};
 
 use refdist_core::{DistanceMetric, MrdConfig, MrdMode, MrdPolicy};
 use refdist_dag::{AppProfile, BlockId, BlockSlots, JobId, StageId};
@@ -116,14 +120,6 @@ impl CachePolicy for Recorder {
     }
 }
 
-/// FNV-1a: a digest that stays the same across toolchains (the std hashers
-/// promise no such thing).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
 /// Deterministic splitmix64 stream that generates a decision corpus. The
 /// corpora are drawn from explicit seeds, never from the proptest runner,
 /// so renaming a test or setting `PROPTEST_CASES` cannot change them.
@@ -155,35 +151,6 @@ impl Gen {
     /// One element of `items`, uniformly.
     pub fn pick<T: Copy>(&mut self, items: &[T]) -> T {
         items[self.below(items.len() as u64) as usize]
-    }
-}
-
-/// Compare `actual` against the checked-in golden `tests/golden/{name}` at
-/// the repository root, or rewrite it when `UPDATE_GOLDEN` is set. `regen`
-/// is the command that regenerates it, quoted in the failure message.
-pub fn check_golden(name: &str, actual: &str, regen: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden")
-        .join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, actual)
-            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-    if actual != expected {
-        let first = actual
-            .lines()
-            .zip(expected.lines())
-            .find(|(a, e)| a != e)
-            .map(|(a, e)| format!("\n  actual:   {a}\n  expected: {e}"))
-            .unwrap_or_default();
-        panic!(
-            "decisions diverged from {} (first differing line:{first}); \
-             an intended change regenerates it with `{regen}`",
-            path.display()
-        );
     }
 }
 

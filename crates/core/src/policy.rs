@@ -12,10 +12,11 @@
 use crate::distance::DistanceMetric;
 use crate::manager::MrdManager;
 use crate::monitor::{CacheMonitor, TieBreak};
+use refdist_dag::hash::HashMap;
 use refdist_dag::{AppProfile, BlockId, BlockSlots, JobId, RddId, SlotMap, StageId};
 use refdist_policies::{CachePolicy, VictimIndex};
 use refdist_store::NodeId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Which halves of MRD are enabled.
@@ -86,7 +87,7 @@ impl MrdPolicy {
         MrdPolicy {
             cfg,
             manager: MrdManager::new(cfg.metric),
-            monitors: HashMap::new(),
+            monitors: HashMap::default(),
             lru_clock: 0,
             lru_touch: SlotMap::hashed(),
             lru_index: VictimIndex::new(),

@@ -19,9 +19,10 @@
 //! Creating a cached RDD counts as its first reference.
 
 use crate::app::AppSpec;
+use crate::hash::HashSet;
 use crate::ids::{JobId, RddId, StageId};
 use crate::plan::{AppPlan, StageKind};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Reference profile of one cached RDD.
@@ -186,12 +187,12 @@ impl<'a> RefAnalyzer<'a> {
         // vectors and freeze into the shared `Arc` slices at the end.
         let mut growing: BTreeMap<RddId, (Vec<StageId>, Vec<JobId>)> = BTreeMap::new();
         let mut per_stage = Vec::with_capacity(self.plan.stages.len());
-        let mut created: HashSet<RddId> = HashSet::new();
+        let mut created: HashSet<RddId> = HashSet::default();
 
         // Stage-ID order is execution order (see plan.rs module docs).
         for stage in &self.plan.stages {
             let mut touches = StageTouches::default();
-            let mut visited = HashSet::new();
+            let mut visited = HashSet::default();
             let mut stack = vec![stage.final_rdd];
             while let Some(v) = stack.pop() {
                 if !visited.insert(v) {

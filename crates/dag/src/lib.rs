@@ -40,6 +40,7 @@ pub mod analyze;
 pub mod app;
 pub mod capacity;
 pub mod dot;
+pub mod hash;
 pub mod ids;
 pub mod plan;
 pub mod rdd;

@@ -17,8 +17,8 @@
 //! job and jobs run in submission order).
 
 use crate::app::AppSpec;
+use crate::hash::{HashMap, HashSet};
 use crate::ids::{JobId, RddId, StageId};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// What a stage produces.
@@ -126,7 +126,7 @@ impl AppPlan {
 /// deterministic DFS discovery order (the stage's pipelined set).
 pub fn narrow_set(spec: &AppSpec, from: RddId) -> Vec<RddId> {
     let mut out = Vec::new();
-    let mut seen = HashSet::new();
+    let mut seen = HashSet::default();
     let mut stack = vec![from];
     while let Some(v) = stack.pop() {
         if !seen.insert(v) {
@@ -151,7 +151,7 @@ pub fn narrow_set(spec: &AppSpec, from: RddId) -> Vec<RddId> {
 /// frontier of `from`, in deterministic discovery order.
 pub fn shuffle_frontier(spec: &AppSpec, from: RddId) -> Vec<(RddId, RddId)> {
     let mut edges = Vec::new();
-    let mut edge_seen = HashSet::new();
+    let mut edge_seen = HashSet::default();
     for v in narrow_set(spec, from) {
         for d in &spec.rdd(v).deps {
             if d.is_shuffle() {
@@ -178,7 +178,7 @@ impl<'a> Planner<'a> {
         Planner {
             spec,
             stages: Vec::new(),
-            shuffle_stages: HashMap::new(),
+            shuffle_stages: HashMap::default(),
         }
     }
 
@@ -190,7 +190,7 @@ impl<'a> Planner<'a> {
             let result_stage = self.create_stage(job, action.target, StageKind::Result, parents);
             // The job's DAG: the result stage plus everything reachable
             // through stage parents (shared stages included).
-            let mut in_job = HashSet::new();
+            let mut in_job = HashSet::default();
             let mut stack = vec![result_stage];
             while let Some(s) = stack.pop() {
                 if !in_job.insert(s) {

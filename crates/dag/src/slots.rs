@@ -14,8 +14,9 @@
 //! ascending therefore visits blocks in sorted order with no sort.
 
 use crate::app::AppSpec;
+use crate::hash::HashMap;
 use crate::ids::{BlockId, RddId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Sentinel base for RDDs with no slots (not cached, or zero partitions).
@@ -412,7 +413,7 @@ impl<V> SlotMap<V> {
     /// Hash-backed map, for use before an arena is known.
     pub fn hashed() -> Self {
         SlotMap {
-            repr: SlotMapRepr::Hash(HashMap::new()),
+            repr: SlotMapRepr::Hash(HashMap::default()),
         }
     }
 

@@ -30,9 +30,9 @@
 
 use crate::analyze::{AppProfile, RefAnalyzer};
 use crate::app::AppSpec;
+use crate::hash::HashMap;
 use crate::plan::AppPlan;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 

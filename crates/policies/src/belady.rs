@@ -14,9 +14,10 @@
 //! and evict first.
 
 use crate::CachePolicy;
+use refdist_dag::hash::HashMap;
 use refdist_dag::BlockId;
 use refdist_store::NodeId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Belady MIN eviction over a recorded access trace.
 #[derive(Debug)]
@@ -29,7 +30,7 @@ impl BeladyMinPolicy {
     /// Build the oracle from an access trace (the order blocks are inserted
     /// or read over the whole run).
     pub fn from_trace(trace: &[BlockId]) -> Self {
-        let mut future: HashMap<BlockId, VecDeque<u64>> = HashMap::new();
+        let mut future: HashMap<BlockId, VecDeque<u64>> = HashMap::default();
         for (i, &b) in trace.iter().enumerate() {
             future.entry(b).or_default().push_back(i as u64);
         }

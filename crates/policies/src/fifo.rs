@@ -5,9 +5,10 @@
 
 use crate::index::VictimIndex;
 use crate::CachePolicy;
+use refdist_dag::hash::HashMap;
 use refdist_dag::BlockId;
 use refdist_store::NodeId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// FIFO eviction.
 #[derive(Debug, Default)]

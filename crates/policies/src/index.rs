@@ -26,9 +26,10 @@
 //! with the caller-provided "orphan" key — the same key the naive scan's
 //! `unwrap_or(0)` fallback produces once the global state is gone.
 
+use refdist_dag::hash::HashMap;
 use refdist_dag::BlockId;
 use refdist_store::NodeId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A single ordered index: blocks ranked ascending by `(K, BlockId)`.
 #[derive(Debug, Clone)]
@@ -47,7 +48,7 @@ impl<K: Ord + Copy> OrderedIndex<K> {
     /// An empty index.
     pub fn new() -> Self {
         OrderedIndex {
-            keys: HashMap::new(),
+            keys: HashMap::default(),
             order: BTreeSet::new(),
         }
     }
@@ -137,8 +138,8 @@ impl<K: Ord + Copy> VictimIndex<K> {
     /// An empty index.
     pub fn new() -> Self {
         VictimIndex {
-            nodes: HashMap::new(),
-            homes: HashMap::new(),
+            nodes: HashMap::default(),
+            homes: HashMap::default(),
         }
     }
 

@@ -13,9 +13,10 @@
 
 use crate::index::VictimIndex;
 use crate::CachePolicy;
+use refdist_dag::hash::HashMap;
 use refdist_dag::{AppProfile, BlockId, JobId, RddId, StageId};
 use refdist_store::NodeId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// LRC's eviction rank: lowest remaining count, then least recent, then id.
 type LrcKey = (u32, u64);

@@ -6,9 +6,10 @@
 
 use crate::index::VictimIndex;
 use crate::CachePolicy;
+use refdist_dag::hash::HashMap;
 use refdist_dag::BlockId;
 use refdist_store::NodeId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// LRU eviction.
 ///

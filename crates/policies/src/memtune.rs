@@ -16,9 +16,10 @@
 
 use crate::index::VictimIndex;
 use crate::CachePolicy;
+use refdist_dag::hash::{HashMap, HashSet};
 use refdist_dag::{AppProfile, BlockId, RddId, StageId};
 use refdist_store::NodeId;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// MemTune's eviction rank: un-needed first (`false < true`), LRU within
 /// each class, then id.

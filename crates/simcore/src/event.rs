@@ -47,6 +47,19 @@ const DEFAULT_WIDTH_SHIFT: u32 = 10;
 /// schedule; trigger a redistributing rebuild.
 const CLUSTER_MIN: usize = 64;
 
+/// Work an [`EventQueue`] has done since it was created. The counters are
+/// plain always-on fields that [`EventQueue::clear`] keeps, so a queue
+/// recycled across runs sums them over every run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueWork {
+    /// Events scheduled.
+    pub schedules: u64,
+    /// Events popped.
+    pub pops: u64,
+    /// Calendar rebuilds, each re-bucketing every pending event.
+    pub rebuilds: u64,
+}
+
 /// One calendar bucket: the pending events of every day congruent to this
 /// bucket's index, in *descending* key order once `sorted` (the earliest
 /// event is popped off the back). Pushes append and clear `sorted` only
@@ -105,6 +118,7 @@ struct CalendarQueue<E> {
     /// occupancy first reaches the bucket count it would keep the default
     /// width forever.
     sampled: bool,
+    work: QueueWork,
 }
 
 impl<E> Default for CalendarQueue<E> {
@@ -118,6 +132,7 @@ impl<E> Default for CalendarQueue<E> {
             len: 0,
             cluster_guard: false,
             sampled: false,
+            work: QueueWork::default(),
         }
     }
 }
@@ -130,6 +145,7 @@ impl<E> CalendarQueue<E> {
 
     fn schedule(&mut self, key: u128, payload: E) {
         let day = self.day_of(key);
+        self.work.schedules += 1;
         let b = &mut self.buckets[(day & self.mask) as usize];
         if b.sorted {
             if let Some(&(last, _)) = b.events.last() {
@@ -203,6 +219,7 @@ impl<E> CalendarQueue<E> {
         let (day, bi) = self.find_next()?;
         self.day = day;
         let ev = self.buckets[bi].events.pop().expect("find_next found it");
+        self.work.pops += 1;
         self.floor = key_time(ev.0);
         self.len -= 1;
         if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / SHRINK_AT {
@@ -245,6 +262,7 @@ impl<E> CalendarQueue<E> {
     /// per bucket-day. Order is untouched — it lives entirely in the packed
     /// keys, so redistribution cannot perturb FIFO ties.
     fn rebuild(&mut self, target: usize) {
+        self.work.rebuilds += 1;
         self.cluster_guard = false;
         let nbuckets = target.max(MIN_BUCKETS).next_power_of_two();
         let mut pending: Vec<(u128, E)> = Vec::with_capacity(self.len);
@@ -376,6 +394,11 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Work done since the queue was created, across every `clear`.
+    pub fn work(&self) -> QueueWork {
+        self.cal.work
+    }
 }
 
 #[cfg(test)]
@@ -445,6 +468,29 @@ mod tests {
         q.schedule(SimTime(10), ());
         q.pop();
         q.schedule(SimTime(5), ());
+    }
+
+    #[test]
+    fn work_counts_every_call_and_survives_clear() {
+        let mut q = EventQueue::new();
+        for t in 0..40u64 {
+            q.schedule(SimTime(t * 7), t);
+        }
+        for _ in 0..10 {
+            q.pop();
+        }
+        let w = q.work();
+        assert_eq!((w.schedules, w.pops), (40, 10));
+        // Filling past the initial bucket count forces at least one rebuild.
+        assert!(w.rebuilds >= 1, "{w:?}");
+        q.clear();
+        q.schedule(SimTime(1), 0);
+        assert_eq!(q.pop(), Some((SimTime(1), 0)));
+        assert_eq!(q.pop(), None);
+        let after = q.work();
+        assert_eq!((after.schedules, after.pops), (41, 11));
+        // Popping the emptied queue shrinks its buckets: one more rebuild.
+        assert_eq!(after.rebuilds, w.rebuilds + 1);
     }
 
     #[test]

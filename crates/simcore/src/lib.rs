@@ -32,7 +32,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::EventQueue;
+pub use event::{EventQueue, QueueWork};
 pub use resource::FifoResource;
 pub use rng::SeedFactory;
 pub use stats::{Counter, Histogram, OnlineStats};

@@ -6,8 +6,8 @@
 //! the binding constraint; disk *bandwidth* is, and that lives in the
 //! cluster simulator's FIFO resources.
 
+use refdist_dag::hash::HashMap;
 use refdist_dag::BlockId;
-use std::collections::HashMap;
 
 /// Set of blocks present on a node's local disk, with sizes.
 #[derive(Debug, Clone, Default)]

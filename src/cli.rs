@@ -985,7 +985,7 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                 let spec = w.build(&params);
                 let base = ServeScenario {
                     templates: std::slice::from_ref(&spec),
-                    apps: apps.unwrap_or(tenants).max(1),
+                    apps: apps.unwrap_or(tenants),
                     sim: SimConfig::new(cl).with_seed(seed),
                     axis: ServeAxis {
                         tenants,
@@ -1148,7 +1148,7 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                 sim.faults
                     .node_churn(mtbf_ms.saturating_mul(1_000), mttr_ms.saturating_mul(1_000));
             }
-            let napps = apps.unwrap_or(tenants).max(1);
+            let napps = apps.unwrap_or(tenants);
             let base = ServeScenario {
                 templates: &specs,
                 apps: napps,
@@ -1724,6 +1724,8 @@ mod tests {
             format!("sweep --workloads SP {tiny} --fractions 0.3,nan"),
             format!("serve SP {tiny} --tenants 0"),
             format!("chaos SP --serve {tiny} --tenants 0"),
+            format!("serve SP {tiny} --apps 0"),
+            format!("chaos SP --serve {tiny} --apps 0"),
             format!("serve SP {tiny} --max-active 0"),
             format!("serve SP {tiny} --churn 0,5"),
         ];
@@ -1733,6 +1735,31 @@ mod tests {
                 Ok(Ok(out)) => panic!("`refdist {argv}` succeeded:\n{out}"),
                 Err(_) => panic!("`refdist {argv}` panicked"),
             }
+        }
+    }
+
+    #[test]
+    fn empty_streams_name_what_is_missing() {
+        let tiny = "--nodes 2 --partitions 8 --scale 0.02";
+        for cmd in ["serve SP", "chaos SP --serve"] {
+            let err = |flags: &str| {
+                execute(parse(&args(&format!("{cmd} {tiny} {flags}"))).unwrap()).unwrap_err()
+            };
+            assert_eq!(
+                err("--apps 0"),
+                "a serve stream needs at least one submission",
+                "{cmd}"
+            );
+            assert_eq!(
+                err("--tenants 0"),
+                "a serve stream needs at least one tenant",
+                "{cmd}"
+            );
+            assert_eq!(
+                err("--tenants 0 --apps 4"),
+                "a serve stream needs at least one tenant",
+                "{cmd}"
+            );
         }
     }
 
