@@ -41,6 +41,15 @@ cargo test -q -p refdist-bench --test determinism
 echo "==> cargo test -q -p refdist-simcore --test proptest_simcore"
 cargo test -q -p refdist-simcore --test proptest_simcore
 
+# Victim-index differentials, named so an index regression is called out in
+# the CI log: every policy's batched select_victims (and MRD's, across all
+# modes, tie-breaks and metrics) must pop exactly the naive pick_victim
+# sequence, with the slot arena attached as the engine attaches it.
+echo "==> cargo test -q -p refdist-policies --test differential_select"
+cargo test -q -p refdist-policies --test differential_select
+echo "==> cargo test -q -p refdist-core --test differential_mrd"
+cargo test -q -p refdist-core --test differential_mrd
+
 # Frozen decision digests, named so a decision change is called out in the
 # CI log: the engine corpus (block state, scheduler, event queue; solo and
 # serve), the serve stream and decision corpora, and the tier-1 long-stream

@@ -9,22 +9,21 @@
 //! The replica itself is a flat per-RDD distance vector covering exactly
 //! the RDD span of the manager's table, rebuilt from the shared table on
 //! each sync (the manager never clones the table per node), so a distance
-//! lookup is one array read. When the runtime attaches a [`BlockSlots`]
-//! arena ([`CacheMonitor::attach_slots`]), the recency table becomes a
-//! windowed dense per-slot vector as well — the per-touch hot path then
-//! does no hashing and no tree walks, and a serve submission's monitor
-//! costs O(its own slots), not O(arena). Behavior is identical to the
-//! hash-backed reference path (enforced by the differential tests in
-//! `refdist-cluster`).
+//! lookup is one array read.
+//!
+//! Per-block state is O(blocks resident on this node): the recency table
+//! is a `BTreeMap` over those blocks and the victim index a `BTreeSet` of
+//! them — no hashing on the per-touch path. A table keyed by the runtime's
+//! slot arena would cost O(arena) *per node* instead, since round-robin
+//! homing spreads each node's blocks over the whole arena.
 
 use crate::distance::RefDistance;
 use crate::table::MrdTable;
-use refdist_dag::{BlockId, BlockSlots, SlotMap};
-use refdist_policies::OrderedIndex;
+use refdist_dag::BlockId;
+use refdist_policies::index::select_until;
 use refdist_store::NodeId;
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The monitor's eviction rank, ascending = eviction order: largest
 /// reference distance first, then the tie-break recency encoding (see
@@ -98,15 +97,17 @@ pub struct CacheMonitor {
     /// Times this monitor received a table replica.
     syncs: u64,
     clock: u64,
-    last_touch: SlotMap<u64>,
+    /// Last local touch of each block resident on this node.
+    last_touch: BTreeMap<BlockId, u64>,
     /// Tie-break rule baked into the index keys.
     tie: TieBreak,
     /// Ordered victim index over the locally tracked blocks. Its keys embed
     /// reference distances, which all shift when a new table replica arrives
     /// — so the index is only rebuilt lazily, on the first victim selection
     /// after a sync bumped `synced_version` past `index_version`. Between
-    /// syncs, `touch`/`forget` maintain it incrementally in O(log n).
-    index: OrderedIndex<MrdKey>,
+    /// syncs, `touch`/`forget` maintain it incrementally in O(log n): a
+    /// block's key there is [`CacheMonitor::key`] of its last touch.
+    index: BTreeSet<(MrdKey, BlockId)>,
     /// Table version the index keys were computed against.
     index_version: Option<u64>,
     /// Reusable `(distance, block)` buffer for `prefetch_order`.
@@ -129,27 +130,18 @@ impl CacheMonitor {
             synced_version: None,
             syncs: 0,
             clock: 0,
-            last_touch: SlotMap::hashed(),
+            last_touch: BTreeMap::new(),
             tie,
-            index: OrderedIndex::new(),
+            index: BTreeSet::new(),
             index_version: None,
             scratch: Vec::new(),
         }
     }
 
-    /// Switch per-block state to dense slot-indexed tables over `slots`.
-    /// Existing recency entries are migrated; behavior is unchanged.
-    pub fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
-        let mut dense = SlotMap::dense(Arc::clone(slots));
-        for (b, &t) in self.last_touch.iter() {
-            dense.insert(b, t);
-        }
-        self.last_touch = dense;
-    }
-
-    fn key_for(&self, block: BlockId) -> MrdKey {
-        let touch = self.last_touch.get(block).copied().unwrap_or(0);
-        (Reverse(self.distance(block)), Reverse(enc(self.tie, touch)))
+    /// `block`'s index key, were it last touched at `touch`.
+    fn key(&self, block: BlockId, touch: u64) -> (MrdKey, BlockId) {
+        let key = (Reverse(self.distance(block)), Reverse(enc(self.tie, touch)));
+        (key, block)
     }
 
     /// Whether incremental index updates are valid (keys match the current
@@ -173,9 +165,9 @@ impl CacheMonitor {
             ..
         } = self;
         index.clear();
-        for (b, &touch) in last_touch.iter() {
-            index.upsert(b, (Reverse(dist.get(b.rdd)), Reverse(enc(*tie, touch))));
-        }
+        index.extend(last_touch.iter().map(|(&b, &touch)| {
+            ((Reverse(dist.get(b.rdd)), Reverse(enc(*tie, touch))), b)
+        }));
         self.index_version = self.synced_version;
     }
 
@@ -211,18 +203,20 @@ impl CacheMonitor {
     /// Record a local insert/access (for tie-breaking recency).
     pub fn touch(&mut self, block: BlockId) {
         self.clock += 1;
-        self.last_touch.insert(block, self.clock);
+        let old = self.last_touch.insert(block, self.clock);
         if self.index_fresh() {
-            let key = self.key_for(block);
-            self.index.upsert(block, key);
+            if let Some(t) = old {
+                self.index.remove(&self.key(block, t));
+            }
+            self.index.insert(self.key(block, self.clock));
         }
     }
 
     /// Forget a block that left this node's memory.
     pub fn forget(&mut self, block: BlockId) {
-        self.last_touch.remove(block);
-        if self.index_fresh() {
-            self.index.remove(block);
+        let old = self.last_touch.remove(&block);
+        if let Some(t) = old.filter(|_| self.index_fresh()) {
+            self.index.remove(&self.key(block, t));
         }
     }
 
@@ -237,7 +231,7 @@ impl CacheMonitor {
         resident: &BTreeMap<BlockId, u64>,
     ) -> Vec<BlockId> {
         self.ensure_index();
-        self.index.select_until(shortfall, resident)
+        select_until(&self.index, shortfall, resident)
     }
 
     /// Choose the eviction victim among `candidates`: the block with the
@@ -263,8 +257,8 @@ impl CacheMonitor {
             self.distance(*a)
                 .cmp(&self.distance(*b))
                 .then_with(|| {
-                    let ta = self.last_touch.get(*a).copied().unwrap_or(0);
-                    let tb = self.last_touch.get(*b).copied().unwrap_or(0);
+                    let ta = self.last_touch.get(a).copied().unwrap_or(0);
+                    let tb = self.last_touch.get(b).copied().unwrap_or(0);
                     match tie {
                         // Newer touch wins the max: MRU evicts first.
                         TieBreak::Mru => ta.cmp(&tb),
@@ -333,15 +327,6 @@ mod tests {
 
     fn synced(entries: &[(u32, &[u32])], current: u32) -> CacheMonitor {
         let mut m = CacheMonitor::new(NodeId(0));
-        m.receive_table(&table(entries, current));
-        m
-    }
-
-    /// Same monitor, but slot-attached over rdds 0..10 × 4 partitions.
-    fn synced_dense(entries: &[(u32, &[u32])], current: u32) -> CacheMonitor {
-        let mut m = CacheMonitor::new(NodeId(0));
-        let slots = Arc::new(BlockSlots::from_counts((0..10).map(|r| (RddId(r), 4))));
-        m.attach_slots(&slots);
         m.receive_table(&table(entries, current));
         m
     }
@@ -418,40 +403,30 @@ mod tests {
     }
 
     #[test]
-    fn dense_monitor_matches_hash_monitor() {
+    fn select_victims_follows_touches_and_resyncs() {
+        // The batched pop must equal repeated naive picks, before and after
+        // a re-sync makes the index rebuild.
         let entries: &[(u32, &[u32])] = &[(0, &[5]), (1, &[20]), (2, &[8]), (3, &[])];
-        let mut h = synced(entries, 0);
-        let mut d = synced_dense(entries, 0);
+        let mut m = synced(entries, 0);
         let blocks = [blk(0, 0), blk(1, 0), blk(2, 1), blk(3, 0), blk(2, 0)];
         for &b in &blocks {
-            h.touch(b);
-            d.touch(b);
+            m.touch(b);
         }
-        assert_eq!(h.pick_victim(&blocks), d.pick_victim(&blocks));
-        assert_eq!(
-            h.prefetch_order(&blocks, 0),
-            d.prefetch_order(&blocks, 0)
-        );
-        let resident: BTreeMap<BlockId, u64> = blocks.iter().map(|&b| (b, 2)).collect();
-        assert_eq!(h.select_victims(5, &resident), d.select_victims(5, &resident));
-        // Distances advance identically across a re-sync.
-        h.receive_table(&table(entries, 4));
-        d.receive_table(&table(entries, 4));
-        for &b in &blocks {
-            assert_eq!(h.distance(b), d.distance(b));
-        }
-        assert_eq!(h.select_victims(7, &resident), d.select_victims(7, &resident));
-    }
-
-    #[test]
-    fn attach_slots_migrates_existing_recency() {
-        let mut m = synced(&[(0, &[5]), (1, &[5])], 0);
+        m.touch(blk(2, 1));
+        m.forget(blk(3, 0));
+        let naive = |m: &CacheMonitor, mut left: Vec<BlockId>| {
+            let mut order = Vec::new();
+            while let Some(v) = m.pick_victim(&left) {
+                left.retain(|&b| b != v);
+                order.push(v);
+            }
+            order
+        };
+        let live: Vec<BlockId> = blocks.iter().copied().filter(|&b| b != blk(3, 0)).collect();
+        let resident: BTreeMap<BlockId, u64> = live.iter().map(|&b| (b, 1)).collect();
+        assert_eq!(m.select_victims(4, &resident), naive(&m, live.clone()));
+        m.receive_table(&table(entries, 6));
         m.touch(blk(0, 0));
-        m.touch(blk(1, 0));
-        m.touch(blk(0, 0));
-        let slots = Arc::new(BlockSlots::from_counts((0..4).map(|r| (RddId(r), 2))));
-        m.attach_slots(&slots);
-        // MRU tiebreak still sees rdd0's block as most recent.
-        assert_eq!(m.pick_victim(&[blk(0, 0), blk(1, 0)]), Some(blk(0, 0)));
+        assert_eq!(m.select_victims(4, &resident), naive(&m, live));
     }
 }

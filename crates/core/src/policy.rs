@@ -12,8 +12,7 @@
 use crate::distance::DistanceMetric;
 use crate::manager::MrdManager;
 use crate::monitor::{CacheMonitor, TieBreak};
-use refdist_dag::hash::HashMap;
-use refdist_dag::{AppProfile, BlockId, BlockSlots, JobId, RddId, SlotMap, StageId};
+use refdist_dag::{AppProfile, BlockId, BlockSlots, JobId, RddId, StageId};
 use refdist_policies::{CachePolicy, VictimIndex};
 use refdist_store::NodeId;
 use std::collections::BTreeMap;
@@ -64,18 +63,13 @@ impl Default for MrdConfig {
 pub struct MrdPolicy {
     cfg: MrdConfig,
     manager: MrdManager,
-    monitors: HashMap<NodeId, CacheMonitor>,
+    /// Per node id: the node's monitor, once created.
+    monitors: Vec<Option<CacheMonitor>>,
     /// LRU state used when `PrefetchOnly` leaves eviction to the default
     /// policy; not maintained in the MRD eviction modes (nothing reads it
-    /// there).
+    /// there). A block's last touch is its `lru_index` key.
     lru_clock: u64,
-    lru_touch: SlotMap<u64>,
-    /// Ordered LRU victim index, maintained only in `PrefetchOnly` mode
-    /// (MRD modes select victims through the node monitors instead).
     lru_index: VictimIndex<u64>,
-    /// The runtime's slot arena, when attached; handed to every monitor so
-    /// their per-block state is slot-indexed.
-    slots: Option<Arc<BlockSlots>>,
     /// Distance-table replicas re-issued to replacement monitors after a
     /// node rejoin (§4.4 recovery).
     replicas_reissued: u64,
@@ -87,11 +81,9 @@ impl MrdPolicy {
         MrdPolicy {
             cfg,
             manager: MrdManager::new(cfg.metric),
-            monitors: HashMap::default(),
+            monitors: Vec::new(),
             lru_clock: 0,
-            lru_touch: SlotMap::hashed(),
             lru_index: VictimIndex::new(),
-            slots: None,
             replicas_reissued: 0,
         }
     }
@@ -113,7 +105,7 @@ impl MrdPolicy {
 
     /// The monitor for `node`, if it has been created.
     pub fn monitor(&self, node: NodeId) -> Option<&CacheMonitor> {
-        self.monitors.get(&node)
+        self.monitors.get(node.index())?.as_ref()
     }
 
     /// Distance-table replicas re-issued to replacement monitors after node
@@ -130,22 +122,18 @@ impl MrdPolicy {
     }
 
     fn monitor_synced(&mut self, node: NodeId) -> &mut CacheMonitor {
+        if self.monitors.len() <= node.index() {
+            self.monitors.resize_with(node.index() + 1, || None);
+        }
         let tie = self.cfg.tie_break;
-        let slots = &self.slots;
-        let mon = self.monitors.entry(node).or_insert_with(|| {
-            let mut m = CacheMonitor::with_tie(node, tie);
-            if let Some(s) = slots {
-                m.attach_slots(s);
-            }
-            m
-        });
+        let mon = self.monitors[node.index()]
+            .get_or_insert_with(|| CacheMonitor::with_tie(node, tie));
         self.manager.sync_monitor(mon);
         mon
     }
 
-    fn lru_touch(&mut self, block: BlockId) -> u64 {
+    fn lru_tick(&mut self) -> u64 {
         self.lru_clock += 1;
-        self.lru_touch.insert(block, self.lru_clock);
         self.lru_clock
     }
 
@@ -177,29 +165,22 @@ impl CachePolicy for MrdPolicy {
     }
 
     fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
-        let mut dense = SlotMap::dense(Arc::clone(slots));
-        for (b, &t) in self.lru_touch.iter() {
-            dense.insert(b, t);
-        }
-        self.lru_touch = dense;
-        for mon in self.monitors.values_mut() {
-            mon.attach_slots(slots);
-        }
-        self.slots = Some(Arc::clone(slots));
+        // Monitors keep O(resident) tables of their own; only the LRU
+        // index is keyed by the arena.
+        self.lru_index.attach_slots(slots);
     }
 
     fn on_insert(&mut self, node: NodeId, block: BlockId) {
         if self.uses_lru_eviction() {
-            let key = self.lru_touch(block);
+            let key = self.lru_tick();
             self.lru_index.insert(node, block, key);
-            self.lru_index.rekey(block, key);
         }
         self.monitor_synced(node).touch(block);
     }
 
     fn on_access(&mut self, node: NodeId, block: BlockId) {
         if self.uses_lru_eviction() {
-            let key = self.lru_touch(block);
+            let key = self.lru_tick();
             self.lru_index.rekey(block, key);
         }
         self.monitor_synced(node).touch(block);
@@ -207,10 +188,9 @@ impl CachePolicy for MrdPolicy {
 
     fn on_remove(&mut self, node: NodeId, block: BlockId) {
         if self.uses_lru_eviction() {
-            self.lru_touch.remove(block);
             self.lru_index.remove(node, block, 0);
         }
-        if let Some(mon) = self.monitors.get_mut(&node) {
+        if let Some(Some(mon)) = self.monitors.get_mut(node.index()) {
             mon.forget(block);
         }
     }
@@ -221,7 +201,9 @@ impl CachePolicy for MrdPolicy {
         // replica to it right away — the paper's §4.4 recovery protocol.
         // (Block-level state needs no work here: the runtime reported every
         // lost block via `on_remove` at crash time.)
-        self.monitors.remove(&node);
+        if let Some(mon) = self.monitors.get_mut(node.index()) {
+            *mon = None;
+        }
         self.replicas_reissued += 1;
         self.monitor_synced(node);
     }
@@ -235,7 +217,7 @@ impl CachePolicy for MrdPolicy {
             candidates
                 .iter()
                 .copied()
-                .min_by_key(|&b| (self.lru_touch.get(b).copied().unwrap_or(0), b))
+                .min_by_key(|&b| (self.lru_index.key(b).unwrap_or(0), b))
         }
     }
 

@@ -4,13 +4,20 @@
 //! modes, both tie-break rules, and both distance metrics, under randomized
 //! traces that interleave table advances (stage/job events) with inserts,
 //! accesses, removals, and evictions on two nodes.
+//!
+//! Both sides get a slot arena over every block the traces touch, as the
+//! engine always attaches one; one configuration also runs without, so the
+//! hash-keyed tables a policy starts with stay covered.
 
 use proptest::prelude::*;
 use refdist_core::{DistanceMetric, MrdConfig, MrdMode, MrdPolicy, TieBreak};
-use refdist_dag::{AppProfile, BlockId, JobId, RddId, RddRefs, StageId, StageTouches};
+use refdist_dag::{
+    AppProfile, BlockId, BlockSlots, JobId, RddId, RddRefs, StageId, StageTouches,
+};
 use refdist_policies::CachePolicy;
 use refdist_store::NodeId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const NODES: u32 = 2;
 
@@ -117,10 +124,16 @@ fn batched_select(
     victims
 }
 
-fn assert_equivalent(cfg: MrdConfig, events: &[Ev]) {
+/// Drive a naive and a batched MRD policy of `cfg`, both attached to
+/// `slots` if given, through `events`.
+fn assert_equivalent(cfg: MrdConfig, slots: Option<&Arc<BlockSlots>>, events: &[Ev]) {
     let prof = profile();
     let mut reference = MrdPolicy::new(cfg);
     let mut indexed = MrdPolicy::new(cfg);
+    if let Some(slots) = slots {
+        reference.attach_slots(slots);
+        indexed.attach_slots(slots);
+    }
     let mut ra: Vec<BTreeMap<BlockId, u64>> = (0..NODES).map(|_| BTreeMap::new()).collect();
     let mut rb = ra.clone();
     reference.on_job_submit(JobId(0), &prof);
@@ -181,13 +194,17 @@ proptest! {
     fn indexed_mrd_matches_naive_scan(
         events in prop::collection::vec(ev_strategy(), 0..100),
     ) {
+        // 8 RDDs x 4 partitions: every block `blk` can name.
+        let slots = Arc::new(BlockSlots::from_counts((0..8).map(|r| (RddId(r), 4))));
         for mode in [MrdMode::Full, MrdMode::EvictOnly, MrdMode::PrefetchOnly] {
             for tie in [TieBreak::Mru, TieBreak::Lru] {
                 for metric in [DistanceMetric::Stage, DistanceMetric::Job] {
                     let cfg = MrdConfig { mode, metric, tie_break: tie, ..Default::default() };
-                    assert_equivalent(cfg, &events);
+                    assert_equivalent(cfg, Some(&slots), &events);
                 }
             }
         }
+        let cfg = MrdConfig { mode: MrdMode::PrefetchOnly, ..Default::default() };
+        assert_equivalent(cfg, None, &events);
     }
 }

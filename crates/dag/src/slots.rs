@@ -409,6 +409,12 @@ enum SlotMapRepr<V> {
     },
 }
 
+impl<V> Default for SlotMap<V> {
+    fn default() -> Self {
+        Self::hashed()
+    }
+}
+
 impl<V> SlotMap<V> {
     /// Hash-backed map, for use before an arena is known.
     pub fn hashed() -> Self {
@@ -576,11 +582,39 @@ impl<V> SlotMap<V> {
         }
     }
 
+    /// Switch to the dense backing over `slots`, moving every entry across;
+    /// a map that is dense already [adopts](Self::adopt) the snapshot.
+    pub fn attach(&mut self, slots: Arc<BlockSlots>) {
+        let SlotMapRepr::Hash(m) = &mut self.repr else {
+            return self.adopt(slots);
+        };
+        let entries = std::mem::take(m);
+        *self = SlotMap::dense(slots);
+        for (b, v) in entries {
+            self.insert(b, v);
+        }
+    }
+
     /// Iterate entries (dense: ascending by slot; hash: arbitrary).
     pub fn iter(&self) -> impl Iterator<Item = (BlockId, &V)> + '_ {
         let (hash, dense) = match &self.repr {
             SlotMapRepr::Hash(m) => (Some(m.iter().map(|(&b, v)| (b, v))), None),
             SlotMapRepr::Dense { .. } => (None, Some(self.iter_run(0..u32::MAX))),
+        };
+        hash.into_iter().flatten().chain(dense.into_iter().flatten())
+    }
+
+    /// Iterate entries mutably, in [`iter`](Self::iter)'s order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (BlockId, &mut V)> + '_ {
+        let (hash, dense) = match &mut self.repr {
+            SlotMapRepr::Hash(m) => (Some(m.iter_mut().map(|(&b, v)| (b, v))), None),
+            SlotMapRepr::Dense { slots, lo, vals, .. } => {
+                let (slots, lo) = (&*slots, *lo);
+                let it = vals.iter_mut().zip(lo..).filter_map(move |(v, s)| {
+                    v.as_mut().map(|v| (slots.block(s), v))
+                });
+                (None, Some(it))
+            }
         };
         hash.into_iter().flatten().chain(dense.into_iter().flatten())
     }
@@ -853,6 +887,15 @@ mod tests {
         h.sort_unstable();
         let d: Vec<(BlockId, u64)> = dense.iter().map(|(b, &v)| (b, v)).collect();
         assert_eq!(h, d);
+        // Mutable iteration visits the same entries on both.
+        for m in [&mut hash, &mut dense] {
+            for (b, v) in m.iter_mut() {
+                *v += u64::from(b.partition);
+            }
+        }
+        for &b in &blocks {
+            assert_eq!(hash.get(b), dense.get(b));
+        }
         assert_eq!(hash.remove(blocks[2]), dense.remove(blocks[2]));
         assert_eq!(hash.remove(blocks[2]), None);
         assert_eq!(dense.remove(blocks[2]), None);
@@ -860,6 +903,26 @@ mod tests {
         hash.clear();
         dense.clear();
         assert!(hash.is_empty() && dense.is_empty());
+    }
+
+    #[test]
+    fn attach_moves_hashed_entries_and_adopts_when_dense() {
+        let mut a = SlotArena::new();
+        a.admit(0, &[(RddId(0), 2)]);
+        let mut m: SlotMap<u32> = SlotMap::hashed();
+        m.insert(BlockId::new(RddId(0), 1), 7);
+        m.attach(Arc::new(a.snapshot()));
+        a.admit(1, &[(RddId(1), 3)]);
+        m.attach(Arc::new(a.snapshot()));
+        m.insert(BlockId::new(RddId(1), 2), 9);
+        let got: Vec<(BlockId, u32)> = m.iter().map(|(b, &v)| (b, v)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (BlockId::new(RddId(0), 1), 7),
+                (BlockId::new(RddId(1), 2), 9)
+            ]
+        );
     }
 
     #[test]

@@ -5,16 +5,21 @@
 
 use crate::index::VictimIndex;
 use crate::CachePolicy;
-use refdist_dag::hash::HashMap;
-use refdist_dag::BlockId;
+use refdist_dag::{BlockId, BlockSlots};
 use refdist_store::NodeId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// FIFO eviction.
+///
+/// A block's insertion time is global and is its [`VictimIndex`] key, so
+/// the index holds the only copy. The clock starts at 1, which keeps the
+/// one distinction the key must carry: a copy orphaned by a removal on
+/// another node ranks 0 while its insertion time is *absent*, and a later
+/// re-insert stamps it afresh instead of keeping the original time.
 #[derive(Debug, Default)]
 pub struct FifoPolicy {
     clock: u64,
-    inserted_at: HashMap<BlockId, u64>,
     index: VictimIndex<u64>,
 }
 
@@ -23,6 +28,12 @@ impl FifoPolicy {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Insertion time of a resident block; `None` when it is untracked or
+    /// its time was dropped with a copy on another node.
+    fn inserted_at(&self, block: BlockId) -> Option<u64> {
+        self.index.key(block).filter(|&t| t != 0)
+    }
 }
 
 impl CachePolicy for FifoPolicy {
@@ -30,19 +41,20 @@ impl CachePolicy for FifoPolicy {
         "FIFO".into()
     }
 
+    fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
+        self.index.attach_slots(slots);
+    }
+
     fn on_insert(&mut self, node: NodeId, block: BlockId) {
         self.clock += 1;
-        // Keep the original insertion time on re-insert.
-        let key = *self.inserted_at.entry(block).or_insert(self.clock);
+        // Keep the original insertion time on re-insert. The time is
+        // global: if a removal elsewhere dropped it, surviving copies
+        // re-rank to the new time.
+        let key = self.inserted_at(block).unwrap_or(self.clock);
         self.index.insert(node, block, key);
-        // The insertion time is global: if the block was re-inserted after a
-        // removal elsewhere reset it, surviving copies re-rank to the new
-        // time (no-op when the time was unchanged).
-        self.index.rekey(block, key);
     }
 
     fn on_remove(&mut self, node: NodeId, block: BlockId) {
-        self.inserted_at.remove(&block);
         // Surviving copies lose the global insertion time: rank as key 0.
         self.index.remove(node, block, 0);
     }
@@ -51,7 +63,7 @@ impl CachePolicy for FifoPolicy {
         candidates
             .iter()
             .copied()
-            .min_by_key(|b| (self.inserted_at.get(b).copied().unwrap_or(0), *b))
+            .min_by_key(|&b| (self.index.key(b).unwrap_or(0), b))
     }
 
     fn select_victims(

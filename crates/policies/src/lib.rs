@@ -27,7 +27,7 @@ pub mod random;
 
 pub use belady::BeladyMinPolicy;
 pub use fifo::FifoPolicy;
-pub use index::{OrderedIndex, VictimIndex};
+pub use index::VictimIndex;
 pub use lrc::LrcPolicy;
 pub use lru::LruPolicy;
 pub use memtune::MemTunePolicy;
@@ -56,10 +56,11 @@ pub trait CachePolicy: Send {
 
     /// The runtime's dense block-slot arena for the application about to
     /// run, offered once before any other hook. Policies that keep
-    /// per-block state may switch it to slot-indexed tables; the default
-    /// ignores the arena and keeps hash-backed state. Must not change
-    /// observable behavior — only representation (the hash-vs-dense
-    /// differential tests drive both paths).
+    /// per-block state switch it to slot-keyed tables; the default ignores
+    /// the arena. Must not change observable behavior — only
+    /// representation. The differential suites (`differential_select`,
+    /// `differential_mrd`) drive policies with and without an arena, and
+    /// the frozen decision digests pin the attached path the engine runs.
     fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
         let _ = slots;
     }

@@ -13,25 +13,76 @@
 
 use crate::index::VictimIndex;
 use crate::CachePolicy;
-use refdist_dag::hash::HashMap;
-use refdist_dag::{AppProfile, BlockId, JobId, RddId, StageId};
+use refdist_dag::{AppProfile, BlockId, BlockSlots, JobId, RddId, SlotMap, StageId};
 use refdist_store::NodeId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// LRC's eviction rank: lowest remaining count, then least recent, then id.
 type LrcKey = (u32, u64);
 
+/// Total DAG references per RDD over the span of every profile seen so far
+/// (`base..base + refs.len()`); 0 outside it.
+#[derive(Debug, Default)]
+struct RefTotals {
+    base: u32,
+    refs: Vec<u32>,
+}
+
+impl RefTotals {
+    fn get(&self, rdd: RddId) -> u32 {
+        rdd.0
+            .checked_sub(self.base)
+            .and_then(|i| self.refs.get(i as usize))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Take `visible`'s counts; RDDs it does not list keep theirs.
+    fn update(&mut self, visible: &AppProfile) {
+        let (Some((lo, _)), Some((hi, _))) = (
+            visible.per_rdd.first_key_value(),
+            visible.per_rdd.last_key_value(),
+        ) else {
+            return;
+        };
+        if self.refs.is_empty() {
+            self.base = lo.0;
+        } else if lo.0 < self.base {
+            let grow = (self.base - lo.0) as usize;
+            self.refs.splice(0..0, std::iter::repeat_n(0, grow));
+            self.base = lo.0;
+        }
+        let end = (hi.0 - self.base) as usize + 1;
+        if end > self.refs.len() {
+            self.refs.resize(end, 0);
+        }
+        for (rdd, refs) in &visible.per_rdd {
+            self.refs[(rdd.0 - self.base) as usize] = refs.count() as u32;
+        }
+    }
+}
+
 /// Least Reference Count eviction.
+///
+/// A resident block's last touch is the second half of its
+/// [`VictimIndex`] key, so the index holds the only copy.
 #[derive(Debug, Default)]
 pub struct LrcPolicy {
     /// Total references per RDD, from the DAG profile.
-    total_refs: HashMap<RddId, u32>,
-    /// References already consumed, per block.
-    consumed: HashMap<BlockId, u32>,
+    total_refs: RefTotals,
+    /// References already consumed, per block. Outlives residency: a block
+    /// recomputed later has still spent its past references.
+    consumed: SlotMap<u32>,
     /// Logical clock for LRU tie-breaking among equal counts.
     clock: u64,
-    last_touch: HashMap<BlockId, u64>,
     index: VictimIndex<LrcKey>,
+}
+
+/// `total - consumed`, saturating: over-consumption reads as dead.
+fn remaining(totals: &RefTotals, consumed: &SlotMap<u32>, block: BlockId) -> u32 {
+    let used = consumed.get(block).copied().unwrap_or(0);
+    totals.get(block.rdd).saturating_sub(used)
 }
 
 impl LrcPolicy {
@@ -42,22 +93,19 @@ impl LrcPolicy {
 
     /// Remaining reference count of a block.
     pub fn remaining(&self, block: BlockId) -> u32 {
-        let total = self.total_refs.get(&block.rdd).copied().unwrap_or(0);
-        let used = self.consumed.get(&block).copied().unwrap_or(0);
-        total.saturating_sub(used)
+        remaining(&self.total_refs, &self.consumed, block)
     }
 
-    fn key(&self, block: BlockId) -> LrcKey {
-        (
-            self.remaining(block),
-            self.last_touch.get(&block).copied().unwrap_or(0),
-        )
-    }
-
-    fn consume(&mut self, block: BlockId) {
-        *self.consumed.entry(block).or_insert(0) += 1;
+    /// Consume one of `block`'s references and touch it: its new key.
+    fn consume(&mut self, block: BlockId) -> LrcKey {
+        match self.consumed.get_mut(block) {
+            Some(used) => *used += 1,
+            None => {
+                self.consumed.insert(block, 1);
+            }
+        }
         self.clock += 1;
-        self.last_touch.insert(block, self.clock);
+        (self.remaining(block), self.clock)
     }
 }
 
@@ -66,60 +114,46 @@ impl CachePolicy for LrcPolicy {
         "LRC".into()
     }
 
+    fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
+        self.consumed.attach(Arc::clone(slots));
+        self.index.attach_slots(slots);
+    }
+
     fn on_job_submit(&mut self, _job: JobId, visible: &AppProfile) {
         // Counts are refreshed from the currently visible profile; consumed
         // references stay, so remaining = visible total - consumed.
-        for (&rdd, refs) in &visible.per_rdd {
-            self.total_refs.insert(rdd, refs.count() as u32);
-        }
+        self.total_refs.update(visible);
         // A profile refresh can change every block's remaining count at once.
-        let total_refs = &self.total_refs;
-        let consumed = &self.consumed;
-        let last_touch = &self.last_touch;
-        self.index.rekey_all(|b| {
-            let total = total_refs.get(&b.rdd).copied().unwrap_or(0);
-            let used = consumed.get(&b).copied().unwrap_or(0);
-            (
-                total.saturating_sub(used),
-                last_touch.get(&b).copied().unwrap_or(0),
-            )
-        });
+        let (totals, consumed) = (&self.total_refs, &self.consumed);
+        self.index
+            .rekey_all(|b, (_, touch)| (remaining(totals, consumed, b), touch));
     }
 
     fn on_stage_start(&mut self, _stage: StageId, _visible: &AppProfile) {}
 
     fn on_insert(&mut self, node: NodeId, block: BlockId) {
         // Creation is the block's first reference; it is consumed by the act
-        // of computing the block.
-        self.consume(block);
-        let key = self.key(block);
+        // of computing the block. Consuming a reference changes the rank of
+        // every copy of the block, which `insert` re-keys.
+        let key = self.consume(block);
         self.index.insert(node, block, key);
-        // Consuming a reference changes the rank of every copy of the block.
-        self.index.rekey(block, key);
     }
 
     fn on_access(&mut self, _node: NodeId, block: BlockId) {
-        self.consume(block);
-        let key = self.key(block);
+        let key = self.consume(block);
         self.index.rekey(block, key);
     }
 
     fn on_remove(&mut self, node: NodeId, block: BlockId) {
-        self.last_touch.remove(&block);
-        // `consumed` is retained: if the block is recomputed later its past
-        // references are still spent. A surviving copy keeps its remaining
-        // count but loses recency.
+        // A surviving copy keeps its remaining count but loses recency.
         let orphan = (self.remaining(block), 0);
         self.index.remove(node, block, orphan);
     }
 
     fn pick_victim(&mut self, _node: NodeId, candidates: &[BlockId]) -> Option<BlockId> {
-        candidates.iter().copied().min_by_key(|b| {
-            (
-                self.remaining(*b),
-                self.last_touch.get(b).copied().unwrap_or(0),
-                *b,
-            )
+        candidates.iter().copied().min_by_key(|&b| {
+            let touch = self.index.key(b).map_or(0, |(_, t)| t);
+            (self.remaining(b), touch, b)
         })
     }
 

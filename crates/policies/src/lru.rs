@@ -6,20 +6,20 @@
 
 use crate::index::VictimIndex;
 use crate::CachePolicy;
-use refdist_dag::hash::HashMap;
-use refdist_dag::BlockId;
+use refdist_dag::{BlockId, BlockSlots};
 use refdist_store::NodeId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// LRU eviction.
 ///
 /// The recency clock is global (one logical clock across nodes, matching how
-/// `pick_victim` ranks any candidate list it is handed); the [`VictimIndex`]
-/// mirrors it per node so batched selection pops victims in O(log n).
+/// `pick_victim` ranks any candidate list it is handed). A block's last
+/// touch *is* its [`VictimIndex`] key, so the index holds the only copy and
+/// batched selection pops victims in O(log n).
 #[derive(Debug, Default)]
 pub struct LruPolicy {
     clock: u64,
-    last_touch: HashMap<BlockId, u64>,
     index: VictimIndex<u64>,
 }
 
@@ -29,9 +29,8 @@ impl LruPolicy {
         Self::default()
     }
 
-    fn touch(&mut self, block: BlockId) -> u64 {
+    fn tick(&mut self) -> u64 {
         self.clock += 1;
-        self.last_touch.insert(block, self.clock);
         self.clock
     }
 }
@@ -41,20 +40,22 @@ impl CachePolicy for LruPolicy {
         "LRU".into()
     }
 
+    fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
+        self.index.attach_slots(slots);
+    }
+
     fn on_insert(&mut self, node: NodeId, block: BlockId) {
-        let key = self.touch(block);
-        self.index.insert(node, block, key);
         // The recency clock is global: a copy on another node re-ranks too.
-        self.index.rekey(block, key);
+        let key = self.tick();
+        self.index.insert(node, block, key);
     }
 
     fn on_access(&mut self, _node: NodeId, block: BlockId) {
-        let key = self.touch(block);
+        let key = self.tick();
         self.index.rekey(block, key);
     }
 
     fn on_remove(&mut self, node: NodeId, block: BlockId) {
-        self.last_touch.remove(&block);
         // A surviving copy on another node loses its recency (the clock is
         // global), so it re-ranks as untracked: key 0.
         self.index.remove(node, block, 0);
@@ -64,7 +65,7 @@ impl CachePolicy for LruPolicy {
         candidates
             .iter()
             .copied()
-            .min_by_key(|b| (self.last_touch.get(b).copied().unwrap_or(0), *b))
+            .min_by_key(|&b| (self.index.key(b).unwrap_or(0), b))
     }
 
     fn select_victims(
@@ -135,7 +136,7 @@ mod tests {
         let mut p = LruPolicy::new();
         p.on_insert(N, blk(0, 0));
         p.on_remove(N, blk(0, 0));
-        assert!(p.last_touch.is_empty());
+        assert!(!p.index.is_tracked(blk(0, 0)));
     }
 
     #[test]

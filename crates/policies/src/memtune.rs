@@ -17,9 +17,10 @@
 use crate::index::VictimIndex;
 use crate::CachePolicy;
 use refdist_dag::hash::{HashMap, HashSet};
-use refdist_dag::{AppProfile, BlockId, RddId, StageId};
+use refdist_dag::{AppProfile, BlockId, BlockSlots, RddId, StageId};
 use refdist_store::NodeId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// MemTune's eviction rank: un-needed first (`false < true`), LRU within
 /// each class, then id.
@@ -38,7 +39,7 @@ pub struct MemTunePolicy {
     /// RDDs needed by the current stage specifically (prefetched first).
     needed_now: HashSet<RddId>,
     clock: u64,
-    last_touch: HashMap<BlockId, u64>,
+    /// A resident block's last touch is the second half of its key.
     index: VictimIndex<MemTuneKey>,
     /// Tracked blocks per RDD, so a window flip re-ranks only that RDD.
     rdd_blocks: HashMap<RddId, Vec<BlockId>>,
@@ -52,7 +53,6 @@ impl MemTunePolicy {
 
     fn touch(&mut self, block: BlockId) -> MemTuneKey {
         self.clock += 1;
-        self.last_touch.insert(block, self.clock);
         (self.needed.contains(&block.rdd), self.clock)
     }
 }
@@ -60,6 +60,10 @@ impl MemTunePolicy {
 impl CachePolicy for MemTunePolicy {
     fn name(&self) -> String {
         "MemTune".into()
+    }
+
+    fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
+        self.index.attach_slots(slots);
     }
 
     fn on_stage_start(&mut self, stage: StageId, visible: &AppProfile) {
@@ -83,8 +87,8 @@ impl CachePolicy for MemTunePolicy {
             };
             let needed = self.needed.contains(rdd);
             for &b in blocks {
-                let key = (needed, self.last_touch.get(&b).copied().unwrap_or(0));
-                self.index.rekey(b, key);
+                let touch = self.index.key(b).map_or(0, |(_, t)| t);
+                self.index.rekey(b, (needed, touch));
             }
         }
     }
@@ -95,7 +99,6 @@ impl CachePolicy for MemTunePolicy {
             self.rdd_blocks.entry(block.rdd).or_default().push(block);
         }
         self.index.insert(node, block, key);
-        self.index.rekey(block, key);
     }
 
     fn on_access(&mut self, _node: NodeId, block: BlockId) {
@@ -104,7 +107,6 @@ impl CachePolicy for MemTunePolicy {
     }
 
     fn on_remove(&mut self, node: NodeId, block: BlockId) {
-        self.last_touch.remove(&block);
         let orphan = (self.needed.contains(&block.rdd), 0);
         if self.index.remove(node, block, orphan) {
             if let Some(blocks) = self.rdd_blocks.get_mut(&block.rdd) {
@@ -122,7 +124,7 @@ impl CachePolicy for MemTunePolicy {
             let needed = self.needed.contains(&b.rdd);
             (
                 needed, // false < true: un-needed evict first
-                self.last_touch.get(b).copied().unwrap_or(0),
+                self.index.key(*b).map_or(0, |(_, t)| t),
                 *b,
             )
         })

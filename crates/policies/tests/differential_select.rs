@@ -5,14 +5,21 @@
 //! `Engine::evict_one` loop drove it. Randomized multi-node traces including
 //! cross-node block copies (the orphan-rekey edge case) must not produce a
 //! single divergent victim.
+//!
+//! Both sides get a slot arena over every block the traces touch, as the
+//! engine always attaches one; LRC also runs once without, so the
+//! hash-keyed tables policies start with stay covered.
 
 use proptest::prelude::*;
-use refdist_dag::{AppProfile, BlockId, JobId, RddId, RddRefs, StageId, StageTouches};
+use refdist_dag::{
+    AppProfile, BlockId, BlockSlots, JobId, RddId, RddRefs, StageId, StageTouches,
+};
 use refdist_policies::{
     BeladyMinPolicy, CachePolicy, FifoPolicy, LrcPolicy, LruPolicy, MemTunePolicy, RandomPolicy,
 };
 use refdist_store::NodeId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const NODES: u32 = 2;
 
@@ -212,10 +219,19 @@ fn assert_equivalent(
     }
 }
 
-fn fresh_pair(kind: &str) -> (Box<dyn CachePolicy>, Box<dyn CachePolicy>) {
-    fn build(kind: &str) -> Box<dyn CachePolicy> {
+/// The arena of every block `blk` can name: 8 RDDs x 4 partitions.
+fn arena() -> Arc<BlockSlots> {
+    Arc::new(BlockSlots::from_counts((0..8).map(|r| (RddId(r), 4))))
+}
+
+/// Two identical policies of `kind`, both attached to `slots` if given.
+fn fresh_pair(
+    kind: &str,
+    slots: Option<&Arc<BlockSlots>>,
+) -> (Box<dyn CachePolicy>, Box<dyn CachePolicy>) {
+    let build = |kind: &str| -> Box<dyn CachePolicy> {
         let trace: Vec<BlockId> = (0..96u8).map(blk).collect();
-        match kind {
+        let mut policy: Box<dyn CachePolicy> = match kind {
             "lru" => Box::new(LruPolicy::new()),
             "fifo" => Box::new(FifoPolicy::new()),
             "lrc" => Box::new(LrcPolicy::new()),
@@ -225,8 +241,12 @@ fn fresh_pair(kind: &str) -> (Box<dyn CachePolicy>, Box<dyn CachePolicy>) {
             "random" => Box::new(RandomPolicy::new(0xfeed)),
             "belady" => Box::new(BeladyMinPolicy::from_trace(&trace)),
             _ => unreachable!(),
+        };
+        if let Some(slots) = slots {
+            policy.attach_slots(slots);
         }
-    }
+        policy
+    };
     (build(kind), build(kind))
 }
 
@@ -237,9 +257,12 @@ proptest! {
     fn indexed_select_matches_naive_scan(
         events in prop::collection::vec(ev_strategy(), 0..120),
     ) {
+        let slots = arena();
         for kind in ["lru", "fifo", "lrc", "memtune", "random", "belady"] {
-            let (reference, indexed) = fresh_pair(kind);
+            let (reference, indexed) = fresh_pair(kind, Some(&slots));
             assert_equivalent(reference, indexed, &events);
         }
+        let (reference, indexed) = fresh_pair("lrc", None);
+        assert_equivalent(reference, indexed, &events);
     }
 }

@@ -45,7 +45,7 @@ use refdist_core::{MrdPolicy, ProfileMode};
 use refdist_dag::{
     AppBuilder, AppPlan, AppProfile, AppSpec, BlockId, BlockSlots, JobId, StageId, StorageLevel,
 };
-use refdist_policies::{CachePolicy, LruPolicy};
+use refdist_policies::CachePolicy;
 use refdist_store::NodeId;
 use refdist_workloads::{graph::pagerank, Workload, WorkloadParams};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -585,11 +585,13 @@ fn long_streams(out: &mut String) {
 const MIB: usize = 1 << 20;
 
 /// Each node's block tables (memory-store residency, in-flight arrival
-/// times, unused prefetches, prefetch candidacy) must cost a few bits per
-/// cached-block slot plus O(blocks resident on that node), the shape of
-/// Spark's `MemoryStore`. Per-slot rows on every node (an `Option<u64>`
-/// size, a pin count, an arrival time) would cost 32 B x slots x nodes,
-/// over 200 MiB at 256 nodes x 28,672 slots.
+/// times, unused prefetches, prefetch candidacy) and each policy's per-node
+/// state (victim-index sets, MRD monitors' recency and index) must cost a
+/// few bits per cached-block slot plus O(blocks resident on that node), the
+/// shape of Spark's `MemoryStore`. Per-slot rows on every node (an
+/// `Option<u64>` size, a pin count, an arrival time, a recency stamp) would
+/// cost 32 B x slots x nodes, over 200 MiB at 256 nodes x 28,672 slots.
+/// LRU, LRC and MRD each run under the same bound.
 fn per_node_block_state_is_o_resident() {
     let nodes = 256u32;
     let spec = pagerank(&WorkloadParams {
@@ -601,7 +603,8 @@ fn per_node_block_state_is_o_resident() {
     let footprint: u64 = spec.cached_rdds().map(|r| r.total_size()).sum();
     let mut cluster = ClusterConfig::main_cluster();
     cluster.nodes = nodes;
-    // Half the cached footprint fits in the cluster (LRU evicts the rest).
+    // Half the cached footprint fits in the cluster (the policy evicts the
+    // rest).
     let cache = footprint / 2 / nodes as u64;
     let sim = Simulation::new(
         &spec,
@@ -609,25 +612,28 @@ fn per_node_block_state_is_o_resident() {
         ProfileMode::Recurring,
         SimConfig::new(cluster.with_cache(cache)).with_seed(42),
     );
-    let mut lru = LruPolicy::new();
-    let (report, heap) = measure(|| sim.run(&mut lru));
-    let peak_growth = heap.peak_growth;
-
-    assert!(report.stats.hits > 0 && report.stats.evictions > 0);
     // A byte (8 bits) per slot per node covers the per-node bitsets; 256 B
     // per slot covers the cluster-wide per-slot tables (block master,
-    // materialization, LRU recency) and every O(resident) map entry, since
-    // at most half the footprint is resident.
+    // materialization, the policy's per-block table) and every O(resident)
+    // map entry, since at most half the footprint is resident.
     let bound = nodes as usize * slots + 256 * slots;
     let dense_rows = 32 * nodes as usize * slots;
-    assert!(
-        peak_growth <= bound,
-        "run peaked at {:.1} MiB of heap growth over {slots} slots x {nodes} nodes; \
-         bound {:.1} MiB (dense per-node rows alone would be {:.1} MiB)",
-        peak_growth as f64 / MIB as f64,
-        bound as f64 / MIB as f64,
-        dense_rows as f64 / MIB as f64,
-    );
+    for policy in [PolicySpec::Lru, PolicySpec::Lrc, PolicySpec::MrdFull] {
+        let mut built = policy.build(None);
+        let (report, heap) = measure(|| sim.run(built.as_mut()));
+        let peak_growth = heap.peak_growth;
+
+        assert!(report.stats.hits > 0 && report.stats.evictions > 0);
+        assert!(
+            peak_growth <= bound,
+            "{} peaked at {:.1} MiB of heap growth over {slots} slots x {nodes} nodes; \
+             bound {:.1} MiB (dense per-node rows alone would be {:.1} MiB)",
+            policy.name(),
+            peak_growth as f64 / MIB as f64,
+            bound as f64 / MIB as f64,
+            dense_rows as f64 / MIB as f64,
+        );
+    }
 }
 
 /// What one burst cost.
@@ -677,8 +683,8 @@ fn burst_footprint(specs: &[AppSpec], active: usize) -> Footprint {
 /// submission stay flat from a burst of 4 to a burst of 16. Victim selection
 /// hands each policy its own-blocks map instead of re-splitting the node's
 /// resident map, candidate scans cover the running submission's slot run
-/// only, and each MRD monitor's tables span its own slots, not the shared
-/// arena.
+/// only, and each MRD monitor's tables hold its node's resident blocks, not
+/// the shared arena.
 ///
 /// Measured (4 nodes, cache 30% of the largest template's footprint; the
 /// "before" rows ran against the revision where each MRD monitor allocated
