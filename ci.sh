@@ -52,14 +52,16 @@ cargo test -q -p refdist-core --test differential_mrd
 
 # Frozen decision digests, named so a decision change is called out in the
 # CI log: the engine corpus (block state, scheduler, event queue; solo and
-# serve), the serve stream and decision corpora, and the tier-1 long-stream
-# and 128-node digests. A refactor or performance change must leave every
-# golden line as it is (DESIGN.md "Frozen decision digests").
+# serve), the serve stream, decision and admission-timeline corpora, and the
+# tier-1 long-stream and 128-node digests. A refactor or performance change
+# must leave every golden line as it is (DESIGN.md "Frozen decision
+# digests").
 echo "==> cargo test -q -p refdist-cluster --test engine_decisions"
 cargo test -q -p refdist-cluster --test engine_decisions
-echo "==> cargo test -q -p refdist-cluster --test differential_serve serve_equivalence_matches_golden serve_decisions_match_golden"
+echo "==> cargo test -q -p refdist-cluster --test differential_serve serve_equivalence_matches_golden serve_decisions_match_golden serve_admission_matches_golden"
 cargo test -q -p refdist-cluster --test differential_serve -- \
-  serve_equivalence_matches_golden serve_decisions_match_golden
+  serve_equivalence_matches_golden serve_decisions_match_golden \
+  serve_admission_matches_golden
 echo "==> cargo test -q --test serve_stream --test large_cluster"
 cargo test -q --test serve_stream --test large_cluster
 

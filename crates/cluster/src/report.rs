@@ -19,7 +19,7 @@ pub struct SchedStats {
 }
 
 /// Everything the evaluation harness needs from one simulated run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Application name.
     pub app: String,

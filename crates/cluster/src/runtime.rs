@@ -556,18 +556,46 @@ impl AppState {
         }
     }
 
-    /// State for an app-level retry: fresh clock and RNG streams (seeded
+    /// Restart for an app-level retry: fresh clock and RNG streams (seeded
     /// exactly as a standalone run of `seed` would be), with the failed
-    /// attempts' accumulators, logs, and fault counters carried over so the
+    /// attempts' accumulators, logs, and fault counters kept so the
     /// submission's final report covers every attempt it consumed.
-    pub(crate) fn retry_from(prev: AppState, seed: u64, arrival: SimTime) -> AppState {
-        AppState {
-            now: arrival,
-            rng: SmallRng::seed_from_u64(seed),
-            frng: fault_rng(seed),
-            aborted: None,
-            ..prev
+    pub(crate) fn restart(&mut self, seed: u64, arrival: SimTime) {
+        self.now = arrival;
+        self.rng = SmallRng::seed_from_u64(seed);
+        self.frng = fault_rng(seed);
+        self.aborted = None;
+    }
+}
+
+/// An application's job-submission cursor: jobs are submitted to the
+/// policy as the first of their stages starts, each with the profile
+/// visible once it is submitted. Solo runs and serve submissions share it.
+#[derive(Default)]
+pub(crate) struct JobCursor {
+    /// The next job to submit.
+    next: u32,
+    /// The profile visible since the latest submitted job.
+    visible: Option<Arc<AppProfile>>,
+}
+
+impl JobCursor {
+    /// Submit every job up to `stage`'s, then start `stage`; returns the
+    /// profile the stage runs with.
+    pub(crate) fn start_stage(
+        &mut self,
+        stage: &Stage,
+        profiler: &AppProfiler,
+        policy: &mut dyn CachePolicy,
+    ) -> &Arc<AppProfile> {
+        for j in self.next..=stage.job.0 {
+            let profile = profiler.visible_at_job_shared(JobId(j));
+            policy.on_job_submit(JobId(j), self.visible.insert(profile));
         }
+        self.next = self.next.max(stage.job.0 + 1);
+        let visible = self.visible.as_ref().expect("the stage's job is submitted");
+        policy.on_stage_start(stage.id, visible);
+        visible
     }
 }
 
@@ -1051,23 +1079,11 @@ impl<'a> Engine<'a> {
         policy.attach_slots(&self.arena);
         let plan = self.plan.expect("single-app runs carry a plan");
         let profiler = self.profiler.expect("single-app runs carry a profiler");
-        let mut submitted: Option<JobId> = None;
-        // Shared handle: recurring mode hands out the one full profile per
-        // job instead of cloning it.
-        let mut visible: Arc<AppProfile> = profiler.visible_at_job_shared(JobId(0));
+        let mut jobs = JobCursor::default();
 
         for stage in &plan.stages {
-            // Submit any jobs up to this stage's job.
-            let next = submitted.map_or(0, |j| j.0 + 1);
-            for j in next..=stage.job.0 {
-                visible = profiler.visible_at_job_shared(JobId(j));
-                policy.on_job_submit(JobId(j), &visible);
-                submitted = Some(JobId(j));
-            }
-
-            policy.on_stage_start(stage.id, &visible);
-
-            self.run_one_stage(stage, &visible, policy);
+            let visible = jobs.start_stage(stage, profiler, policy);
+            self.run_one_stage(stage, visible, policy);
             if self.aborted.is_some() {
                 // A task exhausted its retry budget: the driver gives up on
                 // the application; later stages never run.

@@ -37,7 +37,7 @@
 
 use crate::config::SimConfig;
 use crate::report::RunReport;
-use crate::runtime::{AppState, Engine, EngineScratch};
+use crate::runtime::{AppState, Engine, EngineScratch, JobCursor};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use refdist_core::AppProfiler;
@@ -49,8 +49,9 @@ use refdist_policies::CachePolicy;
 use refdist_simcore::{SimDuration, SimTime};
 use refdist_store::{CacheStats, NodeId};
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::mem::take;
 use std::sync::Arc;
 
 /// How application arrivals are generated.
@@ -105,10 +106,11 @@ fn attempt_seed(base: u64, attempt: u32) -> u64 {
     }
 }
 
-/// Simulated microseconds between admission re-polls of a queued submission
-/// (admission control, [`AdmissionPolicy::Queue`]): under fair-share the
-/// running submissions advance between polls, so the wait resolves as soon
-/// as one finishes, quantized to this granularity.
+/// Grid of a queued submission's admission polls, simulated microseconds
+/// (admission control, [`AdmissionPolicy::Queue`]): it polls the gate at
+/// `arrival + m·QUEUE_POLL_US`. A poll that finds the gate full puts it to
+/// sleep until capacity frees; it then polls at the next tick of the grid,
+/// so queue delays are quantized to this granularity.
 const QUEUE_POLL_US: u64 = 1_000;
 
 impl ArrivalProcess {
@@ -750,44 +752,6 @@ struct Peaks {
     active_apps: u64,
 }
 
-/// Run the inter-job scheduling loop over `arrivals`: `advance(a)` runs one
-/// stage of submission `a` and returns `(done, clock_after)`.
-fn drive(sched: ServeSched, arrivals: &[u64], mut advance: impl FnMut(usize) -> (bool, u64)) {
-    match sched {
-        ServeSched::Fifo => {
-            // Arrived submissions run to completion in `(arrival, index)`
-            // order. The event queue pops exactly that order: every app
-            // is scheduled once, in index order, so the queue's FIFO
-            // sequence tie-break is the smallest-index tie-break.
-            let mut q = refdist_simcore::EventQueue::new();
-            q.reserve(arrivals.len());
-            for (i, &at) in arrivals.iter().enumerate() {
-                q.schedule(SimTime(at), i as u32);
-            }
-            while let Some((_, i)) = q.pop() {
-                let a = i as usize;
-                while !advance(a).0 {}
-            }
-        }
-        ServeSched::FairShare => {
-            // Ready set ordered by `(app clock, submission index)`:
-            // O(log n) per stage. Clocks change every stage, so the
-            // tie-break (smallest index among equal clocks) must come from
-            // the composite key, not queue insertion order — which is why
-            // this is a `BTreeSet` and not the FIFO event queue.
-            let mut ready: std::collections::BTreeSet<(u64, usize)> =
-                arrivals.iter().enumerate().map(|(i, &at)| (at, i)).collect();
-            while let Some(&(k, i)) = ready.iter().next() {
-                ready.remove(&(k, i));
-                let (app_done, clock) = advance(i);
-                if !app_done {
-                    ready.insert((clock, i));
-                }
-            }
-        }
-    }
-}
-
 /// One serve run: a set of submissions (each tagged with a tenant), a shared
 /// cluster, and the serve policy knobs. Construction just records the
 /// stream; per-submission planning and profiling happen at admission time.
@@ -865,26 +829,6 @@ impl<'a> ServeSim<'a> {
         }
     }
 
-    /// Execute the stream under one policy instance per submission (same
-    /// order as the submissions passed to [`ServeSim::new`]).
-    ///
-    /// App-level retry re-admits a submission with a *fresh* policy
-    /// instance, which a pre-built `Vec` cannot supply — use
-    /// [`ServeSim::run_with`] when `max_app_attempts > 1`.
-    pub fn run(&self, policies: Vec<Box<dyn CachePolicy>>) -> ServeReport {
-        assert_eq!(policies.len(), self.subs.len(), "one policy per submission");
-        assert!(
-            self.cfg.resilience.max_app_attempts <= 1,
-            "app-level retry needs fresh policy instances: use ServeSim::run_with"
-        );
-        let mut policies: Vec<Option<Box<dyn CachePolicy>>> =
-            policies.into_iter().map(Some).collect();
-        self.dispatch(
-            &mut |i| policies[i].take().expect("each submission admits once"),
-            &mut EngineScratch::default(),
-        )
-    }
-
     /// Execute the stream with `factory(i)` supplying a policy instance for
     /// every *admission* of submission `i` — called once per submission
     /// normally, once more per app-level retry.
@@ -899,376 +843,419 @@ impl<'a> ServeSim<'a> {
         mut factory: impl FnMut(usize) -> Box<dyn CachePolicy>,
         scratch: &mut EngineScratch,
     ) -> ServeReport {
-        self.dispatch(&mut factory, scratch)
-    }
-
-    /// The driver: a submission's plan, profile, policy state and slot
-    /// range materialize at its arrival event and are torn down once it has
-    /// completed *and* no block it owns is memory-resident (the
-    /// drain-then-retire rule — retiring at completion would change which
-    /// blocks later evictions see, and therefore the victim sequences).
-    /// Engine, mux and arena state are O(peak-active), not O(stream).
-    ///
-    /// The driver also owns the two active resilience features: app-level
-    /// retry (an aborted submission is fully torn down — blocks purged,
-    /// slots returned, policy dropped — and re-admitted through the same
-    /// admission path after a capped exponential backoff) and overload
-    /// admission control (queue/shed/degrade against
-    /// [`ResilienceConfig::max_active_apps`]). With a passive config every
-    /// resilience branch is statically false and the run is byte-identical
-    /// to the pre-resilience driver.
-    fn dispatch(
-        &self,
-        factory: &mut dyn FnMut(usize) -> Box<dyn CachePolicy>,
-        scratch: &mut EngineScratch,
-    ) -> ServeReport {
         if let Err(e) = self.cfg.validate() {
             panic!("invalid serve config: {e}");
         }
-        let n = self.subs.len();
-        let cfg = &self.cfg.sim;
-        let nodes = cfg.cluster.nodes as usize;
-        let arrivals = self.cfg.arrivals.arrivals(n, cfg.seed);
-        let res = &self.cfg.resilience;
-        let retry_on = res.max_app_attempts > 1;
-        let gate_on = res.max_active_apps.is_some();
+        let mut driver = Driver::new(self, &mut factory, take(scratch));
+        driver.drive();
+        driver.finish(scratch)
+    }
+}
 
-        let mut arena = SlotArena::new();
-        let mut engine =
-            Engine::new_streaming(cfg, Arc::new(arena.snapshot()), std::mem::take(scratch));
-        if let Some(q) = self.quota_bytes() {
-            engine.enable_store_tenancy(&self.map, q);
+/// Where a submission is in its lifecycle. Each transition is one
+/// [`Driver`] method: `admit` (Pending or Queued to Running, or at a full
+/// gate to Queued or Shed), `retry` (Running to Pending), `complete`
+/// (Running to Draining) and `retire_drained` (Draining to Retired).
+enum Phase {
+    /// Arrived, or backing off before an app-level retry (`attempts > 0`)
+    /// holding the failed attempts' per-node stats.
+    Pending(Vec<CacheStats>),
+    /// Waiting at a full admission gate.
+    Queued,
+    /// Admitted: owns what its stages need.
+    Running(Run),
+    /// Completed; blocks it owns are still memory-resident.
+    Draining,
+    /// Completed and drained: its engine, mux and arena state are gone.
+    Retired,
+    /// Turned away at admission: it never ran.
+    Shed,
+}
+
+/// What a running submission's stages need. Completion drops it.
+struct Run {
+    plan: Arc<AppPlan>,
+    profiler: Arc<AppProfiler>,
+    jobs: JobCursor,
+    next_stage: usize,
+    /// Per node: the cache-stat deltas of its stages, every attempt's.
+    per_node: Vec<CacheStats>,
+}
+
+/// One submission's serve-side state.
+struct Submission {
+    phase: Phase,
+    arrival: SimTime,
+    /// Clock, RNG streams, accumulators and fault accounting, swapped into
+    /// the engine around each of its stages.
+    state: AppState,
+    /// The slot run its latest admission carved out of the arena.
+    slots: (u32, u32),
+    /// Admissions consumed, aborted attempts included.
+    attempts: u32,
+    /// Admitted past a full gate with caching bypassed.
+    degraded: bool,
+    queue_delay_us: u64,
+    report: Option<RunReport>,
+}
+
+/// The serve driver: the shared engine, mux and slot arena, and one
+/// [`Submission`] per arrival. Engine, mux and arena state are
+/// O(peak-active), not O(stream).
+struct Driver<'s, 'a> {
+    sim: &'s ServeSim<'a>,
+    /// Supplies a fresh policy for every admission.
+    factory: &'s mut Factory<'s>,
+    subs: Vec<Submission>,
+    engine: Engine<'s>,
+    mux: TenantMux,
+    arena: SlotArena,
+    /// One memoized plan and profile per distinct submission structure.
+    templates: TemplateCache,
+    /// Admitted, unfinished submissions: what the gate counts.
+    running: usize,
+    /// Submissions in [`Phase::Queued`].
+    queued: usize,
+    /// Queued submissions that found the gate full, out of the ready set.
+    dormant: Vec<usize>,
+    /// Submissions in [`Phase::Draining`], in completion order.
+    draining: Vec<usize>,
+    peaks: Peaks,
+}
+
+type Factory<'f> = dyn FnMut(usize) -> Box<dyn CachePolicy> + 'f;
+
+impl<'s, 'a> Driver<'s, 'a> {
+    fn new(sim: &'s ServeSim<'a>, factory: &'s mut Factory<'s>, scratch: EngineScratch) -> Self {
+        let cfg = &sim.cfg.sim;
+        let arena = SlotArena::new();
+        let mut engine = Engine::new_streaming(cfg, Arc::new(arena.snapshot()), scratch);
+        if let Some(q) = sim.quota_bytes() {
+            engine.enable_store_tenancy(&sim.map, q);
         }
-        let mut mux = TenantMux::new(n, Arc::clone(&self.map));
-
-        let mut plans: Vec<Option<Arc<AppPlan>>> = (0..n).map(|_| None).collect();
-        let mut profilers: Vec<Option<Arc<AppProfiler>>> = (0..n).map(|_| None).collect();
-        let mut visible: Vec<Option<Arc<AppProfile>>> = (0..n).map(|_| None).collect();
-        let mut states: Vec<AppState> = (0..n)
-            .map(|i| AppState::fresh(app_seed(cfg.seed, i), SimTime(arrivals[i])))
+        let arrivals = sim.cfg.arrivals.arrivals(sim.subs.len(), cfg.seed);
+        let subs = arrivals
+            .into_iter()
+            .enumerate()
+            .map(|(i, at)| Submission {
+                phase: Phase::Pending(Vec::new()),
+                arrival: SimTime(at),
+                state: AppState::fresh(app_seed(cfg.seed, i), SimTime(at)),
+                slots: (0, 0),
+                attempts: 0,
+                degraded: false,
+                queue_delay_us: 0,
+                report: None,
+            })
             .collect();
-        let mut submitted: Vec<Option<JobId>> = vec![None; n];
-        let mut next_stage = vec![0usize; n];
-        let mut per_node_acc: Vec<Vec<CacheStats>> = vec![vec![CacheStats::default(); nodes]; n];
-        let mut done = vec![false; n];
-        let mut reports: Vec<Option<RunReport>> = (0..n).map(|_| None).collect();
-        let mut completions = vec![0u64; n];
-        // Slot range each admitted submission carved out of the arena.
-        let mut slot_runs = vec![(0u32, 0u32); n];
-        // Completed submissions still holding memory-resident blocks.
-        let mut draining: Vec<usize> = Vec::new();
-        let mut peaks = Peaks::default();
-        // Per-run template cache: one memoized local-space plan/profile per
-        // distinct submission structure. Lives for the whole stream — the
-        // cache is bounded by template diversity, not stream length.
-        let mut templates = TemplateCache::new();
-        // Resilience accounting. `attempts` counts admissions consumed
-        // (0 until first admission); `running` counts admitted, unfinished
-        // submissions and drives the overload gate.
-        let mut attempts = vec![0u32; n];
-        let mut shed = vec![false; n];
-        let mut degraded = vec![false; n];
-        let mut queue_delay_us = vec![0u64; n];
-        let mut waiting = vec![false; n];
-        let mut waiting_count = 0usize;
-        let mut running = 0usize;
-
-        let advance = |a: usize| -> (bool, u64) {
-            if plans[a].is_none() {
-                // Overload admission control, first admission only: a retry
-                // re-enters unconditionally (the cluster already accepted
-                // the submission once). With `max_active_apps` unset this
-                // whole block is dead and arrivals admit exactly as before.
-                if attempts[a] == 0 {
-                    if let Some(cap) = res.max_active_apps {
-                        if running >= cap.max(1) as usize {
-                            match res.admission {
-                                AdmissionPolicy::Queue => {
-                                    let qcap =
-                                        res.queue_cap.map_or(usize::MAX, |c| c as usize);
-                                    if !waiting[a] && waiting_count >= qcap {
-                                        // Bounded queue overflow: shed on
-                                        // arrival.
-                                        shed[a] = true;
-                                        done[a] = true;
-                                        completions[a] = states[a].now.0;
-                                        return (true, states[a].now.0);
-                                    }
-                                    if !waiting[a] {
-                                        waiting[a] = true;
-                                        waiting_count += 1;
-                                    }
-                                    // Re-poll one quantum later; under
-                                    // fair-share the running submissions
-                                    // advance in between, so the poll loop
-                                    // terminates as soon as one finishes.
-                                    let next =
-                                        states[a].now.0.saturating_add(QUEUE_POLL_US);
-                                    states[a].now = SimTime(next);
-                                    return (false, next);
-                                }
-                                AdmissionPolicy::Shed => {
-                                    shed[a] = true;
-                                    done[a] = true;
-                                    completions[a] = states[a].now.0;
-                                    return (true, states[a].now.0);
-                                }
-                                AdmissionPolicy::Degrade => degraded[a] = true,
-                            }
-                        }
-                    }
-                    if waiting[a] {
-                        waiting[a] = false;
-                        waiting_count -= 1;
-                        queue_delay_us[a] = states[a].now.0.saturating_sub(arrivals[a]);
-                    }
-                }
-                // Admission: plan and profile this submission now, at its
-                // arrival event, and carve its block range out of the
-                // recyclable slot arena.
-                let (plan, profiler) = self.plan(a, &mut templates);
-                let spec = self.subs[a];
-                let off = self.map.offset(a);
-                slot_runs[a] = arena.admit(a as u32, &self.slot_counts(a));
-                let snap = Arc::new(arena.snapshot());
-                engine.admit_app(spec, off, &snap);
-                let policy = factory(a);
-                mux.admit(a, policy, &snap);
-                visible[a] = Some(profiler.visible_at_job_shared(JobId(0)));
-                plans[a] = Some(plan);
-                profilers[a] = Some(profiler);
-                attempts[a] += 1;
-                running += 1;
-            }
-            let plan = plans[a].as_ref().expect("admitted");
-            let profiler = profilers[a].as_ref().expect("admitted");
-            let stage = &plan.stages[next_stage[a]];
-            engine.current_app = a as u32;
-            let (sb, sl) = slot_runs[a];
-            engine.set_run(self.map.rdd_range(a), sb..sb + sl);
-            mux.set_current(a);
-            engine.swap_app(&mut states[a]);
-
-            let next = submitted[a].map_or(0, |j| j.0 + 1);
-            for j in next..=stage.job.0 {
-                visible[a] = Some(profiler.visible_at_job_shared(JobId(j)));
-                mux.on_job_submit(JobId(j), visible[a].as_ref().expect("just set"));
-                submitted[a] = Some(JobId(j));
-            }
-            let vis = visible[a].as_ref().expect("admitted");
-            mux.on_stage_start(stage.id, vis);
-
-            if gate_on {
-                // Degraded submissions run with caching bypassed; the flag
-                // is cluster-level engine state, so (re)assert it around
-                // every stage rather than trusting the previous app's value.
-                engine.cache_bypass = degraded[a];
-            }
-            let base = engine.node_stats();
-            engine.run_one_stage(stage, vis, &mut mux);
-            let after = engine.node_stats();
-            for (acc, (b, f)) in per_node_acc[a]
-                .iter_mut()
-                .zip(base.iter().zip(after.iter()))
-            {
-                acc.merge(&f.delta(b));
-            }
-            let nstages = plan.stages.len();
-
-            engine.swap_app(&mut states[a]);
-            next_stage[a] += 1;
-            let aborted_now = states[a].aborted.is_some();
-            if aborted_now && retry_on && attempts[a] < res.max_app_attempts {
-                // App-level retry: tear the failed attempt down completely
-                // — purge its memory-resident blocks, return its slot run
-                // and registry window, drop its policy instance — then
-                // reset the admission markers so the next dispatch of this
-                // submission re-enters the normal streaming admission path
-                // (template re-intern, slot recycling, fresh policy from
-                // the factory) after a capped exponential backoff. The
-                // accumulators, stage log and fault counters carry over so
-                // the final report covers every attempt.
-                let range = self.map.rdd_range(a);
-                engine.purge_app(range.clone(), &mut mux);
-                let (sb, sl) = slot_runs[a];
-                engine.retire_app(range.clone(), sb, sl);
-                arena.retire(RddId(range.start));
-                mux.retire(a);
-                plans[a] = None;
-                profilers[a] = None;
-                visible[a] = None;
-                submitted[a] = None;
-                next_stage[a] = 0;
-                running -= 1;
-                let backoff = res.app_backoff_us(attempts[a]);
-                let resume = states[a].now.0.saturating_add(backoff);
-                let seed = attempt_seed(app_seed(cfg.seed, a), attempts[a]);
-                let prev =
-                    std::mem::replace(&mut states[a], AppState::fresh(seed, SimTime(resume)));
-                states[a] = AppState::retry_from(prev, seed, SimTime(resume));
-            } else if aborted_now || next_stage[a] == nstages {
-                done[a] = true;
-                completions[a] = states[a].now.0;
-                running -= 1;
-                reports[a] = Some(self.finish_report(
-                    a,
-                    &mut states[a],
-                    &per_node_acc[a],
-                    arrivals[a],
-                    attempts[a],
-                    &mux,
-                ));
-                // Completion: the plan, profile, visibility cursor and
-                // stat accumulators die immediately; the submission drains
-                // until nothing it owns is memory-resident, then retires.
-                plans[a] = None;
-                profilers[a] = None;
-                visible[a] = None;
-                per_node_acc[a] = Vec::new();
-                draining.push(a);
-            }
-
-            // Retirement pass, after *every* stage: a draining submission's
-            // blocks leave memory through other submissions' evictions, not
-            // its own activity. Ascending index order keeps the free-list
-            // coalescing sequence independent of completion order.
-            let mut i = 0;
-            while i < draining.len() {
-                let d = draining[i];
-                let range = self.map.rdd_range(d);
-                if engine.any_resident(range.clone()) {
-                    i += 1;
-                    continue;
-                }
-                let (sb, sl) = slot_runs[d];
-                engine.retire_app(range.clone(), sb, sl);
-                arena.retire(RddId(range.start));
-                mux.retire(d);
-                draining.remove(i);
-            }
-
-            let (rb, rby) = engine.resident_totals();
-            peaks.resident_blocks = peaks.resident_blocks.max(rb);
-            peaks.resident_bytes = peaks.resident_bytes.max(rby);
-            peaks.arena_slots = peaks.arena_slots.max(arena.capacity() as u64);
-            peaks.active_apps = peaks.active_apps.max(mux.active_apps() as u64);
-            (done[a], states[a].now.0)
-        };
-        drive(self.cfg.sched, &arrivals, advance);
-        *scratch = engine.into_scratch();
-
-        let distinct = templates.len();
-        let resilience = (!res.is_passive()).then_some(ResilienceReport {
-            app_attempts: attempts,
-            shed,
-            degraded,
-            queue_delay_us,
-            deadline_us: res.deadline_us,
-        });
-        self.make_report(reports, arrivals, completions, &mux, peaks, distinct, resilience)
+        Driver {
+            sim,
+            factory,
+            subs,
+            engine,
+            mux: TenantMux::new(sim.subs.len(), Arc::clone(&sim.map)),
+            arena,
+            templates: TemplateCache::new(),
+            running: 0,
+            queued: 0,
+            dormant: Vec::new(),
+            draining: Vec::new(),
+            peaks: Peaks::default(),
+        }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn make_report(
-        &self,
-        reports: Vec<Option<RunReport>>,
-        arrivals: Vec<u64>,
-        completions: Vec<u64>,
-        mux: &TenantMux,
-        peaks: Peaks,
-        distinct_templates: usize,
-        resilience: Option<ResilienceReport>,
-    ) -> ServeReport {
-        let n = self.subs.len();
-        let makespan = SimDuration(completions.iter().copied().max().unwrap_or(0));
+    /// The scheduling loop: pop the smallest `(key, index)` of one ready
+    /// set and dispatch that submission. FIFO keys a submission by its
+    /// arrival, so it is popped again until it leaves the set; fair-share
+    /// re-keys it to its clock after every stage. A queued submission that
+    /// finds the gate full leaves the set; once the gate reopens, each goes
+    /// back at the tick its next poll of the gate falls on ([`poll_tick`]).
+    /// Pops never decrease and a failed poll changes nothing but the
+    /// poller's clock, so skipping the failed polls changes no decision.
+    fn drive(&mut self) {
+        let fifo = self.sim.cfg.sched == ServeSched::Fifo;
+        let key = |sub: &Submission| if fifo { sub.arrival.0 } else { sub.state.now.0 };
+        let mut ready: BTreeSet<(u64, usize)> = self.subs.iter().map(key).zip(0..).collect();
+        while let Some(popped) = ready.pop_first() {
+            let a = popped.1;
+            if self.dispatch(a) {
+                ready.insert((key(&self.subs[a]), a));
+            }
+            if !self.gate_full() {
+                for q in self.dormant.drain(..) {
+                    let sub = &mut self.subs[q];
+                    sub.state.now = SimTime(poll_tick(sub.arrival.0, q, popped));
+                    ready.insert((key(sub), q));
+                }
+            }
+        }
+        debug_assert!(self.dormant.is_empty(), "a queued submission slept forever");
+    }
+
+    /// Whether the overload gate turns first admissions away.
+    fn gate_full(&self) -> bool {
+        let cap = self.sim.cfg.resilience.max_active_apps;
+        cap.is_some_and(|cap| self.running >= cap as usize)
+    }
+
+    /// Dispatch submission `a` once: admit it unless it is running, run its
+    /// next stage, and retire whatever has drained. Returns whether `a`
+    /// stays ready.
+    fn dispatch(&mut self, a: usize) -> bool {
+        if !matches!(self.subs[a].phase, Phase::Running(_)) && !self.admit(a) {
+            return false;
+        }
+        let (aborted, last) = self.run_stage(a);
+        if aborted && self.subs[a].attempts < self.sim.cfg.resilience.max_app_attempts {
+            self.retry(a);
+        } else if aborted || last {
+            self.complete(a);
+        }
+        self.retire_drained();
+
+        let (blocks, bytes) = self.engine.resident_totals();
+        let p = &mut self.peaks;
+        p.resident_blocks = p.resident_blocks.max(blocks);
+        p.resident_bytes = p.resident_bytes.max(bytes);
+        p.arena_slots = p.arena_slots.max(self.arena.capacity() as u64);
+        p.active_apps = p.active_apps.max(self.mux.active_apps() as u64);
+        matches!(self.subs[a].phase, Phase::Running(_) | Phase::Pending(_))
+    }
+
+    /// Pending or Queued → Running: plan `a` through the template cache,
+    /// carve its slot run out of the arena and install a fresh policy. At
+    /// a full gate a first admission waits, is shed or runs degraded; a
+    /// retry re-enters unconditionally. Returns whether `a` runs now.
+    fn admit(&mut self, a: usize) -> bool {
+        let sim = self.sim;
+        let res = &sim.cfg.resilience;
+        let gated = self.subs[a].attempts == 0 && self.gate_full();
+        let sub = &mut self.subs[a];
+        if gated {
+            let queued = matches!(sub.phase, Phase::Queued);
+            match res.admission {
+                AdmissionPolicy::Queue
+                    if queued || self.queued < res.queue_cap.map_or(usize::MAX, |c| c as usize) =>
+                {
+                    if !queued {
+                        sub.phase = Phase::Queued;
+                        self.queued += 1;
+                    }
+                    self.dormant.push(a);
+                    return false;
+                }
+                AdmissionPolicy::Queue | AdmissionPolicy::Shed => {
+                    sub.phase = Phase::Shed;
+                    return false;
+                }
+                AdmissionPolicy::Degrade => sub.degraded = true,
+            }
+        }
+        if matches!(sub.phase, Phase::Queued) {
+            self.queued -= 1;
+            sub.queue_delay_us = sub.state.now.0.saturating_sub(sub.arrival.0);
+        }
+        let per_node = match &mut sub.phase {
+            Phase::Pending(carried) if sub.attempts > 0 => take(carried),
+            _ => vec![CacheStats::default(); sim.cfg.sim.cluster.nodes as usize],
+        };
+        let (plan, profiler) = sim.plan(a, &mut self.templates);
+        sub.slots = self.arena.admit(a as u32, &sim.slot_counts(a));
+        let snap = Arc::new(self.arena.snapshot());
+        self.engine.admit_app(sim.subs[a], sim.map.offset(a), &snap);
+        self.mux.admit(a, (self.factory)(a), &snap);
+        sub.phase = Phase::Running(Run {
+            plan,
+            profiler,
+            jobs: JobCursor::default(),
+            next_stage: 0,
+            per_node,
+        });
+        sub.attempts += 1;
+        self.running += 1;
+        true
+    }
+
+    /// Run `a`'s next stage on the shared engine, attributing the nodes'
+    /// cache-stat deltas to it. Returns whether the stage aborted the
+    /// attempt, and whether it was the last.
+    fn run_stage(&mut self, a: usize) -> (bool, bool) {
+        let engine = &mut self.engine;
+        let sub = &mut self.subs[a];
+        let Phase::Running(run) = &mut sub.phase else {
+            unreachable!("only running submissions run stages")
+        };
+        let stage = &run.plan.stages[run.next_stage];
+        engine.current_app = a as u32;
+        let (base, len) = sub.slots;
+        engine.set_run(self.sim.map.rdd_range(a), base..base + len);
+        self.mux.set_current(a);
+        engine.swap_app(&mut sub.state);
+        let visible = run.jobs.start_stage(stage, &run.profiler, &mut self.mux);
+        // Caching bypass is cluster-level engine state: set it for every
+        // stage rather than trusting the previous submission's value.
+        engine.cache_bypass = sub.degraded;
+        let before = engine.node_stats();
+        engine.run_one_stage(stage, visible, &mut self.mux);
+        let after = engine.node_stats();
+        for (n, acc) in run.per_node.iter_mut().enumerate() {
+            acc.merge(&after[n].delta(&before[n]));
+        }
+        engine.swap_app(&mut sub.state);
+        run.next_stage += 1;
+        let last = run.next_stage == run.plan.stages.len();
+        (sub.state.aborted.is_some(), last)
+    }
+
+    /// Running → Pending after an aborted attempt with budget left: purge
+    /// its blocks, tear it down, and re-admit it after a capped exponential
+    /// backoff with fresh clock and RNG streams. Accumulators, stage log
+    /// and fault counters carry over, so the report covers every attempt.
+    fn retry(&mut self, a: usize) {
+        self.engine
+            .purge_app(self.sim.map.rdd_range(a), &mut self.mux);
+        self.teardown(a);
+        self.release();
+        let sub = &mut self.subs[a];
+        let Phase::Running(run) = &mut sub.phase else {
+            unreachable!("only running submissions retry")
+        };
+        sub.phase = Phase::Pending(take(&mut run.per_node));
+        let backoff = self.sim.cfg.resilience.app_backoff_us(sub.attempts);
+        let resume = SimTime(sub.state.now.0.saturating_add(backoff));
+        let seed = attempt_seed(app_seed(self.sim.cfg.sim.seed, a), sub.attempts);
+        sub.state.restart(seed, resume);
+    }
+
+    /// Running → Draining: the attempt ran its last stage or aborted for
+    /// good, and its report is built from every attempt's accumulators.
+    fn complete(&mut self, a: usize) {
+        self.release();
+        let sub = &mut self.subs[a];
+        let Phase::Running(run) = std::mem::replace(&mut sub.phase, Phase::Draining) else {
+            unreachable!("only running submissions complete")
+        };
+        let mut stats = CacheStats::new();
+        for s in &run.per_node {
+            stats.merge(s);
+        }
+        let cfg = &self.sim.cfg.sim;
+        let st = &mut sub.state;
+        sub.report = Some(RunReport {
+            app: self.sim.subs[a].name.clone(),
+            policy: self.mux.policy_name(a),
+            jct: st.now - sub.arrival,
+            stats,
+            sched: st.sched_stats,
+            per_node: run.per_node,
+            io_time: st.io_accum,
+            compute_time: st.compute_accum,
+            stage_times: take(&mut st.stage_times),
+            tasks: st.tasks_run,
+            faults: st.fstats,
+            app_attempts: sub.attempts,
+            aborted: st.aborted,
+            trace: cfg.collect_trace.then(|| take(&mut st.trace)),
+            placements: cfg.collect_placements.then(|| take(&mut st.placements)),
+        });
+        self.draining.push(a);
+    }
+
+    /// Give a finishing or retrying submission's gate capacity back: in
+    /// driver order, at its last stage's start clock rather than at its
+    /// completion, so the gate can admit early in simulated time
+    /// (DESIGN.md §6, "Known deviations").
+    fn release(&mut self) {
+        self.running -= 1;
+    }
+
+    /// Draining → Retired, after every stage, for each draining submission
+    /// with nothing left in memory. Retiring at completion would change
+    /// which blocks later evictions see; a draining submission's blocks
+    /// leave through other submissions' evictions. The visiting order does
+    /// not matter: the arena's free list is kept sorted and coalesced, the
+    /// registry window advances to the lowest live RDD, and ghost-disk
+    /// counts are sums.
+    fn retire_drained(&mut self) {
+        let mut i = 0;
+        while let Some(&d) = self.draining.get(i) {
+            if self.engine.any_resident(self.sim.map.rdd_range(d)) {
+                i += 1;
+            } else {
+                self.draining.remove(i);
+                self.teardown(d);
+                self.subs[d].phase = Phase::Retired;
+            }
+        }
+    }
+
+    /// Return `a`'s slot run and registry window and drop its policy; none
+    /// of its blocks is in memory.
+    fn teardown(&mut self, a: usize) {
+        let range = self.sim.map.rdd_range(a);
+        let (base, len) = self.subs[a].slots;
+        self.engine.retire_app(range.clone(), base, len);
+        self.arena.retire(RddId(range.start));
+        self.mux.retire(a);
+    }
+
+    /// The stream's report; the engine's buffers go back to `scratch`.
+    fn finish(self, scratch: &mut EngineScratch) -> ServeReport {
+        *scratch = self.engine.into_scratch();
+        let (sim, subs) = (self.sim, self.subs);
+        let res = &sim.cfg.resilience;
+        let shed = |s: &Submission| matches!(s.phase, Phase::Shed);
+        let resilience = (!res.is_passive()).then(|| ResilienceReport {
+            app_attempts: subs.iter().map(|s| s.attempts).collect(),
+            shed: subs.iter().map(shed).collect(),
+            degraded: subs.iter().map(|s| s.degraded).collect(),
+            queue_delay_us: subs.iter().map(|s| s.queue_delay_us).collect(),
+            deadline_us: res.deadline_us,
+        });
+        let arrivals = subs.iter().map(|s| s.arrival.0).collect();
+        // A finished submission's clock stopped at its completion (a shed
+        // one's at its arrival).
+        let completions: Vec<u64> = subs.iter().map(|s| s.state.now.0).collect();
         ServeReport {
-            reports: reports
+            makespan: SimDuration(completions.iter().copied().max().unwrap_or(0)),
+            // A shed submission never ran: its report is an inert
+            // placeholder (no policy, no attempt, no task) so submission
+            // indices stay aligned.
+            reports: subs
                 .into_iter()
-                .enumerate()
-                .map(|(a, r)| match r {
-                    Some(r) => r,
-                    // A shed submission never ran: its report is an inert
-                    // placeholder so submission indices stay aligned.
-                    None => self.shed_report(a),
+                .zip(&sim.subs)
+                .map(|(s, spec)| {
+                    s.report.unwrap_or_else(|| RunReport {
+                        app: spec.name.clone(),
+                        policy: "-".into(),
+                        ..RunReport::default()
+                    })
                 })
                 .collect(),
             arrivals,
             completions,
-            tenants: (0..n).map(|a| self.map.tenant_of_app(a)).collect(),
-            cross_evictions: mux.cross_evictions().clone(),
-            sched: self.cfg.sched,
-            quota: self.cfg.quota,
-            makespan,
-            peak_resident_blocks: peaks.resident_blocks,
-            peak_resident_bytes: peaks.resident_bytes,
-            peak_arena_slots: peaks.arena_slots,
-            peak_active_apps: peaks.active_apps,
-            distinct_templates,
+            tenants: (0..sim.subs.len())
+                .map(|a| sim.map.tenant_of_app(a))
+                .collect(),
+            cross_evictions: self.mux.cross_evictions().clone(),
+            sched: sim.cfg.sched,
+            quota: sim.cfg.quota,
+            peak_resident_blocks: self.peaks.resident_blocks,
+            peak_resident_bytes: self.peaks.resident_bytes,
+            peak_arena_slots: self.peaks.arena_slots,
+            peak_active_apps: self.peaks.active_apps,
+            distinct_templates: self.templates.len(),
             resilience,
         }
     }
+}
 
-    /// The inert placeholder report of a shed submission: it consumed no
-    /// attempt, ran no task and touched no cache.
-    fn shed_report(&self, a: usize) -> RunReport {
-        RunReport {
-            app: self.subs[a].name.clone(),
-            policy: "-".into(),
-            jct: SimDuration::ZERO,
-            stats: CacheStats::new(),
-            sched: crate::report::SchedStats::default(),
-            per_node: Vec::new(),
-            io_time: SimDuration::ZERO,
-            compute_time: SimDuration::ZERO,
-            stage_times: Vec::new(),
-            tasks: 0,
-            faults: crate::faults::FaultStats::default(),
-            app_attempts: 0,
-            aborted: None,
-            trace: None,
-            placements: None,
-        }
-    }
-
-    fn finish_report(
-        &self,
-        a: usize,
-        st: &mut AppState,
-        per_node: &[CacheStats],
-        arrival: u64,
-        attempts: u32,
-        mux: &TenantMux,
-    ) -> RunReport {
-        let mut agg = CacheStats::new();
-        for s in per_node {
-            agg.merge(s);
-        }
-        RunReport {
-            app: self.subs[a].name.clone(),
-            policy: mux.policy_name(a),
-            jct: st.now - SimTime(arrival),
-            stats: agg,
-            sched: st.sched_stats,
-            per_node: per_node.to_vec(),
-            io_time: st.io_accum,
-            compute_time: st.compute_accum,
-            stage_times: std::mem::take(&mut st.stage_times),
-            tasks: st.tasks_run,
-            faults: st.fstats,
-            app_attempts: attempts,
-            aborted: st.aborted,
-            trace: self
-                .cfg
-                .sim
-                .collect_trace
-                .then(|| std::mem::take(&mut st.trace)),
-            placements: self
-                .cfg
-                .sim
-                .collect_placements
-                .then(|| std::mem::take(&mut st.placements)),
-        }
-    }
+/// The tick at which dormant submission `q` (arrived at `arrival`) polls
+/// the gate next, once the ready set has popped `(k, i)`: the first
+/// `arrival + m·QUEUE_POLL_US` whose key `(tick, q)` comes after `(k, i)`.
+fn poll_tick(arrival: u64, q: usize, (k, i): (u64, usize)) -> u64 {
+    let tick = arrival + k.saturating_sub(arrival) / QUEUE_POLL_US * QUEUE_POLL_US;
+    tick.saturating_add(if (tick, q) > (k, i) { 0 } else { QUEUE_POLL_US })
 }
 
 /// Per-tenant JCT distribution over one serve run.
@@ -1670,7 +1657,7 @@ mod tests {
             .run(&mut LruPolicy::new());
 
         let serve = ServeSim::new(&[(&spec, 0)], ServeConfig::passthrough(c));
-        let sr = serve.run(vec![Box::new(LruPolicy::new())]);
+        let sr = serve.run_with(|_| Box::new(LruPolicy::new()));
         assert_eq!(sr.reports.len(), 1);
         assert_eq!(format!("{legacy:?}"), format!("{:?}", sr.reports[0]));
         assert_eq!(sr.makespan, legacy.jct);
@@ -1707,7 +1694,7 @@ mod tests {
                 resilience: ResilienceConfig::default(),
             },
         );
-        let sr = serve.run(vec![Box::new(LruPolicy::new()), Box::new(LruPolicy::new())]);
+        let sr = serve.run_with(|_| Box::new(LruPolicy::new()));
         assert_eq!(sr.reports.len(), 2);
         assert_eq!(sr.reports[0].app, "alpha");
         assert_eq!(sr.reports[1].app, "beta");
@@ -1969,17 +1956,5 @@ mod tests {
             let e = bad.validate().unwrap_err();
             assert!(e.contains(why), "{e}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "use ServeSim::run_with")]
-    fn run_rejects_retry_budgets() {
-        let a = little_app("alpha", 2);
-        let res = ResilienceConfig {
-            max_app_attempts: 2,
-            ..ResilienceConfig::default()
-        };
-        let serve = ServeSim::new(&[(&a, 0)], serve_cfg(cfg(2, 2 << 20), ServeSched::Fifo, res));
-        let _ = serve.run(vec![Box::new(LruPolicy::new())]);
     }
 }

@@ -502,11 +502,7 @@ fn run_events_serve(p: &EventParams, sched: ServeSched) -> Outcome {
     let serve = ServeSim::new(&subs, cfg);
     let fams = core_policies();
     let log = common::Log::default();
-    let policies = [0, 5, 3]
-        .iter()
-        .map(|&f| Recorder::sharing(fams[f].1(), &log))
-        .collect();
-    let report = serve.run(policies);
+    let report = serve.run_with(|i| Recorder::sharing(fams[[0, 5, 3][i]].1(), &log));
     Outcome {
         report: format!("{report:?}"),
         decisions: snapshot(&log),

@@ -123,7 +123,7 @@ fn serve_fair_matches_golden() {
             resilience: Default::default(),
         },
     );
-    let report = serve.run((0..3).map(|_| PolicyKind::Lru.build()).collect());
+    let report = serve.run_with(|_| PolicyKind::Lru.build());
     check_golden("serve_fair.txt", &report.summary());
 }
 
@@ -221,7 +221,7 @@ fn serve_survives_a_tenant_crash_mid_stream() {
             resilience: Default::default(),
         },
     );
-    let report = serve.run((0..3).map(|_| PolicyKind::Lru.build()).collect());
+    let report = serve.run_with(|_| PolicyKind::Lru.build());
     assert_eq!(report.reports.len(), 3, "every submission gets a report");
     let aborted: Vec<usize> = report
         .reports

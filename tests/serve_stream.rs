@@ -75,7 +75,7 @@ fn run(n: usize, tenants: u32) -> ServeReport {
             resilience: Default::default(),
         },
     );
-    serve.run((0..n).map(|_| PolicyKind::Lru.build()).collect())
+    serve.run_with(|_| PolicyKind::Lru.build())
 }
 
 #[test]
@@ -140,7 +140,7 @@ fn template_cache_is_bounded_by_distinct_structures() {
             resilience: Default::default(),
         },
     );
-    let report = serve.run((0..N).map(|_| PolicyKind::Lru.build()).collect());
+    let report = serve.run_with(|_| PolicyKind::Lru.build());
     assert_eq!(report.reports.len(), N);
     // `a` and `renamed` share one template; `b` differs structurally.
     assert_eq!(report.distinct_templates, 2);
@@ -164,7 +164,7 @@ fn fifo_and_quota_streams_match_golden() {
                 resilience: Default::default(),
             },
         );
-        let st = serve.run((0..subs.len()).map(|_| PolicyKind::Lru.build()).collect());
+        let st = serve.run_with(|_| PolicyKind::Lru.build());
         assert!(st.peak_arena_slots <= subs.len() as u64 * 2);
         lines.push_str(&stream_line(&format!("fifo x64 quota {quota}"), &st));
     }

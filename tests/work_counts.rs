@@ -251,9 +251,13 @@ impl Ran for ServeReport {
 }
 
 /// Run scenario `name` on a fresh engine scratch and append its counts to
-/// `out`, one `name key value` line each. Only `run` is measured: inputs
-/// are built before it.
-fn scenario<R: Ran>(out: &mut String, name: &str, run: impl FnOnce(&mut EngineScratch) -> R) -> R {
+/// `out`, one `name key value` line each; returns what it ran and its heap
+/// traffic. Only `run` is measured: inputs are built before it.
+fn scenario<R: Ran>(
+    out: &mut String,
+    name: &str,
+    run: impl FnOnce(&mut EngineScratch) -> R,
+) -> (R, Heap) {
     for c in &CALLS {
         c.store(0, Relaxed);
     }
@@ -299,7 +303,7 @@ fn scenario<R: Ran>(out: &mut String, name: &str, run: impl FnOnce(&mut EngineSc
     }
     put("heap.allocs", heap.allocs);
     put("heap.peak_bytes", heap.peak_growth as u64);
-    ran
+    (ran, heap)
 }
 
 /// The paper's grid, shrunk: three workloads x LRU/LRC/MRD x two cache
@@ -379,7 +383,7 @@ fn speculation(out: &mut String) {
     cfg.faults.slow_node(0, 4.0);
     cfg.faults.speculation_quantile = 0.75;
     let sim = prep.simulation(cfg);
-    let ran = scenario(out, "speculation", |scratch| {
+    let (ran, _) = scenario(out, "speculation", |scratch| {
         let mut policy = counted(PolicySpec::Lru.build(None));
         vec![sim.run_with_scratch(&mut *policy, scratch)]
     });
@@ -397,7 +401,7 @@ fn serve(
     sc: &ServeScenario,
     cfg: ServeConfig,
     policy: PolicySpec,
-) -> ServeReport {
+) -> (ServeReport, Heap) {
     let subs = sc.submissions();
     let sim = ServeSim::new(&subs, cfg);
     scenario(out, name, |scratch| {
@@ -474,22 +478,29 @@ fn serve_streams(out: &mut String, templates: &[AppSpec]) {
 
 /// 16 MRD submissions over 4 tenants all arriving at t=0: served uncapped,
 /// then through an admission queue that lets 2 run at a time. A queued
-/// submission re-polls the gate every simulated millisecond, and the capped
-/// golden lines carry that cost.
+/// submission that finds the gate full sleeps until capacity frees, so
+/// waiting costs nothing per simulated millisecond: the capped burst may
+/// allocate at most twice what the uncapped one does.
 fn serve_bursts(out: &mut String, templates: &[AppSpec]) {
     let burst = mix_scenario(templates, 16, 4);
     let mut cfg = burst.config();
     cfg.arrivals = ArrivalProcess::Trace(vec![0; 16]);
-    let uncapped = serve(out, "serve_burst", &burst, cfg.clone(), PolicySpec::MrdFull);
+    let (uncapped, free) = serve(out, "serve_burst", &burst, cfg.clone(), PolicySpec::MrdFull);
     cfg.resilience.admission = AdmissionPolicy::Queue;
     cfg.resilience.max_active_apps = Some(2);
-    let capped = serve(out, "serve_queue", &burst, cfg, PolicySpec::MrdFull);
+    let (capped, queued) = serve(out, "serve_queue", &burst, cfg, PolicySpec::MrdFull);
     assert_eq!(capped.peak_active_apps, 2, "the gate caps the burst");
     let tasks = |s: &ServeReport| s.reports.iter().map(|r| r.tasks).sum::<u64>();
     assert_eq!(
         tasks(&capped),
         tasks(&uncapped),
         "queueing runs the same tasks"
+    );
+    assert!(
+        queued.allocs <= 2 * free.allocs,
+        "the capped burst made {} allocations, the uncapped one {}",
+        queued.allocs,
+        free.allocs
     );
 }
 
@@ -544,7 +555,7 @@ fn long_streams(out: &mut String) {
     for (apps, gap_ms) in [(256, 80), (1024, 80), (1024, 40)] {
         let sc = stream_scenario(&spec, apps, gap_ms * 1_000);
         let name = format!("stream_{apps}_gap{gap_ms}");
-        let st = serve(out, &name, &sc, sc.config(), PolicySpec::Lru);
+        let (st, _) = serve(out, &name, &sc, sc.config(), PolicySpec::Lru);
         let whole = u64::from(apps) * slots_per_app;
         assert!(
             st.peak_arena_slots < whole / 4,
@@ -569,7 +580,7 @@ fn long_streams(out: &mut String) {
             faults.max_task_attempts = 2;
             faults.node_churn(mtbf_ms * 1_000, mtbf_ms * 250);
             let name = format!("churn_{cell}_{admission:?}").to_lowercase();
-            let st = serve(out, &name, &sc, sc.config(), PolicySpec::Lru);
+            let (st, _) = serve(out, &name, &sc, sc.config(), PolicySpec::Lru);
             let res = st.resilience.as_ref().expect("an active config reports");
             assert!(res.total_retries() > 0, "{name}: no app-level retries");
             if admission == AdmissionPolicy::Shed {
