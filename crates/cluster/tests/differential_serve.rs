@@ -544,6 +544,10 @@ enum Variant {
     Shed,
     /// An active-app cap with a bounded pending queue (overflow sheds).
     Queue,
+    /// An active-app cap that admits arrivals with caching bypassed, under
+    /// task failures and an app-level retry budget, so degraded submissions
+    /// also retry.
+    Degrade,
 }
 
 /// The fixed, seeded scenario corpus behind `serve_decisions.txt`: every
@@ -555,7 +559,7 @@ fn decision_corpus() -> Vec<(String, StreamParams, CfgParams, Variant)> {
     use Variant::*;
     let mut g = Gen(0xD1CE_5EED);
     let mut out = Vec::new();
-    for variant in [Streaming, Upfront, Churn, Retry, Shed, Queue] {
+    for variant in [Streaming, Upfront, Churn, Retry, Shed, Queue, Degrade] {
         for fair_share in [false, true] {
             for quota in 0u8..3 {
                 let stream = StreamParams {
@@ -625,6 +629,17 @@ fn apply_variant(variant: Variant, sc: &mut ServeConfig) {
                 ..ResilienceConfig::default()
             };
         }
+        Variant::Degrade => {
+            sc.sim.faults.task_failure_p = 0.15;
+            sc.sim.faults.max_task_attempts = 2;
+            sc.resilience = ResilienceConfig {
+                max_active_apps: Some(2),
+                admission: AdmissionPolicy::Degrade,
+                max_app_attempts: 3,
+                retry_backoff_us: 50_000,
+                ..ResilienceConfig::default()
+            };
+        }
     }
 }
 
@@ -657,19 +672,26 @@ fn serve_decisions_match_golden() {
 }
 
 /// One line per resilience row of the decision corpus (`Retry`, `Shed`,
-/// `Queue`): how many submissions were shed, queued and retried, and the
-/// FNV-1a digest of every submission's completion time, queue delay,
-/// attempt count and shed and degraded flags.
+/// `Queue`, `Degrade`): how many submissions were shed, queued and retried,
+/// and the FNV-1a digest of every submission's completion time, queue
+/// delay, attempt count and shed and degraded flags. Panics unless the
+/// corpus degrades at least one submission and retries a degraded one.
 fn admission_digests() -> String {
     let mut out = String::new();
+    let (mut degraded, mut degraded_retries) = (0, 0);
     for (name, stream, cfg, variant) in decision_corpus() {
-        if !matches!(variant, Variant::Retry | Variant::Shed | Variant::Queue) {
+        if !matches!(
+            variant,
+            Variant::Retry | Variant::Shed | Variant::Queue | Variant::Degrade
+        ) {
             continue;
         }
         let (report, _) = run_stream(&stream, &cfg, &|sc| apply_variant(variant, sc));
         let res = report.resilience.as_ref().expect("an active config reports");
         let mut timeline = String::new();
         for (i, &done) in report.completions.iter().enumerate() {
+            degraded += res.degraded[i] as usize;
+            degraded_retries += (res.degraded[i] && res.app_attempts[i] > 1) as usize;
             timeline.push_str(&format!(
                 "{done} {} {} {} {};",
                 res.queue_delay_us[i], res.app_attempts[i], res.shed[i], res.degraded[i]
@@ -683,6 +705,8 @@ fn admission_digests() -> String {
             fnv1a(timeline.as_bytes())
         ));
     }
+    assert!(degraded > 0, "no corpus row degrades a submission");
+    assert!(degraded_retries > 0, "no corpus row retries a degraded submission");
     out
 }
 
