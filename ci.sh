@@ -6,7 +6,7 @@
 # Mirrors what a hosted pipeline would run; every step must pass. The
 # tier-1 subset (release build + root-package tests) comes first so the
 # cheapest signal fails fastest, then the full workspace test suite and
-# clippy with warnings promoted to errors.
+# clippy and rustdoc with warnings promoted to errors.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -84,6 +84,12 @@ cargo clippy --offline --all-targets --manifest-path refbench/Cargo.toml -- -D w
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc with warnings promoted to errors, private items included: a
+# broken or ambiguous intra-doc link, or public docs linking a private item,
+# fails here.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --document-private-items"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
 
 # Bench smoke: every criterion suite runs each benchmark body once
 # (--test mode). Guards against bit-rotted bench code; timing is NOT

@@ -1,5 +1,5 @@
 //! Library implementations of the experiment binaries that run on the
-//! [`crate::sweep`] engine.
+//! [`crate::sweep`](mod@crate::sweep) engine.
 //!
 //! Each `*_text` function renders one experiment's full stdout and returns
 //! it as a `String`: the `exp_*` binaries just print it, and the golden-file

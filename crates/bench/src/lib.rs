@@ -4,7 +4,7 @@
 //! `src/bin/` (`exp_table1`, `exp_fig4`, ...) built on the shared harness in
 //! this library: policy construction, cache-size sweeps sized against a
 //! workload's cached footprint, and parallel execution of independent
-//! simulations on the bounded worker pool of the [`sweep`] engine.
+//! simulations on the bounded worker pool of the [`sweep`](mod@sweep) engine.
 
 pub mod cachebench;
 pub mod experiments;
@@ -392,7 +392,7 @@ pub struct SweepPoint {
     pub fraction: f64,
     /// Per-node cache bytes.
     pub cache_bytes: u64,
-    /// Reports, parallel to the policies passed to [`sweep`].
+    /// Reports, parallel to the policies passed to [`sweep`](fn@sweep).
     pub reports: Vec<RunReport>,
 }
 
@@ -401,7 +401,7 @@ pub struct SweepPoint {
 pub const SWEEP_FRACTIONS: &[f64] = &[0.15, 0.25, 0.4, 0.6, 0.8, 1.1, 1.4];
 
 /// Sweep cache sizes for one workload, running every policy at every point.
-/// Cells run on the [`sweep`] engine's bounded worker pool (each simulation
+/// Cells run on the [`sweep`](mod@sweep) engine's bounded worker pool (each simulation
 /// is single-threaded and independent); results come back grouped per
 /// fraction, reports parallel to `policies`.
 pub fn sweep(

@@ -128,12 +128,6 @@ pub struct SimConfig {
     /// node each round; the cap keeps the background traffic from starving
     /// demand I/O of subsequent stages.
     pub max_prefetch_per_node: usize,
-    /// Deserialization cost when a block is read from disk or across the
-    /// network, in CPU microseconds per MiB. Memory hits skip it — Spark's
-    /// MemoryStore holds deserialized objects, while disk and network blocks
-    /// are serialized bytes. This is a large part of why a cache hit is so
-    /// much cheaper than a "cheap" local-disk miss.
-    pub deser_us_per_mb: u64,
     /// Record the global cached-block access trace (for the Belady oracle).
     pub collect_trace: bool,
     /// Fault injection: scripted crashes/slowdowns plus stochastic task,
@@ -174,7 +168,6 @@ impl SimConfig {
             prefetch_threshold: 0.25,
             exec_mem_fraction: 0.3,
             max_prefetch_per_node: 8,
-            deser_us_per_mb: 12_000,
             collect_trace: false,
             faults: FaultPlan::default(),
             adaptive_threshold: false,

@@ -438,9 +438,10 @@ impl FaultStats {
 pub struct StageAbort {
     /// The stage that aborted.
     pub stage: StageId,
-    /// The application (submission index) the stage belonged to. Always 0
-    /// in the single-app engine; serve mode records which tenant's
-    /// submission died so the survivors' reports stay attributable.
+    /// The application (submission index) the stage belonged to. The
+    /// engine records 0, which a solo run keeps; the serve driver stamps
+    /// the submission index after the aborting stage, so the survivors'
+    /// reports stay attributable.
     pub app: u32,
     /// The failing task's partition index.
     pub task: u32,

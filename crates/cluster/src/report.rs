@@ -18,6 +18,15 @@ pub struct SchedStats {
     pub remote_placements: u64,
 }
 
+impl SchedStats {
+    /// Sum another run's counters into this aggregate (serve mode folds the
+    /// per-application placement counters into one cluster-level view).
+    pub fn merge(&mut self, other: &SchedStats) {
+        self.home_placements += other.home_placements;
+        self.remote_placements += other.remote_placements;
+    }
+}
+
 /// Everything the evaluation harness needs from one simulated run.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
@@ -222,6 +231,19 @@ mod tests {
         assert!(r
             .summary()
             .contains("3 of 10 tasks delay-scheduled remotely"));
+    }
+
+    #[test]
+    fn sched_stats_merge_adds_fieldwise() {
+        let mut acc = SchedStats {
+            home_placements: 7,
+            remote_placements: 3,
+        };
+        acc.merge(&SchedStats {
+            home_placements: 2,
+            remote_placements: 5,
+        });
+        assert_eq!((acc.home_placements, acc.remote_placements), (9, 8));
     }
 
     #[test]

@@ -1,5 +1,17 @@
-//! The simulation engine: executes a planned application on a simulated
-//! cluster under a cache policy.
+//! The simulation engine: executes planned applications' stages on a
+//! simulated cluster under a cache policy.
+//!
+//! ## The engine runs stages, the drivers own applications
+//!
+//! The engine holds the shared cluster (stores, block master, disks, NICs,
+//! task slots, fault topology) and the `AppState` of the application whose
+//! stage runs: clock, RNG streams, accumulators, logs, fault and abort
+//! accounting, slot run and caching mode. A driver owns each application:
+//! plan, profiler, job cursor and `AppState`. The solo driver
+//! ([`Simulation::run_with_scratch`]) runs in the engine's own state; the
+//! serve driver ([`crate::serve`]) swaps each submission's in around its
+//! stages. Both run stages through `Engine::run_one_stage` and build the
+//! [`RunReport`] with `AppState::report`.
 //!
 //! ## Execution model
 //!
@@ -42,7 +54,7 @@
 //! ## Scheduler index and shared artifacts
 //!
 //! Task placement runs off an incrementally maintained slot index
-//! ([`crate::sched::SlotIndex`]): O(log n) per placement instead of a scan
+//! (`SlotIndex`): O(log n) per placement instead of a scan
 //! over every core. Every placement, eviction and purge this engine decides
 //! is pinned by the frozen decision digests
 //! (`tests/golden/engine_decisions.txt`). Run-independent artifacts — the
@@ -67,6 +79,7 @@ use refdist_dag::{
 use refdist_policies::{CachePolicy, LruPolicy};
 use refdist_simcore::{EventQueue, FifoResource, QueueWork, SimDuration, SimTime};
 use refdist_store::{BlockManager, BlockMaster, CacheStats, InsertError, NodeId};
+use std::mem::take;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -141,13 +154,34 @@ impl<'a> Simulation<'a> {
     /// next run. Results are identical to [`Simulation::run`] — the engine
     /// resets every recycled buffer to its fresh state — but back-to-back
     /// runs (sweep cells on one worker thread) skip the allocations.
+    ///
+    /// This is the solo driver: the plan's stages in order, each through
+    /// the job cursor and `Engine::run_one_stage` exactly as the serve
+    /// driver runs a submission's, until the last stage or an abort.
     pub fn run_with_scratch(
         &self,
         policy: &mut dyn CachePolicy,
         scratch: &mut EngineScratch,
     ) -> RunReport {
-        let mut engine = Engine::new(self, std::mem::take(scratch));
-        let report = engine.run(policy);
+        let (arena, nrdds) = (Arc::clone(&self.arena), self.spec.rdds.len());
+        let source = SpecSource::Whole(self.spec);
+        let mut engine = Engine::build(source, &self.cfg, arena, nrdds, take(scratch));
+        // Offer the arena before any other hook so policies can switch
+        // their per-block state to slot-indexed tables.
+        policy.attach_slots(&self.arena);
+        let mut jobs = JobCursor::default();
+        for stage in &self.plan.stages {
+            let visible = jobs.start_stage(stage, &self.profiler, policy);
+            engine.run_one_stage(stage, visible, policy);
+            if engine.app.aborted.is_some() {
+                // A task exhausted its retry budget: the driver gives up on
+                // the application; later stages never run.
+                break;
+            }
+        }
+        let (name, per_node) = (self.spec.name.clone(), engine.node_stats());
+        let app = &mut engine.app;
+        let report = app.report(&self.cfg, name, policy.name(), SimTime::ZERO, per_node, 1);
         *scratch = engine.into_scratch();
         report
     }
@@ -358,12 +392,10 @@ impl SpecRegistry {
     }
 }
 
+/// The stage executor: the shared cluster, and the [`AppState`] of the
+/// application whose stage runs.
 pub(crate) struct Engine<'a> {
     source: SpecSource<'a>,
-    /// `None` for the streaming engine, which never calls [`Engine::run`]:
-    /// the serve driver owns per-app plans and drives stages directly.
-    plan: Option<&'a AppPlan>,
-    profiler: Option<&'a AppProfiler>,
     cfg: &'a SimConfig,
     nodes: usize,
 
@@ -375,10 +407,6 @@ pub(crate) struct Engine<'a> {
     slots: Vec<Vec<SimTime>>,
     /// Ordered mirror of `slots` for O(log n) placement.
     sched: SlotIndex,
-    /// Home vs delay-scheduled-remote placement counters.
-    sched_stats: SchedStats,
-    /// Per-task `(node, slot, start)` log (`cfg.collect_placements`).
-    placements: Vec<(u32, u32, SimTime)>,
 
     /// Block → dense slot mapping over the cached RDDs.
     arena: Arc<BlockSlots>,
@@ -423,13 +451,9 @@ pub(crate) struct Engine<'a> {
     thresholds: Vec<f64>,
     /// Per-node (prefetches, wasted) seen at the last adaptation point.
     adapt_baseline: Vec<(u64, u64)>,
-    now: SimTime,
-    io_accum: SimDuration,
-    compute_accum: SimDuration,
-    tasks_run: u64,
-    stage_times: Vec<(refdist_dag::StageId, SimTime, SimTime)>,
-    trace: Vec<BlockId>,
-    rng: SmallRng,
+    /// The running application's state: a solo run's own, or the serve
+    /// submission swapped in around its stage ([`Engine::swap_app`]).
+    app: AppState,
 
     // --- fault injection (`cfg.faults`) ---
     /// Per node: currently down (crashed with a pending rejoin). Tasks homed
@@ -437,25 +461,16 @@ pub(crate) struct Engine<'a> {
     down: Vec<bool>,
     /// Per node: stage id at which a downed node rejoins.
     rejoin_at: Vec<Option<u32>>,
-    /// Dedicated stream for the stochastic fault draws, derived from the
-    /// master seed but separate from the compute-jitter stream (`rng`) so an
-    /// empty plan draws nothing and fault-free runs stay byte-identical.
-    frng: SmallRng,
-    fstats: FaultStats,
-    aborted: Option<StageAbort>,
     /// Per node: disk spills of *retired* applications, purged at
     /// retirement but still counted as the node's until it next crashes. A
     /// crash counts them into `lost_blocks` (then forgets them), so a crash
     /// loses the same blocks whether or not their owners have retired.
     ghost_disk: Vec<u64>,
-    /// Per scripted crash: whether it already fired. Legacy runs visit each
+    /// Per scripted crash: whether it already fired. A solo run visits each
     /// stage id exactly once so this is inert there; the serve driver replays
     /// per-application stage counters that *do* recur, and a scripted crash
     /// must still fire at most once per simulation.
     crash_fired: Vec<bool>,
-    /// Application index stamped onto [`StageAbort`]s. Always 0 for the
-    /// single-app engine; the serve driver sets it to the running app.
-    pub(crate) current_app: u32,
 
     // --- wall-clock faults (cluster-level; never swapped per-app) ---
     /// High-water mark of every stage-start clock observed so far. The
@@ -477,24 +492,18 @@ pub(crate) struct Engine<'a> {
     /// Per node: whether the next churn transition is a repair (the node's
     /// current churn interval is a down interval) rather than a failure.
     churn_repair: Vec<bool>,
-    /// Degraded-admission mode for the app currently swapped in: when set,
-    /// nothing is inserted into the memory cache and no prefetch runs — the
-    /// submission executes, it just cannot cache. Serve-driver controlled;
-    /// always false elsewhere.
-    pub(crate) cache_bypass: bool,
-    /// The running application's RDD ids and dense slot run. Purge and
-    /// prefetch candidates are collected from these alone, so a stage's
-    /// candidate scans cost O(its own application), not O(every live
-    /// one). Serve drivers set them per stage ([`Engine::set_run`]); a
-    /// single-app run covers everything.
-    run_rdds: Range<u32>,
-    run_slots: Range<u32>,
 }
 
+/// Deserialization cost when a block is read from disk or across the
+/// network, in CPU microseconds per MiB (~85 MB/s). Memory hits skip it —
+/// Spark's MemoryStore holds deserialized objects, while disk and network
+/// blocks are serialized bytes. This is a large part of why a cache hit is
+/// so much cheaper than a "cheap" local-disk miss.
+const DESER_US_PER_MB: u64 = 12_000;
+
 /// The fault-draw stream for `seed`: a splitmix of the master seed,
-/// decorrelated from the jitter stream but fully determined by `seed`.
-/// Shared between the engine and [`AppState`] so a serve app's swapped-in
-/// streams match what a standalone run of the same seed would use.
+/// decorrelated from the jitter stream but fully determined by `seed`, so a
+/// serve app's streams match what a solo run of the same seed would use.
 fn fault_rng(seed: u64) -> SmallRng {
     SmallRng::seed_from_u64((seed ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(0xBF58_476D_1CE4_E5B9))
 }
@@ -515,24 +524,41 @@ fn exp_gap(rng: &mut SmallRng, mean_us: u64) -> u64 {
     (gap as u64).max(1)
 }
 
-/// The per-application slice of engine state. The serve driver keeps one per
-/// submission and [`Engine::swap_app`]s it in around each stage, so one
-/// engine (shared cluster, stores, master, scheduler) can interleave many
-/// applications while each keeps its own clock, RNG streams, accumulators,
-/// and fault/abort accounting.
+/// Everything the engine keeps per application: the one state a driver
+/// owns per application and the engine runs stages against. A solo run's
+/// lives in its engine; the serve driver keeps one per submission and
+/// [`Engine::swap_app`]s it in around each stage, so one engine (shared
+/// cluster, stores, master, scheduler) interleaves many applications while
+/// each keeps its own clock, RNG streams, accumulators, slot run, caching
+/// mode and fault/abort accounting.
 pub(crate) struct AppState {
     pub(crate) now: SimTime,
+    /// Compute-jitter stream.
     rng: SmallRng,
+    /// Stochastic fault-draw stream, derived from the seed but separate from
+    /// `rng` so an empty plan draws nothing and fault-free runs stay
+    /// byte-identical.
     frng: SmallRng,
-    pub(crate) io_accum: SimDuration,
-    pub(crate) compute_accum: SimDuration,
-    pub(crate) tasks_run: u64,
-    pub(crate) stage_times: Vec<(refdist_dag::StageId, SimTime, SimTime)>,
-    pub(crate) trace: Vec<BlockId>,
-    pub(crate) placements: Vec<(u32, u32, SimTime)>,
-    pub(crate) sched_stats: SchedStats,
-    pub(crate) fstats: FaultStats,
+    io_accum: SimDuration,
+    compute_accum: SimDuration,
+    tasks_run: u64,
+    stage_times: Vec<(refdist_dag::StageId, SimTime, SimTime)>,
+    trace: Vec<BlockId>,
+    /// Per-task `(node, slot, start)` log (`cfg.collect_placements`).
+    placements: Vec<(u32, u32, SimTime)>,
+    /// Home vs delay-scheduled-remote placement counters.
+    sched_stats: SchedStats,
+    fstats: FaultStats,
     pub(crate) aborted: Option<StageAbort>,
+    /// The application's dense slot run. Purge and prefetch candidates are
+    /// collected from it alone, so a stage's candidate scans cost O(its own
+    /// application), not O(every live one). A solo run covers everything;
+    /// the serve driver sets it at each admission.
+    pub(crate) slot_run: Range<u32>,
+    /// Degraded admission: nothing is inserted into the memory cache and no
+    /// prefetch runs — the application executes, it just cannot cache. Set
+    /// by the serve driver at a degraded admission and kept across retries.
+    pub(crate) cache_bypass: bool,
 }
 
 impl AppState {
@@ -553,6 +579,8 @@ impl AppState {
             sched_stats: SchedStats::default(),
             fstats: FaultStats::default(),
             aborted: None,
+            slot_run: 0..u32::MAX,
+            cache_bypass: false,
         }
     }
 
@@ -565,6 +593,41 @@ impl AppState {
         self.rng = SmallRng::seed_from_u64(seed);
         self.frng = fault_rng(seed);
         self.aborted = None;
+    }
+
+    /// The application's report: its clock since `arrival`, its
+    /// accumulators and logs, and `per_node`'s cache counters, summed. The
+    /// one place that gates the access trace and placement log on `cfg`.
+    pub(crate) fn report(
+        &mut self,
+        cfg: &SimConfig,
+        app: String,
+        policy: String,
+        arrival: SimTime,
+        per_node: Vec<CacheStats>,
+        app_attempts: u32,
+    ) -> RunReport {
+        let mut stats = CacheStats::new();
+        for s in &per_node {
+            stats.merge(s);
+        }
+        RunReport {
+            app,
+            policy,
+            jct: self.now - arrival,
+            stats,
+            sched: self.sched_stats,
+            per_node,
+            io_time: self.io_accum,
+            compute_time: self.compute_accum,
+            stage_times: take(&mut self.stage_times),
+            tasks: self.tasks_run,
+            faults: self.fstats,
+            app_attempts,
+            aborted: self.aborted,
+            trace: cfg.collect_trace.then(|| take(&mut self.trace)),
+            placements: cfg.collect_placements.then(|| take(&mut self.placements)),
+        }
     }
 }
 
@@ -600,18 +663,6 @@ impl JobCursor {
 }
 
 impl<'a> Engine<'a> {
-    pub(crate) fn new(sim: &'a Simulation<'_>, s: EngineScratch) -> Self {
-        Self::build(
-            SpecSource::Whole(sim.spec),
-            Some(sim.plan),
-            Some(&sim.profiler),
-            &sim.cfg,
-            Arc::clone(&sim.arena),
-            sim.spec.rdds.len(),
-            s,
-        )
-    }
-
     /// A streaming engine: starts with no resolvable RDDs and an empty slot
     /// arena snapshot; the serve driver grows both one application at a time
     /// via [`Engine::admit_app`] and shrinks them via [`Engine::retire_app`].
@@ -620,21 +671,14 @@ impl<'a> Engine<'a> {
         arena: Arc<BlockSlots>,
         s: EngineScratch,
     ) -> Self {
-        Self::build(
-            SpecSource::Registry(SpecRegistry::default()),
-            None,
-            None,
-            cfg,
-            arena,
-            0,
-            s,
-        )
+        let source = SpecSource::Registry(SpecRegistry::default());
+        Self::build(source, cfg, arena, 0, s)
     }
 
+    /// An engine over `source` whose own application state starts fresh at
+    /// time zero, seeded with `cfg.seed`.
     fn build(
         source: SpecSource<'a>,
-        plan: Option<&'a AppPlan>,
-        profiler: Option<&'a AppProfiler>,
         cfg: &'a SimConfig,
         arena: Arc<BlockSlots>,
         nrdds: usize,
@@ -675,8 +719,6 @@ impl<'a> Engine<'a> {
         };
         Engine {
             source,
-            plan,
-            profiler,
             cfg,
             nodes: n,
             managers: (0..n)
@@ -697,8 +739,6 @@ impl<'a> Engine<'a> {
                 .collect(),
             slots: s.slots,
             sched,
-            sched_stats: SchedStats::default(),
-            placements: Vec::new(),
             pending: HashMap::default(),
             pending_d: s.pending_d,
             materialized_d: s.materialized_d,
@@ -715,63 +755,32 @@ impl<'a> Engine<'a> {
             arena,
             thresholds: vec![cfg.prefetch_threshold; n],
             adapt_baseline: vec![(0, 0); n],
-            now: SimTime::ZERO,
-            io_accum: SimDuration::ZERO,
-            compute_accum: SimDuration::ZERO,
-            tasks_run: 0,
-            stage_times: Vec::new(),
-            trace: Vec::new(),
-            rng: SmallRng::seed_from_u64(cfg.seed),
+            app: AppState::fresh(cfg.seed, SimTime::ZERO),
             down: vec![false; n],
             rejoin_at: vec![None; n],
-            frng: fault_rng(cfg.seed),
-            fstats: FaultStats::default(),
-            aborted: None,
             ghost_disk: vec![0; n],
             crash_fired: vec![false; cfg.faults.crashes.len()],
-            current_app: 0,
             cluster_now: 0,
             timed_fired: vec![false; cfg.faults.timed_crashes.len()],
             rejoin_at_time: vec![None; n],
             churn_rng,
             churn_next,
             churn_repair: vec![false; if churn_on { n } else { 0 }],
-            cache_bypass: false,
-            run_rdds: 0..u32::MAX,
-            run_slots: 0..u32::MAX,
         }
     }
 
-    /// Swap the per-application state slice between the engine and `app`.
-    /// Called in pairs by the serve driver: swap in before running one of the
-    /// app's stages, swap out after. Shared cluster state (stores, master,
-    /// slots, scheduler index, fault topology) stays in place.
+    /// Swap the engine's application state with `app`. Called in pairs by
+    /// the serve driver: swap in before running one of the app's stages,
+    /// swap out after. Shared cluster state (stores, master, slots,
+    /// scheduler index, fault topology) stays in place.
     pub(crate) fn swap_app(&mut self, app: &mut AppState) {
-        std::mem::swap(&mut self.now, &mut app.now);
-        std::mem::swap(&mut self.rng, &mut app.rng);
-        std::mem::swap(&mut self.frng, &mut app.frng);
-        std::mem::swap(&mut self.io_accum, &mut app.io_accum);
-        std::mem::swap(&mut self.compute_accum, &mut app.compute_accum);
-        std::mem::swap(&mut self.tasks_run, &mut app.tasks_run);
-        std::mem::swap(&mut self.stage_times, &mut app.stage_times);
-        std::mem::swap(&mut self.trace, &mut app.trace);
-        std::mem::swap(&mut self.placements, &mut app.placements);
-        std::mem::swap(&mut self.sched_stats, &mut app.sched_stats);
-        std::mem::swap(&mut self.fstats, &mut app.fstats);
-        std::mem::swap(&mut self.aborted, &mut app.aborted);
+        std::mem::swap(&mut self.app, app);
     }
 
-    /// Restrict purge and prefetch candidates to one application: its
-    /// combined RDD id range and its dense slot run (serve drivers, before
-    /// each of the application's stages).
-    pub(crate) fn set_run(&mut self, rdds: Range<u32>, slots: Range<u32>) {
-        self.run_rdds = rdds;
-        self.run_slots = slots;
-    }
-
-    /// Per-node cache-statistics snapshot. The serve driver diffs snapshots
-    /// around each stage ([`CacheStats::delta`]) to attribute shared-node
-    /// counters to the application whose stage just ran.
+    /// Per-node cache-statistics snapshot: a solo run's per-node report
+    /// rows. The serve driver diffs snapshots around each stage
+    /// ([`CacheStats::delta`]) to attribute shared-node counters to the
+    /// application whose stage just ran.
     pub(crate) fn node_stats(&self) -> Vec<CacheStats> {
         self.managers.iter().map(|m| m.stats).collect()
     }
@@ -828,13 +837,11 @@ impl<'a> Engine<'a> {
     ///
     /// In-flight and unused-prefetch marks exist only on resident blocks,
     /// so an app with none resident has none to scrub.
-    pub(crate) fn retire_app(&mut self, rdds: std::ops::Range<u32>, slot_base: u32, slot_len: u32) {
+    pub(crate) fn retire_app(&mut self, rdds: Range<u32>, slots: Range<u32>) {
         debug_assert!(!self.any_resident(rdds.clone()), "retiring a resident app");
         debug_assert!(
             self.pending.keys().all(|(_, b)| !rdds.contains(&b.rdd.0))
-                && self.prefetched_d.iter().all(|set| {
-                    (slot_base..slot_base + slot_len).all(|s| !set.contains(s))
-                }),
+                && self.prefetched_d.iter().all(|set| slots.clone().all(|s| !set.contains(s))),
             "pending or prefetched marks outlived residency"
         );
         self.work.retirements += 1;
@@ -861,10 +868,11 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        if slot_len > 0 {
-            self.materialized_d.clear_range(slot_base, slot_len);
+        if !slots.is_empty() {
+            let len = slots.end - slots.start;
+            self.materialized_d.clear_range(slots.start, len);
             for set in &mut self.prefetchable {
-                set.clear_range(slot_base, slot_len);
+                set.clear_range(slots.start, len);
             }
         }
         let SpecSource::Registry(reg) = &mut self.source else {
@@ -943,7 +951,7 @@ impl<'a> Engine<'a> {
     /// One stochastic fault draw. Draws from the fault stream only when the
     /// probability is positive, so an empty plan draws nothing.
     fn fault_draw(&mut self, p: f64) -> bool {
-        p > 0.0 && self.frng.random_bool(p.min(1.0))
+        p > 0.0 && self.app.frng.random_bool(p.min(1.0))
     }
 
     /// Hand the reusable buffers back for the next run.
@@ -988,7 +996,7 @@ impl<'a> Engine<'a> {
 
     /// Deserialization CPU cost for a block arriving from disk or network.
     fn deser_us(&self, bytes: u64) -> u64 {
-        bytes * self.cfg.deser_us_per_mb / (1 << 20)
+        bytes * DESER_US_PER_MB / (1 << 20)
     }
 
     /// Dense slot of a cached-RDD block (every block the engine tracks
@@ -1073,66 +1081,13 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(&mut self, policy: &mut dyn CachePolicy) -> RunReport {
-        // Offer the arena before any other hook so policies can switch
-        // their per-block state to slot-indexed tables.
-        policy.attach_slots(&self.arena);
-        let plan = self.plan.expect("single-app runs carry a plan");
-        let profiler = self.profiler.expect("single-app runs carry a profiler");
-        let mut jobs = JobCursor::default();
-
-        for stage in &plan.stages {
-            let visible = jobs.start_stage(stage, profiler, policy);
-            self.run_one_stage(stage, visible, policy);
-            if self.aborted.is_some() {
-                // A task exhausted its retry budget: the driver gives up on
-                // the application; later stages never run.
-                break;
-            }
-        }
-
-        let mut agg = CacheStats::new();
-        for m in &self.managers {
-            agg.merge(&m.stats);
-        }
-        RunReport {
-            app: match &self.source {
-                SpecSource::Whole(s) => s.name.clone(),
-                SpecSource::Registry(_) => {
-                    unreachable!("streaming serve builds its reports in the driver")
-                }
-            },
-            policy: policy.name(),
-            jct: self.now - SimTime::ZERO,
-            stats: agg,
-            sched: self.sched_stats,
-            per_node: self.managers.iter().map(|m| m.stats).collect(),
-            io_time: self.io_accum,
-            compute_time: self.compute_accum,
-            stage_times: std::mem::take(&mut self.stage_times),
-            tasks: self.tasks_run,
-            faults: self.fstats,
-            app_attempts: 1,
-            aborted: self.aborted,
-            trace: if self.cfg.collect_trace {
-                Some(std::mem::take(&mut self.trace))
-            } else {
-                None
-            },
-            placements: if self.cfg.collect_placements {
-                Some(std::mem::take(&mut self.placements))
-            } else {
-                None
-            },
-        }
-    }
-
     /// Execute one stage end to end: scripted fault events, cluster-wide
     /// purge, execution-memory reservation, the stage's tasks, then the
-    /// prefetch pass and stage-clock advance. Job submission and
-    /// `on_stage_start` belong to the caller — the legacy [`Engine::run`]
-    /// loop and the multi-application serve driver both route through here,
-    /// which is what makes single-tenant serving equivalent by construction.
+    /// prefetch pass and stage-clock advance, all against the swapped-in
+    /// [`AppState`]. Job submission and `on_stage_start` belong to the
+    /// caller — the solo driver ([`Simulation::run_with_scratch`]) and the
+    /// serve driver both route every stage through here, which is what makes
+    /// single-tenant serving equivalent by construction.
     pub(crate) fn run_one_stage(
         &mut self,
         stage: &Stage,
@@ -1143,7 +1098,7 @@ impl<'a> Engine<'a> {
         // and fire everything due by it. Gated so fault-free runs (and runs
         // with only stage-indexed plans) pay nothing here.
         if !self.timed_fired.is_empty() || self.churn_rng.is_some() {
-            self.cluster_now = self.cluster_now.max(self.now.0);
+            self.cluster_now = self.cluster_now.max(self.app.now.0);
             self.process_time_events(policy);
         }
 
@@ -1168,7 +1123,7 @@ impl<'a> Engine<'a> {
             self.managers[node].memory.set_reserved(exec_bytes);
         }
 
-        let start = self.now;
+        let start = self.app.now;
         let end = self.run_stage_tasks(stage, policy);
 
         // The stage's execution memory is released; the freed headroom
@@ -1176,11 +1131,11 @@ impl<'a> Engine<'a> {
         for node in 0..self.nodes {
             self.managers[node].memory.set_reserved(0);
         }
-        if self.aborted.is_none() && !self.cache_bypass && policy.wants_prefetch() {
+        if self.app.aborted.is_none() && !self.app.cache_bypass && policy.wants_prefetch() {
             self.run_prefetch(stage, visible, policy);
         }
-        self.stage_times.push((stage.id, start, end));
-        self.now = end;
+        self.app.stage_times.push((stage.id, start, end));
+        self.app.now = end;
     }
 
     /// Fire the scripted fault events due at the start of stage `stage`:
@@ -1189,7 +1144,7 @@ impl<'a> Engine<'a> {
     /// take the last live node (the cluster must keep at least one).
     fn process_fault_events(&mut self, stage: u32, policy: &mut dyn CachePolicy) {
         for node in 0..self.nodes {
-            // `<=` instead of `==`: a legacy run's stage counter hits every
+            // `<=` instead of `==`: a solo run's stage counter hits every
             // value exactly once (identical behaviour), but the serve driver
             // interleaves per-app counters that can step past the due stage.
             if self.rejoin_at[node].is_some_and(|r| r <= stage) {
@@ -1325,11 +1280,11 @@ impl<'a> Engine<'a> {
         self.down[node] = false;
         self.rejoin_at[node] = None;
         for slot in 0..self.slots[node].len() {
-            let old = std::mem::replace(&mut self.slots[node][slot], self.now);
-            self.sched.commit(node, slot, old, self.now);
+            let old = std::mem::replace(&mut self.slots[node][slot], self.app.now);
+            self.sched.commit(node, slot, old, self.app.now);
         }
         policy.on_node_join(NodeId(node as u32));
-        self.fstats.rejoins += 1;
+        self.app.fstats.rejoins += 1;
     }
 
     /// Wipe one node's memory and disk (executor loss). Lost cached blocks
@@ -1355,7 +1310,7 @@ impl<'a> Engine<'a> {
         self.managers[node].stats.lost_blocks +=
             (lost_mem.len() + lost_disk.len()) as u64 + self.ghost_disk[node];
         self.ghost_disk[node] = 0;
-        self.fstats.crashes += 1;
+        self.app.fstats.crashes += 1;
     }
 
     /// Adapt a node's prefetch threshold from its recent prefetch economy
@@ -1396,7 +1351,7 @@ impl<'a> Engine<'a> {
         // over all nodes or apps.
         self.purge_buf.clear();
         self.purge_buf
-            .extend(self.master.memory_resident_in(self.run_slots.clone()));
+            .extend(self.master.memory_resident_in(self.app.slot_run.clone()));
         if self.purge_buf.is_empty() {
             // Still let the policy refresh its purge bookkeeping.
             let _ = policy.purge_candidates(&[]);
@@ -1425,7 +1380,7 @@ impl<'a> Engine<'a> {
 
     /// Run all tasks of a stage; returns the stage end time.
     fn run_stage_tasks(&mut self, stage: &Stage, policy: &mut dyn CachePolicy) -> SimTime {
-        let stage_start = self.now;
+        let stage_start = self.app.now;
         let mut stage_end = stage_start;
         let speculating = self.cfg.faults.speculation_quantile > 0.0;
         // Task records are kept only when speculation needs the stage's
@@ -1463,12 +1418,14 @@ impl<'a> Engine<'a> {
             }
             let start = slot_free.max(stage_start);
             if node == home {
-                self.sched_stats.home_placements += 1;
+                self.app.sched_stats.home_placements += 1;
             } else {
-                self.sched_stats.remote_placements += 1;
+                self.app.sched_stats.remote_placements += 1;
             }
             if self.cfg.collect_placements {
-                self.placements.push((node as u32, slot_idx as u32, start));
+                self.app
+                    .placements
+                    .push((node as u32, slot_idx as u32, start));
             }
 
             // Attempt loop: each failed attempt occupies the slot for its
@@ -1484,28 +1441,29 @@ impl<'a> Engine<'a> {
                 if !self.fault_draw(task_fail_p) {
                     break end;
                 }
-                self.fstats.task_failures += 1;
+                self.app.fstats.task_failures += 1;
                 if attempts >= max_attempts {
-                    self.aborted = Some(StageAbort {
+                    // The serve driver stamps its submission index over `app`.
+                    self.app.aborted = Some(StageAbort {
                         stage: stage.id,
-                        app: self.current_app,
+                        app: 0,
                         task: p,
                         attempts,
                     });
-                    self.fstats.aborts += 1;
+                    self.app.fstats.aborts += 1;
                     break end;
                 }
                 let backoff = self.cfg.faults.backoff_us(attempts);
-                self.fstats.retries += 1;
-                self.fstats.backoff_us += backoff;
+                self.app.fstats.retries += 1;
+                self.app.fstats.backoff_us += backoff;
                 attempt_start = end + SimDuration::from_micros(backoff);
             };
 
             let old = std::mem::replace(&mut self.slots[node][slot_idx], task_end);
             self.sched.commit(node, slot_idx, old, task_end);
-            self.tasks_run += 1;
+            self.app.tasks_run += 1;
             stage_end = stage_end.max(task_end);
-            if self.aborted.is_some() {
+            if self.app.aborted.is_some() {
                 return stage_end;
             }
             if speculating {
@@ -1538,6 +1496,7 @@ impl<'a> Engine<'a> {
 
         let mut jitter = if self.cfg.compute_jitter > 0.0 {
             1.0 + self
+                .app
                 .rng
                 .random_range(-self.cfg.compute_jitter..=self.cfg.compute_jitter)
         } else {
@@ -1564,8 +1523,8 @@ impl<'a> Engine<'a> {
             let out = self.rdd(stage.final_rdd).block_size;
             task_end = self.disk[node].request(task_end, out);
         }
-        self.io_accum += io_done - start;
-        self.compute_accum += compute;
+        self.app.io_accum += io_done - start;
+        self.app.compute_accum += compute;
         task_end
     }
 
@@ -1583,7 +1542,7 @@ impl<'a> Engine<'a> {
         // event queue (which `run_stage_tasks` fed one completion event per
         // task) instead of cloning and fully sorting the end times. Ties
         // pop FIFO, but equal times yield the same threshold either way.
-        let tasks = std::mem::take(&mut self.stage_tasks);
+        let tasks = take(&mut self.stage_tasks);
         let n = tasks.len();
         debug_assert_eq!(tasks.attempts.len(), n, "task columns stay parallel");
         let k = ((n as f64) * q).ceil() as usize;
@@ -1613,13 +1572,13 @@ impl<'a> Engine<'a> {
                 stage_end = stage_end.max(end);
                 continue;
             }
-            self.fstats.spec_launched += 1;
+            self.app.fstats.spec_launched += 1;
             let copy_start = free.max(threshold);
             let copy_end = self.run_attempt(stage, p, node, copy_start, policy);
             let old = std::mem::replace(&mut self.slots[node][slot_idx], copy_end);
             self.sched.commit(node, slot_idx, old, copy_end);
             if copy_end < end {
-                self.fstats.spec_wins += 1;
+                self.app.fstats.spec_wins += 1;
                 stage_end = stage_end.max(copy_end);
                 // Kill the original attempt. If it was the last occupant of
                 // its slot, the slot frees at the kill (never before the
@@ -1630,7 +1589,7 @@ impl<'a> Engine<'a> {
                     self.sched.commit(onode, oslot, prev, kill);
                 }
             } else {
-                self.fstats.spec_losses += 1;
+                self.app.fstats.spec_losses += 1;
                 stage_end = stage_end.max(end);
             }
         }
@@ -1669,7 +1628,7 @@ impl<'a> Engine<'a> {
         if cached {
             self.mark_materialized(b);
             if self.cfg.collect_trace {
-                self.trace.push(b);
+                self.app.trace.push(b);
             }
             self.try_insert(node, b, io, false, policy);
         }
@@ -1728,7 +1687,7 @@ impl<'a> Engine<'a> {
         policy: &mut dyn CachePolicy,
     ) -> (SimTime, u64) {
         if self.cfg.collect_trace {
-            self.trace.push(b);
+            self.app.trace.push(b);
         }
         let size = self.block_size(b);
         // Local memory hit.
@@ -1751,7 +1710,7 @@ impl<'a> Engine<'a> {
                 if self.fault_draw(self.cfg.faults.fetch_failure_p) {
                     // The fetch died mid-flight: the attempted transfer time
                     // is sunk, then the reader recovers through lineage.
-                    self.fstats.fetch_failures += 1;
+                    self.app.fstats.fetch_failures += 1;
                     return self.recompute_fallback(b, node, done, policy);
                 }
                 self.managers[node].stats.hits += 1;
@@ -1771,7 +1730,7 @@ impl<'a> Engine<'a> {
                     done = self.net[node].request(done, size);
                 }
                 if self.fault_draw(self.cfg.faults.disk_failure_p) {
-                    self.fstats.disk_failures += 1;
+                    self.app.fstats.disk_failures += 1;
                     return self.recompute_fallback(b, node, done, policy);
                 }
                 self.managers[node].stats.misses += 1;
@@ -1804,7 +1763,7 @@ impl<'a> Engine<'a> {
     ) -> (SimTime, u64) {
         self.managers[node].stats.misses += 1;
         self.managers[node].stats.recomputes += 1;
-        self.fstats.fault_recomputes += 1;
+        self.app.fstats.fault_recomputes += 1;
         let (io, mut compute_us) = self.compute_inputs(b.rdd, b.partition, node, at, policy);
         compute_us += self.rdd(b.rdd).compute_us;
         self.try_insert(node, b, io, false, policy);
@@ -1824,7 +1783,7 @@ impl<'a> Engine<'a> {
         // Degraded admission: the submission runs but caches nothing — every
         // insert (demand, promote, prefetch) is declined up front, exactly
         // like a block that never fits.
-        if self.cache_bypass {
+        if self.app.cache_bypass {
             return false;
         }
         let size = self.block_size(b);
@@ -1832,7 +1791,7 @@ impl<'a> Engine<'a> {
             match self.managers[node].put_memory(b, size) {
                 Ok(()) => {
                     self.master.register_memory(b, NodeId(node as u32));
-                    if available_at > self.now {
+                    if available_at > self.app.now {
                         self.set_pending(node, b, available_at);
                     } else {
                         self.clear_pending(node, b);
@@ -1920,13 +1879,13 @@ impl<'a> Engine<'a> {
             // materialized-but-not-resident home blocks; ascending slots
             // within the running application's run are ascending
             // `BlockId`s, so candidates arrive sorted.
-            let mut missing = std::mem::take(&mut self.missing_buf);
+            let mut missing = take(&mut self.missing_buf);
             missing.clear();
             let epoch = self.epoch;
             let vis_base = self.vis_base;
             missing.extend(
                 self.prefetchable[node]
-                    .ones_in(self.run_slots.clone())
+                    .ones_in(self.app.slot_run.clone())
                     .map(|s| self.arena.block(s))
                     .filter(|b| self.visited_epoch[b.rdd.index() - vis_base] != epoch),
             );
@@ -1948,9 +1907,9 @@ impl<'a> Engine<'a> {
                 let done = if in_mem {
                     // Pull from a remote node's memory over the network.
                     let avail = self.pending_avail(src_i, b);
-                    self.net[node].request(self.now.max(avail), size)
+                    self.net[node].request(self.app.now.max(avail), size)
                 } else {
-                    let mut d = self.disk[src_i].request(self.now, size);
+                    let mut d = self.disk[src_i].request(self.app.now, size);
                     if src_i != node {
                         d = self.net[node].request(d, size);
                     }
@@ -1966,9 +1925,9 @@ impl<'a> Engine<'a> {
                 };
                 if self.fault_draw(fail_p) {
                     if in_mem {
-                        self.fstats.fetch_failures += 1;
+                        self.app.fstats.fetch_failures += 1;
                     } else {
-                        self.fstats.disk_failures += 1;
+                        self.app.fstats.disk_failures += 1;
                     }
                     continue;
                 }

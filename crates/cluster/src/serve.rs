@@ -1,16 +1,18 @@
 //! Multi-tenant service mode: a *stream* of applications on one shared
 //! cluster.
 //!
-//! The single-app engine executes one planned DAG to completion. Serving
-//! generalizes it without forking the stage machinery. Every submission
-//! owns a disjoint range of global RDD ids ([`TenantMap`] offsets), so
-//! block ids stay globally unique and the stores, block master, slot arena
-//! and scheduler index work unchanged. One streaming [`Engine`] owns the
-//! shared cluster state; each submission keeps its own [`AppState`] slice
-//! (clock, RNG streams, accumulators, fault accounting) that the driver
-//! swaps in around every stage. The inter-job scheduler picks which
-//! application's next stage runs; cache-policy callbacks route through a
-//! [`TenantMux`] that owns one policy instance per live submission.
+//! The engine runs stages and the drivers own applications, so serving is
+//! a second driver over the solo stage machinery, not a fork of it. Every
+//! submission owns a disjoint range of global RDD ids ([`TenantMap`]
+//! offsets), so block ids stay globally unique and the stores, block
+//! master, slot arena and scheduler index work unchanged. One streaming
+//! engine holds the shared cluster state. The driver keeps one `AppState`
+//! per submission: clock, RNG streams, accumulators, fault accounting, and
+//! the slot run and caching mode set at its admission. It swaps that state
+//! into the engine around each of the submission's stages. The inter-job
+//! scheduler picks which application's next stage runs; cache-policy
+//! callbacks route through a [`TenantMux`] that owns one policy instance
+//! per live submission.
 //!
 //! The driver streams: a submission is admitted at its arrival event —
 //! planned and profiled through a per-run [`TemplateCache`], so repeat
@@ -21,9 +23,10 @@
 //!
 //! **Equivalence by construction**: with one submission, zero arrival delay
 //! and an unlimited quota, the mux passes every hook through unchanged and
-//! the driver performs exactly the single-app `Engine::run` call sequence —
+//! the driver performs exactly the solo driver's call sequence
+//! ([`Simulation::run`](crate::Simulation::run)) —
 //! `tests/differential_serve.rs` asserts byte-identical reports,
-//! placements and victim/purge sequences against the single-app engine for
+//! placements and victim/purge sequences against solo runs for
 //! every policy.
 //!
 //! Tenancy is a *grouping* of submissions: several submissions may belong to
@@ -33,7 +36,7 @@
 //! blocks and counts cross-tenant evictions when it has to spill over.
 //!
 //! The Belady MIN oracle is not servable: its recorded trace is a whole-run
-//! artifact of the single-app engine and has no meaning under interleaving.
+//! artifact of a solo run and has no meaning under interleaving.
 
 use crate::config::SimConfig;
 use crate::report::RunReport;
@@ -886,15 +889,12 @@ struct Run {
 struct Submission {
     phase: Phase,
     arrival: SimTime,
-    /// Clock, RNG streams, accumulators and fault accounting, swapped into
-    /// the engine around each of its stages.
+    /// Clock, RNG streams, accumulators, fault accounting, the slot run its
+    /// latest admission carved out of the arena, and whether it was admitted
+    /// degraded: swapped into the engine around each of its stages.
     state: AppState,
-    /// The slot run its latest admission carved out of the arena.
-    slots: (u32, u32),
     /// Admissions consumed, aborted attempts included.
     attempts: u32,
-    /// Admitted past a full gate with caching bypassed.
-    degraded: bool,
     queue_delay_us: u64,
     report: Option<RunReport>,
 }
@@ -941,9 +941,7 @@ impl<'s, 'a> Driver<'s, 'a> {
                 phase: Phase::Pending(Vec::new()),
                 arrival: SimTime(at),
                 state: AppState::fresh(app_seed(cfg.seed, i), SimTime(at)),
-                slots: (0, 0),
                 attempts: 0,
-                degraded: false,
                 queue_delay_us: 0,
                 report: None,
             })
@@ -1048,7 +1046,7 @@ impl<'s, 'a> Driver<'s, 'a> {
                     sub.phase = Phase::Shed;
                     return false;
                 }
-                AdmissionPolicy::Degrade => sub.degraded = true,
+                AdmissionPolicy::Degrade => sub.state.cache_bypass = true,
             }
         }
         if matches!(sub.phase, Phase::Queued) {
@@ -1060,7 +1058,8 @@ impl<'s, 'a> Driver<'s, 'a> {
             _ => vec![CacheStats::default(); sim.cfg.sim.cluster.nodes as usize],
         };
         let (plan, profiler) = sim.plan(a, &mut self.templates);
-        sub.slots = self.arena.admit(a as u32, &sim.slot_counts(a));
+        let (base, len) = self.arena.admit(a as u32, &sim.slot_counts(a));
+        sub.state.slot_run = base..base + len;
         let snap = Arc::new(self.arena.snapshot());
         self.engine.admit_app(sim.subs[a], sim.map.offset(a), &snap);
         self.mux.admit(a, (self.factory)(a), &snap);
@@ -1086,15 +1085,9 @@ impl<'s, 'a> Driver<'s, 'a> {
             unreachable!("only running submissions run stages")
         };
         let stage = &run.plan.stages[run.next_stage];
-        engine.current_app = a as u32;
-        let (base, len) = sub.slots;
-        engine.set_run(self.sim.map.rdd_range(a), base..base + len);
         self.mux.set_current(a);
         engine.swap_app(&mut sub.state);
         let visible = run.jobs.start_stage(stage, &run.profiler, &mut self.mux);
-        // Caching bypass is cluster-level engine state: set it for every
-        // stage rather than trusting the previous submission's value.
-        engine.cache_bypass = sub.degraded;
         let before = engine.node_stats();
         engine.run_one_stage(stage, visible, &mut self.mux);
         let after = engine.node_stats();
@@ -1104,6 +1097,9 @@ impl<'s, 'a> Driver<'s, 'a> {
         engine.swap_app(&mut sub.state);
         run.next_stage += 1;
         let last = run.next_stage == run.plan.stages.len();
+        if let Some(abort) = &mut sub.state.aborted {
+            abort.app = a as u32;
+        }
         (sub.state.aborted.is_some(), last)
     }
 
@@ -1135,29 +1131,14 @@ impl<'s, 'a> Driver<'s, 'a> {
         let Phase::Running(run) = std::mem::replace(&mut sub.phase, Phase::Draining) else {
             unreachable!("only running submissions complete")
         };
-        let mut stats = CacheStats::new();
-        for s in &run.per_node {
-            stats.merge(s);
-        }
-        let cfg = &self.sim.cfg.sim;
-        let st = &mut sub.state;
-        sub.report = Some(RunReport {
-            app: self.sim.subs[a].name.clone(),
-            policy: self.mux.policy_name(a),
-            jct: st.now - sub.arrival,
-            stats,
-            sched: st.sched_stats,
-            per_node: run.per_node,
-            io_time: st.io_accum,
-            compute_time: st.compute_accum,
-            stage_times: take(&mut st.stage_times),
-            tasks: st.tasks_run,
-            faults: st.fstats,
-            app_attempts: sub.attempts,
-            aborted: st.aborted,
-            trace: cfg.collect_trace.then(|| take(&mut st.trace)),
-            placements: cfg.collect_placements.then(|| take(&mut st.placements)),
-        });
+        sub.report = Some(sub.state.report(
+            &self.sim.cfg.sim,
+            self.sim.subs[a].name.clone(),
+            self.mux.policy_name(a),
+            sub.arrival,
+            run.per_node,
+            sub.attempts,
+        ));
         self.draining.push(a);
     }
 
@@ -1193,8 +1174,8 @@ impl<'s, 'a> Driver<'s, 'a> {
     /// of its blocks is in memory.
     fn teardown(&mut self, a: usize) {
         let range = self.sim.map.rdd_range(a);
-        let (base, len) = self.subs[a].slots;
-        self.engine.retire_app(range.clone(), base, len);
+        let slots = self.subs[a].state.slot_run.clone();
+        self.engine.retire_app(range.clone(), slots);
         self.arena.retire(RddId(range.start));
         self.mux.retire(a);
     }
@@ -1208,7 +1189,7 @@ impl<'s, 'a> Driver<'s, 'a> {
         let resilience = (!res.is_passive()).then(|| ResilienceReport {
             app_attempts: subs.iter().map(|s| s.attempts).collect(),
             shed: subs.iter().map(shed).collect(),
-            degraded: subs.iter().map(|s| s.degraded).collect(),
+            degraded: subs.iter().map(|s| s.state.cache_bypass).collect(),
             queue_delay_us: subs.iter().map(|s| s.queue_delay_us).collect(),
             deadline_us: res.deadline_us,
         });
@@ -1577,8 +1558,7 @@ impl ServeReport {
             for (acc, s) in per_node.iter_mut().zip(&r.per_node) {
                 acc.merge(s);
             }
-            sched.home_placements += r.sched.home_placements;
-            sched.remote_placements += r.sched.remote_placements;
+            sched.merge(&r.sched);
             io += r.io_time;
             compute += r.compute_time;
             tasks += r.tasks;

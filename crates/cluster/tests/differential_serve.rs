@@ -1,15 +1,15 @@
 //! Differential property test for the multi-tenant serve driver.
 //!
-//! Serving is *equivalent by construction* to the single-app engine: a
-//! 1-submission serve (one tenant, zero arrival delay, unlimited quota)
-//! combines the spec into a clone of itself, the tenant mux passes every
-//! policy hook through unchanged, and the driver performs exactly the legacy
-//! `Engine::run` call sequence. This test holds the construction to the
-//! proof obligation: for randomized applications × cluster configurations
-//! (fault events included) × every policy family, the legacy engine and the
-//! 1-tenant serve must produce byte-identical `RunReport`s (access trace and
-//! task placements included) and identical victim/purge decision sequences
-//! as observed through the policy interface.
+//! Serving is *equivalent by construction* to a solo run: a 1-submission
+//! serve (one tenant, zero arrival delay, unlimited quota) combines the spec
+//! into a clone of itself, the tenant mux passes every policy hook through
+//! unchanged, and the serve driver performs exactly the solo driver's call
+//! sequence over the one stage executor. This test holds the construction
+//! to the proof obligation: for randomized applications × cluster
+//! configurations (fault events included) × every policy family, the solo
+//! run and the 1-tenant serve must produce byte-identical `RunReport`s
+//! (access trace and task placements included) and identical victim/purge
+//! decision sequences as observed through the policy interface.
 //!
 //! Multi-submission streams are pinned by three frozen digest files, each
 //! drawn from a seeded corpus: `tests/golden/serve_equivalence.txt` (whole
@@ -706,7 +706,10 @@ fn admission_digests() -> String {
         ));
     }
     assert!(degraded > 0, "no corpus row degrades a submission");
-    assert!(degraded_retries > 0, "no corpus row retries a degraded submission");
+    assert!(
+        degraded_retries > 0,
+        "no corpus row retries a degraded submission"
+    );
     out
 }
 

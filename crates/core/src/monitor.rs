@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// The monitor's eviction rank, ascending = eviction order: largest
 /// reference distance first, then the tie-break recency encoding (see
-/// [`CacheMonitor::enc`]), then lowest block id (supplied by the index).
+/// [`enc`]), then lowest block id (supplied by the index).
 type MrdKey = (Reverse<RefDistance>, Reverse<u64>);
 
 /// How distance ties are broken during victim selection (ablation knob —
