@@ -41,6 +41,13 @@ cargo test -q -p refdist-bench --test determinism
 echo "==> cargo test -q -p refdist-simcore --test proptest_simcore"
 cargo test -q -p refdist-simcore --test proptest_simcore
 
+# Store property suite: the memory store's byte accounting, and the block
+# master's copy records (ascending holders, inline-first layout, each
+# copy's in-flight and unused-prefetch marks) against a shadow model after
+# every operation, multi-copy blocks included.
+echo "==> cargo test -q -p refdist-store --test proptest_store"
+cargo test -q -p refdist-store --test proptest_store
+
 # Victim-index differentials, named so an index regression is called out in
 # the CI log: every policy's batched select_victims (and MRD's, across all
 # modes, tie-breaks and metrics) must pop exactly the naive pick_victim

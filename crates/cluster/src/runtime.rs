@@ -41,15 +41,16 @@
 //!
 //! ## Dense block-slot state
 //!
-//! The engine's per-block bookkeeping (materialization, in-flight arrival
-//! times, unused prefetches, the per-node "prefetchable" set) lives in
-//! bitsets indexed by [`BlockSlots`] — every cached-RDD block maps to a
-//! `u32` slot, in `BlockId` sort order, so the hot path does no hashing and
-//! the prefetcher reads an incrementally maintained bitset instead of
-//! rescanning every cached RDD × partition each stage. Per node, that is a
-//! few bits per slot plus O(resident) maps: arrival times are kept only for
-//! in-flight *resident* blocks, behind a per-node bit. The stores, the block
-//! master and every policy are slot-indexed over the same arena.
+//! The engine's per-block bookkeeping (materialization and the
+//! "prefetchable" set) lives in cluster-wide bitsets indexed by
+//! [`BlockSlots`] — every cached-RDD block maps to a `u32` slot, in
+//! `BlockId` sort order, so the hot path does no hashing and the prefetcher
+//! reads an incrementally maintained bitset instead of rescanning every
+//! cached RDD × partition each stage. Per-copy facts (which node holds a
+//! block, when its bytes arrive, whether it is an unused prefetch) live
+//! once, in the block master's record of the copy ([`MemCopy`]); per node
+//! the engine keeps nothing per slot. The stores, the block master and
+//! every policy are slot-indexed over the same arena.
 //!
 //! ## Scheduler index and shared artifacts
 //!
@@ -71,14 +72,13 @@ use crate::sched::{SlotIndex, NODE_DOWN};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use refdist_core::{AppProfiler, ProfileMode};
-use refdist_dag::hash::HashMap;
 use refdist_dag::{
     shift_rdd, AppPlan, AppProfile, AppSpec, BlockId, BlockSlots, JobId, Rdd, RddId, SlotSet,
     Stage, StageKind, TenantMap,
 };
 use refdist_policies::{CachePolicy, LruPolicy};
 use refdist_simcore::{EventQueue, FifoResource, QueueWork, SimDuration, SimTime};
-use refdist_store::{BlockManager, BlockMaster, CacheStats, InsertError, NodeId};
+use refdist_store::{BlockManager, BlockMaster, CacheStats, InsertError, MemCopy, NodeId};
 use std::mem::take;
 use std::ops::Range;
 use std::sync::Arc;
@@ -190,19 +190,18 @@ impl<'a> Simulation<'a> {
 /// Reusable engine allocations, recycled across runs via
 /// [`Simulation::run_with_scratch`]. Holds the per-run tables whose shapes
 /// depend only on the cluster and workload sizes: slot free times, dense
-/// per-block state, the lineage-walk epoch stamps, and the purge candidate
-/// buffer. A default-constructed scratch is simply "no buffers yet".
+/// per-block state, the lineage-walk epoch stamps, and the purge and
+/// prefetch candidate buffers. A default-constructed scratch is simply "no
+/// buffers yet".
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     slots: Vec<Vec<SimTime>>,
-    pending_d: Vec<SlotSet>,
     materialized_d: SlotSet,
-    prefetched_d: Vec<SlotSet>,
-    prefetchable: Vec<SlotSet>,
+    prefetchable: SlotSet,
     visited_epoch: Vec<u64>,
     purge_buf: Vec<BlockId>,
     stage_tasks: TaskTable,
-    missing_buf: Vec<BlockId>,
+    prefetch_lists: Vec<Vec<BlockId>>,
     events: EventQueue<u32>,
     work: WorkCounts,
 }
@@ -288,17 +287,6 @@ fn reset_rows(rows: &mut Vec<Vec<SimTime>>, outer: usize, inner: usize, fill: Si
     }
     while rows.len() < outer {
         rows.push(vec![fill; inner]);
-    }
-}
-
-/// Shape `sets` into `outer` empty bitsets over `nslots` slots.
-fn reset_sets(sets: &mut Vec<SlotSet>, outer: usize, nslots: usize) {
-    sets.truncate(outer);
-    for s in sets.iter_mut() {
-        s.reset(nslots);
-    }
-    while sets.len() < outer {
-        sets.push(SlotSet::new(nslots));
     }
 }
 
@@ -411,22 +399,14 @@ pub(crate) struct Engine<'a> {
     /// Block → dense slot mapping over the cached RDDs.
     arena: Arc<BlockSlots>,
 
-    /// Resident blocks whose bytes are still in flight: usable only after
-    /// the time. Every removal path clears the entry, so this holds
-    /// O(resident) entries, read only behind `pending_d`.
-    pending: HashMap<(usize, BlockId), SimTime>,
-    /// Per node: slots with an entry in `pending`, so a local hit on a
-    /// settled block is a bit test.
-    pending_d: Vec<SlotSet>,
     /// Slots computed at least once this run.
     materialized_d: SlotSet,
-    /// Per node: prefetched slots not yet used.
-    prefetched_d: Vec<SlotSet>,
-    /// Per node: slots that are materialized, homed on this node, and not
-    /// resident in its memory — exactly the prefetcher's candidate set,
-    /// maintained incrementally at every residency/materialization
-    /// transition instead of rescanned each stage.
-    prefetchable: Vec<SlotSet>,
+    /// Slots that are materialized and not resident in their home node's
+    /// memory — exactly the prefetcher's candidates, every node's at once
+    /// (a block's home is `partition % nodes`), maintained incrementally at
+    /// every residency/materialization transition instead of rescanned
+    /// each stage.
+    prefetchable: SlotSet,
     /// Per RDD: the epoch it was last visited in (epoch-stamped `visited`
     /// set — no per-task allocation). Indexed by `rdd.index() - vis_base`;
     /// the base is 0 except in streaming mode, where the table is windowed
@@ -439,8 +419,9 @@ pub(crate) struct Engine<'a> {
     purge_buf: Vec<BlockId>,
     /// Struct-of-arrays task records for the running stage (speculation).
     stage_tasks: TaskTable,
-    /// Prefetch candidate buffer, reused across nodes and stages.
-    missing_buf: Vec<BlockId>,
+    /// Per node: that node's prefetch candidates for the running stage,
+    /// reused across stages.
+    prefetch_lists: Vec<Vec<BlockId>>,
     /// Task-completion event queue for the speculation threshold.
     events: EventQueue<u32>,
     /// Admission and retirement counts so far (slot commits are read off
@@ -695,15 +676,17 @@ impl<'a> Engine<'a> {
             cfg.cluster.cores_per_node as usize,
             SimTime::ZERO,
         );
-        reset_sets(&mut s.pending_d, n, nslots);
         s.materialized_d.reset(nslots);
-        reset_sets(&mut s.prefetched_d, n, nslots);
-        reset_sets(&mut s.prefetchable, n, nslots);
+        s.prefetchable.reset(nslots);
         s.visited_epoch.clear();
         s.visited_epoch.resize(nrdds, 0);
         s.purge_buf.clear();
         s.stage_tasks.clear();
-        s.missing_buf.clear();
+        s.prefetch_lists.truncate(n);
+        for list in &mut s.prefetch_lists {
+            list.clear();
+        }
+        s.prefetch_lists.resize_with(n, Vec::new);
         s.events.clear();
         let sched = SlotIndex::new(
             &s.slots,
@@ -739,16 +722,13 @@ impl<'a> Engine<'a> {
                 .collect(),
             slots: s.slots,
             sched,
-            pending: HashMap::default(),
-            pending_d: s.pending_d,
             materialized_d: s.materialized_d,
-            prefetched_d: s.prefetched_d,
             prefetchable: s.prefetchable,
             visited_epoch: s.visited_epoch,
             vis_base: 0,
             epoch: 0,
             stage_tasks: s.stage_tasks,
-            missing_buf: s.missing_buf,
+            prefetch_lists: s.prefetch_lists,
             events: s.events,
             work: s.work,
             purge_buf: s.purge_buf,
@@ -817,11 +797,9 @@ impl<'a> Engine<'a> {
         }
         let nslots = snap.len();
         self.materialized_d.grow(nslots);
-        for node in 0..self.nodes {
-            self.pending_d[node].grow(nslots);
-            self.prefetched_d[node].grow(nslots);
-            self.prefetchable[node].grow(nslots);
-            self.managers[node].adopt(snap);
+        self.prefetchable.grow(nslots);
+        for m in &mut self.managers {
+            m.adopt(snap);
         }
         self.master.adopt(snap);
         self.arena = Arc::clone(snap);
@@ -835,15 +813,10 @@ impl<'a> Engine<'a> {
     /// statistics are touched: retirement is bookkeeping, not cache
     /// behaviour, so a stream's counters are those of its runs alone.
     ///
-    /// In-flight and unused-prefetch marks exist only on resident blocks,
-    /// so an app with none resident has none to scrub.
+    /// In-flight and unused-prefetch marks live on the master's copy
+    /// records, so an app with no copy left has none to scrub.
     pub(crate) fn retire_app(&mut self, rdds: Range<u32>, slots: Range<u32>) {
         debug_assert!(!self.any_resident(rdds.clone()), "retiring a resident app");
-        debug_assert!(
-            self.pending.keys().all(|(_, b)| !rdds.contains(&b.rdd.0))
-                && self.prefetched_d.iter().all(|set| slots.clone().all(|s| !set.contains(s))),
-            "pending or prefetched marks outlived residency"
-        );
         self.work.retirements += 1;
         for ri in rdds.clone() {
             let id = RddId(ri);
@@ -871,9 +844,7 @@ impl<'a> Engine<'a> {
         if !slots.is_empty() {
             let len = slots.end - slots.start;
             self.materialized_d.clear_range(slots.start, len);
-            for set in &mut self.prefetchable {
-                set.clear_range(slots.start, len);
-            }
+            self.prefetchable.clear_range(slots.start, len);
         }
         let SpecSource::Registry(reg) = &mut self.source else {
             panic!("retire_app is a streaming-engine operation");
@@ -908,8 +879,6 @@ impl<'a> Engine<'a> {
                     let node = n.index();
                     self.managers[node].memory.remove(b);
                     self.master.unregister_memory(b, n);
-                    self.clear_pending(node, b);
-                    self.take_prefetched(node, b);
                     policy.on_remove(n, b);
                 }
                 self.sync_prefetchable(b);
@@ -958,14 +927,12 @@ impl<'a> Engine<'a> {
     pub(crate) fn into_scratch(self) -> EngineScratch {
         EngineScratch {
             slots: self.slots,
-            pending_d: self.pending_d,
             materialized_d: self.materialized_d,
-            prefetched_d: self.prefetched_d,
             prefetchable: self.prefetchable,
             visited_epoch: self.visited_epoch,
             purge_buf: self.purge_buf,
             stage_tasks: self.stage_tasks,
-            missing_buf: self.missing_buf,
+            prefetch_lists: self.prefetch_lists,
             events: self.events,
             work: WorkCounts {
                 slot_commits: self.work.slot_commits + self.sched.commits,
@@ -1020,30 +987,11 @@ impl<'a> Engine<'a> {
         first
     }
 
-    /// When `b`'s bytes are still in flight to `node`: the arrival time,
-    /// else `SimTime::ZERO` (callers `max()` it into their start time, and
-    /// `max` with `ZERO` is the identity).
-    fn pending_avail(&self, node: usize, b: BlockId) -> SimTime {
-        if !self.pending_d[node].contains(self.slot(b)) {
-            return SimTime::ZERO;
-        }
-        self.pending
-            .get(&(node, b))
-            .copied()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    fn set_pending(&mut self, node: usize, b: BlockId, at: SimTime) {
-        let s = self.slot(b);
-        self.pending_d[node].insert(s);
-        self.pending.insert((node, b), at);
-    }
-
-    fn clear_pending(&mut self, node: usize, b: BlockId) {
-        let s = self.slot(b);
-        if self.pending_d[node].remove(s) {
-            self.pending.remove(&(node, b));
-        }
+    /// When `src`'s memory copy of `b` arrives: its arrival time while in
+    /// flight, else `SimTime::ZERO` (callers `max()` it into their start
+    /// time, and `max` with `ZERO` is the identity).
+    fn copy_avail(&self, b: BlockId, src: NodeId) -> SimTime {
+        SimTime(self.master.memory_copy(b, src).map_or(0, |c| c.avail))
     }
 
     fn is_materialized(&self, b: BlockId) -> bool {
@@ -1056,29 +1004,49 @@ impl<'a> Engine<'a> {
         self.sync_prefetchable(b);
     }
 
-    fn mark_prefetched(&mut self, node: usize, b: BlockId) {
-        let s = self.slot(b);
-        self.prefetched_d[node].insert(s);
+    /// Clear the unused-prefetch mark on `src`'s memory copy of `b`; true
+    /// if it was set.
+    fn take_prefetched(&mut self, b: BlockId, src: NodeId) -> bool {
+        self.master
+            .memory_copy_mut(b, src)
+            .is_some_and(|c| take(&mut c.prefetched))
     }
 
-    /// Clear `b`'s unused-prefetch mark on `node`; true if it was set.
-    fn take_prefetched(&mut self, node: usize, b: BlockId) -> bool {
-        let s = self.slot(b);
-        self.prefetched_d[node].remove(s)
-    }
-
-    /// Recompute `b`'s membership in its home node's prefetchable set
-    /// (materialized and not resident in the home memory). Idempotent;
-    /// called at every transition that can change either input.
+    /// Recompute `b`'s membership in the prefetchable set (materialized and
+    /// not resident in its home node's memory). Idempotent; called at every
+    /// transition that can change either input.
     fn sync_prefetchable(&mut self, b: BlockId) {
-        let home = self.home(b.partition);
+        let home = NodeId(self.home(b.partition) as u32);
         let s = self.slot(b);
-        let on = self.materialized_d.contains(s) && !self.managers[home].memory.contains(b);
-        if on {
-            self.prefetchable[home].insert(s);
+        if self.materialized_d.contains(s) && !self.master.in_memory_on(b, home) {
+            self.prefetchable.insert(s);
         } else {
-            self.prefetchable[home].remove(s);
+            self.prefetchable.remove(s);
         }
+    }
+
+    /// Debug audit, run after every stage: each node's resident blocks
+    /// each have a master copy on that node, and the master holds no other
+    /// copies. Reads only maintained counts and the resident maps, so it
+    /// allocates nothing.
+    #[cfg(debug_assertions)]
+    fn audit_residency(&self) {
+        let mut resident = 0;
+        for (node, m) in self.managers.iter().enumerate() {
+            let id = NodeId(node as u32);
+            for &b in m.memory.resident().keys() {
+                assert!(
+                    self.master.in_memory_on(b, id),
+                    "{b} is resident on {id} without a master copy"
+                );
+            }
+            resident += m.memory.len();
+        }
+        assert_eq!(
+            self.master.memory_copy_count(),
+            resident,
+            "the master's memory copies and the nodes' resident blocks differ"
+        );
     }
 
     /// Execute one stage end to end: scripted fault events, cluster-wide
@@ -1136,6 +1104,8 @@ impl<'a> Engine<'a> {
         }
         self.app.stage_times.push((stage.id, start, end));
         self.app.now = end;
+        #[cfg(debug_assertions)]
+        self.audit_residency();
     }
 
     /// Fire the scripted fault events due at the start of stage `stage`:
@@ -1296,8 +1266,6 @@ impl<'a> Engine<'a> {
         let lost_mem = self.managers[node].memory.drain();
         for &(b, _) in &lost_mem {
             self.master.unregister_memory(b, id);
-            self.clear_pending(node, b);
-            self.take_prefetched(node, b);
             self.sync_prefetchable(b);
             policy.on_remove(id, b);
         }
@@ -1362,13 +1330,10 @@ impl<'a> Engine<'a> {
             // node's copies, so the next `first_holder` is the next node.
             while let Some(n) = self.master.first_holder(b) {
                 let node = n.index();
-                let had_mem = self.managers[node].memory.contains(b);
                 self.managers[node].purge(b);
-                self.master.unregister_memory(b, n);
                 self.master.unregister_disk(b, n);
-                if had_mem {
-                    self.clear_pending(node, b);
-                    if self.take_prefetched(node, b) {
+                if let Some(copy) = self.master.unregister_memory(b, n) {
+                    if copy.prefetched {
                         self.managers[node].stats.wasted_prefetches += 1;
                     }
                     self.sync_prefetchable(b);
@@ -1690,22 +1655,24 @@ impl<'a> Engine<'a> {
             self.app.trace.push(b);
         }
         let size = self.block_size(b);
-        // Local memory hit.
-        if self.managers[node].memory.contains(b) {
-            let avail = self.pending_avail(node, b);
-            self.managers[node].stats.hits += 1;
-            if self.take_prefetched(node, b) {
-                self.managers[node].stats.prefetch_hits += 1;
-            }
-            policy.on_access(NodeId(node as u32), b);
+        // Local memory hit: residency, arrival time and prefetch mark are
+        // one read of the master's copy record.
+        let id = NodeId(node as u32);
+        if let Some(copy) = self.master.memory_copy_mut(b, id) {
+            let avail = SimTime(copy.avail);
+            let prefetch_hit = take(&mut copy.prefetched);
+            let stats = &mut self.managers[node].stats;
+            stats.hits += 1;
+            stats.prefetch_hits += prefetch_hit as u64;
+            policy.on_access(id, b);
             return (at.max(avail), 0);
         }
-        match self.master.best_source(b, NodeId(node as u32)) {
+        match self.master.best_source(b, id) {
             Some((src, true)) => {
                 // Remote memory: pay the reader's NIC; no local copy is kept
                 // (Spark reads remote blocks without replicating them).
                 let src_i = src.index();
-                let avail = self.pending_avail(src_i, b);
+                let avail = self.copy_avail(b, src);
                 let done = self.net[node].request(at.max(avail), size);
                 if self.fault_draw(self.cfg.faults.fetch_failure_p) {
                     // The fetch died mid-flight: the attempted transfer time
@@ -1715,7 +1682,7 @@ impl<'a> Engine<'a> {
                 }
                 self.managers[node].stats.hits += 1;
                 self.managers[node].stats.remote_hits += 1;
-                if self.take_prefetched(src_i, b) {
+                if self.take_prefetched(b, src) {
                     self.managers[src_i].stats.prefetch_hits += 1;
                 }
                 policy.on_access(src, b);
@@ -1790,17 +1757,21 @@ impl<'a> Engine<'a> {
         loop {
             match self.managers[node].put_memory(b, size) {
                 Ok(()) => {
-                    self.master.register_memory(b, NodeId(node as u32));
-                    if available_at > self.app.now {
-                        self.set_pending(node, b, available_at);
+                    // A copy usable only later carries its arrival time.
+                    let avail = if available_at > self.app.now {
+                        available_at.micros()
                     } else {
-                        self.clear_pending(node, b);
-                    }
-                    if prefetched {
-                        self.mark_prefetched(node, b);
-                    }
+                        0
+                    };
+                    let node = NodeId(node as u32);
+                    let copy = MemCopy {
+                        node,
+                        avail,
+                        prefetched,
+                    };
+                    self.master.register_memory(b, copy);
                     self.sync_prefetchable(b);
-                    policy.on_insert(NodeId(node as u32), b);
+                    policy.on_insert(node, b);
                     return true;
                 }
                 Err(InsertError::TooLarge) => return false,
@@ -1838,12 +1809,11 @@ impl<'a> Engine<'a> {
                 self.managers[node].stats.bad_victims += 1;
                 return false;
             };
-            self.master.unregister_memory(victim, NodeId(node as u32));
+            let copy = self.master.unregister_memory(victim, NodeId(node as u32));
             if spill {
                 self.master.register_disk(victim, NodeId(node as u32));
             }
-            self.clear_pending(node, victim);
-            if self.take_prefetched(node, victim) {
+            if copy.is_some_and(|c| c.prefetched) {
                 self.managers[node].stats.wasted_prefetches += 1;
             }
             self.sync_prefetchable(victim);
@@ -1868,29 +1838,32 @@ impl<'a> Engine<'a> {
             }
         }
 
-        for node in 0..self.nodes {
+        // The maintained bitset already holds exactly the materialized
+        // blocks missing from their home memory; one walk over the running
+        // application's run buckets them by home node. Ascending slots
+        // within the run are ascending `BlockId`s, so each node's
+        // candidates arrive sorted. Taking every list up front equals
+        // collecting each at its node's turn: a prefetch or eviction on
+        // node k changes only the bits of blocks homed on k, and node k's
+        // list is taken before node k runs.
+        let mut lists = take(&mut self.prefetch_lists);
+        for list in &mut lists {
+            list.clear();
+        }
+        for s in self.prefetchable.ones_in(self.app.slot_run.clone()) {
+            let b = self.arena.block(s);
+            if self.visited_epoch[b.rdd.index() - self.vis_base] != self.epoch {
+                lists[self.home(b.partition)].push(b);
+            }
+        }
+        for (node, missing) in lists.iter().enumerate() {
             if self.down[node] {
                 continue;
             }
             if self.cfg.adaptive_threshold {
                 self.adapt_threshold(node);
             }
-            // The maintained per-node bitset already holds exactly the
-            // materialized-but-not-resident home blocks; ascending slots
-            // within the running application's run are ascending
-            // `BlockId`s, so candidates arrive sorted.
-            let mut missing = take(&mut self.missing_buf);
-            missing.clear();
-            let epoch = self.epoch;
-            let vis_base = self.vis_base;
-            missing.extend(
-                self.prefetchable[node]
-                    .ones_in(self.app.slot_run.clone())
-                    .map(|s| self.arena.block(s))
-                    .filter(|b| self.visited_epoch[b.rdd.index() - vis_base] != epoch),
-            );
-            let mut order = policy.prefetch_order(NodeId(node as u32), &missing);
-            self.missing_buf = missing;
+            let mut order = policy.prefetch_order(NodeId(node as u32), missing);
             order.truncate(self.cfg.max_prefetch_per_node);
             for b in order {
                 let size = self.block_size(b);
@@ -1906,7 +1879,7 @@ impl<'a> Engine<'a> {
                 let src_i = src.index();
                 let done = if in_mem {
                     // Pull from a remote node's memory over the network.
-                    let avail = self.pending_avail(src_i, b);
+                    let avail = self.copy_avail(b, src);
                     self.net[node].request(self.app.now.max(avail), size)
                 } else {
                     let mut d = self.disk[src_i].request(self.app.now, size);
@@ -1939,6 +1912,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
+        self.prefetch_lists = lists;
     }
 }
 

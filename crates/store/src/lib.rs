@@ -19,7 +19,7 @@ pub mod stats;
 
 pub use disk::DiskStore;
 pub use manager::{BlockManager, BlockWhere};
-pub use master::BlockMaster;
+pub use master::{BlockMaster, MemCopy};
 pub use memory::{InsertError, MemoryStore};
 pub use stats::CacheStats;
 

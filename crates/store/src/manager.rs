@@ -46,8 +46,9 @@ impl BlockManager {
         }
     }
 
-    /// Adopt a newer slot-arena snapshot (streaming admission); the hash
-    /// disk store is unaffected.
+    /// Adopt a newer slot-arena snapshot (streaming admission): the memory
+    /// store resolves the owners of newly admitted blocks through it. Neither
+    /// store keeps anything per slot, so nothing grows.
     pub fn adopt(&mut self, slots: &std::sync::Arc<refdist_dag::BlockSlots>) {
         self.memory.adopt(slots);
     }

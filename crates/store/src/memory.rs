@@ -6,12 +6,12 @@
 //! driven by the cluster runtime.
 //!
 //! Like Spark's `MemoryStore`, the store keeps an entry only for each block
-//! *resident* on its node: one sorted map of resident blocks to sizes. It is
-//! built over a [`BlockSlots`] arena and mirrors the map's key set in one
-//! residency bit per slot, so `contains` on the simulator's per-access path
-//! is a bit test with no hashing or tree walk.
+//! *resident* on its node: one sorted map of resident blocks to sizes, and
+//! nothing per slot of the [`BlockSlots`] arena. The simulator's per-access
+//! residency test asks the cluster-wide `BlockMaster`, whose record of each
+//! copy also carries its in-flight and prefetch marks.
 
-use refdist_dag::{BlockId, BlockSlots, SlotSet, TenantMap};
+use refdist_dag::{BlockId, BlockSlots, TenantMap};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -64,21 +64,11 @@ pub struct MemoryStore {
     /// table, and the candidate map handed to `CachePolicy::select_victims`
     /// with no per-pressure-event collect + sort.
     resident: BTreeMap<BlockId, u64>,
-    /// The slot arena, and one residency bit per slot mirroring
-    /// `resident`'s key set.
+    /// The slot arena, whose owner table names each block's tenant.
     slots: Arc<BlockSlots>,
-    bits: SlotSet,
     /// Per-tenant quota accounting; `None` (the default and the entire
     /// single-app path) is byte-invisible.
     tenancy: Option<Tenancy>,
-}
-
-/// The dense slot of `block`; every block a store sees belongs to its
-/// arena.
-fn slot_of(slots: &BlockSlots, block: BlockId) -> u32 {
-    slots
-        .slot(block)
-        .unwrap_or_else(|| panic!("block {block} outside the slot arena"))
 }
 
 impl MemoryStore {
@@ -89,7 +79,6 @@ impl MemoryStore {
             used: 0,
             reserved: 0,
             resident: BTreeMap::new(),
-            bits: SlotSet::new(slots.len()),
             slots,
             tenancy: None,
         }
@@ -112,10 +101,9 @@ impl MemoryStore {
         });
     }
 
-    /// Adopt a newer slot-arena snapshot (streaming admission): the
-    /// residency bitset grows to the new capacity, keeping every bit.
+    /// Adopt a newer slot-arena snapshot (streaming admission), so the
+    /// owners of newly admitted blocks resolve.
     pub fn adopt(&mut self, slots: &Arc<BlockSlots>) {
-        self.bits.grow(slots.len());
         self.slots = Arc::clone(slots);
     }
 
@@ -173,7 +161,7 @@ impl MemoryStore {
     /// Whether `block` is resident.
     #[inline]
     pub fn contains(&self, block: BlockId) -> bool {
-        self.bits.contains(slot_of(&self.slots, block))
+        self.resident.contains_key(&block)
     }
 
     /// Size of a resident block.
@@ -215,7 +203,6 @@ impl MemoryStore {
         if let (Some(t), Some(tid)) = (&mut self.tenancy, tenant) {
             t.used[tid] += size;
         }
-        self.bits.insert(slot_of(&self.slots, block));
         self.resident.insert(block, size);
         self.used += size;
         Ok(())
@@ -224,7 +211,6 @@ impl MemoryStore {
     /// Remove a block, returning its size if it was resident.
     pub fn remove(&mut self, block: BlockId) -> Option<u64> {
         let size = self.resident.remove(&block)?;
-        self.bits.remove(slot_of(&self.slots, block));
         self.used -= size;
         if let Some(t) = &mut self.tenancy {
             let tid = t.tenant(block, &self.slots);
@@ -237,9 +223,6 @@ impl MemoryStore {
     /// id for deterministic downstream processing.
     pub fn drain(&mut self) -> Vec<(BlockId, u64)> {
         let all: Vec<(BlockId, u64)> = std::mem::take(&mut self.resident).into_iter().collect();
-        for &(b, _) in &all {
-            self.bits.remove(slot_of(&self.slots, b));
-        }
         self.used = 0;
         if let Some(t) = &mut self.tenancy {
             t.used.fill(0);

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use refdist_dag::{BlockId, BlockSlots, RddId, SlotArena, TenantMap};
-use refdist_store::{BlockMaster, InsertError, MemoryStore, NodeId};
-use std::collections::HashMap;
+use refdist_store::{BlockMaster, InsertError, MemCopy, MemoryStore, NodeId};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 #[derive(Debug, Clone)]
@@ -43,6 +43,40 @@ fn universe() -> BlockSlots {
         arena.admit(app, &counts);
     }
     arena.snapshot()
+}
+
+/// Blocks and nodes the master ops draw from: few enough that most blocks
+/// collect several copies, so the overflow path runs.
+const MASTER_BLOCKS: u8 = 12;
+const MASTER_NODES: u32 = 5;
+
+#[derive(Debug, Clone)]
+enum MasterOp {
+    RegisterMemory(u8, u32, u64, bool),
+    UnregisterMemory(u8, u32),
+    RegisterDisk(u8, u32),
+    UnregisterDisk(u8, u32),
+    /// Take a copy's unused-prefetch mark, as a task reading it does.
+    TakeMark(u8, u32),
+}
+
+fn master_op_strategy() -> impl Strategy<Value = MasterOp> {
+    let b = 0..MASTER_BLOCKS;
+    let n = 0..MASTER_NODES;
+    prop_oneof![
+        (b.clone(), n.clone(), 0u64..4, any::<bool>())
+            .prop_map(|(b, n, a, p)| MasterOp::RegisterMemory(b, n, a, p)),
+        (b.clone(), n.clone()).prop_map(|(b, n)| MasterOp::UnregisterMemory(b, n)),
+        (b.clone(), n.clone()).prop_map(|(b, n)| MasterOp::RegisterDisk(b, n)),
+        (b.clone(), n.clone()).prop_map(|(b, n)| MasterOp::UnregisterDisk(b, n)),
+        (b, n).prop_map(|(b, n)| MasterOp::TakeMark(b, n)),
+    ]
+}
+
+/// The `b`-th master block: rdds 0..12 partition 1, across both
+/// submissions of the universe.
+fn master_blk(b: u8) -> BlockId {
+    BlockId::new(RddId(b as u32), 1)
 }
 
 proptest! {
@@ -116,8 +150,8 @@ proptest! {
             prop_assert_eq!(store.len(), model.len());
             prop_assert_eq!(store.free(), capacity.saturating_sub(used + reserved));
             prop_assert!(store.used() + store.free() <= capacity);
-            // The residency bitset agrees with the resident map and the
-            // model on every block.
+            // `contains`, the resident map and the model agree on every
+            // block.
             for b in (0..=255u8).map(blk) {
                 let size = model.get(&b).copied();
                 prop_assert_eq!(store.contains(b), size.is_some());
@@ -137,62 +171,101 @@ proptest! {
 
     #[test]
     fn block_master_tracks_registrations(
-        events in prop::collection::vec((any::<u8>(), 0u32..4, any::<bool>(), any::<bool>()), 0..200),
+        ops in prop::collection::vec(master_op_strategy(), 0..200),
     ) {
-        // (block, node, memory?, register?)
         let mut master = BlockMaster::with_slots(Arc::new(universe()));
-        let mut mem: HashMap<(BlockId, NodeId), ()> = HashMap::new();
-        let mut disk: HashMap<(BlockId, NodeId), ()> = HashMap::new();
-        for (b, n, memory, reg) in events {
-            let b = blk(b);
-            let n = NodeId(n);
-            match (memory, reg) {
-                (true, true) => {
-                    master.register_memory(b, n);
-                    mem.insert((b, n), ());
+        // Shadow model: each block's memory copies with their
+        // (avail, prefetched) marks, and its disk holders, by node.
+        let mut mem: BTreeMap<BlockId, BTreeMap<NodeId, (u64, bool)>> = BTreeMap::new();
+        let mut disk: BTreeMap<BlockId, BTreeSet<NodeId>> = BTreeMap::new();
+        for op in ops {
+            match op {
+                MasterOp::RegisterMemory(b, n, avail, prefetched) => {
+                    let (b, node) = (master_blk(b), NodeId(n));
+                    master.register_memory(b, MemCopy { node, avail, prefetched });
+                    // A re-registration replaces the arrival time and keeps
+                    // an unused-prefetch mark.
+                    let marks = mem.entry(b).or_default().entry(node).or_insert((0, false));
+                    *marks = (avail, marks.1 || prefetched);
                 }
-                (true, false) => {
-                    master.unregister_memory(b, n);
-                    mem.remove(&(b, n));
+                MasterOp::UnregisterMemory(b, n) => {
+                    let (b, node) = (master_blk(b), NodeId(n));
+                    let expect = mem.get_mut(&b).and_then(|c| c.remove(&node)).map(
+                        |(avail, prefetched)| MemCopy { node, avail, prefetched },
+                    );
+                    mem.retain(|_, c| !c.is_empty());
+                    prop_assert_eq!(master.unregister_memory(b, node), expect);
                 }
-                (false, true) => {
-                    master.register_disk(b, n);
-                    disk.insert((b, n), ());
+                MasterOp::RegisterDisk(b, n) => {
+                    let b = master_blk(b);
+                    master.register_disk(b, NodeId(n));
+                    disk.entry(b).or_default().insert(NodeId(n));
                 }
-                (false, false) => {
-                    master.unregister_disk(b, n);
-                    disk.remove(&(b, n));
+                MasterOp::UnregisterDisk(b, n) => {
+                    let b = master_blk(b);
+                    master.unregister_disk(b, NodeId(n));
+                    if let Some(d) = disk.get_mut(&b) {
+                        d.remove(&NodeId(n));
+                    }
+                    disk.retain(|_, d| !d.is_empty());
+                }
+                MasterOp::TakeMark(b, n) => {
+                    let (b, node) = (master_blk(b), NodeId(n));
+                    let expect = mem
+                        .get_mut(&b)
+                        .and_then(|c| c.get_mut(&node))
+                        .map(|m| std::mem::take(&mut m.1));
+                    let got = master
+                        .memory_copy_mut(b, node)
+                        .map(|c| std::mem::take(&mut c.prefetched));
+                    prop_assert_eq!(got, expect);
                 }
             }
-            prop_assert_eq!(
-                master.in_memory_anywhere(b),
-                mem.keys().any(|(bb, _)| *bb == b)
-            );
-            prop_assert_eq!(
-                master.anywhere(b),
-                mem.keys().any(|(bb, _)| *bb == b) || disk.keys().any(|(bb, _)| *bb == b)
-            );
-            // best_source prefers local memory > local disk > remote memory
-            // > remote disk, and returns None iff the block is nowhere.
-            match master.best_source(b, n) {
-                None => prop_assert!(!master.anywhere(b)),
-                Some((src, in_mem)) => {
-                    if in_mem {
-                        prop_assert!(mem.contains_key(&(b, src)));
+            // Every block of the universe, after every operation.
+            for b in (0..MASTER_BLOCKS).map(master_blk) {
+                let copies = mem.get(&b);
+                let holders = disk.get(&b);
+                let mem_nodes: Vec<NodeId> = copies.into_iter().flat_map(|c| c.keys().copied()).collect();
+                let disk_nodes: Vec<NodeId> = holders.into_iter().flatten().copied().collect();
+                prop_assert_eq!(master.memory_locations(b).collect::<Vec<_>>(), mem_nodes.clone());
+                prop_assert_eq!(master.disk_locations(b).collect::<Vec<_>>(), disk_nodes.clone());
+                prop_assert_eq!(
+                    master.first_holder(b),
+                    mem_nodes.first().into_iter().chain(disk_nodes.first()).min().copied()
+                );
+                prop_assert_eq!(master.in_memory_anywhere(b), !mem_nodes.is_empty());
+                prop_assert_eq!(
+                    master.anywhere(b),
+                    !mem_nodes.is_empty() || !disk_nodes.is_empty()
+                );
+                for n in (0..MASTER_NODES).map(NodeId) {
+                    let expect = copies
+                        .and_then(|c| c.get(&n))
+                        .map(|&(avail, prefetched)| MemCopy { node: n, avail, prefetched });
+                    prop_assert_eq!(master.memory_copy(b, n).copied(), expect);
+                    prop_assert_eq!(master.in_memory_on(b, n), expect.is_some());
+                    // best_source prefers local memory > local disk > remote
+                    // memory > remote disk (lowest node first), and returns
+                    // None iff the block is nowhere.
+                    let local_disk = disk_nodes.contains(&n);
+                    let want = if expect.is_some() {
+                        Some((n, true))
+                    } else if local_disk {
+                        Some((n, false))
+                    } else if let Some(&m) = mem_nodes.first() {
+                        Some((m, true))
                     } else {
-                        prop_assert!(disk.contains_key(&(b, src)));
-                        // If it chose disk at a remote node, there is no
-                        // memory copy anywhere and no local disk copy...
-                        if src != n {
-                            prop_assert!(!mem.keys().any(|(bb, _)| *bb == b));
-                            prop_assert!(!disk.contains_key(&(b, n)));
-                        }
-                    }
-                    if mem.contains_key(&(b, n)) {
-                        prop_assert_eq!((src, in_mem), (n, true));
-                    }
+                        disk_nodes.first().map(|&d| (d, false))
+                    };
+                    prop_assert_eq!(master.best_source(b, n), want);
                 }
             }
+            let resident: Vec<BlockId> = mem.keys().copied().collect();
+            prop_assert_eq!(master.memory_resident_in(0..u32::MAX).collect::<Vec<_>>(), resident);
+            prop_assert_eq!(
+                master.memory_copy_count(),
+                mem.values().map(|c| c.len()).sum::<usize>()
+            );
         }
     }
 }

@@ -595,14 +595,16 @@ fn long_streams(out: &mut String) {
 
 const MIB: usize = 1 << 20;
 
-/// Each node's block tables (memory-store residency, in-flight arrival
-/// times, unused prefetches, prefetch candidacy) and each policy's per-node
-/// state (victim-index sets, MRD monitors' recency and index) must cost a
-/// few bits per cached-block slot plus O(blocks resident on that node), the
-/// shape of Spark's `MemoryStore`. Per-slot rows on every node (an
-/// `Option<u64>` size, a pin count, an arrival time, a recency stamp) would
-/// cost 32 B x slots x nodes, over 200 MiB at 256 nodes x 28,672 slots.
-/// LRU, LRC and MRD each run under the same bound.
+/// Each node's block tables (the memory store's resident map) and each
+/// policy's per-node state (victim-index sets, MRD monitors' recency and
+/// index) must hold nothing per cached-block slot, only O(blocks resident
+/// on that node), the shape of Spark's `MemoryStore`; per-copy facts
+/// (holder, in-flight arrival time, unused-prefetch mark) live once in the
+/// block master, like Spark's `BlockManagerMaster`. Per-slot rows on every
+/// node (an `Option<u64>` size, a pin count, an arrival time, a recency
+/// stamp) would cost 32 B x slots x nodes, over 200 MiB at 256 nodes x
+/// 28,672 slots; even one bit per slot per node would be 0.9 MiB. LRU, LRC
+/// and MRD each run under the same bound.
 fn per_node_block_state_is_o_resident() {
     let nodes = 256u32;
     let spec = pagerank(&WorkloadParams {
@@ -623,11 +625,11 @@ fn per_node_block_state_is_o_resident() {
         ProfileMode::Recurring,
         SimConfig::new(cluster.with_cache(cache)).with_seed(42),
     );
-    // A byte (8 bits) per slot per node covers the per-node bitsets; 256 B
-    // per slot covers the cluster-wide per-slot tables (block master,
-    // materialization, the policy's per-block table) and every O(resident)
-    // map entry, since at most half the footprint is resident.
-    let bound = nodes as usize * slots + 256 * slots;
+    // 256 B per slot covers the cluster-wide per-slot tables (block
+    // master, materialization and prefetch candidacy, the policy's
+    // per-block table) and every O(resident) map entry, since at most half
+    // the footprint is resident. Nothing scales with slots x nodes.
+    let bound = 256 * slots;
     let dense_rows = 32 * nodes as usize * slots;
     for policy in [PolicySpec::Lru, PolicySpec::Lrc, PolicySpec::MrdFull] {
         let mut built = policy.build(None);
