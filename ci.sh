@@ -51,7 +51,7 @@ cargo test -q -p refdist-store --test proptest_store
 # Victim-index differentials, named so an index regression is called out in
 # the CI log: every policy's batched select_victims (and MRD's, across all
 # modes, tie-breaks and metrics) must pop exactly the naive pick_victim
-# sequence, with the slot arena attached as the engine attaches it.
+# sequence, with the slot arena attached first, as the drivers attach it.
 echo "==> cargo test -q -p refdist-policies --test differential_select"
 cargo test -q -p refdist-policies --test differential_select
 echo "==> cargo test -q -p refdist-core --test differential_mrd"
@@ -81,6 +81,20 @@ cargo test -q --test serve_stream --test large_cluster
 # under test, so any added work fails it on a named count.
 echo "==> cargo test -q --test work_counts"
 cargo test -q --test work_counts
+
+# Reproduction artifacts: every exp_* binary with a checked-in output in
+# experiments/ must print exactly that file (full-size runs, about 4 s in
+# all). A change that moves a paper figure regenerates the file in the same
+# commit (`target/release/exp_fig4 > experiments/exp_fig4.txt`) and updates
+# the numbers EXPERIMENTS.md quotes from it.
+echo "==> experiments/exp_*.txt match their exp_* binaries"
+exp_err="$(mktemp)"
+for expected in experiments/exp_*.txt; do
+  bin="target/release/$(basename "$expected" .txt)"
+  "$bin" 2> "$exp_err" | diff -u "$expected" - \
+    || { tail -n 20 "$exp_err"; echo "experiments: $bin does not print $expected"; exit 1; }
+done
+rm -f "$exp_err"
 
 # The benchmark is a package of its own (refbench/), outside the workspace:
 # its unit tests and lints run against its own manifest.

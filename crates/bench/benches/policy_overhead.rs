@@ -9,11 +9,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use refdist_core::{MrdManager, MrdPolicy};
-use refdist_dag::{AppProfile, BlockId, JobId, RddId, RddRefs, StageId};
+use refdist_dag::{AppProfile, BlockId, BlockSlots, JobId, RddId, RddRefs, StageId};
 use refdist_policies::{CachePolicy, PolicyKind};
 use refdist_store::NodeId;
 use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::sync::Arc;
 
 const NODE: NodeId = NodeId(0);
 
@@ -39,7 +40,10 @@ fn synthetic_profile(rdds: u32) -> AppProfile {
     }
 }
 
+/// Attach a slot arena over every bench block (48 RDDs x 22 partitions),
+/// as the drivers do before any other hook, then insert `blocks`.
 fn populated(policy: &mut dyn CachePolicy, blocks: &[BlockId], profile: &AppProfile) {
+    policy.attach_slots(&Arc::new(BlockSlots::from_counts((0..48).map(|r| (RddId(r), 22)))));
     policy.on_job_submit(JobId(0), profile);
     policy.on_stage_start(StageId(0), profile);
     for &b in blocks {

@@ -580,14 +580,6 @@ impl CachePolicy for TenantMux {
         self.policy_name(self.current)
     }
 
-    fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
-        for &a in &self.active {
-            let live = self.inner[a].as_mut().expect("active submission");
-            live.policy.attach_slots(slots);
-        }
-        self.arena = Some(Arc::clone(slots));
-    }
-
     fn on_job_submit(&mut self, job: JobId, visible: &AppProfile) {
         self.cur().on_job_submit(job, visible);
     }

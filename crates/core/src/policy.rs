@@ -83,7 +83,7 @@ impl MrdPolicy {
             manager: MrdManager::new(cfg.metric),
             monitors: Vec::new(),
             lru_clock: 0,
-            lru_index: VictimIndex::new(),
+            lru_index: VictimIndex::default(),
             replicas_reissued: 0,
         }
     }
@@ -295,12 +295,18 @@ mod tests {
         }
     }
 
+    /// An MRD policy attached to a slot arena over rdds 0..3 x 2
+    /// partitions, as the drivers attach one before any other hook.
     fn policy(mode: MrdMode) -> MrdPolicy {
-        MrdPolicy::new(MrdConfig {
+        let mut p = MrdPolicy::new(MrdConfig {
             mode,
             metric: DistanceMetric::Stage,
             ..Default::default()
-        })
+        });
+        p.attach_slots(&Arc::new(BlockSlots::from_counts(
+            (0..3).map(|r| (RddId(r), 2)),
+        )));
+        p
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! traces that interleave table advances (stage/job events) with inserts,
 //! accesses, removals, and evictions on two nodes.
 //!
-//! Both sides get a slot arena over every block the traces touch, as the
-//! engine always attaches one; one configuration also runs without, so the
-//! hash-keyed tables a policy starts with stay covered.
+//! Both sides get a slot arena over every block the traces touch, attached
+//! before any other hook, as the drivers attach one.
 
 use proptest::prelude::*;
 use refdist_core::{DistanceMetric, MrdConfig, MrdMode, MrdPolicy, TieBreak};
@@ -125,15 +124,13 @@ fn batched_select(
 }
 
 /// Drive a naive and a batched MRD policy of `cfg`, both attached to
-/// `slots` if given, through `events`.
-fn assert_equivalent(cfg: MrdConfig, slots: Option<&Arc<BlockSlots>>, events: &[Ev]) {
+/// `slots`, through `events`.
+fn assert_equivalent(cfg: MrdConfig, slots: &Arc<BlockSlots>, events: &[Ev]) {
     let prof = profile();
     let mut reference = MrdPolicy::new(cfg);
     let mut indexed = MrdPolicy::new(cfg);
-    if let Some(slots) = slots {
-        reference.attach_slots(slots);
-        indexed.attach_slots(slots);
-    }
+    reference.attach_slots(slots);
+    indexed.attach_slots(slots);
     let mut ra: Vec<BTreeMap<BlockId, u64>> = (0..NODES).map(|_| BTreeMap::new()).collect();
     let mut rb = ra.clone();
     reference.on_job_submit(JobId(0), &prof);
@@ -200,11 +197,9 @@ proptest! {
             for tie in [TieBreak::Mru, TieBreak::Lru] {
                 for metric in [DistanceMetric::Stage, DistanceMetric::Job] {
                     let cfg = MrdConfig { mode, metric, tie_break: tie, ..Default::default() };
-                    assert_equivalent(cfg, Some(&slots), &events);
+                    assert_equivalent(cfg, &slots, &events);
                 }
             }
         }
-        let cfg = MrdConfig { mode: MrdMode::PrefetchOnly, ..Default::default() };
-        assert_equivalent(cfg, None, &events);
     }
 }

@@ -11,10 +11,11 @@
 use refdist_core::{
     CacheMonitor, DistanceMetric, MrdConfig, MrdMode, MrdPolicy, MrdTable, RefDistance, TieBreak,
 };
-use refdist_dag::{AppProfile, BlockId, JobId, RddId, RddRefs, StageId};
+use refdist_dag::{AppProfile, BlockId, BlockSlots, JobId, RddId, RddRefs, StageId};
 use refdist_policies::CachePolicy;
 use refdist_store::NodeId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const N: NodeId = NodeId(0);
 
@@ -45,8 +46,11 @@ fn profile(entries: &[(u32, &[u32])]) -> AppProfile {
     }
 }
 
+/// An MRD policy attached to a slot arena over rdds 0..3 x 1 partition,
+/// as the drivers attach one before any other hook.
 fn policy_with(cfg: MrdConfig, entries: &[(u32, &[u32])]) -> MrdPolicy {
     let mut p = MrdPolicy::new(cfg);
+    p.attach_slots(&Arc::new(BlockSlots::from_counts((0..3).map(|r| (RddId(r), 1)))));
     p.on_job_submit(JobId(0), &profile(entries));
     p
 }

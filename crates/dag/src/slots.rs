@@ -14,7 +14,6 @@
 //! ascending therefore visits blocks in sorted order with no sort.
 
 use crate::app::AppSpec;
-use crate::hash::HashMap;
 use crate::ids::{BlockId, RddId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -376,107 +375,96 @@ impl SlotArena {
     }
 }
 
-/// A map keyed by `BlockId`, backed either by a `HashMap` (a policy's
-/// per-block state before the engine attaches an arena) or by a dense
-/// per-slot vector over a [`BlockSlots`] arena.
+/// A map keyed by `BlockId`, stored densely per slot of a [`BlockSlots`]
+/// arena and iterated ascending by slot (= `BlockId` order).
 ///
-/// The dense backing is *windowed*: its value vector covers only the slot
-/// span written to it since the last [`clear`](Self::clear)
-/// (`lo..lo + vals.len()`, at most twice that span), not the whole arena.
-/// A table that only ever holds one application's blocks — a policy's
-/// per-block state in serve mode — therefore costs memory and iteration
-/// time in O(that application's slot run), however large the shared arena
-/// grows.
+/// The value vector is *windowed*: it covers only the slot span written to
+/// it since the last [`clear`](Self::clear) (`lo..lo + vals.len()`, at most
+/// twice that span), not the whole arena. A table that only ever holds one
+/// application's blocks — a policy's per-block state in serve mode —
+/// therefore costs memory and iteration time in O(that application's slot
+/// run), however large the shared arena grows.
 ///
-/// Behavior is identical across backings; only iteration order differs
-/// (dense iterates ascending by slot, hash arbitrarily), so callers that
-/// need a canonical order must sort — exactly as they already did for the
-/// `HashMap`.
+/// A [`Default`] map has no arena attached: it allocates nothing, reads
+/// find no entry, and [`insert`](Self::insert) panics. A policy builds its
+/// tables this way and replaces them with [`SlotMap::new`] in
+/// `CachePolicy::attach_slots`, which the drivers call before any other
+/// hook.
 #[derive(Debug, Clone)]
 pub struct SlotMap<V> {
-    repr: SlotMapRepr<V>,
-}
-
-#[derive(Debug, Clone)]
-enum SlotMapRepr<V> {
-    Hash(HashMap<BlockId, V>),
-    Dense {
-        slots: Arc<BlockSlots>,
-        /// Slot of `vals[0]`; meaningless while `vals` is empty.
-        lo: u32,
-        vals: Vec<Option<V>>,
-        len: usize,
-    },
+    /// The arena; `None` until one is attached.
+    slots: Option<Arc<BlockSlots>>,
+    /// Slot of `vals[0]`; meaningless while `vals` is empty.
+    lo: u32,
+    vals: Vec<Option<V>>,
+    len: usize,
 }
 
 impl<V> Default for SlotMap<V> {
     fn default() -> Self {
-        Self::hashed()
+        SlotMap {
+            slots: None,
+            lo: 0,
+            vals: Vec::new(),
+            len: 0,
+        }
     }
 }
 
 impl<V> SlotMap<V> {
-    /// Hash-backed map, for use before an arena is known.
-    pub fn hashed() -> Self {
+    /// Empty map over `slots`. Allocates nothing until the first insert.
+    pub fn new(slots: Arc<BlockSlots>) -> Self {
         SlotMap {
-            repr: SlotMapRepr::Hash(HashMap::default()),
+            slots: Some(slots),
+            ..Self::default()
         }
     }
 
-    /// Dense map over `slots`. Allocates nothing until the first insert.
-    pub fn dense(slots: Arc<BlockSlots>) -> Self {
-        SlotMap {
-            repr: SlotMapRepr::Dense {
-                slots,
-                lo: 0,
-                vals: Vec::new(),
-                len: 0,
-            },
-        }
-    }
-
-    /// Dense map whose window starts out covering all of `slots`: for a
-    /// table that spans the arena anyway (the cluster-wide block master),
-    /// one allocation up front instead of a run of growth steps.
-    pub fn dense_full(slots: Arc<BlockSlots>) -> Self {
+    /// Map whose window starts out covering all of `slots`: for a table
+    /// that spans the arena anyway (the cluster-wide block master), one
+    /// allocation up front instead of a run of growth steps.
+    pub fn full(slots: Arc<BlockSlots>) -> Self {
         let mut vals = Vec::new();
         vals.resize_with(slots.len(), || None);
         SlotMap {
-            repr: SlotMapRepr::Dense {
-                slots,
-                lo: 0,
-                vals,
-                len: 0,
-            },
+            vals,
+            ..Self::new(slots)
         }
     }
 
-    fn dense_slot(slots: &BlockSlots, block: BlockId) -> u32 {
-        slots
-            .slot(block)
-            .unwrap_or_else(|| panic!("block {block} outside the slot arena"))
+    /// `block`'s slot, or `None` when no arena is attached.
+    ///
+    /// # Panics
+    /// Panics when the attached arena has no slot for `block`.
+    #[inline]
+    fn slot(&self, block: BlockId) -> Option<u32> {
+        let slot = self.slots.as_ref()?.slot(block);
+        Some(slot.unwrap_or_else(|| panic!("block {block} outside the slot arena")))
     }
 
-    /// Index of `slot` in a window starting at `lo` of `n` values.
+    /// Index of `block`'s value in the window, if the window covers it.
     #[inline]
-    fn window_idx(lo: u32, n: usize, slot: u32) -> Option<usize> {
-        let i = slot.checked_sub(lo)? as usize;
-        (i < n).then_some(i)
+    fn window_idx(&self, block: BlockId) -> Option<usize> {
+        let i = self.slot(block)?.checked_sub(self.lo)? as usize;
+        (i < self.vals.len()).then_some(i)
+    }
+
+    /// The block in `slot`; only called for slots holding a value, which
+    /// an attached arena put there.
+    fn block(&self, slot: u32) -> BlockId {
+        self.slots.as_ref().expect("entries imply an arena").block(slot)
     }
 
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.repr {
-            SlotMapRepr::Hash(m) => m.len(),
-            SlotMapRepr::Dense { len, .. } => *len,
-        }
+        self.len
     }
 
     /// Whether the map has no entries.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Whether `block` has an entry.
@@ -488,155 +476,98 @@ impl<V> SlotMap<V> {
     /// The value for `block`, if any.
     #[inline]
     pub fn get(&self, block: BlockId) -> Option<&V> {
-        match &self.repr {
-            SlotMapRepr::Hash(m) => m.get(&block),
-            SlotMapRepr::Dense { slots, lo, vals, .. } => {
-                let i = Self::window_idx(*lo, vals.len(), Self::dense_slot(slots, block))?;
-                vals[i].as_ref()
-            }
-        }
+        let i = self.window_idx(block)?;
+        self.vals[i].as_ref()
     }
 
     /// Mutable access to the value for `block`, if any.
     #[inline]
     pub fn get_mut(&mut self, block: BlockId) -> Option<&mut V> {
-        match &mut self.repr {
-            SlotMapRepr::Hash(m) => m.get_mut(&block),
-            SlotMapRepr::Dense { slots, lo, vals, .. } => {
-                let i = Self::window_idx(*lo, vals.len(), Self::dense_slot(slots, block))?;
-                vals[i].as_mut()
-            }
-        }
+        let i = self.window_idx(block)?;
+        self.vals[i].as_mut()
     }
 
-    /// Insert or overwrite, returning the previous value. A dense map
-    /// widens its window to cover the block's slot.
+    /// Insert or overwrite, returning the previous value. The window
+    /// widens to cover the block's slot.
+    ///
+    /// # Panics
+    /// Panics when no arena is attached.
     pub fn insert(&mut self, block: BlockId, value: V) -> Option<V> {
-        match &mut self.repr {
-            SlotMapRepr::Hash(m) => m.insert(block, value),
-            SlotMapRepr::Dense {
-                slots,
-                lo,
-                vals,
-                len,
-            } => {
-                let slot = Self::dense_slot(slots, block);
-                if vals.is_empty() {
-                    *lo = slot;
-                } else if slot < *lo {
-                    // Grow downward by at least the window's length, so a
-                    // descending run of inserts costs amortized O(1) each
-                    // (the upward side rides on `Vec`'s doubling).
-                    let new_lo = slot.min(lo.saturating_sub(vals.len() as u32));
-                    let grow = (*lo - new_lo) as usize;
-                    vals.splice(0..0, std::iter::repeat_with(|| None).take(grow));
-                    *lo = new_lo;
-                }
-                let i = (slot - *lo) as usize;
-                if i >= vals.len() {
-                    vals.resize_with(i + 1, || None);
-                }
-                let old = vals[i].replace(value);
-                if old.is_none() {
-                    *len += 1;
-                }
-                old
-            }
+        let slot = self.slot(block).expect("no slot arena attached");
+        let vals = &mut self.vals;
+        if vals.is_empty() {
+            self.lo = slot;
+        } else if slot < self.lo {
+            // Grow downward by at least the window's length, so a
+            // descending run of inserts costs amortized O(1) each (the
+            // upward side rides on `Vec`'s doubling).
+            let new_lo = slot.min(self.lo.saturating_sub(vals.len() as u32));
+            let grow = (self.lo - new_lo) as usize;
+            vals.splice(0..0, std::iter::repeat_with(|| None).take(grow));
+            self.lo = new_lo;
         }
+        let i = (slot - self.lo) as usize;
+        if i >= vals.len() {
+            vals.resize_with(i + 1, || None);
+        }
+        let old = vals[i].replace(value);
+        if old.is_none() {
+            self.len += 1;
+        }
+        old
     }
 
     /// Remove the entry for `block`, returning its value.
     pub fn remove(&mut self, block: BlockId) -> Option<V> {
-        match &mut self.repr {
-            SlotMapRepr::Hash(m) => m.remove(&block),
-            SlotMapRepr::Dense { slots, lo, vals, len } => {
-                let i = Self::window_idx(*lo, vals.len(), Self::dense_slot(slots, block))?;
-                let old = vals[i].take();
-                if old.is_some() {
-                    *len -= 1;
-                }
-                old
-            }
+        let i = self.window_idx(block)?;
+        let old = self.vals[i].take();
+        if old.is_some() {
+            self.len -= 1;
         }
+        old
     }
 
     /// Drop every entry.
     pub fn clear(&mut self) {
-        match &mut self.repr {
-            SlotMapRepr::Hash(m) => m.clear(),
-            SlotMapRepr::Dense { vals, len, .. } => {
-                vals.clear();
-                *len = 0;
-            }
-        }
+        self.vals.clear();
+        self.len = 0;
     }
 
     /// Swap in a newer arena snapshot whose capacity is a superset of the
     /// current one (streaming admission): live slot indices never move, so
-    /// existing entries and the window stay valid. No-op on the hash
-    /// backing.
+    /// existing entries and the window stay valid.
     pub fn adopt(&mut self, new: Arc<BlockSlots>) {
-        if let SlotMapRepr::Dense { slots, .. } = &mut self.repr {
-            debug_assert!(new.len() >= slots.len(), "arena capacity never shrinks");
-            *slots = new;
-        }
+        let slots = self.slots.as_mut().expect("no slot arena attached");
+        debug_assert!(new.len() >= slots.len(), "arena capacity never shrinks");
+        *slots = new;
     }
 
-    /// Switch to the dense backing over `slots`, moving every entry across;
-    /// a map that is dense already [adopts](Self::adopt) the snapshot.
-    pub fn attach(&mut self, slots: Arc<BlockSlots>) {
-        let SlotMapRepr::Hash(m) = &mut self.repr else {
-            return self.adopt(slots);
-        };
-        let entries = std::mem::take(m);
-        *self = SlotMap::dense(slots);
-        for (b, v) in entries {
-            self.insert(b, v);
-        }
-    }
-
-    /// Iterate entries (dense: ascending by slot; hash: arbitrary).
+    /// Iterate entries ascending by slot.
     pub fn iter(&self) -> impl Iterator<Item = (BlockId, &V)> + '_ {
-        let (hash, dense) = match &self.repr {
-            SlotMapRepr::Hash(m) => (Some(m.iter().map(|(&b, v)| (b, v))), None),
-            SlotMapRepr::Dense { .. } => (None, Some(self.iter_run(0..u32::MAX))),
-        };
-        hash.into_iter().flatten().chain(dense.into_iter().flatten())
+        self.iter_run(0..u32::MAX)
     }
 
-    /// Iterate entries mutably, in [`iter`](Self::iter)'s order.
+    /// Iterate entries mutably, ascending by slot.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (BlockId, &mut V)> + '_ {
-        let (hash, dense) = match &mut self.repr {
-            SlotMapRepr::Hash(m) => (Some(m.iter_mut().map(|(&b, v)| (b, v))), None),
-            SlotMapRepr::Dense { slots, lo, vals, .. } => {
-                let (slots, lo) = (&*slots, *lo);
-                let it = vals.iter_mut().zip(lo..).filter_map(move |(v, s)| {
-                    v.as_mut().map(|v| (slots.block(s), v))
-                });
-                (None, Some(it))
-            }
-        };
-        hash.into_iter().flatten().chain(dense.into_iter().flatten())
+        let slots = self.slots.as_deref();
+        self.vals.iter_mut().zip(self.lo..).filter_map(move |(v, s)| {
+            v.as_mut()
+                .map(|v| (slots.expect("entries imply an arena").block(s), v))
+        })
     }
 
     /// Iterate the entries whose slot lies in `run`, ascending by slot —
     /// in O(run ∩ window), not O(arena). The serve engine collects one
     /// application's purge candidates this way.
-    ///
-    /// # Panics
-    /// Panics on the hash backing, which has no slot order.
     pub fn iter_run(&self, run: std::ops::Range<u32>) -> impl Iterator<Item = (BlockId, &V)> + '_ {
-        let SlotMapRepr::Dense { slots, lo, vals, .. } = &self.repr else {
-            panic!("slot runs address a dense map");
-        };
-        let lo = *lo;
+        let lo = self.lo;
         let from = run.start.saturating_sub(lo) as usize;
-        let to = (run.end.saturating_sub(lo) as usize).min(vals.len());
+        let to = (run.end.saturating_sub(lo) as usize).min(self.vals.len());
         let span = if from < to { from..to } else { 0..0 };
-        vals[span.clone()]
+        self.vals[span.clone()]
             .iter()
             .zip(span.start as u32..)
-            .filter_map(move |(v, i)| v.as_ref().map(|v| (slots.block(lo + i), v)))
+            .filter_map(move |(v, i)| v.as_ref().map(|v| (self.block(lo + i), v)))
     }
 }
 
@@ -866,70 +797,28 @@ mod tests {
     }
 
     #[test]
-    fn slotmap_backings_agree() {
-        let slots = Arc::new(arena());
-        let mut hash: SlotMap<u64> = SlotMap::hashed();
-        let mut dense: SlotMap<u64> = SlotMap::dense(Arc::clone(&slots));
-        let blocks: Vec<BlockId> = slots.iter().collect();
-        for (i, &b) in blocks.iter().enumerate() {
-            assert_eq!(hash.insert(b, i as u64), dense.insert(b, i as u64));
-        }
-        // Overwrite returns the old value on both.
-        assert_eq!(hash.insert(blocks[0], 99), Some(0));
-        assert_eq!(dense.insert(blocks[0], 99), Some(0));
-        for &b in &blocks {
-            assert_eq!(hash.get(b), dense.get(b));
-            assert_eq!(hash.contains(b), dense.contains(b));
-        }
-        assert_eq!(hash.len(), dense.len());
-        // Dense iteration is sorted; sort the hash side to compare.
-        let mut h: Vec<(BlockId, u64)> = hash.iter().map(|(b, &v)| (b, v)).collect();
-        h.sort_unstable();
-        let d: Vec<(BlockId, u64)> = dense.iter().map(|(b, &v)| (b, v)).collect();
-        assert_eq!(h, d);
-        // Mutable iteration visits the same entries on both.
-        for m in [&mut hash, &mut dense] {
-            for (b, v) in m.iter_mut() {
-                *v += u64::from(b.partition);
-            }
-        }
-        for &b in &blocks {
-            assert_eq!(hash.get(b), dense.get(b));
-        }
-        assert_eq!(hash.remove(blocks[2]), dense.remove(blocks[2]));
-        assert_eq!(hash.remove(blocks[2]), None);
-        assert_eq!(dense.remove(blocks[2]), None);
-        assert_eq!(hash.len(), dense.len());
-        hash.clear();
-        dense.clear();
-        assert!(hash.is_empty() && dense.is_empty());
-    }
-
-    #[test]
-    fn attach_moves_hashed_entries_and_adopts_when_dense() {
-        let mut a = SlotArena::new();
-        a.admit(0, &[(RddId(0), 2)]);
-        let mut m: SlotMap<u32> = SlotMap::hashed();
-        m.insert(BlockId::new(RddId(0), 1), 7);
-        m.attach(Arc::new(a.snapshot()));
-        a.admit(1, &[(RddId(1), 3)]);
-        m.attach(Arc::new(a.snapshot()));
-        m.insert(BlockId::new(RddId(1), 2), 9);
-        let got: Vec<(BlockId, u32)> = m.iter().map(|(b, &v)| (b, v)).collect();
-        assert_eq!(
-            got,
-            vec![
-                (BlockId::new(RddId(0), 1), 7),
-                (BlockId::new(RddId(1), 2), 9)
-            ]
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "outside the slot arena")]
     fn dense_slotmap_rejects_foreign_blocks() {
-        let mut m: SlotMap<u32> = SlotMap::dense(Arc::new(arena()));
+        let mut m: SlotMap<u32> = SlotMap::new(Arc::new(arena()));
         m.insert(BlockId::new(RddId(0), 0), 1);
+    }
+
+    #[test]
+    fn unattached_slotmap_reads_as_empty() {
+        let mut m: SlotMap<u32> = SlotMap::default();
+        let b = BlockId::new(RddId(0), 0);
+        assert!(m.is_empty() && !m.contains(b) && m.get_mut(b).is_none());
+        assert_eq!(m.remove(b), None);
+        assert_eq!(m.iter().count() + m.iter_run(0..9).count(), 0);
+        assert_eq!(m.iter_mut().count(), 0);
+        m.clear();
+        assert_eq!(m.vals.capacity(), 0, "an unattached map allocates nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "no slot arena attached")]
+    fn unattached_slotmap_rejects_writes() {
+        SlotMap::default().insert(BlockId::new(RddId(0), 0), 1u32);
     }
 
     #[test]
@@ -1060,27 +949,6 @@ mod tests {
     }
 
     #[test]
-    fn slotmap_adopt_preserves_entries_across_growth() {
-        let mut a = SlotArena::new();
-        a.admit(11, &[(RddId(0), 2)]);
-        let mut m: SlotMap<u64> = SlotMap::dense(Arc::new(a.snapshot()));
-        m.insert(BlockId::new(RddId(0), 1), 7);
-        a.admit(12, &[(RddId(1), 3)]);
-        m.adopt(Arc::new(a.snapshot()));
-        assert_eq!(m.get(BlockId::new(RddId(0), 1)), Some(&7));
-        m.insert(BlockId::new(RddId(1), 2), 9);
-        assert_eq!(m.len(), 2);
-        let got: Vec<(BlockId, u64)> = m.iter().map(|(b, &v)| (b, v)).collect();
-        assert_eq!(
-            got,
-            vec![
-                (BlockId::new(RddId(0), 1), 7),
-                (BlockId::new(RddId(1), 2), 9)
-            ]
-        );
-    }
-
-    #[test]
     fn slotset_reset_matches_fresh() {
         let mut s = SlotSet::new(130);
         s.insert(0);
@@ -1110,7 +978,7 @@ mod tests {
     fn dense_slotmap_window_grows_both_ways() {
         let slots = wide();
         let blk = |s: u32| slots.block(s);
-        let mut m: SlotMap<u32> = SlotMap::dense(Arc::clone(&slots));
+        let mut m: SlotMap<u32> = SlotMap::new(Arc::clone(&slots));
         assert!(m.is_empty() && m.get(blk(100)).is_none());
         // First write opens the window; writes above and below widen it.
         assert_eq!(m.insert(blk(100), 1), None);
@@ -1147,7 +1015,7 @@ mod tests {
     fn dense_slotmap_iter_run_clamps_to_the_window() {
         let slots = wide();
         let blk = |s: u32| slots.block(s);
-        let mut m: SlotMap<u32> = SlotMap::dense(Arc::clone(&slots));
+        let mut m: SlotMap<u32> = SlotMap::new(Arc::clone(&slots));
         for s in [10u32, 20, 64, 65, 150] {
             m.insert(blk(s), s);
         }
@@ -1166,11 +1034,15 @@ mod tests {
         let mut a = SlotArena::new();
         a.admit(0, &[(RddId(0), 4)]);
         a.admit(1, &[(RddId(1), 4)]);
-        let mut m: SlotMap<u32> = SlotMap::dense(Arc::new(a.snapshot()));
+        let mut m: SlotMap<u32> = SlotMap::new(Arc::new(a.snapshot()));
         m.insert(BlockId::new(RddId(1), 2), 7);
+        // Capacity grows past the old snapshot: the entry and its window
+        // survive, and the new slots take writes.
         a.admit(2, &[(RddId(2), 4)]);
         m.adopt(Arc::new(a.snapshot()));
+        assert_eq!(m.get(BlockId::new(RddId(1), 2)), Some(&7));
         m.insert(BlockId::new(RddId(2), 0), 8);
+        assert_eq!(m.len(), 2);
         assert_eq!(
             entries(&m),
             vec![(BlockId::new(RddId(1), 2), 7), (BlockId::new(RddId(2), 0), 8)]
@@ -1179,27 +1051,67 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-        /// Under any op sequence the windowed dense map agrees with the
-        /// hashed one, and iterates ascending by slot.
+        /// Under any op sequence the windowed map agrees with a `BTreeMap`
+        /// model, and iterates in the model's ascending order after every
+        /// op.
         #[test]
-        fn dense_slotmap_matches_hashed(
-            ops in proptest::collection::vec((0u8..4, 0u32..192, 0u32..1000), 1..200)
+        fn slotmap_matches_a_btreemap_model(
+            ops in proptest::collection::vec((0u8..16, 0u32..192, 0u32..1000), 1..200)
         ) {
             let slots = wide();
-            let mut hash: SlotMap<u32> = SlotMap::hashed();
-            let mut dense: SlotMap<u32> = SlotMap::dense(Arc::clone(&slots));
+            let mut m: SlotMap<u32> = SlotMap::new(Arc::clone(&slots));
+            let mut model: BTreeMap<BlockId, u32> = BTreeMap::new();
             for (op, slot, v) in ops {
                 let b = slots.block(slot);
                 match op {
-                    0 | 1 => proptest::prop_assert_eq!(hash.insert(b, v), dense.insert(b, v)),
-                    2 => proptest::prop_assert_eq!(hash.remove(b), dense.remove(b)),
-                    _ => proptest::prop_assert_eq!(hash.get(b), dense.get(b)),
+                    0..=4 => proptest::prop_assert_eq!(m.insert(b, v), model.insert(b, v)),
+                    5 | 6 => {
+                        // Overwrite an existing entry, picked by rank.
+                        let Some(&o) = model.keys().nth(slot as usize % model.len().max(1))
+                        else {
+                            continue;
+                        };
+                        proptest::prop_assert_eq!(m.insert(o, v), model.insert(o, v));
+                    }
+                    7 | 8 => proptest::prop_assert_eq!(m.remove(b), model.remove(&b)),
+                    9 => proptest::prop_assert_eq!(m.get(b), model.get(&b)),
+                    10 => {
+                        if let Some(x) = m.get_mut(b) {
+                            *x = v;
+                        }
+                        if let Some(x) = model.get_mut(&b) {
+                            *x = v;
+                        }
+                    }
+                    11 => {
+                        for (k, x) in m.iter_mut() {
+                            *x = x.wrapping_add(v + k.partition);
+                        }
+                        for (k, x) in model.iter_mut() {
+                            *x = x.wrapping_add(v + k.partition);
+                        }
+                    }
+                    12 | 13 => {
+                        let run = slot..slot + v / 4;
+                        let got: Vec<(BlockId, u32)> =
+                            m.iter_run(run.clone()).map(|(k, &x)| (k, x)).collect();
+                        let want: Vec<(BlockId, u32)> = model
+                            .iter()
+                            .filter(|(k, _)| run.contains(&slots.slot(**k).unwrap()))
+                            .map(|(&k, &x)| (k, x))
+                            .collect();
+                        proptest::prop_assert_eq!(got, want);
+                    }
+                    14 => {
+                        m.clear();
+                        model.clear();
+                    }
+                    _ => proptest::prop_assert_eq!(m.contains(b), model.contains_key(&b)),
                 }
-                proptest::prop_assert_eq!(hash.len(), dense.len());
+                proptest::prop_assert_eq!(m.len(), model.len());
+                let want: Vec<(BlockId, u32)> = model.iter().map(|(&k, &x)| (k, x)).collect();
+                proptest::prop_assert_eq!(entries(&m), want);
             }
-            let mut h = entries(&hash);
-            h.sort_unstable();
-            proptest::prop_assert_eq!(h, entries(&dense));
         }
     }
 

@@ -83,6 +83,7 @@ impl CachePolicy for FifoPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::attached;
     use refdist_dag::RddId;
 
     fn blk(r: u32, p: u32) -> BlockId {
@@ -93,7 +94,7 @@ mod tests {
 
     #[test]
     fn evicts_oldest_insert_regardless_of_access() {
-        let mut p = FifoPolicy::new();
+        let mut p = attached(FifoPolicy::new());
         p.on_insert(N, blk(0, 0));
         p.on_insert(N, blk(1, 0));
         p.on_access(N, blk(0, 0)); // access must not matter
@@ -103,7 +104,7 @@ mod tests {
 
     #[test]
     fn reinsert_keeps_original_position() {
-        let mut p = FifoPolicy::new();
+        let mut p = attached(FifoPolicy::new());
         p.on_insert(N, blk(0, 0));
         p.on_insert(N, blk(1, 0));
         p.on_insert(N, blk(0, 0)); // re-insert
@@ -113,7 +114,7 @@ mod tests {
 
     #[test]
     fn remove_then_insert_moves_to_back() {
-        let mut p = FifoPolicy::new();
+        let mut p = attached(FifoPolicy::new());
         p.on_insert(N, blk(0, 0));
         p.on_insert(N, blk(1, 0));
         p.on_remove(N, blk(0, 0));

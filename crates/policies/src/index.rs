@@ -15,14 +15,14 @@
 //! pick them (removing a block never changes another block's key in any of
 //! the workspace policies). The differential property tests in
 //! `tests/differential_select.rs` pin this equivalence down for randomized
-//! traces, with and without a slot arena attached.
+//! traces.
 //!
 //! [`VictimIndex`] adds the per-node bookkeeping the [`crate::CachePolicy`]
 //! hook protocol needs. Its layout:
 //!
 //! * **One per-block table** for the whole index, keyed by the runtime's
-//!   slot arena once [`VictimIndex::attach_slots`] ran (by a hash map
-//!   before). An entry holds the block's rank key and the nodes it is
+//!   slot arena, which [`VictimIndex::attach_slots`] installs before the
+//!   first insert. An entry holds the block's rank key and the nodes it is
 //!   resident on. A block can be resident on several nodes at once (disk
 //!   promotes re-insert a block on the reading node while another node
 //!   still caches it), yet every policy keys it by *global* state — a
@@ -99,34 +99,22 @@ impl<K: Ord + Copy> Entry<K> {
 }
 
 /// Per-node ordered victim indexes over one per-block table of rank keys
-/// and homes (see the module docs for the layout).
-#[derive(Debug, Clone)]
+/// and homes (see the module docs for the layout). A [`Default`] index
+/// has no arena: it reads as empty, and [`insert`](Self::insert) panics
+/// until [`attach_slots`](Self::attach_slots) runs.
+#[derive(Debug, Clone, Default)]
 pub struct VictimIndex<K: Ord + Copy> {
     blocks: SlotMap<Entry<K>>,
     /// Per node id: the node's resident blocks in eviction order.
     nodes: Vec<BTreeSet<(K, BlockId)>>,
 }
 
-impl<K: Ord + Copy> Default for VictimIndex<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<K: Ord + Copy> VictimIndex<K> {
-    /// An empty index, its per-block table hash-keyed until
-    /// [`attach_slots`](Self::attach_slots).
-    pub fn new() -> Self {
-        VictimIndex {
-            blocks: SlotMap::hashed(),
-            nodes: Vec::new(),
-        }
-    }
-
-    /// Key the per-block table by `slots` (the runtime's arena), keeping
-    /// every entry.
+    /// Key the per-block table by `slots` (the runtime's arena). Called
+    /// once, on an empty index.
     pub fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
-        self.blocks.attach(Arc::clone(slots));
+        debug_assert!(self.blocks.is_empty(), "slot arena attached to a non-empty index");
+        self.blocks = SlotMap::new(Arc::clone(slots));
     }
 
     /// Whether `block` is resident on at least one node.
@@ -240,14 +228,13 @@ mod tests {
         blocks.iter().copied().collect()
     }
 
-    /// Both backings of the per-block table: hash-keyed, and slot-keyed
-    /// over rdds 0..10 x 4 partitions.
-    fn both() -> [VictimIndex<u64>; 2] {
-        let mut dense = VictimIndex::new();
-        dense.attach_slots(&Arc::new(BlockSlots::from_counts(
+    /// An index attached to a slot arena over rdds 0..10 x 4 partitions.
+    fn attached() -> VictimIndex<u64> {
+        let mut idx = VictimIndex::default();
+        idx.attach_slots(&Arc::new(BlockSlots::from_counts(
             (0..10).map(|r| (RddId(r), 4)),
         )));
-        [VictimIndex::new(), dense]
+        idx
     }
 
     #[test]
@@ -272,108 +259,107 @@ mod tests {
 
     #[test]
     fn insert_replaces_key() {
-        for mut idx in both() {
-            idx.insert(A, blk(0, 0), 1);
-            idx.insert(A, blk(1, 0), 5);
-            idx.insert(A, blk(0, 0), 9);
-            assert_eq!(idx.key(blk(0, 0)), Some(9));
-            let r = resident(&[(blk(0, 0), 1), (blk(1, 0), 1)]);
-            assert_eq!(idx.select(A, 2, &r), vec![blk(1, 0), blk(0, 0)]);
-        }
+        let mut idx = attached();
+        idx.insert(A, blk(0, 0), 1);
+        idx.insert(A, blk(1, 0), 5);
+        idx.insert(A, blk(0, 0), 9);
+        assert_eq!(idx.key(blk(0, 0)), Some(9));
+        let r = resident(&[(blk(0, 0), 1), (blk(1, 0), 1)]);
+        assert_eq!(idx.select(A, 2, &r), vec![blk(1, 0), blk(0, 0)]);
     }
 
     #[test]
     fn victim_index_is_per_node() {
-        for mut idx in both() {
-            idx.insert(A, blk(0, 0), 1);
-            idx.insert(B, blk(1, 0), 1);
-            let r = resident(&[(blk(0, 0), 1), (blk(1, 0), 1)]);
-            assert_eq!(idx.select(A, 1, &r), vec![blk(0, 0)]);
-            assert_eq!(idx.select(B, 1, &r), vec![blk(1, 0)]);
-            assert!(idx.select(NodeId(9), 1, &r).is_empty());
-        }
+        let mut idx = attached();
+        idx.insert(A, blk(0, 0), 1);
+        idx.insert(B, blk(1, 0), 1);
+        let r = resident(&[(blk(0, 0), 1), (blk(1, 0), 1)]);
+        assert_eq!(idx.select(A, 1, &r), vec![blk(0, 0)]);
+        assert_eq!(idx.select(B, 1, &r), vec![blk(1, 0)]);
+        assert!(idx.select(NodeId(9), 1, &r).is_empty());
     }
 
     #[test]
     fn cross_node_removal_rekeys_survivors_to_orphan_key() {
-        for mut idx in both() {
-            // Same block resident on both nodes with a high (recent) key.
-            idx.insert(A, blk(0, 0), 10);
-            idx.insert(B, blk(0, 0), 10);
-            idx.insert(B, blk(1, 0), 5);
-            // Evicted from A: global recency is dropped, so on B the
-            // survivor must now rank as key 0 — ahead of blk(1,0).
-            assert!(!idx.remove(A, blk(0, 0), 0));
-            let r = resident(&[(blk(0, 0), 1), (blk(1, 0), 1)]);
-            assert_eq!(idx.select(B, 1, &r), vec![blk(0, 0)]);
-            assert!(idx.select(A, 1, &r).is_empty());
-            // Gone from the last node: fully untracked.
-            assert!(idx.remove(B, blk(0, 0), 0));
-            assert!(!idx.is_tracked(blk(0, 0)));
-        }
+        let mut idx = attached();
+        // Same block resident on both nodes with a high (recent) key.
+        idx.insert(A, blk(0, 0), 10);
+        idx.insert(B, blk(0, 0), 10);
+        idx.insert(B, blk(1, 0), 5);
+        // Evicted from A: global recency is dropped, so on B the
+        // survivor must now rank as key 0 — ahead of blk(1,0).
+        assert!(!idx.remove(A, blk(0, 0), 0));
+        let r = resident(&[(blk(0, 0), 1), (blk(1, 0), 1)]);
+        assert_eq!(idx.select(B, 1, &r), vec![blk(0, 0)]);
+        assert!(idx.select(A, 1, &r).is_empty());
+        // Gone from the last node: fully untracked.
+        assert!(idx.remove(B, blk(0, 0), 0));
+        assert!(!idx.is_tracked(blk(0, 0)));
     }
 
     #[test]
     fn removing_the_first_home_keeps_the_others() {
-        for mut idx in both() {
-            let c = NodeId(2);
-            for n in [A, B, c] {
-                idx.insert(n, blk(0, 0), 10);
-            }
-            assert!(!idx.remove(A, blk(0, 0), 3));
-            idx.rekey(blk(0, 0), 7);
-            let r = resident(&[(blk(0, 0), 1)]);
-            assert!(idx.select(A, 1, &r).is_empty());
-            assert_eq!(idx.select(B, 1, &r), vec![blk(0, 0)]);
-            assert!(!idx.remove(c, blk(0, 0), 0));
-            assert!(idx.remove(B, blk(0, 0), 0));
-            assert!(!idx.is_tracked(blk(0, 0)));
+        let mut idx = attached();
+        let c = NodeId(2);
+        for n in [A, B, c] {
+            idx.insert(n, blk(0, 0), 10);
         }
+        assert!(!idx.remove(A, blk(0, 0), 3));
+        idx.rekey(blk(0, 0), 7);
+        let r = resident(&[(blk(0, 0), 1)]);
+        assert!(idx.select(A, 1, &r).is_empty());
+        assert_eq!(idx.select(B, 1, &r), vec![blk(0, 0)]);
+        assert!(!idx.remove(c, blk(0, 0), 0));
+        assert!(idx.remove(B, blk(0, 0), 0));
+        assert!(!idx.is_tracked(blk(0, 0)));
     }
 
     #[test]
     fn removal_from_a_node_without_a_copy_is_a_noop() {
-        for mut idx in both() {
-            idx.insert(A, blk(0, 0), 10);
-            idx.insert(A, blk(1, 0), 5);
-            // B never held blk(0,0): its copy on A keeps its key.
-            assert!(!idx.remove(B, blk(0, 0), 0));
-            assert_eq!(idx.key(blk(0, 0)), Some(10));
-            let r = resident(&[(blk(0, 0), 1), (blk(1, 0), 1)]);
-            assert_eq!(idx.select(A, 1, &r), vec![blk(1, 0)]);
-        }
+        let mut idx = attached();
+        idx.insert(A, blk(0, 0), 10);
+        idx.insert(A, blk(1, 0), 5);
+        // B never held blk(0,0): its copy on A keeps its key.
+        assert!(!idx.remove(B, blk(0, 0), 0));
+        assert_eq!(idx.key(blk(0, 0)), Some(10));
+        let r = resident(&[(blk(0, 0), 1), (blk(1, 0), 1)]);
+        assert_eq!(idx.select(A, 1, &r), vec![blk(1, 0)]);
     }
 
     #[test]
     fn rekey_all_recomputes_every_rank() {
-        for mut idx in both() {
-            idx.insert(A, blk(0, 0), 1);
-            idx.insert(A, blk(1, 0), 2);
-            idx.insert(B, blk(0, 0), 1);
-            idx.rekey_all(|b, old| if b == blk(0, 0) { 9 } else { old });
-            let r = resident(&[(blk(0, 0), 1), (blk(1, 0), 1)]);
-            assert_eq!(idx.select(A, 2, &r), vec![blk(1, 0), blk(0, 0)]);
-            assert_eq!(idx.key(blk(0, 0)), Some(9));
-        }
-    }
-
-    #[test]
-    fn attach_slots_keeps_entries() {
-        let [mut idx, _] = both();
-        idx.insert(A, blk(0, 0), 4);
-        idx.insert(B, blk(0, 0), 4);
-        idx.attach_slots(&Arc::new(BlockSlots::from_counts(
-            (0..2).map(|r| (RddId(r), 2)),
-        )));
-        assert_eq!(idx.key(blk(0, 0)), Some(4));
-        assert!(!idx.remove(A, blk(0, 0), 0));
-        assert!(idx.remove(B, blk(0, 0), 0));
+        let mut idx = attached();
+        idx.insert(A, blk(0, 0), 1);
+        idx.insert(A, blk(1, 0), 2);
+        idx.insert(B, blk(0, 0), 1);
+        idx.rekey_all(|b, old| if b == blk(0, 0) { 9 } else { old });
+        let r = resident(&[(blk(0, 0), 1), (blk(1, 0), 1)]);
+        assert_eq!(idx.select(A, 2, &r), vec![blk(1, 0), blk(0, 0)]);
+        assert_eq!(idx.key(blk(0, 0)), Some(9));
     }
 
     #[test]
     fn remove_unknown_block_is_noop() {
-        for mut idx in both() {
-            assert!(idx.remove(A, blk(7, 3), 0));
-        }
+        let mut idx = attached();
+        assert!(idx.remove(A, blk(7, 3), 0));
+    }
+
+    #[test]
+    fn index_reads_as_empty_until_attached() {
+        let mut idx: VictimIndex<u64> = VictimIndex::default();
+        let r = resident(&[(blk(0, 0), 1)]);
+        assert_eq!(idx.key(blk(0, 0)), None);
+        assert!(!idx.is_tracked(blk(0, 0)));
+        assert!(idx.select(A, 1, &r).is_empty());
+        idx.attach_slots(&Arc::new(BlockSlots::from_counts([(RddId(0), 1)])));
+        idx.insert(A, blk(0, 0), 3);
+        assert_eq!(idx.key(blk(0, 0)), Some(3));
+        assert_eq!(idx.select(A, 1, &r), vec![blk(0, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no slot arena attached")]
+    fn unattached_index_rejects_inserts() {
+        VictimIndex::default().insert(A, blk(0, 0), 1u64);
     }
 }

@@ -55,12 +55,11 @@ pub trait CachePolicy: Send {
     fn name(&self) -> String;
 
     /// The runtime's dense block-slot arena for the application about to
-    /// run, offered once before any other hook. Policies that keep
-    /// per-block state switch it to slot-keyed tables; the default ignores
-    /// the arena. Must not change observable behavior — only
-    /// representation. The differential suites (`differential_select`,
-    /// `differential_mrd`) drive policies with and without an arena, and
-    /// the frozen decision digests pin the attached path the engine runs.
+    /// run. Required: both drivers call it exactly once, before any other
+    /// hook, and a policy with per-block state keys its tables by this
+    /// arena (an unattached [`SlotMap`](refdist_dag::SlotMap) panics on
+    /// its first write). The default no-op serves policies without
+    /// per-block state.
     fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
         let _ = slots;
     }
@@ -228,6 +227,15 @@ impl PolicyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `policy` with a slot arena over rdds 0..10 x 4 partitions attached,
+    /// as the drivers attach one before any other hook.
+    pub(crate) fn attached<P: CachePolicy>(mut policy: P) -> P {
+        policy.attach_slots(&Arc::new(BlockSlots::from_counts(
+            (0..10).map(|r| (refdist_dag::RddId(r), 4)),
+        )));
+        policy
+    }
 
     #[test]
     fn kinds_build_named_policies() {

@@ -115,7 +115,8 @@ impl CachePolicy for LrcPolicy {
     }
 
     fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
-        self.consumed.attach(Arc::clone(slots));
+        debug_assert!(self.consumed.is_empty(), "slot arena attached after a consume");
+        self.consumed = SlotMap::new(Arc::clone(slots));
         self.index.attach_slots(slots);
     }
 
@@ -179,6 +180,7 @@ impl CachePolicy for LrcPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::attached;
     use refdist_dag::RddRefs;
     use std::collections::BTreeMap;
 
@@ -213,7 +215,7 @@ mod tests {
 
     #[test]
     fn counts_initialize_from_profile() {
-        let mut p = LrcPolicy::new();
+        let mut p = attached(LrcPolicy::new());
         p.on_job_submit(JobId(0), &profile(&[(0, &[0, 2, 4]), (1, &[1])]));
         assert_eq!(p.remaining(blk(0, 0)), 3);
         assert_eq!(p.remaining(blk(1, 0)), 1);
@@ -222,7 +224,7 @@ mod tests {
 
     #[test]
     fn insert_and_access_consume_references() {
-        let mut p = LrcPolicy::new();
+        let mut p = attached(LrcPolicy::new());
         p.on_job_submit(JobId(0), &profile(&[(0, &[0, 2, 4])]));
         p.on_insert(N, blk(0, 0));
         assert_eq!(p.remaining(blk(0, 0)), 2);
@@ -236,7 +238,7 @@ mod tests {
 
     #[test]
     fn evicts_lowest_count() {
-        let mut p = LrcPolicy::new();
+        let mut p = attached(LrcPolicy::new());
         p.on_job_submit(JobId(0), &profile(&[(0, &[0, 2, 4, 6]), (1, &[1, 3])]));
         p.on_insert(N, blk(0, 0)); // remaining 3
         p.on_insert(N, blk(1, 0)); // remaining 1
@@ -249,7 +251,7 @@ mod tests {
         // The pathology MRD fixes (paper §3.3, RDD22 example): a block with
         // many far-future references beats a block with one imminent
         // reference under LRC.
-        let mut p = LrcPolicy::new();
+        let mut p = attached(LrcPolicy::new());
         p.on_job_submit(JobId(0), &profile(&[(0, &[0, 90, 95, 99]), (1, &[1, 2])]));
         p.on_insert(N, blk(0, 0)); // 3 remaining, all far away
         p.on_insert(N, blk(1, 0)); // 1 remaining, imminent (stage 2)
@@ -259,7 +261,7 @@ mod tests {
 
     #[test]
     fn dead_blocks_purge() {
-        let mut p = LrcPolicy::new();
+        let mut p = attached(LrcPolicy::new());
         p.on_job_submit(JobId(0), &profile(&[(0, &[0]), (1, &[1, 5])]));
         p.on_insert(N, blk(0, 0)); // consumed its only ref
         p.on_insert(N, blk(1, 0)); // one ref left
@@ -269,7 +271,7 @@ mod tests {
 
     #[test]
     fn ties_break_by_recency() {
-        let mut p = LrcPolicy::new();
+        let mut p = attached(LrcPolicy::new());
         p.on_job_submit(JobId(0), &profile(&[(0, &[0, 2]), (1, &[1, 3])]));
         p.on_insert(N, blk(0, 0)); // remaining 1
         p.on_insert(N, blk(1, 0)); // remaining 1, touched later
@@ -279,7 +281,7 @@ mod tests {
     #[test]
     fn profile_update_extends_counts() {
         // Ad-hoc mode: a later job reveals more references.
-        let mut p = LrcPolicy::new();
+        let mut p = attached(LrcPolicy::new());
         p.on_job_submit(JobId(0), &profile(&[(0, &[0])]));
         p.on_insert(N, blk(0, 0));
         assert_eq!(p.remaining(blk(0, 0)), 0);

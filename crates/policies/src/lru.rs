@@ -85,6 +85,7 @@ impl CachePolicy for LruPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::attached;
     use refdist_dag::RddId;
 
     fn blk(r: u32, p: u32) -> BlockId {
@@ -95,7 +96,7 @@ mod tests {
 
     #[test]
     fn evicts_least_recently_touched() {
-        let mut p = LruPolicy::new();
+        let mut p = attached(LruPolicy::new());
         p.on_insert(N, blk(0, 0));
         p.on_insert(N, blk(1, 0));
         p.on_insert(N, blk(2, 0));
@@ -106,7 +107,7 @@ mod tests {
 
     #[test]
     fn access_resets_recency() {
-        let mut p = LruPolicy::new();
+        let mut p = attached(LruPolicy::new());
         p.on_insert(N, blk(0, 0));
         p.on_insert(N, blk(1, 0));
         p.on_access(N, blk(0, 0));
@@ -118,7 +119,7 @@ mod tests {
 
     #[test]
     fn untracked_blocks_evict_first() {
-        let mut p = LruPolicy::new();
+        let mut p = attached(LruPolicy::new());
         p.on_insert(N, blk(0, 0));
         // blk(1,0) never seen by the policy: treated as oldest.
         let v = p.pick_victim(N, &[blk(0, 0), blk(1, 0)]);
@@ -127,13 +128,13 @@ mod tests {
 
     #[test]
     fn empty_candidates_yield_none() {
-        let mut p = LruPolicy::new();
+        let mut p = attached(LruPolicy::new());
         assert_eq!(p.pick_victim(N, &[]), None);
     }
 
     #[test]
     fn remove_forgets_state() {
-        let mut p = LruPolicy::new();
+        let mut p = attached(LruPolicy::new());
         p.on_insert(N, blk(0, 0));
         p.on_remove(N, blk(0, 0));
         assert!(!p.index.is_tracked(blk(0, 0)));
@@ -141,7 +142,7 @@ mod tests {
 
     #[test]
     fn tie_break_is_deterministic() {
-        let mut p = LruPolicy::new();
+        let mut p = attached(LruPolicy::new());
         // Neither candidate tracked: ties broken by block id.
         let v = p.pick_victim(N, &[blk(2, 0), blk(1, 0)]);
         assert_eq!(v, Some(blk(1, 0)));

@@ -163,6 +163,7 @@ impl CachePolicy for MemTunePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::attached;
     use refdist_dag::{JobId, RddRefs, StageTouches};
     use std::collections::BTreeMap;
 
@@ -214,7 +215,7 @@ mod tests {
 
     #[test]
     fn window_covers_current_and_next_stage() {
-        let mut p = MemTunePolicy::new();
+        let mut p = attached(MemTunePolicy::new());
         let prof = profile(&[&[0], &[1], &[2]]);
         p.on_stage_start(StageId(0), &prof);
         assert!(p.needed.contains(&RddId(0)));
@@ -224,7 +225,7 @@ mod tests {
 
     #[test]
     fn evicts_outside_window_first() {
-        let mut p = MemTunePolicy::new();
+        let mut p = attached(MemTunePolicy::new());
         let prof = profile(&[&[0], &[1], &[2]]);
         p.on_stage_start(StageId(0), &prof);
         p.on_insert(N, blk(0, 0));
@@ -235,7 +236,7 @@ mod tests {
 
     #[test]
     fn falls_back_to_lru_inside_window() {
-        let mut p = MemTunePolicy::new();
+        let mut p = attached(MemTunePolicy::new());
         let prof = profile(&[&[0, 1], &[]]);
         p.on_stage_start(StageId(0), &prof);
         p.on_insert(N, blk(0, 0));
@@ -245,7 +246,7 @@ mod tests {
 
     #[test]
     fn prefetches_current_stage_rdds_first() {
-        let mut p = MemTunePolicy::new();
+        let mut p = attached(MemTunePolicy::new());
         let prof = profile(&[&[1], &[2], &[3]]);
         p.on_stage_start(StageId(0), &prof);
         let order = p.prefetch_order(N, &[blk(3, 0), blk(2, 0), blk(1, 0)]);
@@ -255,7 +256,7 @@ mod tests {
 
     #[test]
     fn window_advances_with_stages() {
-        let mut p = MemTunePolicy::new();
+        let mut p = attached(MemTunePolicy::new());
         let prof = profile(&[&[0], &[1], &[2]]);
         p.on_stage_start(StageId(2), &prof);
         assert!(p.needed.contains(&RddId(2)));

@@ -6,9 +6,8 @@
 //! cross-node block copies (the orphan-rekey edge case) must not produce a
 //! single divergent victim.
 //!
-//! Both sides get a slot arena over every block the traces touch, as the
-//! engine always attaches one; LRC also runs once without, so the
-//! hash-keyed tables policies start with stay covered.
+//! Both sides get a slot arena over every block the traces touch, attached
+//! before any other hook, as the drivers attach one.
 
 use proptest::prelude::*;
 use refdist_dag::{
@@ -224,11 +223,8 @@ fn arena() -> Arc<BlockSlots> {
     Arc::new(BlockSlots::from_counts((0..8).map(|r| (RddId(r), 4))))
 }
 
-/// Two identical policies of `kind`, both attached to `slots` if given.
-fn fresh_pair(
-    kind: &str,
-    slots: Option<&Arc<BlockSlots>>,
-) -> (Box<dyn CachePolicy>, Box<dyn CachePolicy>) {
+/// Two identical policies of `kind`, both attached to `slots`.
+fn fresh_pair(kind: &str, slots: &Arc<BlockSlots>) -> (Box<dyn CachePolicy>, Box<dyn CachePolicy>) {
     let build = |kind: &str| -> Box<dyn CachePolicy> {
         let trace: Vec<BlockId> = (0..96u8).map(blk).collect();
         let mut policy: Box<dyn CachePolicy> = match kind {
@@ -242,9 +238,7 @@ fn fresh_pair(
             "belady" => Box::new(BeladyMinPolicy::from_trace(&trace)),
             _ => unreachable!(),
         };
-        if let Some(slots) = slots {
-            policy.attach_slots(slots);
-        }
+        policy.attach_slots(slots);
         policy
     };
     (build(kind), build(kind))
@@ -259,10 +253,8 @@ proptest! {
     ) {
         let slots = arena();
         for kind in ["lru", "fifo", "lrc", "memtune", "random", "belady"] {
-            let (reference, indexed) = fresh_pair(kind, Some(&slots));
+            let (reference, indexed) = fresh_pair(kind, &slots);
             assert_equivalent(reference, indexed, &events);
         }
-        let (reference, indexed) = fresh_pair("lrc", None);
-        assert_equivalent(reference, indexed, &events);
     }
 }

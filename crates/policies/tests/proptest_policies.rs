@@ -2,12 +2,13 @@
 //! policy observes, victim selection must stay sound.
 
 use proptest::prelude::*;
-use refdist_dag::{AppProfile, BlockId, JobId, RddId, RddRefs, StageId};
+use refdist_dag::{AppProfile, BlockId, BlockSlots, JobId, RddId, RddRefs, StageId};
 use refdist_policies::{
     BeladyMinPolicy, CachePolicy, FifoPolicy, LrcPolicy, LruPolicy, MemTunePolicy, RandomPolicy,
 };
 use refdist_store::NodeId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const NODE: NodeId = NodeId(0);
 
@@ -30,6 +31,11 @@ fn ev_strategy() -> impl Strategy<Value = Ev> {
 
 fn blk(b: u8) -> BlockId {
     BlockId::new(RddId(b as u32 % 12), b as u32 / 12)
+}
+
+/// The arena of every block `blk` can name: 12 RDDs x 22 partitions.
+fn arena() -> Arc<BlockSlots> {
+    Arc::new(BlockSlots::from_counts((0..12).map(|r| (RddId(r), 22))))
 }
 
 /// A profile where rdd r is referenced at stages r, r+3, r+6.
@@ -60,6 +66,7 @@ fn profile() -> AppProfile {
 
 fn drive(policy: &mut dyn CachePolicy, events: &[Ev], candidates: &[BlockId]) {
     let prof = profile();
+    policy.attach_slots(&arena());
     policy.on_job_submit(JobId(0), &prof);
     let mut stage = 0u8;
     for ev in events {
@@ -123,6 +130,7 @@ proptest! {
         events in prop::collection::vec(ev_strategy(), 0..120),
     ) {
         let mut p = LrcPolicy::new();
+        p.attach_slots(&arena());
         p.on_job_submit(JobId(0), &profile());
         for ev in &events {
             match ev {

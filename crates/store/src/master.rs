@@ -176,8 +176,8 @@ impl BlockMaster {
     /// Empty registry with dense per-slot tables over `slots`.
     pub fn with_slots(slots: Arc<BlockSlots>) -> Self {
         BlockMaster {
-            memory: SlotMap::dense_full(Arc::clone(&slots)),
-            disk: SlotMap::dense_full(slots),
+            memory: SlotMap::full(Arc::clone(&slots)),
+            disk: SlotMap::full(slots),
             memory_copies: 0,
         }
     }
