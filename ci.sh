@@ -94,7 +94,21 @@ for expected in experiments/exp_*.txt; do
   "$bin" 2> "$exp_err" | diff -u "$expected" - \
     || { tail -n 20 "$exp_err"; echo "experiments: $bin does not print $expected"; exit 1; }
 done
-rm -f "$exp_err"
+
+# run_all renders the same experiment table in-process: written into a
+# scratch directory, its 15 files must equal the checked-in ones.
+echo "==> run_all writes experiments/ (scratch dir)"
+run_all_dir="$(mktemp -d)"
+REFDIST_OUT_DIR="$run_all_dir" target/release/run_all > /dev/null 2> "$exp_err" \
+  || { tail -n 20 "$exp_err"; echo "run_all failed"; exit 1; }
+diff -r experiments "$run_all_dir" \
+  || { echo "run_all: its outputs differ from experiments/"; exit 1; }
+rm -rf "$run_all_dir" "$exp_err"
+
+# The paper's claims, each a named assertion on the files just checked: a
+# regenerated file that breaks one fails here by the claim's name.
+echo "==> cargo test -q --test paper_claims"
+cargo test -q --test paper_claims
 
 # The benchmark is a package of its own (refbench/), outside the workspace:
 # its unit tests and lints run against its own manifest.

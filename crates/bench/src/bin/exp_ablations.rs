@@ -1,20 +1,7 @@
-//! Extension — ablations of the design choices DESIGN.md §4b calls out:
-//!
-//! 1. distance tie-breaking (MRU vs LRU among equal distances);
-//! 2. prefetch horizon (how far ahead prefetching may reach);
-//! 3. execution-memory churn fraction (the unified memory model);
-//! 4. the adaptive prefetch threshold (the paper's future-work item)
-//!    against the fixed 25% threshold;
-//! 5. vertex storage level: MEMORY_AND_DISK (SparkBench default) vs
-//!    MEMORY_ONLY (GraphX default — misses recompute instead of re-read).
-//!
-//! All ablations run full MRD on a fixed, constrained cache and report JCT
-//! normalized against LRU at the same point. Independent configurations run
-//! on the worker pool; see [`refdist_bench::experiments::ablations_text`].
-
-use refdist_bench::{experiments, ExpContext};
+//! Extension — ablations of MRD's design choices. See
+//! [`refdist_bench::experiments::ablations_text`] for the methodology; this binary
+//! prints it (progress on stderr, stdout deterministic).
 
 fn main() {
-    let ctx = ExpContext::main().from_env();
-    print!("{}", experiments::ablations_text(&ctx, 0));
+    refdist_bench::experiments::print("exp_ablations");
 }

@@ -1,99 +1,7 @@
-//! Extension — How close is MRD to Belady's MIN?
-//!
-//! The paper argues (§3.1) that DAG information gives a "semi-omniscient"
-//! view that only *approximates* Belady's optimal policy, because the exact
-//! task order is unknown. With the full simulator we can run the actual
-//! clairvoyant oracle (replaying the access trace of an unconstrained run)
-//! and measure the gap across the suite at a fixed, constrained cache.
-
-use refdist_bench::{cache_for_fraction, par_map, run_one, ExpContext, PolicySpec};
-use refdist_core::ProfileMode;
-use refdist_dag::AppPlan;
-use refdist_metrics::{Summary, TextTable};
-use refdist_workloads::Workload;
+//! Extension — MRD vs Belady's MIN oracle. See
+//! [`refdist_bench::experiments::belady_text`] for the methodology; this binary
+//! prints it (progress on stderr, stdout deterministic).
 
 fn main() {
-    let ctx = ExpContext::main().from_env();
-    const FRACTION: f64 = 0.4;
-
-    let rows = par_map(Workload::sparkbench(), |w| {
-        let spec = w.build(&ctx.params);
-        let plan = AppPlan::build(&spec);
-        let cache = cache_for_fraction(&spec, &ctx.cluster, FRACTION).max(1);
-        let lru = run_one(
-            &spec,
-            &plan,
-            &ctx,
-            cache,
-            PolicySpec::Lru,
-            ProfileMode::Recurring,
-        );
-        // Apples to apples: the MIN oracle only evicts, so compare it
-        // against MRD's eviction half; full MRD is shown alongside.
-        let mrd = run_one(
-            &spec,
-            &plan,
-            &ctx,
-            cache,
-            PolicySpec::MrdEvict,
-            ProfileMode::Recurring,
-        );
-        let full = run_one(
-            &spec,
-            &plan,
-            &ctx,
-            cache,
-            PolicySpec::MrdFull,
-            ProfileMode::Recurring,
-        );
-        let min = run_one(
-            &spec,
-            &plan,
-            &ctx,
-            cache,
-            PolicySpec::Belady,
-            ProfileMode::Recurring,
-        );
-        (w, lru, mrd, full, min)
-    });
-
-    println!(
-        "Extension: MRD vs Belady's MIN (cache = {:.0}% of cached footprint)\n",
-        FRACTION * 100.0
-    );
-    let mut t = TextTable::new([
-        "Workload",
-        "LRU JCT(s)",
-        "MRD-evict JCT(s)",
-        "MIN JCT(s)",
-        "Full MRD JCT(s)",
-        "evict/MIN",
-        "MRD-evict hit%",
-        "MIN hit%",
-    ]);
-    let mut gaps = vec![];
-    for (w, lru, mrd, full, min) in &rows {
-        let gap = mrd.jct.micros() as f64 / min.jct.micros().max(1) as f64;
-        gaps.push(gap);
-        t.row([
-            w.short_name().to_string(),
-            format!("{:.1}", lru.jct_secs()),
-            format!("{:.1}", mrd.jct_secs()),
-            format!("{:.1}", min.jct_secs()),
-            format!("{:.1}", full.jct_secs()),
-            format!("{gap:.2}"),
-            format!("{:.1}", mrd.hit_ratio() * 100.0),
-            format!("{:.1}", min.hit_ratio() * 100.0),
-        ]);
-    }
-    println!("{}", t.render());
-    let s = Summary::of(&gaps).unwrap();
-    println!(
-        "MRD eviction runs within {:.2}x of the clairvoyant eviction optimum on average\n\
-         (worst {:.2}x) — quantifying §3.1's claim that stage-level DAG knowledge\n\
-         approximates MIN. Full MRD (with prefetching) often beats the eviction-only\n\
-         oracle outright: prefetching moves I/O off the critical path, something no\n\
-         eviction policy can do.",
-        s.mean, s.max
-    );
+    refdist_bench::experiments::print("exp_belady");
 }

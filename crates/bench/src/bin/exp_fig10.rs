@@ -1,72 +1,7 @@
-//! Figure 10 — Effect of tripling workload iterations (§5.9).
-//!
-//! More iterations mean more jobs, stages and cache references, giving MRD
-//! more eviction/prefetch opportunities. Paper: tripling iterations moved
-//! the average normalized JCT from 62% to 54% and the hit ratio from 94% to
-//! 96%, with diminishing returns, and no effect on DecisionTree (which has
-//! no iterations parameter).
-
-use refdist_bench::{par_map, sweep, ExpContext, PolicySpec, SWEEP_FRACTIONS};
-use refdist_core::ProfileMode;
-use refdist_metrics::{Summary, TextTable};
-use refdist_workloads::{Workload, WorkloadParams};
+//! Figure 10 — effect of tripling workload iterations. See
+//! [`refdist_bench::experiments::fig10_text`] for the methodology; this binary
+//! prints it (progress on stderr, stdout deterministic).
 
 fn main() {
-    let ctx = ExpContext::main().from_env();
-    let workloads: Vec<Workload> = Workload::sparkbench()
-        .iter()
-        .copied()
-        .filter(|w| w.has_iterations())
-        .collect();
-    let policies = [PolicySpec::Lru, PolicySpec::MrdFull];
-
-    let rows = par_map(&workloads, |w| {
-        let best = |params: WorkloadParams| {
-            let mut c = ctx.clone();
-            c.params = params;
-            let pts = sweep(w, &c, SWEEP_FRACTIONS, &policies, ProfileMode::Recurring);
-            let mut best = (f64::INFINITY, 0.0);
-            for p in &pts {
-                let n = p.reports[1].normalized_jct(&p.reports[0]);
-                if n < best.0 {
-                    best = (n, p.reports[1].hit_ratio());
-                }
-            }
-            best
-        };
-        let base = best(ctx.params);
-        let tripled_iters = w.default_iterations().map(|i| i * 3);
-        let tripled = best(WorkloadParams {
-            iterations: tripled_iters,
-            ..ctx.params
-        });
-        (w, base, tripled)
-    });
-
-    println!("Figure 10: default vs 3x iterations (MRD, normalized JCT vs LRU)\n");
-    let mut t = TextTable::new(["Workload", "1x JCT", "1x hit%", "3x JCT", "3x hit%"]);
-    let (mut base_jct, mut trip_jct, mut base_hit, mut trip_hit) = (vec![], vec![], vec![], vec![]);
-    for (w, base, tripled) in &rows {
-        base_jct.push(base.0);
-        trip_jct.push(tripled.0);
-        base_hit.push(base.1);
-        trip_hit.push(tripled.1);
-        t.row([
-            w.short_name().to_string(),
-            format!("{:.2}", base.0),
-            format!("{:.1}", base.1 * 100.0),
-            format!("{:.2}", tripled.0),
-            format!("{:.1}", tripled.1 * 100.0),
-        ]);
-    }
-    println!("{}", t.render());
-    let m = |v: &[f64]| Summary::of(v).unwrap().mean;
-    println!(
-        "Average: JCT {:.2} -> {:.2} (paper 0.62 -> 0.54), hit {:.1}% -> {:.1}% (paper 94% -> 96%)",
-        m(&base_jct),
-        m(&trip_jct),
-        m(&base_hit) * 100.0,
-        m(&trip_hit) * 100.0
-    );
-    println!("DecisionTree and TriangleCount are excluded: no iterations parameter (paper: DT unaffected).");
+    refdist_bench::experiments::print("exp_fig10");
 }

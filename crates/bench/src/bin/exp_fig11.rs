@@ -1,48 +1,7 @@
-//! Figure 11 — JCT reduction vs average stage distance (§5.10).
-//!
-//! High-stage-distance workloads (LP, SCC) leave big reference gaps MRD can
-//! exploit; low-distance workloads (SVM, SP) leave little. The paper fits a
-//! linear trend with R² = 0.46.
-
-use refdist_bench::{best_normalized, par_map, ExpContext, PolicySpec, SWEEP_FRACTIONS};
-use refdist_core::ProfileMode;
-use refdist_dag::{AppPlan, RefAnalyzer};
-use refdist_metrics::{linear_fit, TextTable};
-use refdist_workloads::Workload;
+//! Figure 11 — JCT reduction vs average stage distance. See
+//! [`refdist_bench::experiments::fig11_text`] for the methodology; this binary
+//! prints it (progress on stderr, stdout deterministic).
 
 fn main() {
-    let ctx = ExpContext::main().from_env();
-    let rows = par_map(Workload::sparkbench(), |w| {
-        let spec = w.build(&ctx.params);
-        let plan = AppPlan::build(&spec);
-        let profile = RefAnalyzer::new(&spec, &plan).profile();
-        let d = RefAnalyzer::distance_stats(&profile);
-        let (norm, _, _) = best_normalized(
-            w,
-            &ctx,
-            SWEEP_FRACTIONS,
-            PolicySpec::MrdFull,
-            ProfileMode::Recurring,
-        );
-        (w, d.avg_stage, (1.0 - norm) * 100.0)
-    });
-
-    println!("Figure 11: JCT reduction vs average stage distance\n");
-    let mut t = TextTable::new(["Workload", "AvgStageDistance", "JCT reduction %"]);
-    let pts: Vec<(f64, f64)> = rows.iter().map(|(_, x, y)| (*x, *y)).collect();
-    for (w, x, y) in &rows {
-        t.row([
-            w.short_name().to_string(),
-            format!("{x:.2}"),
-            format!("{y:.1}"),
-        ]);
-    }
-    println!("{}", t.render());
-    match linear_fit(&pts) {
-        Some(fit) => println!(
-            "Trendline: reduction% = {:.2} + {:.2} * avg_stage_distance, R² = {:.2} (paper R² = 0.46, positive slope)",
-            fit.intercept, fit.slope, fit.r2
-        ),
-        None => println!("trendline: degenerate input"),
-    }
+    refdist_bench::experiments::print("exp_fig11");
 }

@@ -1,49 +1,7 @@
-//! Figure 12 — JCT reduction vs average references per stage (§5.10).
-//!
-//! More references per stage means more blocks competing for the cache, so
-//! choosing the right victim matters more. The paper fits a linear trend
-//! with R² = 0.71 (stronger than the stage-distance trend of Figure 11).
-
-use refdist_bench::{best_normalized, par_map, ExpContext, PolicySpec, SWEEP_FRACTIONS};
-use refdist_core::ProfileMode;
-use refdist_dag::{AppPlan, RefAnalyzer};
-use refdist_metrics::{linear_fit, TextTable};
-use refdist_workloads::Workload;
+//! Figure 12 — JCT reduction vs average references per stage. See
+//! [`refdist_bench::experiments::fig12_text`] for the methodology; this binary
+//! prints it (progress on stderr, stdout deterministic).
 
 fn main() {
-    let ctx = ExpContext::main().from_env();
-    let rows = par_map(Workload::sparkbench(), |w| {
-        let spec = w.build(&ctx.params);
-        let plan = AppPlan::build(&spec);
-        let analyzer = RefAnalyzer::new(&spec, &plan);
-        let profile = analyzer.profile();
-        let ch = analyzer.characteristics(&profile);
-        let (norm, _, _) = best_normalized(
-            w,
-            &ctx,
-            SWEEP_FRACTIONS,
-            PolicySpec::MrdFull,
-            ProfileMode::Recurring,
-        );
-        (w, ch.refs_per_stage, (1.0 - norm) * 100.0)
-    });
-
-    println!("Figure 12: JCT reduction vs average references per stage\n");
-    let mut t = TextTable::new(["Workload", "Refs/Stage", "JCT reduction %"]);
-    let pts: Vec<(f64, f64)> = rows.iter().map(|(_, x, y)| (*x, *y)).collect();
-    for (w, x, y) in &rows {
-        t.row([
-            w.short_name().to_string(),
-            format!("{x:.2}"),
-            format!("{y:.1}"),
-        ]);
-    }
-    println!("{}", t.render());
-    match linear_fit(&pts) {
-        Some(fit) => println!(
-            "Trendline: reduction% = {:.2} + {:.2} * refs_per_stage, R² = {:.2} (paper R² = 0.71, positive slope)",
-            fit.intercept, fit.slope, fit.r2
-        ),
-        None => println!("trendline: degenerate input"),
-    }
+    refdist_bench::experiments::print("exp_fig12");
 }

@@ -1,10 +1,8 @@
-//! Figure 2 — Policy metric evolution across the ConnectedComponents
+//! Figure 2 — policy metric evolution across the ConnectedComponents
 //! workflow. See [`refdist_bench::experiments::fig2_text`] for the
-//! methodology; this binary only prints it.
-
-use refdist_bench::{experiments, ExpContext};
+//! methodology; this binary prints it (progress on stderr, stdout
+//! deterministic).
 
 fn main() {
-    let ctx = ExpContext::main().from_env();
-    print!("{}", experiments::fig2_text(&ctx));
+    refdist_bench::experiments::print("exp_fig2");
 }

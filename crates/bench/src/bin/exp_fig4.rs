@@ -1,16 +1,7 @@
-//! Figure 4 — Best performance of MRD against LRU on the Main cluster.
-//!
-//! The full (workload × MRD-mode × cache-size) grid runs on the parallel
-//! sweep engine; see [`refdist_bench::experiments::fig4_text`] for the
-//! methodology. Progress goes to stderr; stdout is deterministic.
-//!
-//! Paper headline: eviction-only 62% of LRU's JCT on average, prefetch-only
-//! 67%, full MRD 53% (as low as 20% for SCC, as high as 88% for DT).
-
-use refdist_bench::{experiments, ExpContext, SweepOptions};
+//! Figure 4 — best performance of MRD against LRU on the Main cluster. See
+//! [`refdist_bench::experiments::fig4_text`] for the methodology; this binary
+//! prints it (progress on stderr, stdout deterministic).
 
 fn main() {
-    let ctx = ExpContext::main().from_env();
-    let opts = SweepOptions::default().progress(true);
-    print!("{}", experiments::fig4_text(&ctx, &opts));
+    refdist_bench::experiments::print("exp_fig4");
 }

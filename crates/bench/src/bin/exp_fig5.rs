@@ -1,14 +1,7 @@
-//! Figure 5 — Comparison to the LRC policy on the LRC cluster
-//! (20 × m4.large equivalents), on the parallel sweep engine.
-//!
-//! Paper: MRD beats LRC by up to 45% (ConnectedComponents) and by ~30% on
-//! average, because reference *distance* predicts imminence where reference
-//! *count* strands far-future-referenced blocks in the cache.
-
-use refdist_bench::{experiments, ExpContext, SweepOptions};
+//! Figure 5 — MRD vs LRC on the LRC cluster. See
+//! [`refdist_bench::experiments::fig5_text`] for the methodology; this binary
+//! prints it (progress on stderr, stdout deterministic).
 
 fn main() {
-    let ctx = ExpContext::lrc().from_env();
-    let opts = SweepOptions::default().progress(true);
-    print!("{}", experiments::fig5_text(&ctx, &opts));
+    refdist_bench::experiments::print("exp_fig5");
 }

@@ -1,57 +1,7 @@
-//! Figure 6 — Comparison to the MemTune policy on the MemTune cluster
-//! (6 nodes, 8 vCPU, 1 Gbps — System G equivalents).
-//!
-//! Paper: MRD beats MemTune by up to 68% (PageRank) and ~33% on average;
-//! LogisticRegression is the one workload with a slight MRD disadvantage
-//! (low reference distances leave MRD nothing to exploit).
-
-use refdist_bench::{par_map, sweep, ExpContext, PolicySpec, SWEEP_FRACTIONS};
-use refdist_core::ProfileMode;
-use refdist_metrics::{Summary, TextTable};
-use refdist_workloads::Workload;
+//! Figure 6 — MRD vs MemTune on the MemTune cluster. See
+//! [`refdist_bench::experiments::fig6_text`] for the methodology; this binary
+//! prints it (progress on stderr, stdout deterministic).
 
 fn main() {
-    let ctx = ExpContext::memtune().from_env();
-    let workloads = [
-        Workload::PageRank,
-        Workload::LogisticRegression,
-        Workload::KMeans,
-        Workload::TriangleCount,
-        Workload::ConnectedComponents,
-        Workload::SvdPlusPlus,
-    ];
-    let policies = [PolicySpec::Lru, PolicySpec::MemTune, PolicySpec::MrdFull];
-
-    let rows = par_map(&workloads, |w| {
-        let pts = sweep(w, &ctx, SWEEP_FRACTIONS, &policies, ProfileMode::Recurring);
-        let mut best_mt = f64::INFINITY;
-        let mut best_mrd = f64::INFINITY;
-        for p in &pts {
-            let lru = &p.reports[0];
-            best_mt = best_mt.min(p.reports[1].normalized_jct(lru));
-            best_mrd = best_mrd.min(p.reports[2].normalized_jct(lru));
-        }
-        (w, best_mt, best_mrd)
-    });
-
-    println!("Figure 6: MRD vs MemTune (normalized JCT vs LRU, MemTune cluster)\n");
-    let mut t = TextTable::new(["Workload", "MemTune", "MRD", "MRD vs MemTune improvement"]);
-    let mut improvements = vec![];
-    for (w, mt, mrd) in &rows {
-        let imp = 1.0 - mrd / mt;
-        improvements.push(imp);
-        t.row([
-            w.short_name().to_string(),
-            format!("{mt:.2}"),
-            format!("{mrd:.2}"),
-            format!("{:.0}%", imp * 100.0),
-        ]);
-    }
-    println!("{}", t.render());
-    let s = Summary::of(&improvements).unwrap();
-    println!(
-        "MRD improves on MemTune by up to {:.0}% and {:.0}% on average (paper: up to 68%, avg 33%)",
-        s.max * 100.0,
-        s.mean * 100.0
-    );
+    refdist_bench::experiments::print("exp_fig6");
 }

@@ -1,69 +1,7 @@
-//! Figure 7 — Effect of cache size on hit ratio and runtime for SVD++ on
-//! the LRC cluster, under LRU / LRC / MRD.
-//!
-//! Paper: smaller caches mean lower hit ratios and longer runtimes for every
-//! policy, but MRD dominates at every size; and MRD matches LRU's hit ratio
-//! with far less cache (the paper quotes a 68% target ratio reached with
-//! 0.33 GB under MRD vs 0.88 GB under LRU — 63% cache savings).
-
-use refdist_bench::{sweep, ExpContext, PolicySpec};
-use refdist_core::ProfileMode;
-use refdist_metrics::{human_bytes, TextTable};
-use refdist_workloads::Workload;
+//! Figure 7 — SVD++ hit ratio and runtime vs cache size. See
+//! [`refdist_bench::experiments::fig7_text`] for the methodology; this binary
+//! prints it (progress on stderr, stdout deterministic).
 
 fn main() {
-    let ctx = ExpContext::lrc().from_env();
-    let fractions = [0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0, 1.2];
-    let policies = [PolicySpec::Lru, PolicySpec::Lrc, PolicySpec::MrdFull];
-    let pts = sweep(
-        Workload::SvdPlusPlus,
-        &ctx,
-        &fractions,
-        &policies,
-        ProfileMode::Recurring,
-    );
-
-    println!("Figure 7: SVD++ hit ratio & runtime vs cache size (LRC cluster)\n");
-    let mut t = TextTable::new([
-        "Cache/node",
-        "LRU hit%",
-        "LRC hit%",
-        "MRD hit%",
-        "LRU JCT(s)",
-        "LRC JCT(s)",
-        "MRD JCT(s)",
-    ]);
-    for p in &pts {
-        t.row([
-            human_bytes(p.cache_bytes),
-            format!("{:.1}", p.reports[0].hit_ratio() * 100.0),
-            format!("{:.1}", p.reports[1].hit_ratio() * 100.0),
-            format!("{:.1}", p.reports[2].hit_ratio() * 100.0),
-            format!("{:.1}", p.reports[0].jct_secs()),
-            format!("{:.1}", p.reports[1].jct_secs()),
-            format!("{:.1}", p.reports[2].jct_secs()),
-        ]);
-    }
-    println!("{}", t.render());
-
-    // Cache-savings analysis: the smallest cache at which each policy
-    // reaches a target hit ratio (LRU's ratio at the mid sweep point).
-    let target = pts[pts.len() / 2].reports[0].hit_ratio();
-    let needed = |idx: usize| {
-        pts.iter()
-            .find(|p| p.reports[idx].hit_ratio() >= target)
-            .map(|p| p.cache_bytes)
-    };
-    match (needed(0), needed(2)) {
-        (Some(lru), Some(mrd)) if lru > 0 => {
-            println!(
-                "To reach a {:.0}% hit ratio: LRU needs {} per node, MRD needs {} — {:.0}% cache savings (paper: 63% for a 68% target)",
-                target * 100.0,
-                human_bytes(lru),
-                human_bytes(mrd),
-                (1.0 - mrd as f64 / lru as f64) * 100.0
-            );
-        }
-        _ => println!("target hit ratio {target:.2} not reached in sweep"),
-    }
+    refdist_bench::experiments::print("exp_fig7");
 }

@@ -1,82 +1,7 @@
-//! Figure 8 — Stage distance vs job distance as the MRD metric (§5.7).
-//!
-//! Paper: LabelPropagation (87 active stages over 23 jobs — ratio 3.17)
-//! degrades badly under the coarse job metric, while K-Means (ratio 1.18)
-//! is indifferent because its stages and jobs nearly coincide.
-
-use refdist_bench::{par_map, sweep, ExpContext, PolicySpec, SWEEP_FRACTIONS};
-use refdist_core::ProfileMode;
-use refdist_dag::AppPlan;
-use refdist_metrics::TextTable;
-use refdist_workloads::Workload;
+//! Figure 8 — stage distance vs job distance as the MRD metric. See
+//! [`refdist_bench::experiments::fig8_text`] for the methodology; this binary
+//! prints it (progress on stderr, stdout deterministic).
 
 fn main() {
-    let ctx = ExpContext::main().from_env();
-    let workloads = [Workload::LabelPropagation, Workload::KMeans];
-    let policies = [
-        PolicySpec::Lru,
-        PolicySpec::MrdFull,
-        PolicySpec::MrdJobMetric,
-    ];
-
-    let rows = par_map(&workloads, |w| {
-        let spec = w.build(&ctx.params);
-        let plan = AppPlan::build(&spec);
-        let ratio = plan.active_stage_count() as f64 / plan.jobs.len() as f64;
-        let pts = sweep(w, &ctx, SWEEP_FRACTIONS, &policies, ProfileMode::Recurring);
-        let mut best_stage = (f64::INFINITY, 0.0);
-        let mut best_job = (f64::INFINITY, 0.0);
-        for p in &pts {
-            let lru = &p.reports[0];
-            let s = p.reports[1].normalized_jct(lru);
-            if s < best_stage.0 {
-                best_stage = (s, p.reports[1].hit_ratio());
-            }
-            let j = p.reports[2].normalized_jct(lru);
-            if j < best_job.0 {
-                best_job = (j, p.reports[2].hit_ratio());
-            }
-        }
-        // The metric's coarseness bites hardest under cache pressure, so
-        // also compare at the tightest sweep point.
-        let tight = &pts[0];
-        let tight_stage = (
-            tight.reports[1].normalized_jct(&tight.reports[0]),
-            tight.reports[1].hit_ratio(),
-        );
-        let tight_job = (
-            tight.reports[2].normalized_jct(&tight.reports[0]),
-            tight.reports[2].hit_ratio(),
-        );
-        (w, ratio, best_stage, best_job, tight_stage, tight_job)
-    });
-
-    println!("Figure 8: stage-distance vs job-distance MRD (normalized JCT vs LRU)\n");
-    let mut t = TextTable::new([
-        "Workload",
-        "ActiveStages/Jobs",
-        "stage JCT (best)",
-        "job JCT (best)",
-        "stage JCT (tight cache)",
-        "job JCT (tight cache)",
-        "stage hit% (tight)",
-        "job hit% (tight)",
-    ]);
-    for (w, ratio, stage, job, ts, tj) in &rows {
-        t.row([
-            w.short_name().to_string(),
-            format!("{ratio:.2}"),
-            format!("{:.2}", stage.0),
-            format!("{:.2}", job.0),
-            format!("{:.2}", ts.0),
-            format!("{:.2}", tj.0),
-            format!("{:.1}", ts.1 * 100.0),
-            format!("{:.1}", tj.1 * 100.0),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "Expectation (paper §5.7): the job metric degrades LP markedly while\n\
-         KM is nearly indifferent (its stages:jobs ratio is ~1)."
-    );
+    refdist_bench::experiments::print("exp_fig8");
 }

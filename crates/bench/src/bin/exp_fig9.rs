@@ -1,61 +1,7 @@
-//! Figure 9 — Ad-hoc (one job DAG at a time) vs recurring (whole-application
-//! profile) runs (§5.8).
-//!
-//! Paper: K-Means, with 17 jobs and heavy cross-job reuse, suffers without
-//! the application-wide view — cross-job references look infinite and good
-//! blocks get evicted. TriangleCount, with only 2 jobs and 0.8 references
-//! per RDD, is indifferent.
-
-use refdist_bench::{par_map, sweep, ExpContext, PolicySpec, SWEEP_FRACTIONS};
-use refdist_core::ProfileMode;
-use refdist_metrics::TextTable;
-use refdist_workloads::Workload;
+//! Figure 9 — ad-hoc vs recurring profile visibility. See
+//! [`refdist_bench::experiments::fig9_text`] for the methodology; this binary
+//! prints it (progress on stderr, stdout deterministic).
 
 fn main() {
-    let ctx = ExpContext::main().from_env();
-    let workloads = [
-        Workload::KMeans,
-        Workload::TriangleCount,
-        Workload::LabelPropagation,
-        Workload::SvdPlusPlus,
-    ];
-    let policies = [PolicySpec::Lru, PolicySpec::MrdFull];
-
-    let rows = par_map(&workloads, |w| {
-        let best = |mode: ProfileMode| {
-            let pts = sweep(w, &ctx, SWEEP_FRACTIONS, &policies, mode);
-            let mut best = (f64::INFINITY, 0.0);
-            for p in &pts {
-                let n = p.reports[1].normalized_jct(&p.reports[0]);
-                if n < best.0 {
-                    best = (n, p.reports[1].hit_ratio());
-                }
-            }
-            best
-        };
-        (w, best(ProfileMode::Recurring), best(ProfileMode::AdHoc))
-    });
-
-    println!("Figure 9: recurring vs ad-hoc profile visibility (MRD, normalized JCT vs LRU)\n");
-    let mut t = TextTable::new([
-        "Workload",
-        "Recurring JCT",
-        "Recurring hit%",
-        "Ad-hoc JCT",
-        "Ad-hoc hit%",
-    ]);
-    for (w, rec, adhoc) in &rows {
-        t.row([
-            w.short_name().to_string(),
-            format!("{:.2}", rec.0),
-            format!("{:.1}", rec.1 * 100.0),
-            format!("{:.2}", adhoc.0),
-            format!("{:.1}", adhoc.1 * 100.0),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "Expectation (paper §5.8): KM loses noticeably without the whole-app\n\
-         DAG (cross-job references read as infinite); TC barely changes."
-    );
+    refdist_bench::experiments::print("exp_fig9");
 }

@@ -1,62 +1,7 @@
-//! §4.4 — Storage, computation and communication overheads of MRD.
-//!
-//! The paper claims: the largest MRD_Table held fewer than 300 references
-//! and measured in KBs; the per-decision sort is negligible; and monitor
-//! synchronization traffic is bounded (one replica per node per change).
-//! This experiment measures all three across the suite. The per-operation
-//! CPU costs are covered by the criterion benches (`policy_overhead`).
-
-use refdist_bench::{cache_for_fraction, ExpContext};
-use refdist_cluster::{SimConfig, Simulation};
-use refdist_core::{MrdPolicy, ProfileMode};
-use refdist_dag::{AppPlan, RefAnalyzer};
-use refdist_metrics::TextTable;
-use refdist_workloads::Workload;
+//! §4.4 — MRD table size and replication traffic. See
+//! [`refdist_bench::experiments::overheads_text`] for the methodology; this binary
+//! prints it (progress on stderr, stdout deterministic).
 
 fn main() {
-    let ctx = ExpContext::main().from_env();
-    println!("Overheads (paper §4.4): MRD table size and replication traffic\n");
-    let mut t = TextTable::new([
-        "Workload",
-        "Table refs",
-        "Table RDDs",
-        "~Table bytes",
-        "Broadcasts",
-        "Stages",
-        "Broadcasts/stage/node",
-    ]);
-    for &w in Workload::sparkbench() {
-        let spec = w.build(&ctx.params);
-        let plan = AppPlan::build(&spec);
-        let profile = RefAnalyzer::new(&spec, &plan).profile();
-        let refs = profile.total_references();
-        let rdds = profile.per_rdd.len();
-        // A reference point is (rdd id, stage id, job id): ~12 bytes.
-        let bytes = refs * 12;
-
-        let cache = cache_for_fraction(&spec, &ctx.cluster, 0.4).max(1);
-        let cfg = SimConfig::new(ctx.cluster.with_cache(cache)).with_seed(ctx.seed);
-        let mut mrd = MrdPolicy::full();
-        let _ = Simulation::new(&spec, &plan, ProfileMode::Recurring, cfg).run(&mut mrd);
-        let broadcasts = mrd.sync_messages();
-        let stages = plan.active_stage_count() as u64;
-        t.row([
-            w.short_name().to_string(),
-            refs.to_string(),
-            rdds.to_string(),
-            format!("{bytes} B"),
-            broadcasts.to_string(),
-            stages.to_string(),
-            format!(
-                "{:.2}",
-                broadcasts as f64 / (stages as f64 * ctx.cluster.nodes as f64)
-            ),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "Paper: largest table < 300 references, measured in KBs; our tables are the\n\
-         same order. Broadcasts are ~1 per node per stage (a replica refresh per\n\
-         stage advance), matching the described sendReferenceDistance traffic."
-    );
+    refdist_bench::experiments::print("exp_overheads");
 }

@@ -1,12 +1,7 @@
-//! Table 1 — Reference-distance characteristics of benchmark workloads.
-//!
-//! For all 14 SparkBench and 6 HiBench workloads: average/maximum job and
-//! stage distances measured on our synthetic DAGs, side by side with the
-//! paper's published values. DAG analysis runs on the worker pool.
-
-use refdist_bench::{experiments, ExpContext};
+//! Table 1 — reference-distance characteristics of the 20 workloads. See
+//! [`refdist_bench::experiments::table1_text`] for the methodology; this binary
+//! prints it (progress on stderr, stdout deterministic).
 
 fn main() {
-    let ctx = ExpContext::main().from_env();
-    print!("{}", experiments::table1_text(&ctx, 0));
+    refdist_bench::experiments::print("exp_table1");
 }

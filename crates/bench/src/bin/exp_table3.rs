@@ -1,77 +1,7 @@
-//! Table 3 — SparkBench workload characteristics.
-//!
-//! Jobs / stages / active stages / RDDs / references per RDD / references
-//! per stage, plus data sizes, for the 14 SparkBench workloads, with the
-//! paper's values in parentheses.
-
-use refdist_bench::{par_map, ExpContext};
-use refdist_dag::{AppPlan, RefAnalyzer};
-use refdist_metrics::{human_bytes, TextTable};
-use refdist_workloads::Workload;
-
-/// Paper Table 3: (jobs, stages, active, rdds, refs/rdd, refs/stage).
-fn paper(w: Workload) -> (u32, u32, u32, u32, f64, f64) {
-    use Workload::*;
-    match w {
-        KMeans => (17, 20, 20, 37, 5.57, 1.95),
-        LinearRegression => (6, 9, 9, 24, 5.00, 0.56),
-        LogisticRegression => (7, 10, 10, 25, 6.00, 0.60),
-        Svm => (10, 28, 17, 40, 3.50, 0.41),
-        DecisionTree => (10, 16, 16, 29, 4.00, 0.25),
-        MatrixFactorization => (8, 64, 22, 103, 3.11, 1.27),
-        PageRank => (7, 69, 21, 95, 2.27, 2.38),
-        TriangleCount => (2, 11, 11, 74, 0.80, 0.73),
-        ShortestPaths => (3, 8, 7, 34, 1.33, 1.14),
-        LabelPropagation => (23, 858, 87, 377, 4.09, 3.06),
-        SvdPlusPlus => (14, 103, 27, 105, 3.32, 2.33),
-        ConnectedComponents => (6, 50, 19, 85, 2.87, 2.26),
-        StronglyConnectedComponents => (26, 839, 93, 560, 4.22, 3.54),
-        PregelOperation => (17, 467, 65, 283, 3.55, 3.25),
-        _ => (0, 0, 0, 0, 0.0, 0.0),
-    }
-}
+//! Table 3 — SparkBench workload characteristics. See
+//! [`refdist_bench::experiments::table3_text`] for the methodology; this binary
+//! prints it (progress on stderr, stdout deterministic).
 
 fn main() {
-    let ctx = ExpContext::main().from_env();
-    let rows = par_map(Workload::sparkbench(), |w| {
-        let spec = w.build(&ctx.params);
-        let plan = AppPlan::build(&spec);
-        let analyzer = RefAnalyzer::new(&spec, &plan);
-        let profile = analyzer.profile();
-        (w, analyzer.characteristics(&profile))
-    });
-
-    println!("Table 3: SparkBench workload characteristics (measured, paper in parentheses)\n");
-    let mut t = TextTable::new([
-        "Workload",
-        "Category",
-        "Input",
-        "StageInputs",
-        "Shuffle",
-        "Jobs",
-        "Stages",
-        "Active",
-        "RDDs",
-        "Refs/RDD",
-        "Refs/Stage",
-        "JobType",
-    ]);
-    for (w, c) in &rows {
-        let (pj, ps, pa, pr, prr, prs) = paper(*w);
-        t.row([
-            w.short_name().to_string(),
-            w.category().to_string(),
-            human_bytes(c.input_bytes),
-            human_bytes(c.stage_input_bytes),
-            human_bytes(c.shuffle_bytes),
-            format!("{} ({pj})", c.jobs),
-            format!("{} ({ps})", c.stages),
-            format!("{} ({pa})", c.active_stages),
-            format!("{} ({pr})", c.rdds),
-            format!("{:.2} ({prr:.2})", c.refs_per_rdd),
-            format!("{:.2} ({prs:.2})", c.refs_per_stage),
-            w.job_type().to_string(),
-        ]);
-    }
-    println!("{}", t.render());
+    refdist_bench::experiments::print("exp_table3");
 }

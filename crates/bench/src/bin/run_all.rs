@@ -1,112 +1,34 @@
-//! Run every experiment binary, writing each one's output to
-//! `experiments/<name>.txt` next to the workspace root (and echoing to
-//! stdout). The per-experiment binaries are expected to live next to this
-//! one in the cargo target directory.
-//!
-//! Experiments run concurrently on the sweep engine's worker pool (each
-//! child is itself internally parallel, so the pool is halved to avoid
-//! oversubscription), but their outputs are printed and written in the
-//! canonical list order below — the combined stdout is identical to a
-//! sequential run. Scheduling chatter goes to stderr.
+//! Render every experiment of [`refdist_bench::experiments::EXPERIMENTS`]
+//! in-process, in its canonical order, writing each one's output to
+//! `<REFDIST_OUT_DIR>/<name>.txt` (default `experiments/`) and echoing it
+//! to stdout. Each experiment runs its own cells on the sweep engine's
+//! worker pool; timings go to stderr only.
 
-use refdist_bench::{default_threads, pool_map};
+use refdist_bench::experiments::EXPERIMENTS;
+use refdist_bench::SweepOptions;
 use std::fs;
-use std::io::Write as _;
 use std::path::PathBuf;
-use std::process::Command;
 use std::time::Instant;
 
-const EXPERIMENTS: &[&str] = &[
-    "exp_table1",
-    "exp_table3",
-    "exp_fig2",
-    "exp_fig4",
-    "exp_fig5",
-    "exp_fig6",
-    "exp_fig7",
-    "exp_fig8",
-    "exp_fig9",
-    "exp_fig10",
-    "exp_fig11",
-    "exp_fig12",
-    "exp_belady",
-    "exp_overheads",
-    "exp_ablations",
-];
-
-enum Outcome {
-    Missing,
-    Failed { stderr: String },
-    Done { stdout: String, secs: f64 },
-}
-
 fn main() {
-    let me = std::env::current_exe().expect("current_exe");
-    let bin_dir = me.parent().expect("bin dir").to_path_buf();
     let out_dir =
         PathBuf::from(std::env::var("REFDIST_OUT_DIR").unwrap_or_else(|_| "experiments".into()));
     fs::create_dir_all(&out_dir).expect("create output dir");
-
-    // Children are internally parallel; running all of them at full width
-    // would oversubscribe the machine.
-    let threads = default_threads().div_ceil(2);
-    eprintln!(
-        "running {} experiments on {} worker(s)",
-        EXPERIMENTS.len(),
-        threads
-    );
-
-    let outcomes = pool_map(EXPERIMENTS, threads, |_, &name| {
-        let bin = bin_dir.join(name);
-        if !bin.exists() {
-            eprintln!(
-                "skipping {name}: {} not built (run `cargo build --release -p refdist-bench`)",
-                bin.display()
-            );
-            return Outcome::Missing;
-        }
-        eprintln!("[start] {name}");
+    for exp in EXPERIMENTS {
         let started = Instant::now();
-        let output = Command::new(&bin).output().expect("spawn experiment");
-        let secs = started.elapsed().as_secs_f64();
-        if !output.status.success() {
-            return Outcome::Failed {
-                stderr: String::from_utf8_lossy(&output.stderr).into_owned(),
-            };
-        }
-        eprintln!("[done]  {name} in {secs:.1}s");
-        Outcome::Done {
-            stdout: String::from_utf8_lossy(&output.stdout).into_owned(),
-            secs,
-        }
-    });
-
-    let mut failures = Vec::new();
-    for (name, outcome) in EXPERIMENTS.iter().zip(outcomes) {
-        match outcome {
-            Outcome::Missing => failures.push(*name),
-            Outcome::Failed { stderr } => {
-                eprintln!("{name} FAILED: {stderr}");
-                failures.push(*name);
-            }
-            Outcome::Done { stdout, secs } => {
-                println!("\n================ {name} ================\n");
-                print!("{stdout}");
-                let mut f =
-                    fs::File::create(out_dir.join(format!("{name}.txt"))).expect("create file");
-                f.write_all(stdout.as_bytes()).expect("write output");
-                // Timing is nondeterministic, so it goes to stderr only.
-                eprintln!("[{name} finished in {secs:.1}s]");
-            }
-        }
-    }
-    if failures.is_empty() {
-        println!(
-            "\nAll experiments completed; outputs in {}/",
-            out_dir.display()
+        let text = exp.render(&SweepOptions::default());
+        println!("\n================ {} ================\n", exp.name);
+        print!("{text}");
+        let path = out_dir.join(format!("{}.txt", exp.name));
+        fs::write(&path, &text).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        eprintln!(
+            "[{} finished in {:.1}s]",
+            exp.name,
+            started.elapsed().as_secs_f64()
         );
-    } else {
-        eprintln!("\nFailed or skipped: {failures:?}");
-        std::process::exit(1);
     }
+    println!(
+        "\nAll experiments completed; outputs in {}/",
+        out_dir.display()
+    );
 }

@@ -1,10 +1,13 @@
 //! Experiment harness for the MRD paper reproduction.
 //!
-//! Each table and figure in the paper's evaluation has a binary under
-//! `src/bin/` (`exp_table1`, `exp_fig4`, ...) built on the shared harness in
-//! this library: policy construction, cache-size sweeps sized against a
-//! workload's cached footprint, and parallel execution of independent
-//! simulations on the bounded worker pool of the [`sweep`](mod@sweep) engine.
+//! Every table and figure in the paper's evaluation is a function in
+//! [`experiments`], listed once in [`experiments::EXPERIMENTS`] with its
+//! cluster preset. Each `exp_*` binary under `src/bin/` prints one entry
+//! and `run_all` renders them all in-process. The shared harness here is
+//! policy construction ([`PolicySpec`]), cache sizes set against a
+//! workload's cached footprint, one run over a workload's prepared
+//! artifacts ([`run_one`]), and the [`sweep`](mod@sweep) engine, which runs
+//! independent cells of a grid on a bounded worker pool.
 
 pub mod cachebench;
 pub mod experiments;
@@ -13,8 +16,8 @@ pub mod sweep;
 pub use cachebench::{bench_policies, Churn};
 pub use refdist_cluster::EngineScratch;
 pub use sweep::{
-    default_threads, pool_map, run_sweep, CellResult, ServeAxis, ServePeaks, SweepCell,
-    SweepGrid, SweepOptions, SweepResults,
+    run_sweep, CellResult, ServeAxis, ServePeaks, SweepCell, SweepGrid, SweepOptions,
+    SweepResults,
 };
 
 use refdist_cluster::{
@@ -293,27 +296,6 @@ impl<'a> ServeScenario<'a> {
     }
 }
 
-/// One simulated run. The simulation seed is taken from `ctx.seed`; the
-/// sweep engine derives that per cell (see [`sweep::SweepCell::sim_seed`]).
-pub fn run_one(
-    spec: &AppSpec,
-    plan: &AppPlan,
-    ctx: &ExpContext,
-    cache_bytes: u64,
-    policy: PolicySpec,
-    mode: ProfileMode,
-) -> RunReport {
-    let mut cfg = SimConfig::new(ctx.cluster.with_cache(cache_bytes)).with_seed(ctx.seed);
-    cfg.faults = ctx.faults.clone();
-    let trace = if policy == PolicySpec::Belady {
-        Some(refdist_cluster::collect_trace(spec, plan, &cfg))
-    } else {
-        None
-    };
-    let mut p = policy.build(trace.as_deref());
-    Simulation::new(spec, plan, mode, cfg).run(&mut *p)
-}
-
 /// A workload's run-independent artifacts, built once per sweep and shared
 /// read-only by every cell of that workload: the generated spec and plan,
 /// the [`AppProfiler`] (a function of `(spec, plan, mode)`), and the dense
@@ -364,10 +346,12 @@ impl PreparedWorkload {
     }
 }
 
-/// [`run_one`] over a [`PreparedWorkload`]: shares the prepared artifacts
-/// and recycles `scratch`'s engine buffers across calls. Produces reports
-/// identical to `run_one` with the prepared mode.
-pub fn run_one_prepared(
+/// One simulated run of a prepared workload: the prepared artifacts are
+/// shared and `scratch`'s engine buffers recycled across calls. The
+/// simulation seed is `ctx.seed`; the sweep engine derives that per cell
+/// (see [`sweep::SweepCell::sim_seed`]). Belady first records the run's
+/// access trace.
+pub fn run_one(
     prep: &PreparedWorkload,
     ctx: &ExpContext,
     cache_bytes: u64,
@@ -385,75 +369,9 @@ pub fn run_one_prepared(
     prep.simulation(cfg).run_with_scratch(&mut *p, scratch)
 }
 
-/// Result of one (workload, cache-size) sweep point.
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// Fraction of the cached footprint the cluster cache covers.
-    pub fraction: f64,
-    /// Per-node cache bytes.
-    pub cache_bytes: u64,
-    /// Reports, parallel to the policies passed to [`sweep`](fn@sweep).
-    pub reports: Vec<RunReport>,
-}
-
 /// Standard cache fractions used by the sweeps (chosen so the smallest
 /// point forces heavy eviction and the largest nearly fits everything).
 pub const SWEEP_FRACTIONS: &[f64] = &[0.15, 0.25, 0.4, 0.6, 0.8, 1.1, 1.4];
-
-/// Sweep cache sizes for one workload, running every policy at every point.
-/// Cells run on the [`sweep`](mod@sweep) engine's bounded worker pool (each simulation
-/// is single-threaded and independent); results come back grouped per
-/// fraction, reports parallel to `policies`.
-pub fn sweep(
-    w: Workload,
-    ctx: &ExpContext,
-    fractions: &[f64],
-    policies: &[PolicySpec],
-    mode: ProfileMode,
-) -> Vec<SweepPoint> {
-    let grid = SweepGrid::new(vec![w], policies.to_vec())
-        .fractions(fractions)
-        .seeds(&[ctx.seed]);
-    let res = run_sweep(&grid, ctx, &SweepOptions::default().mode(mode));
-    // Canonical cell order is fraction-major with policies adjacent, so the
-    // results chunk exactly into one SweepPoint per fraction.
-    res.cells
-        .chunks(policies.len().max(1))
-        .map(|chunk| SweepPoint {
-            fraction: chunk[0].cell.capacity_frac,
-            cache_bytes: chunk[0].cache_bytes,
-            reports: chunk.iter().map(|c| c.report.clone()).collect(),
-        })
-        .collect()
-}
-
-/// The paper's Figure 4 methodology: best (lowest) JCT of `policy`
-/// normalized against LRU *at the same cache size*, over the sweep.
-/// Returns `(best normalized JCT, lru hit ratio, policy hit ratio)` at the
-/// best point.
-pub fn best_normalized(
-    w: Workload,
-    ctx: &ExpContext,
-    fractions: &[f64],
-    policy: PolicySpec,
-    mode: ProfileMode,
-) -> (f64, f64, f64) {
-    let pts = sweep(w, ctx, fractions, &[PolicySpec::Lru, policy], mode);
-    let mut best = (f64::INFINITY, 1.0, 1.0);
-    for p in &pts {
-        let norm = p.reports[1].normalized_jct(&p.reports[0]);
-        if norm < best.0 {
-            best = (norm, p.reports[0].hit_ratio(), p.reports[1].hit_ratio());
-        }
-    }
-    best
-}
-
-/// Run a closure per workload on the bounded worker pool, collecting
-/// results in input order.
-pub fn par_map<T: Send>(workloads: &[Workload], f: impl Fn(Workload) -> T + Sync) -> Vec<T> {
-    pool_map(workloads, 0, |_, &w| f(w))
-}
 
 #[cfg(test)]
 mod tests {
@@ -494,49 +412,21 @@ mod tests {
     }
 
     #[test]
-    fn sweep_runs_all_points_and_policies() {
-        let ctx = tiny_ctx();
-        let pts = sweep(
-            Workload::ShortestPaths,
-            &ctx,
-            &[0.3, 0.9],
-            &[PolicySpec::Lru, PolicySpec::MrdFull],
-            ProfileMode::Recurring,
-        );
-        assert_eq!(pts.len(), 2);
-        assert!(pts[0].fraction < pts[1].fraction);
-        for p in &pts {
-            assert_eq!(p.reports.len(), 2);
-            assert!(p.reports.iter().all(|r| r.jct.micros() > 0));
-        }
-    }
-
-    #[test]
     fn best_normalized_not_worse_than_one_for_mrd() {
         let ctx = tiny_ctx();
-        let (norm, _, _) = best_normalized(
-            Workload::ConnectedComponents,
-            &ctx,
-            &[0.3, 0.6],
-            PolicySpec::MrdFull,
-            ProfileMode::Recurring,
-        );
+        let w = Workload::ConnectedComponents;
+        let grid = SweepGrid::new([w], [PolicySpec::Lru, PolicySpec::MrdFull])
+            .fractions(&[0.3, 0.6])
+            .seeds(&[ctx.seed]);
+        let res = run_sweep(&grid, &ctx, &SweepOptions::default().threads(2));
+        let (norm, _, _) = res
+            .best_normalized(w, PolicySpec::Lru, PolicySpec::MrdFull)
+            .unwrap();
         assert!(norm <= 1.05, "MRD should not lose badly to LRU: {norm}");
     }
 
     #[test]
-    fn par_map_preserves_order() {
-        let ws = [
-            Workload::HiSort,
-            Workload::HiWordCount,
-            Workload::HiTeraSort,
-        ];
-        let names = par_map(&ws, |w| w.short_name().to_string());
-        assert_eq!(names, vec!["Sort", "WordCount", "TeraSort"]);
-    }
-
-    #[test]
-    fn prepared_runs_match_run_one() {
+    fn run_one_matches_a_fresh_simulation() {
         // Shared artifacts + recycled scratch must be invisible in results,
         // including for Belady (trace collection) across repeated cells.
         let ctx = tiny_ctx();
@@ -546,39 +436,21 @@ mod tests {
         for frac in [0.3, 0.9] {
             let cache = cache_for_fraction(&prep.spec, &ctx.cluster, frac).max(1);
             for policy in [PolicySpec::Lru, PolicySpec::MrdFull, PolicySpec::Belady] {
-                let plain = run_one(
-                    &prep.spec,
-                    &prep.plan,
-                    &ctx,
-                    cache,
-                    policy,
-                    ProfileMode::Recurring,
-                );
-                let prepared = run_one_prepared(&prep, &ctx, cache, policy, &mut scratch);
+                let cfg = SimConfig::new(ctx.cluster.with_cache(cache)).with_seed(ctx.seed);
+                let trace = (policy == PolicySpec::Belady)
+                    .then(|| refdist_cluster::collect_trace(&prep.spec, &prep.plan, &cfg));
+                let fresh = Simulation::new(&prep.spec, &prep.plan, ProfileMode::Recurring, cfg)
+                    .run(&mut *policy.build(trace.as_deref()));
+                let prepared = run_one(&prep, &ctx, cache, policy, &mut scratch);
                 assert_eq!(
-                    format!("{plain:?}"),
+                    format!("{fresh:?}"),
                     format!("{prepared:?}"),
                     "{policy:?} at f{frac}"
                 );
+                if policy == PolicySpec::Belady {
+                    assert_eq!(prepared.policy, "Belady-MIN");
+                }
             }
         }
-    }
-
-    #[test]
-    fn belady_runs_via_trace() {
-        let ctx = tiny_ctx();
-        let spec = Workload::ShortestPaths.build(&ctx.params);
-        let plan = AppPlan::build(&spec);
-        let cache = cache_for_fraction(&spec, &ctx.cluster, 0.3).max(1);
-        let r = run_one(
-            &spec,
-            &plan,
-            &ctx,
-            cache,
-            PolicySpec::Belady,
-            ProfileMode::Recurring,
-        );
-        assert!(r.jct.micros() > 0);
-        assert_eq!(r.policy, "Belady-MIN");
     }
 }

@@ -21,7 +21,7 @@
 //!   deterministic.
 
 use crate::{
-    cache_for_fraction, run_one_prepared, ExpContext, PolicySpec, PreparedWorkload, ServeScenario,
+    cache_for_fraction, run_one, ExpContext, PolicySpec, PreparedWorkload, ServeScenario,
 };
 use parking_lot::Mutex;
 use refdist_cluster::{EngineScratch, QuotaKind, ResilienceConfig, RunReport, ServeSched, SimConfig};
@@ -658,7 +658,7 @@ pub fn run_sweep(grid: &SweepGrid, ctx: &ExpContext, opts: &SweepOptions) -> Swe
             (report, Some(peaks), slo)
         } else {
             let report = SCRATCH.with(|s| {
-                run_one_prepared(prep, &cell_ctx, cache_bytes, cell.policy, &mut s.borrow_mut())
+                run_one(prep, &cell_ctx, cache_bytes, cell.policy, &mut s.borrow_mut())
             });
             (report, None, None)
         };

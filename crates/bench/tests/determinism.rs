@@ -44,6 +44,43 @@ fn aggregated_output_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
+fn a_cell_reports_the_same_in_any_grid() {
+    // The experiments read cells out of grids of many workloads, policies
+    // and fractions: a cell's report must depend on the cell and the
+    // context alone, not on what else its grid holds or which worker ran
+    // what before it.
+    let ctx = tiny_ctx();
+    let (w, fraction) = (Workload::ShortestPaths, 0.4);
+    let policies = [
+        PolicySpec::Lru,
+        PolicySpec::Lrc,
+        PolicySpec::MrdFull,
+        PolicySpec::Belady,
+    ];
+    let crowded = SweepGrid::new(
+        [Workload::KMeans, w, Workload::ConnectedComponents],
+        policies,
+    )
+    .fractions(&[0.15, fraction, 0.8])
+    .seeds(&[ctx.seed]);
+    for threads in [1, 3] {
+        let res = run_sweep(&crowded, &ctx, &SweepOptions::default().threads(threads));
+        for policy in policies {
+            let alone = SweepGrid::new([w], [policy])
+                .fractions(&[fraction])
+                .seeds(&[ctx.seed]);
+            let alone = run_sweep(&alone, &ctx, &SweepOptions::default().threads(1));
+            let crowded = &res.get(w, policy, fraction, ctx.seed).unwrap().report;
+            assert_eq!(
+                format!("{crowded:?}"),
+                format!("{:?}", alone.cells[0].report),
+                "{policy:?} at {threads} threads"
+            );
+        }
+    }
+}
+
+#[test]
 fn repeated_parallel_runs_are_stable() {
     // Not just 1-vs-N: two N-thread runs must agree with each other too
     // (guards against any residual order- or time-dependence).

@@ -366,6 +366,11 @@ impl FaultPlan {
                 ));
             }
         }
+        for s in &self.slowdowns {
+            if !s.factor.is_finite() {
+                return Err(format!("slowdown factor must be finite, got {}", s.factor));
+            }
+        }
         for s in &self.timed_slowdowns {
             if !s.factor.is_finite() {
                 return Err(format!("timed slowdown factor must be finite, got {}", s.factor));
@@ -596,5 +601,15 @@ mod tests {
             ..Default::default()
         };
         assert!(p.validate().is_err());
+        for factor in [f64::INFINITY, f64::NAN] {
+            let mut p = FaultPlan::default();
+            p.slow_node(0, factor);
+            let e = p.validate().unwrap_err();
+            assert!(e.starts_with("slowdown factor"), "{e}");
+            let mut p = FaultPlan::default();
+            p.timed_slowdown(0, factor, 0, None);
+            let e = p.validate().unwrap_err();
+            assert!(e.starts_with("timed slowdown factor"), "{e}");
+        }
     }
 }

@@ -113,7 +113,9 @@ impl<'a> Simulation<'a> {
     /// instead of re-profiling the DAG and rebuilding the arena per run.
     ///
     /// `profiler` and `arena` must have been built from this same
-    /// `(spec, plan)` — the engine trusts the arena's slot mapping.
+    /// `(spec, plan)` — the engine trusts the arena's slot mapping. Panics
+    /// on a cluster or fault plan that fails validation
+    /// ([`crate::FaultPlan::validate`]).
     pub fn with_artifacts(
         spec: &'a AppSpec,
         plan: &'a AppPlan,
@@ -124,6 +126,9 @@ impl<'a> Simulation<'a> {
         cfg.cluster
             .validate()
             .unwrap_or_else(|e| panic!("invalid cluster config: {e}"));
+        cfg.faults
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
         Simulation {
             spec,
             plan,
@@ -2395,6 +2400,17 @@ mod tests {
         assert_eq!(r.stats.accesses(), r.stats.hits + r.stats.misses);
         assert!(r.stats.disk_hits + r.stats.recomputes <= r.stats.misses);
         assert!(r.aborted.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid fault plan: slowdown factor must be finite")]
+    fn solo_runs_reject_an_invalid_fault_plan() {
+        // Unchecked, an infinite factor gives node 0 zero compute time:
+        // `SimDuration::from_secs_f64(inf)` is 0.
+        let spec = iterative_app(2, 8, 1024);
+        let mut cfg = sim_cfg(2, 1 << 20);
+        cfg.faults.slow_node(0, f64::INFINITY);
+        run(&spec, cfg, &mut *PolicyKind::Lru.build());
     }
 
     #[test]

@@ -1913,6 +1913,8 @@ mod tests {
         no_nodes.sim.cluster.nodes = 0;
         let mut no_churn = ok.clone();
         no_churn.sim.faults.node_churn(0, 5);
+        let mut inf_slowdown = ok.clone();
+        inf_slowdown.sim.faults.slow_node(0, f64::INFINITY);
         let zero_active = ServeConfig {
             resilience: ResilienceConfig {
                 max_active_apps: Some(0),
@@ -1923,6 +1925,7 @@ mod tests {
         for (bad, why) in [
             (no_nodes, "at least one node"),
             (no_churn, "churn MTBF/MTTR"),
+            (inf_slowdown, "slowdown factor must be finite"),
             (zero_active, "max_active_apps must be at least 1"),
         ] {
             let e = bad.validate().unwrap_err();

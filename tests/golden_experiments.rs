@@ -14,13 +14,15 @@
 //!
 //! then review the diff of `tests/golden/*.txt` before committing.
 
-use refdist::bench::{experiments, run_one, ExpContext, PolicySpec, SweepOptions};
+use refdist::bench::{
+    experiments, run_one, EngineScratch, ExpContext, PolicySpec, PreparedWorkload, SweepOptions,
+};
 use refdist::cluster::{
     AdmissionPolicy, ArrivalProcess, ClusterConfig, QuotaKind, ResilienceConfig, ServeConfig,
     ServeSched, ServeSim, SimConfig,
 };
 use refdist::core::ProfileMode;
-use refdist::dag::{AppPlan, AppSpec};
+use refdist::dag::AppSpec;
 use refdist::policies::PolicyKind;
 use refdist::workloads::Workload;
 use std::fs;
@@ -70,7 +72,7 @@ fn table1_matches_golden() {
     // Thread count is explicit (not 0 = auto) so REFDIST_THREADS cannot
     // influence the run; the sweep engine guarantees the text is identical
     // at any width regardless.
-    let out = experiments::table1_text(&golden_ctx(), 2);
+    let out = experiments::table1_text(&golden_ctx(), &SweepOptions::default().threads(2));
     check_golden("table1.txt", &out);
 }
 
@@ -84,13 +86,13 @@ fn chaos_crash_matches_golden() {
     let mut ctx = golden_ctx();
     ctx.faults.crash_with_rejoin(1, 2, 2);
     ctx.faults.node_failure(3, 4);
-    let spec = Workload::ShortestPaths.build(&ctx.params);
-    let plan = AppPlan::build(&spec);
-    let footprint: u64 = spec.cached_rdds().map(|r| r.total_size()).sum();
+    let prep = PreparedWorkload::new(Workload::ShortestPaths, &ctx.params, ProfileMode::Recurring);
+    let footprint: u64 = prep.spec.cached_rdds().map(|r| r.total_size()).sum();
     let cache = (((footprint as f64) * 0.4 / ctx.cluster.nodes as f64) as u64).max(1);
+    let mut scratch = EngineScratch::default();
     let mut out = String::new();
     for policy in [PolicySpec::Lru, PolicySpec::Lrc, PolicySpec::MrdFull] {
-        let r = run_one(&spec, &plan, &ctx, cache, policy, ProfileMode::Recurring);
+        let r = run_one(&prep, &ctx, cache, policy, &mut scratch);
         assert!(r.aborted.is_none(), "scripted crashes never abort");
         assert_eq!(r.faults.crashes, 2);
         assert_eq!(r.faults.rejoins, 1);
