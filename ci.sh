@@ -200,18 +200,22 @@ done
   grep -q 'admission: 2 distinct templates interned over 8 submissions' serve_mix.txt \
     || { echo "serve mix smoke: missing interned-template accounting"; exit 1; }
 
-  # Bad-input smoke: a zero-node cluster must be a clean CLI error (non-zero
-  # exit, an `error:` line), never a panic.
-  echo "==> refdist serve --nodes 0 smoke (scratch dir)"
-  if "$OLDPWD/target/release/refdist" serve SP --nodes 0 --partitions 8 \
-      --scale 0.02 > /dev/null 2> bad_input.err; then
-    echo "bad-input smoke: --nodes 0 exited zero"; exit 1
-  fi
-  grep -q '^error:' bad_input.err \
-    || { echo "bad-input smoke: no error line"; exit 1; }
-  if grep -q 'panicked' bad_input.err; then
-    echo "bad-input smoke: the CLI panicked"; exit 1
-  fi
+  # Bad-input smoke: a zero-node cluster, and a cache size whose byte count
+  # overflows u64, must each be a clean CLI error (non-zero exit, an
+  # `error:` line), never a panic.
+  for bad in "serve SP --nodes 0" "run CC --policy lru --cache-mb 17592186044416"; do
+    echo "==> refdist $bad smoke (scratch dir)"
+    # shellcheck disable=SC2086 # $bad is a word list on purpose
+    if "$OLDPWD/target/release/refdist" $bad --partitions 8 --scale 0.02 \
+        > /dev/null 2> bad_input.err; then
+      echo "bad-input smoke: refdist $bad exited zero"; exit 1
+    fi
+    grep -q '^error:' bad_input.err \
+      || { echo "bad-input smoke: no error line for refdist $bad"; exit 1; }
+    if grep -q 'panicked' bad_input.err; then
+      echo "bad-input smoke: refdist $bad panicked"; exit 1
+    fi
+  done
 )
 
 echo "ci.sh: all checks passed"

@@ -40,7 +40,8 @@ pub struct RunReport {
     pub stats: CacheStats,
     /// Task-placement counters (home vs delay-scheduled remote).
     pub sched: SchedStats,
-    /// Per-node cache statistics.
+    /// Per-node cache statistics: the application's counters on each node
+    /// (`stats` is their sum).
     pub per_node: Vec<CacheStats>,
     /// Total task time spent waiting on input I/O.
     pub io_time: SimDuration,

@@ -5,9 +5,12 @@
 //!
 //! The engine holds the shared cluster (stores, block master, disks, NICs,
 //! task slots, fault topology) and the `AppState` of the application whose
-//! stage runs: clock, RNG streams, accumulators, logs, fault and abort
-//! accounting, slot run and caching mode. A driver owns each application:
-//! plan, profiler, job cursor and `AppState`. The solo driver
+//! stage runs: clock, RNG streams, accumulators, logs, per-node cache
+//! counters, fault and abort accounting, slot run and caching mode. The
+//! stores count nothing: every hit, miss, eviction, purge and prefetch is
+//! counted on the running application's row for the node it happened on.
+//! A driver owns each application: plan, profiler, job cursor and
+//! `AppState`. The solo driver
 //! ([`Simulation::run_with_scratch`]) runs in the engine's own state; the
 //! serve driver ([`crate::serve`]) swaps each submission's in around its
 //! stages. Both run stages through `Engine::run_one_stage` and build the
@@ -184,9 +187,8 @@ impl<'a> Simulation<'a> {
                 break;
             }
         }
-        let (name, per_node) = (self.spec.name.clone(), engine.node_stats());
-        let app = &mut engine.app;
-        let report = app.report(&self.cfg, name, policy.name(), SimTime::ZERO, per_node, 1);
+        let (name, app) = (self.spec.name.clone(), &mut engine.app);
+        let report = app.report(&self.cfg, name, policy.name(), SimTime::ZERO, 1);
         *scratch = engine.into_scratch();
         report
     }
@@ -435,8 +437,9 @@ pub(crate) struct Engine<'a> {
 
     /// Per-node prefetch thresholds (adaptive when configured).
     thresholds: Vec<f64>,
-    /// Per-node (prefetches, wasted) seen at the last adaptation point.
-    adapt_baseline: Vec<(u64, u64)>,
+    /// Per node: (prefetches issued, prefetches wasted) since its last
+    /// threshold adaptation, every application's counted.
+    since_adapt: Vec<(u64, u64)>,
     /// The running application's state: a solo run's own, or the serve
     /// submission swapped in around its stage ([`Engine::swap_app`]).
     app: AppState,
@@ -515,8 +518,8 @@ fn exp_gap(rng: &mut SmallRng, mean_us: u64) -> u64 {
 /// lives in its engine; the serve driver keeps one per submission and
 /// [`Engine::swap_app`]s it in around each stage, so one engine (shared
 /// cluster, stores, master, scheduler) interleaves many applications while
-/// each keeps its own clock, RNG streams, accumulators, slot run, caching
-/// mode and fault/abort accounting.
+/// each keeps its own clock, RNG streams, accumulators, per-node cache
+/// counters, slot run, caching mode and fault/abort accounting.
 pub(crate) struct AppState {
     pub(crate) now: SimTime,
     /// Compute-jitter stream.
@@ -545,6 +548,10 @@ pub(crate) struct AppState {
     /// prefetch runs — the application executes, it just cannot cache. Set
     /// by the serve driver at a degraded admission and kept across retries.
     pub(crate) cache_bypass: bool,
+    /// Per node: the cache counters of this application's accesses,
+    /// evictions, purges and prefetches there. Empty until the application
+    /// is admitted ([`AppState::open_counters`]); the report takes it.
+    stats: Box<[CacheStats]>,
 }
 
 impl AppState {
@@ -567,12 +574,19 @@ impl AppState {
             aborted: None,
             slot_run: 0..u32::MAX,
             cache_bypass: false,
+            stats: Box::default(),
         }
+    }
+
+    /// Give the application one zeroed counter row per node, at its first
+    /// admission (a retry keeps its rows).
+    pub(crate) fn open_counters(&mut self, nodes: usize) {
+        self.stats = vec![CacheStats::default(); nodes].into_boxed_slice();
     }
 
     /// Restart for an app-level retry: fresh clock and RNG streams (seeded
     /// exactly as a standalone run of `seed` would be), with the failed
-    /// attempts' accumulators, logs, and fault counters kept so the
+    /// attempts' accumulators, logs, cache and fault counters kept so the
     /// submission's final report covers every attempt it consumed.
     pub(crate) fn restart(&mut self, seed: u64, arrival: SimTime) {
         self.now = arrival;
@@ -582,17 +596,18 @@ impl AppState {
     }
 
     /// The application's report: its clock since `arrival`, its
-    /// accumulators and logs, and `per_node`'s cache counters, summed. The
-    /// one place that gates the access trace and placement log on `cfg`.
+    /// accumulators and logs, and its per-node cache counters with their
+    /// sum. The one place that gates the access trace and placement log on
+    /// `cfg`.
     pub(crate) fn report(
         &mut self,
         cfg: &SimConfig,
         app: String,
         policy: String,
         arrival: SimTime,
-        per_node: Vec<CacheStats>,
         app_attempts: u32,
     ) -> RunReport {
+        let per_node = take(&mut self.stats).into_vec();
         let mut stats = CacheStats::new();
         for s in &per_node {
             stats.merge(s);
@@ -705,18 +720,14 @@ impl<'a> Engine<'a> {
             (Some(ch), Some(rng)) => (0..n).map(|_| exp_gap(rng, ch.mtbf_us)).collect(),
             _ => Vec::new(),
         };
+        let mut app = AppState::fresh(cfg.seed, SimTime::ZERO);
+        app.open_counters(n);
         Engine {
             source,
             cfg,
             nodes: n,
             managers: (0..n)
-                .map(|i| {
-                    BlockManager::with_slots(
-                        NodeId(i as u32),
-                        cfg.cluster.cache_bytes,
-                        Arc::clone(&arena),
-                    )
-                })
+                .map(|_| BlockManager::with_slots(cfg.cluster.cache_bytes, Arc::clone(&arena)))
                 .collect(),
             master: BlockMaster::with_slots(Arc::clone(&arena)),
             disk: (0..n)
@@ -739,8 +750,8 @@ impl<'a> Engine<'a> {
             purge_buf: s.purge_buf,
             arena,
             thresholds: vec![cfg.prefetch_threshold; n],
-            adapt_baseline: vec![(0, 0); n],
-            app: AppState::fresh(cfg.seed, SimTime::ZERO),
+            since_adapt: vec![(0, 0); n],
+            app,
             down: vec![false; n],
             rejoin_at: vec![None; n],
             ghost_disk: vec![0; n],
@@ -760,14 +771,6 @@ impl<'a> Engine<'a> {
     /// scheduler index, fault topology) stays in place.
     pub(crate) fn swap_app(&mut self, app: &mut AppState) {
         std::mem::swap(&mut self.app, app);
-    }
-
-    /// Per-node cache-statistics snapshot: a solo run's per-node report
-    /// rows. The serve driver diffs snapshots around each stage
-    /// ([`CacheStats::delta`]) to attribute shared-node counters to the
-    /// application whose stage just ran.
-    pub(crate) fn node_stats(&self) -> Vec<CacheStats> {
-        self.managers.iter().map(|m| m.stats).collect()
     }
 
     /// Turn on per-tenant cache quotas in every node's memory store. Must be
@@ -863,8 +866,7 @@ impl<'a> Engine<'a> {
     /// attempt's range) so the range can be retired and re-admitted for an
     /// app-level retry. Removals route through `policy.on_remove` so policy
     /// bookkeeping stays consistent, but deliberately touch no cache
-    /// statistics: the teardown is a driver artifact, not cache behaviour,
-    /// and per-stage stat deltas have already been attributed.
+    /// counters: the teardown is a driver artifact, not cache behaviour.
     pub(crate) fn purge_app(&mut self, rdds: std::ops::Range<u32>, policy: &mut dyn CachePolicy) {
         for ri in rdds {
             let id = RddId(ri);
@@ -1280,7 +1282,7 @@ impl<'a> Engine<'a> {
         }
         // Ghosts: retired apps' disk spills, already purged at retirement
         // but still the node's to lose — a crash counts them once.
-        self.managers[node].stats.lost_blocks +=
+        self.app.stats[node].lost_blocks +=
             (lost_mem.len() + lost_disk.len()) as u64 + self.ghost_disk[node];
         self.ghost_disk[node] = 0;
         self.app.fstats.crashes += 1;
@@ -1291,14 +1293,11 @@ impl<'a> Engine<'a> {
     /// threshold (require more free memory before forcing), an all-hit
     /// record lowers it.
     fn adapt_threshold(&mut self, node: usize) {
-        let s = &self.managers[node].stats;
-        let (base_pf, base_waste) = self.adapt_baseline[node];
-        let pf = s.prefetches - base_pf;
-        let waste = s.wasted_prefetches - base_waste;
+        let (pf, waste) = self.since_adapt[node];
         if pf == 0 {
             return;
         }
-        self.adapt_baseline[node] = (s.prefetches, s.wasted_prefetches);
+        self.since_adapt[node] = (0, 0);
         let t = &mut self.thresholds[node];
         if waste * 5 >= pf {
             // More than 20% of recent prefetches were wasted: require more
@@ -1335,11 +1334,15 @@ impl<'a> Engine<'a> {
             // node's copies, so the next `first_holder` is the next node.
             while let Some(n) = self.master.first_holder(b) {
                 let node = n.index();
-                self.managers[node].purge(b);
+                if let Some(size) = self.managers[node].purge(b) {
+                    let s = &mut self.app.stats[node];
+                    s.purges += 1;
+                    s.bytes_evicted += size;
+                }
                 self.master.unregister_disk(b, n);
                 if let Some(copy) = self.master.unregister_memory(b, n) {
                     if copy.prefetched {
-                        self.managers[node].stats.wasted_prefetches += 1;
+                        self.count_wasted_prefetch(node);
                     }
                     self.sync_prefetchable(b);
                     policy.on_remove(n, b);
@@ -1666,7 +1669,7 @@ impl<'a> Engine<'a> {
         if let Some(copy) = self.master.memory_copy_mut(b, id) {
             let avail = SimTime(copy.avail);
             let prefetch_hit = take(&mut copy.prefetched);
-            let stats = &mut self.managers[node].stats;
+            let stats = &mut self.app.stats[node];
             stats.hits += 1;
             stats.prefetch_hits += prefetch_hit as u64;
             policy.on_access(id, b);
@@ -1685,10 +1688,10 @@ impl<'a> Engine<'a> {
                     self.app.fstats.fetch_failures += 1;
                     return self.recompute_fallback(b, node, done, policy);
                 }
-                self.managers[node].stats.hits += 1;
-                self.managers[node].stats.remote_hits += 1;
+                self.app.stats[node].hits += 1;
+                self.app.stats[node].remote_hits += 1;
                 if self.take_prefetched(b, src) {
-                    self.managers[src_i].stats.prefetch_hits += 1;
+                    self.app.stats[src_i].prefetch_hits += 1;
                 }
                 policy.on_access(src, b);
                 (done, self.deser_us(size))
@@ -1705,15 +1708,15 @@ impl<'a> Engine<'a> {
                     self.app.fstats.disk_failures += 1;
                     return self.recompute_fallback(b, node, done, policy);
                 }
-                self.managers[node].stats.misses += 1;
-                self.managers[node].stats.disk_hits += 1;
+                self.app.stats[node].misses += 1;
+                self.app.stats[node].disk_hits += 1;
                 self.try_insert(node, b, done, false, policy);
                 (done, self.deser_us(size))
             }
             None => {
                 // Evicted and dropped (MEMORY_ONLY): recompute from lineage.
-                self.managers[node].stats.misses += 1;
-                self.managers[node].stats.recomputes += 1;
+                self.app.stats[node].misses += 1;
+                self.app.stats[node].recomputes += 1;
                 let (io, mut compute_us) =
                     self.compute_inputs(b.rdd, b.partition, node, at, policy);
                 compute_us += self.rdd(b.rdd).compute_us;
@@ -1733,8 +1736,8 @@ impl<'a> Engine<'a> {
         at: SimTime,
         policy: &mut dyn CachePolicy,
     ) -> (SimTime, u64) {
-        self.managers[node].stats.misses += 1;
-        self.managers[node].stats.recomputes += 1;
+        self.app.stats[node].misses += 1;
+        self.app.stats[node].recomputes += 1;
         self.app.fstats.fault_recomputes += 1;
         let (io, mut compute_us) = self.compute_inputs(b.rdd, b.partition, node, at, policy);
         compute_us += self.rdd(b.rdd).compute_us;
@@ -1811,21 +1814,32 @@ impl<'a> Engine<'a> {
                 // and abort the insert rather than loop forever — the
                 // counter surfaces in the run report, so the failure is
                 // visible in release builds too.
-                self.managers[node].stats.bad_victims += 1;
+                self.app.stats[node].bad_victims += 1;
                 return false;
             };
+            let s = &mut self.app.stats[node];
+            s.evictions += 1;
+            s.bytes_evicted += size;
             let copy = self.master.unregister_memory(victim, NodeId(node as u32));
             if spill {
                 self.master.register_disk(victim, NodeId(node as u32));
             }
             if copy.is_some_and(|c| c.prefetched) {
-                self.managers[node].stats.wasted_prefetches += 1;
+                self.count_wasted_prefetch(node);
             }
             self.sync_prefetchable(victim);
             policy.on_remove(NodeId(node as u32), victim);
             freed += size;
         }
         freed >= shortfall
+    }
+
+    /// Count a prefetched copy dropped from `node` before its first use:
+    /// against the running application, and into the node's adaptation
+    /// window.
+    fn count_wasted_prefetch(&mut self, node: usize) {
+        self.app.stats[node].wasted_prefetches += 1;
+        self.since_adapt[node].1 += 1;
     }
 
     /// Background prefetching for the stages ahead (Algorithm 1, prefetching
@@ -1913,7 +1927,8 @@ impl<'a> Engine<'a> {
                 // path, before the block becomes usable.
                 let done = done + refdist_simcore::SimDuration::from_micros(self.deser_us(size));
                 if self.try_insert(node, b, done, true, policy) {
-                    self.managers[node].stats.prefetches += 1;
+                    self.app.stats[node].prefetches += 1;
+                    self.since_adapt[node].0 += 1;
                 }
             }
         }

@@ -7,12 +7,13 @@
 //! offsets), so block ids stay globally unique and the stores, block
 //! master, slot arena and scheduler index work unchanged. One streaming
 //! engine holds the shared cluster state. The driver keeps one `AppState`
-//! per submission: clock, RNG streams, accumulators, fault accounting, and
-//! the slot run and caching mode set at its admission. It swaps that state
-//! into the engine around each of the submission's stages. The inter-job
-//! scheduler picks which application's next stage runs; cache-policy
-//! callbacks route through a [`TenantMux`] that owns one policy instance
-//! per live submission.
+//! per submission: clock, RNG streams, accumulators, per-node cache
+//! counters, fault accounting, and the slot run and caching mode set at its
+//! admission. It swaps that state into the engine around each of the
+//! submission's stages, so everything a stage counts lands on the
+//! submission that ran it. The inter-job scheduler picks which
+//! application's next stage runs; cache-policy callbacks route through a
+//! [`TenantMux`] that owns one policy instance per live submission.
 //!
 //! The driver streams: a submission is admitted at its arrival event —
 //! planned and profiled through a per-run [`TemplateCache`], so repeat
@@ -852,9 +853,8 @@ impl<'a> ServeSim<'a> {
 /// gate to Queued or Shed), `retry` (Running to Pending), `complete`
 /// (Running to Draining) and `retire_drained` (Draining to Retired).
 enum Phase {
-    /// Arrived, or backing off before an app-level retry (`attempts > 0`)
-    /// holding the failed attempts' per-node stats.
-    Pending(Vec<CacheStats>),
+    /// Arrived, or backing off before an app-level retry (`attempts > 0`).
+    Pending,
     /// Waiting at a full admission gate.
     Queued,
     /// Admitted: owns what its stages need.
@@ -873,17 +873,16 @@ struct Run {
     profiler: Arc<AppProfiler>,
     jobs: JobCursor,
     next_stage: usize,
-    /// Per node: the cache-stat deltas of its stages, every attempt's.
-    per_node: Vec<CacheStats>,
 }
 
 /// One submission's serve-side state.
 struct Submission {
     phase: Phase,
     arrival: SimTime,
-    /// Clock, RNG streams, accumulators, fault accounting, the slot run its
-    /// latest admission carved out of the arena, and whether it was admitted
-    /// degraded: swapped into the engine around each of its stages.
+    /// Clock, RNG streams, accumulators, per-node cache counters, fault
+    /// accounting, the slot run its latest admission carved out of the
+    /// arena, and whether it was admitted degraded: swapped into the engine
+    /// around each of its stages.
     state: AppState,
     /// Admissions consumed, aborted attempts included.
     attempts: u32,
@@ -930,7 +929,7 @@ impl<'s, 'a> Driver<'s, 'a> {
             .into_iter()
             .enumerate()
             .map(|(i, at)| Submission {
-                phase: Phase::Pending(Vec::new()),
+                phase: Phase::Pending,
                 arrival: SimTime(at),
                 state: AppState::fresh(app_seed(cfg.seed, i), SimTime(at)),
                 attempts: 0,
@@ -1009,7 +1008,7 @@ impl<'s, 'a> Driver<'s, 'a> {
         p.resident_bytes = p.resident_bytes.max(bytes);
         p.arena_slots = p.arena_slots.max(self.arena.capacity() as u64);
         p.active_apps = p.active_apps.max(self.mux.active_apps() as u64);
-        matches!(self.subs[a].phase, Phase::Running(_) | Phase::Pending(_))
+        matches!(self.subs[a].phase, Phase::Running(_) | Phase::Pending)
     }
 
     /// Pending or Queued → Running: plan `a` through the template cache,
@@ -1045,10 +1044,9 @@ impl<'s, 'a> Driver<'s, 'a> {
             self.queued -= 1;
             sub.queue_delay_us = sub.state.now.0.saturating_sub(sub.arrival.0);
         }
-        let per_node = match &mut sub.phase {
-            Phase::Pending(carried) if sub.attempts > 0 => take(carried),
-            _ => vec![CacheStats::default(); sim.cfg.sim.cluster.nodes as usize],
-        };
+        if sub.attempts == 0 {
+            sub.state.open_counters(sim.cfg.sim.cluster.nodes as usize);
+        }
         let (plan, profiler) = sim.plan(a, &mut self.templates);
         let (base, len) = self.arena.admit(a as u32, &sim.slot_counts(a));
         sub.state.slot_run = base..base + len;
@@ -1060,15 +1058,14 @@ impl<'s, 'a> Driver<'s, 'a> {
             profiler,
             jobs: JobCursor::default(),
             next_stage: 0,
-            per_node,
         });
         sub.attempts += 1;
         self.running += 1;
         true
     }
 
-    /// Run `a`'s next stage on the shared engine, attributing the nodes'
-    /// cache-stat deltas to it. Returns whether the stage aborted the
+    /// Run `a`'s next stage on the shared engine, with `a`'s state swapped
+    /// in so the stage counts onto it. Returns whether the stage aborted the
     /// attempt, and whether it was the last.
     fn run_stage(&mut self, a: usize) -> (bool, bool) {
         let engine = &mut self.engine;
@@ -1080,12 +1077,7 @@ impl<'s, 'a> Driver<'s, 'a> {
         self.mux.set_current(a);
         engine.swap_app(&mut sub.state);
         let visible = run.jobs.start_stage(stage, &run.profiler, &mut self.mux);
-        let before = engine.node_stats();
         engine.run_one_stage(stage, visible, &mut self.mux);
-        let after = engine.node_stats();
-        for (n, acc) in run.per_node.iter_mut().enumerate() {
-            acc.merge(&after[n].delta(&before[n]));
-        }
         engine.swap_app(&mut sub.state);
         run.next_stage += 1;
         let last = run.next_stage == run.plan.stages.len();
@@ -1097,18 +1089,18 @@ impl<'s, 'a> Driver<'s, 'a> {
 
     /// Running → Pending after an aborted attempt with budget left: purge
     /// its blocks, tear it down, and re-admit it after a capped exponential
-    /// backoff with fresh clock and RNG streams. Accumulators, stage log
-    /// and fault counters carry over, so the report covers every attempt.
+    /// backoff with fresh clock and RNG streams. Accumulators, stage log,
+    /// cache and fault counters carry over, so the report covers every
+    /// attempt.
     fn retry(&mut self, a: usize) {
         self.engine
             .purge_app(self.sim.map.rdd_range(a), &mut self.mux);
         self.teardown(a);
         self.release();
         let sub = &mut self.subs[a];
-        let Phase::Running(run) = &mut sub.phase else {
+        let Phase::Running(_) = std::mem::replace(&mut sub.phase, Phase::Pending) else {
             unreachable!("only running submissions retry")
         };
-        sub.phase = Phase::Pending(take(&mut run.per_node));
         let backoff = self.sim.cfg.resilience.app_backoff_us(sub.attempts);
         let resume = SimTime(sub.state.now.0.saturating_add(backoff));
         let seed = attempt_seed(app_seed(self.sim.cfg.sim.seed, a), sub.attempts);
@@ -1120,7 +1112,7 @@ impl<'s, 'a> Driver<'s, 'a> {
     fn complete(&mut self, a: usize) {
         self.release();
         let sub = &mut self.subs[a];
-        let Phase::Running(run) = std::mem::replace(&mut sub.phase, Phase::Draining) else {
+        let Phase::Running(_) = std::mem::replace(&mut sub.phase, Phase::Draining) else {
             unreachable!("only running submissions complete")
         };
         sub.report = Some(sub.state.report(
@@ -1128,7 +1120,6 @@ impl<'s, 'a> Driver<'s, 'a> {
             self.sim.subs[a].name.clone(),
             self.mux.policy_name(a),
             sub.arrival,
-            run.per_node,
             sub.attempts,
         ));
         self.draining.push(a);

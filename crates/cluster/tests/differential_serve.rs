@@ -16,7 +16,9 @@
 //! reports and global decision logs of randomized and pressure streams),
 //! `tests/golden/serve_decisions.txt` (decision logs across every quota,
 //! discipline and resilience variant) and `tests/golden/serve_admission.txt`
-//! (the admission timeline of the resilience variants).
+//! (the admission timeline of the resilience variants). Every stream of
+//! both digest corpora also checks eviction conservation
+//! ([`assert_evictions_conserved`]).
 
 mod common;
 
@@ -304,6 +306,31 @@ fn run_stream(
     (report, snapshot(&log))
 }
 
+/// Eviction conservation, for a stream of at least two submissions: the
+/// tenant mux counts every victim it hands the engine once, in the
+/// `[evictor][victim]` cross-eviction matrix, and the engine counts every
+/// eviction once, on the evicting submission's cache counters. So the
+/// matrix total equals the submissions' eviction total, provided the
+/// engine refused no victim (`bad_victims` is 0, asserted too). A
+/// one-submission stream is not covered: the mux passes it straight
+/// through and its matrix stays zero. Returns whether the stream evicted.
+fn assert_evictions_conserved(name: &str, report: &ServeReport) -> bool {
+    let subs = report.reports.len();
+    assert!(
+        subs >= 2,
+        "{name}: {subs} submission(s), conservation needs 2"
+    );
+    let matrix: u64 = report.cross_evictions.iter().flatten().sum();
+    let evicted: u64 = report.reports.iter().map(|r| r.stats.evictions).sum();
+    let bad: u64 = report.reports.iter().map(|r| r.stats.bad_victims).sum();
+    assert_eq!(bad, 0, "{name}: the engine refused a victim");
+    assert_eq!(
+        matrix, evicted,
+        "{name}: cross-eviction matrix total vs the submissions' evictions"
+    );
+    evicted > 0
+}
+
 /// One golden line: decision counts and the FNV-1a digest of the whole
 /// `ServeReport` plus the global victim and purge log.
 fn stream_line(name: &str, report: &ServeReport, d: &Decisions) -> String {
@@ -384,7 +411,7 @@ fn chaos(sc: &mut ServeConfig) {
 type Tweak = fn(&mut ServeConfig);
 
 /// The seeded stream corpus behind `serve_equivalence.txt`: 32 random
-/// streams (1–4 submissions over 1–2 tenants, every quota kind, both
+/// streams (2–4 submissions over 1–2 tenants, every quota kind, both
 /// disciplines, trace and Poisson arrivals, chaos events), then the
 /// pressure stream under fair-share and under FIFO with an unlimited quota
 /// and a smaller cache (the drain-heavy path), and the pressure stream
@@ -419,14 +446,17 @@ fn stream_corpus() -> Vec<(String, StreamParams, CfgParams, Tweak)> {
 
 fn stream_digests() -> String {
     let mut out = String::new();
+    let mut evicting = 0;
     for (name, stream, cfg, tweak) in stream_corpus() {
         let (report, decisions) = run_stream(&stream, &cfg, &tweak);
         if name == "pressure chaos" {
             let crashes: u64 = report.reports.iter().map(|r| r.faults.crashes).sum();
             assert!(crashes > 0, "the chaos plan must take nodes down during the stream");
         }
+        evicting += assert_evictions_conserved(&name, &report) as usize;
         out.push_str(&stream_line(&name, &report, &decisions));
     }
+    assert!(evicting > 0, "no stream of the corpus evicts");
     out
 }
 
@@ -647,14 +677,17 @@ fn apply_variant(variant: Variant, sc: &mut ServeConfig) {
 /// the global victim and purge log.
 fn decision_digests() -> String {
     let mut out = String::new();
+    let mut evicting = 0;
     for (name, stream, cfg, variant) in decision_corpus() {
-        let (_, d) = run_stream(&stream, &cfg, &|sc| apply_variant(variant, sc));
+        let (report, d) = run_stream(&stream, &cfg, &|sc| apply_variant(variant, sc));
+        evicting += assert_evictions_conserved(&name, &report) as usize;
         let (nv, np) = d.counts();
         let digest = fnv1a(format!("{:?}|{:?}", d.victims, d.purges).as_bytes());
         out.push_str(&format!(
             "{name}: victims {nv} purged {np} digest {digest:016x}\n"
         ));
     }
+    assert!(evicting > 0, "no scenario of the corpus evicts");
     out
 }
 

@@ -5,8 +5,9 @@
 //! [`DiskStore`] (local spill / shuffle territory). A cluster-wide
 //! [`BlockMaster`] tracks which nodes hold which blocks — the
 //! `BlockManagerMaster` role in the paper's Figure 3 — so tasks and the MRD
-//! prefetcher can resolve remote locations. [`CacheStats`] accounts hits,
-//! misses, evictions and prefetches for the evaluation reports.
+//! prefetcher can resolve remote locations. [`CacheStats`] is the row of
+//! hits, misses, evictions and prefetches the engine counts per application
+//! and node for the evaluation reports; the stores themselves count nothing.
 //!
 //! Blocks carry no payload, only sizes: the simulator needs byte accounting,
 //! not data.
@@ -18,7 +19,7 @@ pub mod memory;
 pub mod stats;
 
 pub use disk::DiskStore;
-pub use manager::{BlockManager, BlockWhere};
+pub use manager::BlockManager;
 pub use master::{BlockMaster, MemCopy};
 pub use memory::{InsertError, MemoryStore};
 pub use stats::CacheStats;

@@ -1,4 +1,4 @@
-//! Cache statistics, per node and aggregated.
+//! Cache statistics: one row per node of an application, and aggregated.
 
 /// Counters a `CacheMonitor` reports to the manager (`reportCacheStatus` in
 /// the paper's Table 2) and the evaluation reads out at the end of a run.
@@ -57,29 +57,7 @@ impl CacheStats {
         }
     }
 
-    /// Field-wise difference `self - earlier`. Counters are monotonic, so
-    /// this yields the activity between two snapshots of one store — the
-    /// serve driver uses it to attribute a shared node's counters to the
-    /// application whose stage just ran.
-    pub fn delta(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits - earlier.hits,
-            remote_hits: self.remote_hits - earlier.remote_hits,
-            prefetch_hits: self.prefetch_hits - earlier.prefetch_hits,
-            misses: self.misses - earlier.misses,
-            disk_hits: self.disk_hits - earlier.disk_hits,
-            recomputes: self.recomputes - earlier.recomputes,
-            evictions: self.evictions - earlier.evictions,
-            purges: self.purges - earlier.purges,
-            bytes_evicted: self.bytes_evicted - earlier.bytes_evicted,
-            prefetches: self.prefetches - earlier.prefetches,
-            wasted_prefetches: self.wasted_prefetches - earlier.wasted_prefetches,
-            lost_blocks: self.lost_blocks - earlier.lost_blocks,
-            bad_victims: self.bad_victims - earlier.bad_victims,
-        }
-    }
-
-    /// Merge another node's counters into this aggregate.
+    /// Merge another row's counters into this aggregate.
     pub fn merge(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.remote_hits += other.remote_hits;
@@ -136,28 +114,5 @@ mod tests {
         assert_eq!(a.wasted_prefetches, 2);
         assert_eq!(a.lost_blocks, 4);
         assert_eq!(a.bad_victims, 2);
-    }
-
-    #[test]
-    fn delta_inverts_merge() {
-        let a = CacheStats {
-            hits: 1,
-            remote_hits: 1,
-            prefetch_hits: 1,
-            misses: 2,
-            disk_hits: 1,
-            recomputes: 1,
-            evictions: 3,
-            purges: 1,
-            bytes_evicted: 100,
-            prefetches: 4,
-            wasted_prefetches: 1,
-            lost_blocks: 2,
-            bad_victims: 1,
-        };
-        let mut later = a;
-        later.merge(&a);
-        assert_eq!(later.delta(&a), a);
-        assert_eq!(a.delta(&a), CacheStats::default());
     }
 }

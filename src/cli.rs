@@ -362,7 +362,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             "--scale" => params.scale = f.parse_num("--scale")?,
             "--iterations" => params.iterations = Some(f.parse_num("--iterations")?),
             "--policy" => policy = Some(f.value("--policy")?.to_string()),
-            "--cache-mb" => cache_bytes = Some(f.parse_num::<u64>("--cache-mb")? << 20),
+            "--cache-mb" => {
+                cache_bytes = Some(mib_to_bytes("--cache-mb", f.parse_num("--cache-mb")?)?)
+            }
             "--cache-fraction" => cache_fraction = f.parse_num("--cache-fraction")?,
             "--cluster" => cluster = f.value("--cluster")?.to_string(),
             "--nodes" => nodes = Some(f.parse_num("--nodes")?),
@@ -519,13 +521,20 @@ fn parse_quota(name: &str) -> Result<refdist_cluster::QuotaKind, String> {
     match name.to_ascii_lowercase().as_str() {
         "unlimited" => Ok(refdist_cluster::QuotaKind::Unlimited),
         "equal-share" | "equal" => Ok(refdist_cluster::QuotaKind::EqualShare),
-        other => other
-            .parse::<u64>()
-            .map(|mib| refdist_cluster::QuotaKind::Bytes(mib << 20))
-            .map_err(|_| {
+        other => {
+            let mib = other.parse::<u64>().map_err(|_| {
                 format!("unknown quota `{other}` (unlimited | equal-share | per-tenant MiB)")
-            }),
+            })?;
+            let bytes = mib_to_bytes("--quotas", mib)?;
+            Ok(refdist_cluster::QuotaKind::Bytes(bytes))
+        }
     }
+}
+
+/// `mib` MiB in bytes, or an error naming `flag` when that overflows `u64`.
+fn mib_to_bytes(flag: &str, mib: u64) -> Result<u64, String> {
+    mib.checked_mul(1 << 20)
+        .ok_or_else(|| format!("{flag}: {mib} MiB does not fit in 64 bits of bytes"))
 }
 
 fn parse_admission(name: &str) -> Result<refdist_cluster::AdmissionPolicy, String> {
@@ -1728,6 +1737,8 @@ mod tests {
             format!("chaos SP --serve {tiny} --apps 0"),
             format!("serve SP {tiny} --max-active 0"),
             format!("serve SP {tiny} --churn 0,5"),
+            format!("run CC --policy lru {tiny} --cache-mb 17592186044416"),
+            format!("serve SP {tiny} --quotas 17592186044416"),
         ];
         for argv in &cases {
             match std::panic::catch_unwind(|| parse(&args(argv)).and_then(execute)) {

@@ -83,6 +83,46 @@ fn fig5_mrd_beats_lrc_on_every_workload() {
 }
 
 #[test]
+fn fig6_mrd_beats_memtune_on_every_workload() {
+    let fig6 = read("exp_fig6.txt");
+    let rows = table_rows(&fig6);
+    assert_eq!(rows.len(), 6, "PR, LogR, KM, TC, CC, SVD++");
+    // Workload, MemTune, MRD, improvement.
+    let losses: Vec<String> = rows
+        .iter()
+        .filter(|row| num(row[2]) >= num(row[1]))
+        .map(|row| format!("{} (MRD {} vs MemTune {})", row[0], row[2], row[1]))
+        .collect();
+    assert!(losses.is_empty(), "MRD does not beat MemTune on {losses:?}");
+}
+
+/// Paper §5.7: the job-distance metric hurts LP, whose jobs span many
+/// stages, and barely moves KM, whose stages and jobs nearly coincide.
+/// "Markedly" is a tight-cache JCT at least 0.2 above stage distance's;
+/// "nearly indifferent" is best JCTs within 0.05 of each other.
+#[test]
+fn fig8_job_distance_hurts_lp_markedly_and_km_barely() {
+    let fig8 = read("exp_fig8.txt");
+    let rows = table_rows(&fig8);
+    assert_eq!(rows.len(), 2, "LP, KM");
+    let row = |w: &str| rows.iter().find(|r| r[0] == w).unwrap();
+    // Workload, ActiveStages/Jobs, stage best, job best, stage tight, job
+    // tight, stage hit% tight, job hit% tight.
+    let lp = row("LP");
+    let (stage, job) = (num(lp[4]), num(lp[5]));
+    assert!(
+        job - stage >= 0.2,
+        "LP at the tight cache: job distance {job} vs stage distance {stage}"
+    );
+    let km = row("KM");
+    let (stage, job) = (num(km[2]), num(km[3]));
+    assert!(
+        (job - stage).abs() <= 0.05,
+        "KM best: job distance {job} vs stage distance {stage}"
+    );
+}
+
+#[test]
 fn table1_scc_and_lp_have_the_largest_stage_distances_and_sort_wordcount_none() {
     let table1 = read("exp_table1.txt");
     let rows = table_rows(&table1);
