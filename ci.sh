@@ -57,6 +57,13 @@ cargo test -q -p refdist-policies --test differential_select
 echo "==> cargo test -q -p refdist-core --test differential_mrd"
 cargo test -q -p refdist-core --test differential_mrd
 
+# LRU's per-node recency lists, named so a list regression is called out:
+# after every insert, touch and remove, each node's order (orphans, then
+# oldest touch first) must equal a BTreeSet<(key, BlockId)> model over
+# several nodes, multi-copy blocks and orphans included.
+echo "==> cargo test -q -p refdist-policies --test proptest_recency"
+cargo test -q -p refdist-policies --test proptest_recency
+
 # Frozen decision digests, named so a decision change is called out in the
 # CI log: the engine corpus (block state, scheduler, event queue; solo and
 # serve), the serve stream, decision and admission-timeline corpora, and the

@@ -422,7 +422,8 @@ pub(crate) struct Engine<'a> {
     /// Window base of `visited_epoch` (streaming mode; 0 otherwise).
     vis_base: usize,
     epoch: u64,
-    /// Purge candidate buffer, reused across stages (and runs, via scratch).
+    /// Purge candidate buffer, also a crashed node's disk copies; reused
+    /// across stages (and runs, via scratch).
     purge_buf: Vec<BlockId>,
     /// Struct-of-arrays task records for the running stage (speculation).
     stage_tasks: TaskTable,
@@ -843,7 +844,6 @@ impl<'a> Engine<'a> {
                     let Some(n) = self.master.disk_locations(b).next() else {
                         break;
                     };
-                    self.managers[n.index()].disk.remove(b);
                     self.master.unregister_disk(b, n);
                     self.ghost_disk[n.index()] += 1;
                 }
@@ -1268,7 +1268,7 @@ impl<'a> Engine<'a> {
     /// will be recomputed or re-read from surviving copies on access.
     fn fail_node(&mut self, node: usize, policy: &mut dyn CachePolicy) {
         // De-register exactly the copies the node held (Spark's
-        // `removeBlockManager`), with no sweep over the master's tables.
+        // `removeBlockManager`): its memory copies from its own store.
         let id = NodeId(node as u32);
         let lost_mem = self.managers[node].memory.drain();
         for &(b, _) in &lost_mem {
@@ -1276,14 +1276,17 @@ impl<'a> Engine<'a> {
             self.sync_prefetchable(b);
             policy.on_remove(id, b);
         }
-        let lost_disk = self.managers[node].disk.drain();
-        for &(b, _) in &lost_disk {
+        // Spilled copies are recorded only in the master: sweep its disk
+        // table (O(arena), once per crash) into the recycled buffer.
+        self.purge_buf.clear();
+        self.purge_buf.extend(self.master.disk_blocks_on(id));
+        for &b in &self.purge_buf {
             self.master.unregister_disk(b, id);
         }
         // Ghosts: retired apps' disk spills, already purged at retirement
         // but still the node's to lose — a crash counts them once.
         self.app.stats[node].lost_blocks +=
-            (lost_mem.len() + lost_disk.len()) as u64 + self.ghost_disk[node];
+            (lost_mem.len() + self.purge_buf.len()) as u64 + self.ghost_disk[node];
         self.ghost_disk[node] = 0;
         self.app.fstats.crashes += 1;
     }
@@ -1334,7 +1337,7 @@ impl<'a> Engine<'a> {
             // node's copies, so the next `first_holder` is the next node.
             while let Some(n) = self.master.first_holder(b) {
                 let node = n.index();
-                if let Some(size) = self.managers[node].purge(b) {
+                if let Some(size) = self.managers[node].evict(b) {
                     let s = &mut self.app.stats[node];
                     s.purges += 1;
                     s.bytes_evicted += size;
@@ -1807,8 +1810,7 @@ impl<'a> Engine<'a> {
         );
         let mut freed = 0u64;
         for victim in victims {
-            let spill = self.rdd(victim.rdd).storage.spills_to_disk();
-            let Some(size) = self.managers[node].evict(victim, spill) else {
+            let Some(size) = self.managers[node].evict(victim) else {
                 // Policy chose a block that is not resident: its
                 // bookkeeping diverged from the store. Count it
                 // and abort the insert rather than loop forever — the
@@ -1821,7 +1823,7 @@ impl<'a> Engine<'a> {
             s.evictions += 1;
             s.bytes_evicted += size;
             let copy = self.master.unregister_memory(victim, NodeId(node as u32));
-            if spill {
+            if self.rdd(victim.rdd).storage.spills_to_disk() {
                 self.master.register_disk(victim, NodeId(node as u32));
             }
             if copy.is_some_and(|c| c.prefetched) {
@@ -2210,6 +2212,56 @@ mod tests {
         // having cached and no faster than the healthy run.
         assert!(failed.jct >= healthy.jct);
         assert!(failed.stats.misses > healthy.stats.misses);
+    }
+
+    /// Spilled copies are recorded only in the master's disk table, so a
+    /// crash finds them there: it loses the node's memory copies, its disk
+    /// copies and its ghosts, leaves the other node's spills alone, and the
+    /// lost blocks come back through lineage.
+    #[test]
+    fn crash_after_spill_loses_the_masters_disk_copies() {
+        // 8 one-MB blocks over 2 nodes with room for 2 each: every node
+        // spills 2 of its 4 blocks in the first job.
+        let spec = iterative_app(4, 8, 1024 * 1024);
+        let plan = AppPlan::build(&spec);
+        let sim = Simulation::new(&spec, &plan, ProfileMode::Recurring, sim_cfg(2, 2 << 20));
+        let mut policy = PolicyKind::Lru.build();
+        let mut engine = Engine::build(
+            SpecSource::Whole(&spec),
+            &sim.cfg,
+            Arc::clone(&sim.arena),
+            spec.rdds.len(),
+            EngineScratch::default(),
+        );
+        policy.attach_slots(&sim.arena);
+        let recomputes = |e: &Engine| e.app.stats.iter().map(|s| s.recomputes).sum::<u64>();
+        let (n0, n1) = (NodeId(0), NodeId(1));
+        let mut jobs = JobCursor::default();
+        let mut lost = None;
+        for stage in &plan.stages {
+            let visible = Arc::clone(jobs.start_stage(stage, &sim.profiler, &mut *policy));
+            if lost.is_none() && stage.job.0 == 1 {
+                let mem = engine.managers[0].memory.len();
+                let disk = engine.master.disk_blocks_on(n0).count();
+                let survivors: Vec<BlockId> = engine.master.disk_blocks_on(n1).collect();
+                assert!(mem > 0 && disk > 0, "node 0 holds {mem} in memory, {disk} on disk");
+                assert_eq!(recomputes(&engine), 0);
+                // Two retired applications' spills, still node 0's to lose.
+                engine.ghost_disk[0] = 2;
+                engine.fail_node(0, &mut *policy);
+                assert_eq!(engine.app.stats[0].lost_blocks, (mem + disk + 2) as u64);
+                assert_eq!(engine.ghost_disk[0], 0);
+                assert_eq!(engine.master.disk_blocks_on(n0).count(), 0);
+                assert!(engine.managers[0].memory.is_empty());
+                assert_eq!(engine.master.disk_blocks_on(n1).collect::<Vec<_>>(), survivors);
+                lost = Some(mem + disk);
+            }
+            engine.run_one_stage(stage, &visible, &mut *policy);
+        }
+        // Node 0 held the only copy of each lost block: each next read
+        // recomputes it from its lineage.
+        assert_eq!(recomputes(&engine), lost.expect("the crash fired") as u64);
+        assert!(engine.app.aborted.is_none());
     }
 
     #[test]

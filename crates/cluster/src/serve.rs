@@ -709,10 +709,16 @@ impl CachePolicy for TenantMux {
                 continue;
             };
             let vict_tenant = map.tenant_of_app(a) as usize;
-            for b in policy.select_victims(node, shortfall - freed, own) {
-                freed += own.get(&b).copied().unwrap_or(0);
-                self.cross[cur_tenant][vict_tenant] += 1;
-                victims.push(b);
+            let picked = policy.select_victims(node, shortfall - freed, own);
+            for b in &picked {
+                freed += own.get(b).copied().unwrap_or(0);
+            }
+            self.cross[cur_tenant][vict_tenant] += picked.len() as u64;
+            // The first contributing batch is the result itself: no copy.
+            if victims.is_empty() {
+                victims = picked;
+            } else {
+                victims.extend(picked);
             }
         }
         victims

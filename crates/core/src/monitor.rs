@@ -231,7 +231,7 @@ impl CacheMonitor {
         resident: &BTreeMap<BlockId, u64>,
     ) -> Vec<BlockId> {
         self.ensure_index();
-        select_until(&self.index, shortfall, resident)
+        select_until(self.index.iter().map(|&(_, b)| b), shortfall, resident)
     }
 
     /// Choose the eviction victim among `candidates`: the block with the

@@ -13,7 +13,7 @@ use crate::distance::DistanceMetric;
 use crate::manager::MrdManager;
 use crate::monitor::{CacheMonitor, TieBreak};
 use refdist_dag::{AppProfile, BlockId, BlockSlots, JobId, RddId, StageId};
-use refdist_policies::{CachePolicy, VictimIndex};
+use refdist_policies::{CachePolicy, RecencyIndex};
 use refdist_store::NodeId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -67,9 +67,8 @@ pub struct MrdPolicy {
     monitors: Vec<Option<CacheMonitor>>,
     /// LRU state used when `PrefetchOnly` leaves eviction to the default
     /// policy; not maintained in the MRD eviction modes (nothing reads it
-    /// there). A block's last touch is its `lru_index` key.
-    lru_clock: u64,
-    lru_index: VictimIndex<u64>,
+    /// there).
+    lru_index: RecencyIndex,
     /// Distance-table replicas re-issued to replacement monitors after a
     /// node rejoin (§4.4 recovery).
     replicas_reissued: u64,
@@ -82,8 +81,7 @@ impl MrdPolicy {
             cfg,
             manager: MrdManager::new(cfg.metric),
             monitors: Vec::new(),
-            lru_clock: 0,
-            lru_index: VictimIndex::default(),
+            lru_index: RecencyIndex::default(),
             replicas_reissued: 0,
         }
     }
@@ -132,11 +130,6 @@ impl MrdPolicy {
         mon
     }
 
-    fn lru_tick(&mut self) -> u64 {
-        self.lru_clock += 1;
-        self.lru_clock
-    }
-
     fn uses_lru_eviction(&self) -> bool {
         !self.uses_mrd_eviction()
     }
@@ -172,23 +165,21 @@ impl CachePolicy for MrdPolicy {
 
     fn on_insert(&mut self, node: NodeId, block: BlockId) {
         if self.uses_lru_eviction() {
-            let key = self.lru_tick();
-            self.lru_index.insert(node, block, key);
+            self.lru_index.insert(node, block);
         }
         self.monitor_synced(node).touch(block);
     }
 
     fn on_access(&mut self, node: NodeId, block: BlockId) {
         if self.uses_lru_eviction() {
-            let key = self.lru_tick();
-            self.lru_index.rekey(block, key);
+            self.lru_index.touch(block);
         }
         self.monitor_synced(node).touch(block);
     }
 
     fn on_remove(&mut self, node: NodeId, block: BlockId) {
         if self.uses_lru_eviction() {
-            self.lru_index.remove(node, block, 0);
+            self.lru_index.remove(node, block);
         }
         if let Some(Some(mon)) = self.monitors.get_mut(node.index()) {
             mon.forget(block);

@@ -449,11 +449,6 @@ impl<V> SlotMap<V> {
         (i < self.vals.len()).then_some(i)
     }
 
-    /// The block in `slot`; only called for slots holding a value, which
-    /// an attached arena put there.
-    fn block(&self, slot: u32) -> BlockId {
-        self.slots.as_ref().expect("entries imply an arena").block(slot)
-    }
 
     /// Number of entries.
     #[inline]
@@ -485,6 +480,38 @@ impl<V> SlotMap<V> {
     pub fn get_mut(&mut self, block: BlockId) -> Option<&mut V> {
         let i = self.window_idx(block)?;
         self.vals[i].as_mut()
+    }
+
+    /// `block`'s slot in the attached arena: a 4-byte handle under which
+    /// [`get_at`](Self::get_at) finds the block's value without resolving
+    /// the block again. Intrusive lists thread their links through these.
+    ///
+    /// # Panics
+    /// Panics when no arena is attached or it has no slot for `block`.
+    #[inline]
+    pub fn slot_of(&self, block: BlockId) -> u32 {
+        self.slot(block).expect("no slot arena attached")
+    }
+
+    /// The value in `slot`, if any.
+    #[inline]
+    pub fn get_at(&self, slot: u32) -> Option<&V> {
+        let i = slot.checked_sub(self.lo)? as usize;
+        self.vals.get(i)?.as_ref()
+    }
+
+    /// Mutable access to the value in `slot`, if any.
+    #[inline]
+    pub fn get_at_mut(&mut self, slot: u32) -> Option<&mut V> {
+        let i = slot.checked_sub(self.lo)? as usize;
+        self.vals.get_mut(i)?.as_mut()
+    }
+
+    /// The block in `slot`, which holds a value (an attached arena put it
+    /// there).
+    #[inline]
+    pub fn block_at(&self, slot: u32) -> BlockId {
+        self.slots.as_ref().expect("entries imply an arena").block(slot)
     }
 
     /// Insert or overwrite, returning the previous value. The window
@@ -567,7 +594,7 @@ impl<V> SlotMap<V> {
         self.vals[span.clone()]
             .iter()
             .zip(span.start as u32..)
-            .filter_map(move |(v, i)| v.as_ref().map(|v| (self.block(lo + i), v)))
+            .filter_map(move |(v, i)| v.as_ref().map(|v| (self.block_at(lo + i), v)))
     }
 }
 
@@ -996,6 +1023,14 @@ mod tests {
         );
         *m.get_mut(blk(130)).unwrap() = 9;
         assert_eq!(m.get(blk(130)), Some(&9));
+        // Slot-addressed access sees the same entries after the window
+        // grew downward, and nothing outside it.
+        assert_eq!(m.slot_of(blk(70)), 70);
+        assert_eq!((m.get_at(70), m.block_at(70)), (Some(&3), blk(70)));
+        *m.get_at_mut(100).unwrap() += 1;
+        assert_eq!(m.get(blk(100)), Some(&5));
+        assert_eq!((m.get_at(69), m.get_at(131), m.get_at(99)), (None, None, None));
+        *m.get_mut(blk(100)).unwrap() = 4;
         // Removal down to empty, then writes on both sides of the old
         // window; `clear` resets it.
         for s in [70, 100, 130] {

@@ -27,7 +27,7 @@ pub mod random;
 
 pub use belady::BeladyMinPolicy;
 pub use fifo::FifoPolicy;
-pub use index::VictimIndex;
+pub use index::{RecencyIndex, VictimIndex};
 pub use lrc::LrcPolicy;
 pub use lru::LruPolicy;
 pub use memtune::MemTunePolicy;

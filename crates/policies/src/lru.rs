@@ -4,7 +4,7 @@
 //! block idle the longest. This is the baseline every figure in the paper
 //! normalizes against.
 
-use crate::index::VictimIndex;
+use crate::index::RecencyIndex;
 use crate::CachePolicy;
 use refdist_dag::{BlockId, BlockSlots};
 use refdist_store::NodeId;
@@ -14,24 +14,18 @@ use std::sync::Arc;
 /// LRU eviction.
 ///
 /// The recency clock is global (one logical clock across nodes, matching how
-/// `pick_victim` ranks any candidate list it is handed). A block's last
-/// touch *is* its [`VictimIndex`] key, so the index holds the only copy and
-/// batched selection pops victims in O(log n).
+/// `pick_victim` ranks any candidate list it is handed). The
+/// [`RecencyIndex`] owns it and holds each block's last touch as its key,
+/// so every hook is O(1) and batched selection walks each node's list.
 #[derive(Debug, Default)]
 pub struct LruPolicy {
-    clock: u64,
-    index: VictimIndex<u64>,
+    index: RecencyIndex,
 }
 
 impl LruPolicy {
     /// New LRU policy.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
     }
 }
 
@@ -46,19 +40,17 @@ impl CachePolicy for LruPolicy {
 
     fn on_insert(&mut self, node: NodeId, block: BlockId) {
         // The recency clock is global: a copy on another node re-ranks too.
-        let key = self.tick();
-        self.index.insert(node, block, key);
+        self.index.insert(node, block);
     }
 
     fn on_access(&mut self, _node: NodeId, block: BlockId) {
-        let key = self.tick();
-        self.index.rekey(block, key);
+        self.index.touch(block);
     }
 
     fn on_remove(&mut self, node: NodeId, block: BlockId) {
         // A surviving copy on another node loses its recency (the clock is
         // global), so it re-ranks as untracked: key 0.
-        self.index.remove(node, block, 0);
+        self.index.remove(node, block);
     }
 
     fn pick_victim(&mut self, _node: NodeId, candidates: &[BlockId]) -> Option<BlockId> {

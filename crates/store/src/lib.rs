@@ -1,24 +1,25 @@
 //! Block storage substrate: the analogue of Spark's `BlockManager` stack.
 //!
-//! Each worker node owns a [`BlockManager`] combining a capacity-bounded
-//! [`MemoryStore`] (the cache the policies manage) and an unbounded
-//! [`DiskStore`] (local spill / shuffle territory). A cluster-wide
-//! [`BlockMaster`] tracks which nodes hold which blocks — the
-//! `BlockManagerMaster` role in the paper's Figure 3 — so tasks and the MRD
-//! prefetcher can resolve remote locations. [`CacheStats`] is the row of
+//! Each worker node owns a [`BlockManager`] wrapping a capacity-bounded
+//! [`MemoryStore`] (the cache the policies manage). A cluster-wide
+//! [`BlockMaster`] tracks which nodes hold which blocks in memory and on
+//! disk — the `BlockManagerMaster` role in the paper's Figure 3 — so tasks
+//! and the MRD prefetcher can resolve remote locations. The master's disk
+//! table is the only record of a spilled copy: local disk is unbounded (the
+//! paper's testbed gives each node 200 GB of disk against 8 GB of RAM), so
+//! a node needs no table of its own to account for it, and disk bandwidth
+//! lives in the cluster simulator's FIFO resources. [`CacheStats`] is the row of
 //! hits, misses, evictions and prefetches the engine counts per application
 //! and node for the evaluation reports; the stores themselves count nothing.
 //!
 //! Blocks carry no payload, only sizes: the simulator needs byte accounting,
 //! not data.
 
-pub mod disk;
 pub mod manager;
 pub mod master;
 pub mod memory;
 pub mod stats;
 
-pub use disk::DiskStore;
 pub use manager::BlockManager;
 pub use master::{BlockMaster, MemCopy};
 pub use memory::{InsertError, MemoryStore};

@@ -1,17 +1,15 @@
-//! Per-node block manager: memory cache + local disk.
+//! Per-node block manager: the memory cache. A node's spilled copies are
+//! recorded once, in the [`BlockMaster`](crate::BlockMaster)'s disk table.
 
-use crate::disk::DiskStore;
 use crate::memory::{InsertError, MemoryStore};
 use refdist_dag::{BlockId, BlockSlots};
 use std::sync::Arc;
 
-/// A worker node's block manager, combining the memory cache and local disk.
+/// A worker node's block manager.
 #[derive(Debug, Clone)]
 pub struct BlockManager {
     /// The bounded memory cache.
     pub memory: MemoryStore,
-    /// Local disk (spills, shuffle output).
-    pub disk: DiskStore,
 }
 
 impl BlockManager {
@@ -20,13 +18,12 @@ impl BlockManager {
     pub fn with_slots(memory_capacity: u64, slots: Arc<BlockSlots>) -> Self {
         BlockManager {
             memory: MemoryStore::with_slots(memory_capacity, slots),
-            disk: DiskStore::new(),
         }
     }
 
     /// Adopt a newer slot-arena snapshot (streaming admission): the memory
-    /// store resolves the owners of newly admitted blocks through it. Neither
-    /// store keeps anything per slot, so nothing grows.
+    /// store resolves the owners of newly admitted blocks through it. It
+    /// keeps nothing per slot, so nothing grows.
     pub fn adopt(&mut self, slots: &Arc<BlockSlots>) {
         self.memory.adopt(slots);
     }
@@ -38,24 +35,11 @@ impl BlockManager {
         self.memory.insert(block, size)
     }
 
-    /// Evict one block from memory. When `spill` is set (MEMORY_AND_DISK),
-    /// the block moves to local disk; otherwise it is dropped.
-    ///
-    /// Returns the evicted size.
-    pub fn evict(&mut self, block: BlockId, spill: bool) -> Option<u64> {
-        let size = self.memory.remove(block)?;
-        if spill {
-            self.disk.insert(block, size);
-        }
-        Some(size)
-    }
-
-    /// Remove a block everywhere on this node (purge order). Returns the
-    /// size freed from memory, if the block was resident there.
-    pub fn purge(&mut self, block: BlockId) -> Option<u64> {
-        let freed = self.memory.remove(block);
-        self.disk.remove(block);
-        freed
+    /// Drop one block from memory (an eviction or a purge), returning the
+    /// size freed. A spill to disk (MEMORY_AND_DISK) is the caller's
+    /// [`BlockMaster::register_disk`](crate::BlockMaster::register_disk).
+    pub fn evict(&mut self, block: BlockId) -> Option<u64> {
+        self.memory.remove(block)
     }
 
     /// Fraction of the memory cache currently free, in `[0, 1]`.
@@ -88,40 +72,18 @@ mod tests {
     }
 
     #[test]
-    fn evict_with_spill_moves_to_disk() {
+    fn evict_drops_from_memory() {
         let mut m = mgr();
         m.put_memory(blk(0, 0), 10).unwrap();
-        assert_eq!(m.evict(blk(0, 0), true), Some(10));
+        assert_eq!(m.evict(blk(0, 0)), Some(10));
         assert!(!m.memory.contains(blk(0, 0)));
-        assert!(m.disk.contains(blk(0, 0)));
-    }
-
-    #[test]
-    fn evict_without_spill_drops() {
-        let mut m = mgr();
-        m.put_memory(blk(0, 0), 10).unwrap();
-        assert_eq!(m.evict(blk(0, 0), false), Some(10));
-        assert!(!m.memory.contains(blk(0, 0)));
-        assert!(!m.disk.contains(blk(0, 0)));
+        assert_eq!(m.memory.used(), 0);
     }
 
     #[test]
     fn evict_missing_is_none() {
         let mut m = mgr();
-        assert_eq!(m.evict(blk(0, 0), true), None);
-    }
-
-    #[test]
-    fn purge_clears_memory_and_disk() {
-        let mut m = mgr();
-        m.put_memory(blk(0, 0), 10).unwrap();
-        m.disk.insert(blk(0, 0), 10);
-        assert_eq!(m.purge(blk(0, 0)), Some(10));
-        assert!(!m.memory.contains(blk(0, 0)));
-        assert!(!m.disk.contains(blk(0, 0)));
-        m.disk.insert(blk(0, 1), 10);
-        assert_eq!(m.purge(blk(0, 1)), None, "a disk-only copy frees no memory");
-        assert!(!m.disk.contains(blk(0, 1)));
+        assert_eq!(m.evict(blk(0, 0)), None);
     }
 
     #[test]

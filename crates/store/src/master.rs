@@ -12,8 +12,9 @@
 //! wins a remote-source tie): the lowest copy inline, the others in an
 //! overflow allocated only for a block with more than one copy, so a
 //! single-copy block allocates nothing. The disk table has the same shape
-//! over bare [`NodeId`]s. Both tables are dense [`SlotMap`]s over a
-//! [`BlockSlots`] arena.
+//! over bare [`NodeId`]s, and is the only record of a spilled copy: nodes
+//! keep no disk table of their own. Both tables are dense [`SlotMap`]s
+//! over a [`BlockSlots`] arena.
 
 use crate::NodeId;
 use refdist_dag::{BlockId, BlockSlots, SlotMap};
@@ -300,6 +301,16 @@ impl BlockMaster {
         self.memory.iter_run(run).map(|(b, _)| b)
     }
 
+    /// Every block `node` holds on disk, ascending by slot. The disk table
+    /// is the only record of a spilled copy, so this walks all of it: a
+    /// node crash's sweep, never a hot path.
+    pub fn disk_blocks_on(&self, node: NodeId) -> impl Iterator<Item = BlockId> + '_ {
+        self.disk
+            .iter()
+            .filter(move |(_, c)| c.get(node).is_some())
+            .map(|(b, _)| b)
+    }
+
     /// Whether any node holds `block` at all.
     pub fn anywhere(&self, block: BlockId) -> bool {
         self.memory.contains(block) || self.disk.contains(block)
@@ -462,6 +473,20 @@ mod tests {
         // Re-registration after a rejoin works as usual.
         m.register_memory(blk(0, 0), MemCopy::settled(NodeId(1)));
         assert!(m.in_memory_anywhere(blk(0, 0)));
+    }
+
+    #[test]
+    fn disk_blocks_on_sweeps_one_node() {
+        let mut m = master();
+        m.register_disk(blk(0, 3), NodeId(1));
+        m.register_disk(blk(0, 1), NodeId(2));
+        m.register_disk(blk(0, 1), NodeId(1));
+        m.register_disk(blk(0, 2), NodeId(2));
+        m.register_memory(blk(0, 0), MemCopy::settled(NodeId(1)));
+        let on = |m: &BlockMaster, n| m.disk_blocks_on(NodeId(n)).collect::<Vec<_>>();
+        assert_eq!(on(&m, 1), vec![blk(0, 1), blk(0, 3)]);
+        assert_eq!(on(&m, 2), vec![blk(0, 1), blk(0, 2)]);
+        assert!(on(&m, 0).is_empty());
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! copy also carries its in-flight and prefetch marks.
 
 use refdist_dag::{BlockId, BlockSlots, TenantMap};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -178,13 +179,15 @@ impl MemoryStore {
     /// evicts the over-quota tenant's own blocks first, and every resident
     /// byte is evictable, freeing the shortfall always restores the quota.
     pub fn insert(&mut self, block: BlockId, size: u64) -> Result<(), InsertError> {
-        if self.contains(block) {
+        // One search: the vacant entry is filled once the block fits.
+        let Entry::Vacant(entry) = self.resident.entry(block) else {
             return Ok(());
-        }
+        };
         if size > self.capacity {
             return Err(InsertError::TooLarge);
         }
-        let global_shortfall = size.saturating_sub(self.free());
+        let free = self.capacity.saturating_sub(self.used + self.reserved);
+        let global_shortfall = size.saturating_sub(free);
         let tenant = self.tenancy.as_ref().map(|t| t.tenant(block, &self.slots));
         if let (Some(t), Some(tid)) = (&self.tenancy, tenant) {
             if size > t.quota {
@@ -203,7 +206,7 @@ impl MemoryStore {
         if let (Some(t), Some(tid)) = (&mut self.tenancy, tenant) {
             t.used[tid] += size;
         }
-        self.resident.insert(block, size);
+        entry.insert(size);
         self.used += size;
         Ok(())
     }

@@ -260,6 +260,13 @@ proptest! {
                     prop_assert_eq!(master.best_source(b, n), want);
                 }
             }
+            // A crash's sweep of the disk table finds exactly each node's
+            // spilled copies, ascending.
+            for n in (0..MASTER_NODES).map(NodeId) {
+                let spilled: Vec<BlockId> =
+                    disk.iter().filter(|(_, d)| d.contains(&n)).map(|(&b, _)| b).collect();
+                prop_assert_eq!(master.disk_blocks_on(n).collect::<Vec<_>>(), spilled);
+            }
             let resident: Vec<BlockId> = mem.keys().copied().collect();
             prop_assert_eq!(master.memory_resident_in(0..u32::MAX).collect::<Vec<_>>(), resident);
             prop_assert_eq!(

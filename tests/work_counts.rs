@@ -596,11 +596,12 @@ fn long_streams(out: &mut String) {
 const MIB: usize = 1 << 20;
 
 /// Each node's block tables (the memory store's resident map) and each
-/// policy's per-node state (victim-index sets, MRD monitors' recency and
-/// index) must hold nothing per cached-block slot, only O(blocks resident
-/// on that node), the shape of Spark's `MemoryStore`; per-copy facts
-/// (holder, in-flight arrival time, unused-prefetch mark) live once in the
-/// block master, like Spark's `BlockManagerMaster`. Per-slot rows on every
+/// policy's per-node state (LRU's list ends and orphan set, the other
+/// victim indexes' ordered sets, MRD monitors' recency and index) must
+/// hold nothing per cached-block slot, only O(blocks resident on that
+/// node), the shape of Spark's `MemoryStore`; per-copy facts (holder,
+/// in-flight arrival time, unused-prefetch mark, a spilled copy on disk)
+/// live once in the block master, like Spark's `BlockManagerMaster`. Per-slot rows on every
 /// node (an `Option<u64>` size, a pin count, an arrival time, a recency
 /// stamp) would cost 32 B x slots x nodes, over 200 MiB at 256 nodes x
 /// 28,672 slots; even one bit per slot per node would be 0.9 MiB. LRU, LRC
