@@ -15,10 +15,6 @@ pub struct FifoResource {
     bytes_per_sec: u64,
     /// Time at which the resource next becomes idle.
     available_at: SimTime,
-    /// Total bytes served (for reports).
-    bytes_served: u64,
-    /// Total busy time accumulated (for utilization reports).
-    busy: SimDuration,
 }
 
 impl FifoResource {
@@ -31,47 +27,16 @@ impl FifoResource {
         FifoResource {
             bytes_per_sec,
             available_at: SimTime::ZERO,
-            bytes_served: 0,
-            busy: SimDuration::ZERO,
         }
-    }
-
-    /// Bandwidth in bytes per second.
-    pub fn bandwidth(&self) -> u64 {
-        self.bytes_per_sec
     }
 
     /// Submit a request of `bytes` at time `now`; returns its completion time
     /// and advances the queue.
     pub fn request(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let start = self.available_at.max(now);
-        let service = SimDuration::transfer(bytes, self.bytes_per_sec);
-        let done = start + service;
+        let done = start + SimDuration::transfer(bytes, self.bytes_per_sec);
         self.available_at = done;
-        self.bytes_served = self.bytes_served.saturating_add(bytes);
-        self.busy += service;
         done
-    }
-
-    /// Completion time a request of `bytes` would get at `now`, without
-    /// enqueueing it.
-    pub fn estimate(&self, now: SimTime, bytes: u64) -> SimTime {
-        self.available_at.max(now) + SimDuration::transfer(bytes, self.bytes_per_sec)
-    }
-
-    /// Time at which the resource is next idle.
-    pub fn available_at(&self) -> SimTime {
-        self.available_at
-    }
-
-    /// Total bytes served so far.
-    pub fn bytes_served(&self) -> u64 {
-        self.bytes_served
-    }
-
-    /// Accumulated busy time.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
     }
 }
 
@@ -101,17 +66,6 @@ mod tests {
         r.request(SimTime(0), 100_000); // done at 0.1s
         let d = r.request(SimTime(2_000_000), 100_000); // arrives later
         assert_eq!(d, SimTime(2_100_000));
-        assert_eq!(r.busy_time(), SimDuration(200_000));
-    }
-
-    #[test]
-    fn estimate_does_not_mutate() {
-        let mut r = FifoResource::new(1_000_000);
-        let est = r.estimate(SimTime(0), 1_000_000);
-        assert_eq!(est, SimTime(1_000_000));
-        assert_eq!(r.available_at(), SimTime::ZERO);
-        // And a real request matches the estimate.
-        assert_eq!(r.request(SimTime(0), 1_000_000), est);
     }
 
     #[test]
@@ -119,21 +73,11 @@ mod tests {
         let mut r = FifoResource::new(1_000);
         let done = r.request(SimTime(42), 0);
         assert_eq!(done, SimTime(42));
-        assert_eq!(r.bytes_served(), 0);
     }
 
     #[test]
     #[should_panic(expected = "bandwidth must be positive")]
     fn zero_bandwidth_panics() {
         FifoResource::new(0);
-    }
-
-    #[test]
-    fn accounting_accumulates() {
-        let mut r = FifoResource::new(2_000_000);
-        r.request(SimTime(0), 1_000_000);
-        r.request(SimTime(0), 3_000_000);
-        assert_eq!(r.bytes_served(), 4_000_000);
-        assert_eq!(r.busy_time(), SimDuration(2_000_000));
     }
 }
