@@ -781,11 +781,6 @@ impl<'a> ServeSim<'a> {
         }
     }
 
-    /// The submission → tenant map.
-    pub fn tenant_map(&self) -> &Arc<TenantMap> {
-        &self.map
-    }
-
     /// Template-interned admission: look the submission's structural
     /// template up in `cache` (planning and profiling it only on first
     /// sight) and rebase the shared local-space artifacts to the

@@ -272,16 +272,6 @@ impl AppBuilder {
         id
     }
 
-    /// Number of RDDs defined so far.
-    pub fn num_rdds(&self) -> usize {
-        self.rdds.len()
-    }
-
-    /// Partition count of an already-defined RDD.
-    pub fn partitions_of(&self, rdd: RddId) -> u32 {
-        self.rdds[rdd.index()].num_partitions
-    }
-
     /// Finish, validating the spec.
     ///
     /// # Panics

@@ -94,11 +94,6 @@ impl AppPlan {
         &self.stages[id.index()]
     }
 
-    /// Stages a given job will actually execute (those it created), in order.
-    pub fn active_stages_of_job(&self, job: JobId) -> impl Iterator<Item = &Stage> {
-        self.stages.iter().filter(move |s| s.job == job)
-    }
-
     /// Stages of a job that appear in its DAG but were created by an earlier
     /// job — shown as "skipped" in the Spark UI.
     pub fn skipped_stages_of_job(&self, job: JobId) -> Vec<StageId> {

@@ -147,6 +147,16 @@ impl MemoryStore {
         self.capacity.saturating_sub(self.used + self.reserved)
     }
 
+    /// Fraction of the capacity currently free, in `[0, 1]`; zero for a
+    /// zero-capacity store.
+    pub fn free_fraction(&self) -> f64 {
+        if self.capacity == 0 {
+            0.0
+        } else {
+            self.free() as f64 / self.capacity as f64
+        }
+    }
+
     /// Number of resident blocks.
     #[inline]
     pub fn len(&self) -> usize {
@@ -466,6 +476,15 @@ mod tests {
         let mut m = store(100);
         m.insert(blk(0, 0), 10).unwrap();
         m.enable_tenancy(Arc::new(TenantMap::new(&[4], &[0])), 50);
+    }
+
+    #[test]
+    fn free_fraction() {
+        let mut m = store(100);
+        assert_eq!(m.free_fraction(), 1.0);
+        m.insert(blk(0, 0), 25).unwrap();
+        assert!((m.free_fraction() - 0.75).abs() < 1e-12);
+        assert_eq!(store(0).free_fraction(), 0.0);
     }
 
     #[test]

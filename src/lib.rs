@@ -15,12 +15,12 @@
 //! * [`core`] — the MRD policy: reference distances, `AppProfiler`,
 //!   `MrdManager`, `CacheMonitor` (paper §4).
 //! * [`policies`] — LRU / FIFO / Random / LRC / MemTune / Belady baselines.
-//! * [`store`] — per-node block managers and the cluster block master.
-//! * [`cluster`] — the deterministic discrete-event cluster simulator and
+//! * [`store`] — per-node memory stores and the cluster block master.
+//! * [`cluster`] — the deterministic stage-barrier cluster simulator and
 //!   the Table-4 cluster presets.
 //! * [`workloads`] — the 14 SparkBench + 6 HiBench workload DAG generators.
 //! * [`metrics`] — summaries, OLS regression, table/CSV formatting.
-//! * [`simcore`] — event queue, virtual time, bandwidth resources.
+//! * [`simcore`] — virtual time and FIFO bandwidth resources.
 
 pub mod cli;
 
