@@ -35,9 +35,9 @@ cargo test -q -p refdist-cluster --test differential_serve
 echo "==> cargo test -q -p refdist-bench --test determinism"
 cargo test -q -p refdist-bench --test determinism
 
-# Event-queue property suite: the calendar queue must pop exactly a binary
-# min-heap oracle's sequence under adversarial schedules (same-instant
-# floods, far-future outliers, schedule-mid-drain).
+# simcore property suite: a FIFO resource serves arbitrary request streams
+# in order, each completion at the later of its submission and the previous
+# completion plus its transfer time.
 echo "==> cargo test -q -p refdist-simcore --test proptest_simcore"
 cargo test -q -p refdist-simcore --test proptest_simcore
 
@@ -65,7 +65,7 @@ echo "==> cargo test -q -p refdist-policies --test proptest_recency"
 cargo test -q -p refdist-policies --test proptest_recency
 
 # Frozen decision digests, named so a decision change is called out in the
-# CI log: the engine corpus (block state, scheduler, event queue; solo and
+# CI log: the engine corpus (block state, scheduler, speculation; solo and
 # serve), the serve stream, decision and admission-timeline corpora, and the
 # tier-1 long-stream and 128-node digests. A refactor or performance change
 # must leave every golden line as it is (DESIGN.md "Frozen decision
@@ -79,8 +79,8 @@ cargo test -q -p refdist-cluster --test differential_serve -- \
 echo "==> cargo test -q --test serve_stream --test large_cluster"
 cargo test -q --test serve_stream --test large_cluster
 
-# The performance gate: exact per-layer work counts (event queue, slot
-# index, store, policy hooks, serve admission and retirement, heap
+# The performance gate: exact per-layer work counts (slot index, store,
+# speculative copies, policy hooks, serve admission and retirement, heap
 # allocations and peak bytes) of small fixed versions of the benchmark's
 # workloads, compared line by line against tests/golden/work_counts.txt,
 # plus the heap-footprint bounds (per-node state O(resident), serve cost
@@ -136,7 +136,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-it
 # Bench smoke: every criterion suite runs each benchmark body once
 # (--test mode). Guards against bit-rotted bench code; timing is NOT
 # checked, so this cannot flake on a noisy machine.
-for suite in policy_overhead dag_planning sim_throughput victim_selection sched_scaling event_queue; do
+for suite in policy_overhead dag_planning sim_throughput victim_selection sched_scaling; do
   echo "==> cargo bench -p refdist-bench --bench $suite -- --test"
   cargo bench -q -p refdist-bench --bench "$suite" -- --test
 done

@@ -8,8 +8,8 @@
 //!   scheduling on and a straggler injected, as the cluster grows: the slot
 //!   index's placement cost.
 //! * `sim_throughput`: the full engine (dense block state, slot index,
-//!   calendar event queue) on the same wide app under cache pressure, with
-//!   speculation exercising the event queue. Outside `REFDIST_QUICK`, a
+//!   per-task records) on the same wide app under cache pressure, with
+//!   speculation selecting a threshold per stage. Outside `REFDIST_QUICK`, a
 //!   1024-node mega row pushes ~a million tasks through the engine alone.
 //! * `admission`: the admission-planning path alone (build or intern the
 //!   template's local-space plan/profile, rebase, wrap the profiler), cold
@@ -17,7 +17,7 @@
 //!   path must amortize to at least 3x on the full run.
 //!
 //! Wall time is best-of-reps and only informative. The deterministic counts
-//! of these paths (slot-index commits, event-queue work, allocations) are
+//! of these paths (slot-index commits, allocations) are
 //! gated exactly by `tests/work_counts.rs`; the serve-stream and churn cells
 //! this bench once timed live there as count lines, and their last recorded
 //! rows in EXPERIMENTS.md "Performance history".
@@ -68,7 +68,7 @@ fn sched_cfg(nodes: u32) -> SimConfig {
 /// Full-stack throughput configuration: cache pressure (half the cached
 /// footprint fits), delay scheduling, a straggler, and speculative
 /// execution — so per-task state transitions, slot selection, eviction and
-/// the per-stage completion-event queue are all on the measured path.
+/// the per-stage speculation threshold are all on the measured path.
 fn throughput_cfg(spec: &AppSpec, nodes: u32) -> SimConfig {
     let footprint: u64 = spec.cached_rdds().map(|r| r.total_size()).sum();
     let mut cfg = SimConfig::new(ClusterConfig::tiny(
@@ -186,8 +186,8 @@ fn main() {
         println!("{:<8} {:>8} {:>9.1} ms", nodes, report.tasks, ms);
     }
     if !quick() {
-        // Mega smoke: ~a million tasks through the engine. The calendar
-        // queue and dense task records keep per-task cost flat at a scale
+        // Mega smoke: ~a million tasks through the engine. The slot index
+        // and dense task records keep per-task cost flat at a scale
         // where scans over the cluster would be O(minutes).
         let nodes = 1024;
         let spec = sched_app_jobs(nodes, 60);

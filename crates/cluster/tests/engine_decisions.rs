@@ -12,9 +12,9 @@
 //!   under every policy family: the per-block state paths;
 //! * `sched` — many task waves on 1–5 cores per node, stragglers, node
 //!   failures and delay bounds at the migration boundary: task placement;
-//! * `events` — stochastic chaos with speculation (the completion-event
-//!   queue) solo, and three-submission serve streams under FIFO and
-//!   fair-share: the event queue.
+//! * `events` — stochastic chaos with speculation (the per-stage
+//!   speculation threshold) solo, and three-submission serve streams under
+//!   FIFO and fair-share: stage interleaving.
 //!
 //! Each family ends with named spot-checks of its nastiest corner. The
 //! corpora are drawn from explicit seeds, so neither the proptest runner
@@ -396,8 +396,9 @@ struct EventParams {
     cache_frac: f64,
     jitter: f64,
     seed: u64,
-    /// Stochastic chaos plus speculation — the regime where the engine's
-    /// event queue carries per-task completion events.
+    /// Stochastic chaos plus speculation — the regime where the engine
+    /// keeps per-task records and selects each stage's speculation
+    /// threshold from their finish times.
     chaos: bool,
 }
 
