@@ -11,8 +11,9 @@
 //! * `store.*`: hits, misses, evictions, purges and prefetches;
 //! * `faults.*`: speculative copies launched, and those that won;
 //! * `policy.*`: calls into each `CachePolicy` hook, and victims returned;
-//! * `serve.*`: admissions, retirements, sheds, app retries, deadlines met
-//!   and peaks;
+//! * `serve.*`: admissions, retirements, sheds, app retries, deadlines met,
+//!   peaks, and the plans admission built (one per distinct template, so a
+//!   broken template cache shows as one plan per submission);
 //! * `heap.*`: heap allocations and peak heap growth while it ran.
 //!
 //! No count reads a clock, and everything runs on one thread, so the counts
@@ -319,6 +320,7 @@ fn scenario<R: Ran>(
         }
         put("serve.peak_active_apps", s.peak_active_apps);
         put("serve.peak_arena_slots", s.peak_arena_slots);
+        put("serve.plans_built", s.distinct_templates as u64);
     }
     put("heap.allocs", heap.allocs);
     put("heap.peak_bytes", heap.peak_growth as u64);
