@@ -927,8 +927,9 @@ pub fn belady_text(ctx: &ExpContext, opts: &SweepOptions) -> String {
 /// The paper claims: the largest MRD_Table held fewer than 300 references
 /// and measured in KBs; the per-decision sort is negligible; and monitor
 /// synchronization traffic is bounded (one replica per node per change).
-/// The per-operation CPU costs are covered by the criterion benches
-/// (`policy_overhead`).
+/// The per-hook CPU costs are `refbench`'s traced busy times (`core.*` for
+/// MRD, `policies.*` for LRU), and their exact call and allocation counts
+/// are gated by `tests/work_counts.rs`.
 pub fn overheads_text(ctx: &ExpContext, _opts: &SweepOptions) -> String {
     let mut out = String::new();
     let _ = writeln!(

@@ -9,11 +9,9 @@
 //! artifacts ([`run_one`]), and the [`sweep`](mod@sweep) engine, which runs
 //! independent cells of a grid on a bounded worker pool.
 
-pub mod cachebench;
 pub mod experiments;
 pub mod sweep;
 
-pub use cachebench::{bench_policies, Churn};
 pub use refdist_cluster::EngineScratch;
 pub use sweep::{
     run_sweep, CellResult, ServeAxis, ServePeaks, SweepCell, SweepGrid, SweepOptions,
@@ -231,7 +229,7 @@ pub fn cache_for_largest(
 }
 
 /// One multi-tenant serve stream, the way every serve caller (the CLI, the
-/// sweep's serve cells, the experiment and bench binaries) builds it:
+/// sweep's serve cells, the experiment binaries) builds it:
 /// `apps` submissions cycle round-robin through `templates` and over the
 /// tenants, arrive as a Poisson stream, and run on one shared cluster
 /// under the streaming, template-interned driver.

@@ -267,13 +267,3 @@ fn poisson_arrivals_replay_from_the_master_seed() {
     let t = ArrivalProcess::Trace(vec![5, 10, 20]);
     assert_eq!(t.arrivals(3, 1), t.arrivals(3, 999), "trace ignores the seed");
 }
-
-#[test]
-fn churn_is_deterministic_across_runs() {
-    let (_, build) = refdist_bench::bench_policies()[4]; // MRD
-    let mut a = refdist_bench::Churn::new(build, 128);
-    let mut b = refdist_bench::Churn::new(build, 128);
-    for _ in 0..512 {
-        assert_eq!(a.step(), b.step());
-    }
-}

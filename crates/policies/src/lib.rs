@@ -44,8 +44,10 @@ use std::sync::Arc;
 /// and consults `pick_victim` under memory pressure, `purge_candidates` for
 /// proactive cluster-wide eviction, and `prefetch_order` when a policy does
 /// prefetching. All hooks are infallible and must be cheap: the paper's §4.4
-/// argues MRD's bookkeeping is comparable to LRU's, and the criterion
-/// benches in `refdist-bench` verify that claim for this implementation.
+/// argues MRD's bookkeeping is comparable to LRU's. `tests/work_counts.rs`
+/// gates the hook calls and allocations of each policy exactly, and
+/// `refbench` times every hook per layer (`core.*` for MRD, `policies.*`
+/// for LRU and the other baselines).
 ///
 /// `Send` is a supertrait so boxed policies can move into the worker threads
 /// of the parallel sweep engine (`refdist-bench`'s `sweep` module); every
