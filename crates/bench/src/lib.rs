@@ -14,8 +14,7 @@ pub mod sweep;
 
 pub use refdist_cluster::EngineScratch;
 pub use sweep::{
-    run_sweep, CellResult, ServeAxis, ServePeaks, SweepCell, SweepGrid, SweepOptions,
-    SweepResults,
+    run_sweep, CellResult, ServeAxis, ServePeaks, SweepCell, SweepGrid, SweepOptions, SweepResults,
 };
 
 use refdist_cluster::{
@@ -93,9 +92,11 @@ impl PolicySpec {
     /// The one error every caller that cannot run Belady reports.
     pub fn traceless(self) -> Result<PolicySpec, String> {
         if self == PolicySpec::Belady {
-            return Err("belady needs a recorded whole-run trace, which only single-app \
+            return Err(
+                "belady needs a recorded whole-run trace, which only single-app \
                         sweep and chaos cells record"
-                .into());
+                    .into(),
+            );
         }
         Ok(self)
     }
@@ -211,7 +212,9 @@ pub fn check_fraction(fraction: f64) -> Result<(), String> {
     if fraction.is_finite() && fraction >= 0.0 {
         Ok(())
     } else {
-        Err(format!("cache fraction must be finite and non-negative, got {fraction}"))
+        Err(format!(
+            "cache fraction must be finite and non-negative, got {fraction}"
+        ))
     }
 }
 
@@ -224,7 +227,9 @@ pub fn cache_for_largest(
     fraction: f64,
 ) -> Result<u64, String> {
     check_fraction(fraction)?;
-    let largest = templates.iter().map(|t| cache_for_fraction(t, cluster, fraction));
+    let largest = templates
+        .iter()
+        .map(|t| cache_for_fraction(t, cluster, fraction));
     Ok(largest.max().unwrap_or(0).max(1))
 }
 

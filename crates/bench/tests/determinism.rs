@@ -265,5 +265,9 @@ fn poisson_arrivals_replay_from_the_master_seed() {
     assert_eq!(a[0], 0, "first arrival anchors the stream at t=0");
     assert!(a.windows(2).all(|w| w[0] <= w[1]), "arrivals are sorted");
     let t = ArrivalProcess::Trace(vec![5, 10, 20]);
-    assert_eq!(t.arrivals(3, 1), t.arrivals(3, 999), "trace ignores the seed");
+    assert_eq!(
+        t.arrivals(3, 1),
+        t.arrivals(3, 999),
+        "trace ignores the seed"
+    );
 }

@@ -334,7 +334,10 @@ impl FaultPlan {
     pub fn needs_global_slots(&self) -> bool {
         self.speculation_quantile > 0.0
             || self.crashes.iter().any(|c| c.rejoin_after.is_some())
-            || self.timed_crashes.iter().any(|c| c.rejoin_after_us.is_some())
+            || self
+                .timed_crashes
+                .iter()
+                .any(|c| c.rejoin_after_us.is_some())
             || self.churn.is_some()
     }
 
@@ -373,7 +376,10 @@ impl FaultPlan {
         }
         for s in &self.timed_slowdowns {
             if !s.factor.is_finite() {
-                return Err(format!("timed slowdown factor must be finite, got {}", s.factor));
+                return Err(format!(
+                    "timed slowdown factor must be finite, got {}",
+                    s.factor
+                ));
             }
         }
         Ok(())

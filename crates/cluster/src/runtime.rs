@@ -1205,7 +1205,10 @@ impl<'a> Engine<'a> {
                 }
             }
             let Some((t, node)) = due else { break };
-            let rng = self.churn_rng.as_mut().expect("churn rng exists when churn is on");
+            let rng = self
+                .churn_rng
+                .as_mut()
+                .expect("churn rng exists when churn is on");
             if self.churn_repair[node] {
                 // Repair: the drawn down interval is over; schedule the next
                 // failure and rejoin — unless a scripted event owns the
@@ -1437,8 +1440,13 @@ impl<'a> Engine<'a> {
                 return stage_end;
             }
             if speculating {
-                self.stage_tasks
-                    .push(task_end, node as u32, slot_idx as u32, attempt_start, attempts);
+                self.stage_tasks.push(
+                    task_end,
+                    node as u32,
+                    slot_idx as u32,
+                    attempt_start,
+                    attempts,
+                );
             }
         }
         if speculating && !self.stage_tasks.is_empty() {
@@ -2227,7 +2235,10 @@ mod tests {
                 let mem = engine.memory[0].len();
                 let disk = engine.master.disk_blocks_on(n0).count();
                 let survivors: Vec<BlockId> = engine.master.disk_blocks_on(n1).collect();
-                assert!(mem > 0 && disk > 0, "node 0 holds {mem} in memory, {disk} on disk");
+                assert!(
+                    mem > 0 && disk > 0,
+                    "node 0 holds {mem} in memory, {disk} on disk"
+                );
                 assert_eq!(recomputes(&engine), 0);
                 // Two retired applications' spills, still node 0's to lose.
                 engine.ghost_disk[0] = 2;
@@ -2236,7 +2247,10 @@ mod tests {
                 assert_eq!(engine.ghost_disk[0], 0);
                 assert_eq!(engine.master.disk_blocks_on(n0).count(), 0);
                 assert!(engine.memory[0].is_empty());
-                assert_eq!(engine.master.disk_blocks_on(n1).collect::<Vec<_>>(), survivors);
+                assert_eq!(
+                    engine.master.disk_blocks_on(n1).collect::<Vec<_>>(),
+                    survivors
+                );
                 lost = Some(mem + disk);
             }
             engine.run_one_stage(stage, &visible, &mut *policy);
@@ -2269,8 +2283,12 @@ mod tests {
     fn concurrent_crashes_with_rejoin_resync_and_complete() {
         let spec = iterative_app(8, 8, 1024 * 1024);
         let plan = AppPlan::build(&spec);
-        let healthy_sim =
-            Simulation::new(&spec, &plan, ProfileMode::Recurring, sim_cfg(4, 2 * 1024 * 1024));
+        let healthy_sim = Simulation::new(
+            &spec,
+            &plan,
+            ProfileMode::Recurring,
+            sim_cfg(4, 2 * 1024 * 1024),
+        );
         let mut healthy_mrd = MrdPolicy::full();
         let healthy = healthy_sim.run(&mut healthy_mrd);
 
@@ -2286,7 +2304,10 @@ mod tests {
         assert!(r.aborted.is_none());
         // Tasks homed on the downed nodes migrated; every task still ran.
         assert_eq!(r.tasks, healthy.tasks);
-        assert!(r.sched.remote_placements > 0, "down-node tasks must migrate");
+        assert!(
+            r.sched.remote_placements > 0,
+            "down-node tasks must migrate"
+        );
         // The manager re-issued table replicas to the replacement monitors.
         assert_eq!(mrd.replicas_reissued(), 2);
         assert_eq!(healthy_mrd.replicas_reissued(), 0);
@@ -2317,11 +2338,7 @@ mod tests {
         assert_eq!(r.faults.retries, r.faults.task_failures);
         assert!(r.faults.backoff_us > 0);
         assert!(r.aborted.is_none());
-        let healthy = run(
-            &spec,
-            sim_cfg(2, 1 << 30),
-            &mut *PolicyKind::Lru.build(),
-        );
+        let healthy = run(&spec, sim_cfg(2, 1 << 30), &mut *PolicyKind::Lru.build());
         assert_eq!(r.tasks, healthy.tasks);
         assert!(r.jct > healthy.jct, "retries cost time");
         // Same seed, same faults: byte-deterministic.
@@ -2380,7 +2397,10 @@ mod tests {
         let mut cfg = sim_cfg(2, 1 << 30);
         cfg.faults.timed_slowdown(0, 20.0, 0, None);
         let slow = run(&spec, cfg, &mut *PolicyKind::Lru.build());
-        assert!(slow.jct > healthy.jct, "an open-ended 20x slowdown must cost time");
+        assert!(
+            slow.jct > healthy.jct,
+            "an open-ended 20x slowdown must cost time"
+        );
         // A window that opens after the run ends is inert.
         let mut future = sim_cfg(2, 1 << 30);
         future.faults.timed_slowdown(0, 20.0, u64::MAX / 2, None);
@@ -2403,7 +2423,11 @@ mod tests {
         assert!(r.faults.rejoins > 0, "MTTR must bring them back");
         assert!(r.aborted.is_none(), "task retries ride out the churn");
         let again = run(&spec, cfg.clone(), &mut *PolicyKind::Lru.build());
-        assert_eq!(format!("{r:?}"), format!("{again:?}"), "same seed, same membership timeline");
+        assert_eq!(
+            format!("{r:?}"),
+            format!("{again:?}"),
+            "same seed, same membership timeline"
+        );
         let mut other = cfg.clone();
         other.seed ^= 0xDEAD_BEEF;
         let o = run(&spec, other, &mut *PolicyKind::Lru.build());
@@ -2481,7 +2505,10 @@ mod tests {
             r_spec.faults.spec_wins + r_spec.faults.spec_losses,
             r_spec.faults.spec_launched
         );
-        assert!(r_spec.faults.spec_wins > 0, "copies must beat a 20x straggler");
+        assert!(
+            r_spec.faults.spec_wins > 0,
+            "copies must beat a 20x straggler"
+        );
         // Speculative copies are not extra tasks.
         assert_eq!(r_spec.tasks, r_slow.tasks);
         assert!(
@@ -2580,11 +2607,12 @@ mod tests {
         // Remote hits are still hits.
         assert!(r.stats.remote_hits <= r.stats.hits);
         // The migrations show up in the placement counters and the summary.
-        assert!(r.sched.remote_placements > 0, "no migrations: {:?}", r.sched);
-        assert_eq!(
-            r.sched.home_placements + r.sched.remote_placements,
-            r.tasks
+        assert!(
+            r.sched.remote_placements > 0,
+            "no migrations: {:?}",
+            r.sched
         );
+        assert_eq!(r.sched.home_placements + r.sched.remote_placements, r.tasks);
         assert!(r.summary().contains("delay-scheduled remotely"));
     }
 

@@ -153,7 +153,10 @@ mod tests {
             let (gn, _, gt) = idx.earliest_global();
             assert_eq!(idx.earliest_global(), linear_global(&free), "step {step}");
             if down.contains(&false) {
-                assert!(!down[gn] && gt != NODE_DOWN, "picked down node {gn} at step {step}");
+                assert!(
+                    !down[gn] && gt != NODE_DOWN,
+                    "picked down node {gn} at step {step}"
+                );
             }
             let n = (next() % free.len() as u64) as usize;
             if next() % 16 == 0 {
@@ -161,7 +164,11 @@ mod tests {
                 // or free them all at a fresh time.
                 down[n] = !down[n];
                 crashes += down[n] as u32;
-                let t = if down[n] { NODE_DOWN } else { SimTime(next() % 8) };
+                let t = if down[n] {
+                    NODE_DOWN
+                } else {
+                    SimTime(next() % 8)
+                };
                 for s in 0..free[n].len() {
                     let old = std::mem::replace(&mut free[n][s], t);
                     idx.commit(n, s, old, t);

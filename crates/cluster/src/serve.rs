@@ -561,7 +561,11 @@ impl TenantMux {
                 tracked += 1;
             }
         }
-        assert_eq!(tracked, resident.len(), "mux residency diverged on node {node}");
+        assert_eq!(
+            tracked,
+            resident.len(),
+            "mux residency diverged on node {node}"
+        );
         assert_eq!(tracked, self.node_blocks[node]);
         for (t, &bytes) in self.tenant_bytes[node].iter().enumerate() {
             let sum: u64 = self
@@ -684,9 +688,8 @@ impl CachePolicy for TenantMux {
                 .filter(|&a| map.tenant_of_app(a) as usize == cur_tenant),
         );
         self.others.clear();
-        self.others.extend(
-            (0..tenant_bytes.len()).filter(|&t| t != cur_tenant && tenant_bytes[t] > 0),
-        );
+        self.others
+            .extend((0..tenant_bytes.len()).filter(|&t| t != cur_tenant && tenant_bytes[t] > 0));
         self.others
             .sort_by_key(|&t| (std::cmp::Reverse(tenant_bytes[t]), t));
         for &t in &self.others {
@@ -819,9 +822,9 @@ impl<'a> ServeSim<'a> {
     fn quota_bytes(&self) -> Option<u64> {
         match self.cfg.quota {
             QuotaKind::Unlimited => None,
-            QuotaKind::EqualShare => Some(
-                (self.cfg.sim.cluster.cache_bytes / self.map.num_tenants() as u64).max(1),
-            ),
+            QuotaKind::EqualShare => {
+                Some((self.cfg.sim.cluster.cache_bytes / self.map.num_tenants() as u64).max(1))
+            }
             QuotaKind::Bytes(b) => Some(b.max(1)),
         }
     }
@@ -1388,9 +1391,7 @@ impl ServeReport {
                         retries += r.app_attempts[i].saturating_sub(1) as u64;
                         shed += r.shed[i] as u64;
                         degraded += r.degraded[i] as u64;
-                        if r.met_deadline(i, self.arrivals[i], self.completions[i])
-                            == Some(false)
-                        {
+                        if r.met_deadline(i, self.arrivals[i], self.completions[i]) == Some(false) {
                             misses += 1;
                         }
                         if !r.shed[i] {
@@ -1419,7 +1420,10 @@ impl ServeReport {
     /// Submissions that met the configured deadline (shed submissions never
     /// do); `None` when the run had no deadline.
     pub fn deadline_met(&self) -> Option<usize> {
-        let res = self.resilience.as_ref().filter(|r| r.deadline_us.is_some())?;
+        let res = self
+            .resilience
+            .as_ref()
+            .filter(|r| r.deadline_us.is_some())?;
         Some(
             (0..self.reports.len())
                 .filter(|&i| {
@@ -1526,7 +1530,12 @@ impl ServeReport {
         let mut agg = CacheStats::new();
         // A shed submission's placeholder has no per-node rows (and a "-"
         // policy), so size and name the merge from reports that ran.
-        let nn = self.reports.iter().map(|r| r.per_node.len()).max().unwrap_or(0);
+        let nn = self
+            .reports
+            .iter()
+            .map(|r| r.per_node.len())
+            .max()
+            .unwrap_or(0);
         let mut per_node = vec![CacheStats::default(); nn];
         let mut sched = crate::report::SchedStats::default();
         let mut io = SimDuration::ZERO;
@@ -1629,7 +1638,9 @@ mod tests {
 
     #[test]
     fn poisson_arrivals_replay_deterministically() {
-        let p = ArrivalProcess::Poisson { mean_gap_us: 500_000 };
+        let p = ArrivalProcess::Poisson {
+            mean_gap_us: 500_000,
+        };
         let a = p.arrivals(8, 42);
         let b = p.arrivals(8, 42);
         assert_eq!(a, b);
@@ -1680,7 +1691,10 @@ mod tests {
         assert_eq!(sums[1].apps, 1);
         assert!(sr.summary().contains("2 apps over 2 tenants"));
         assert_eq!(sr.cross_evictions.len(), 2);
-        assert!(sr.resilience.is_none(), "passive config reports no resilience");
+        assert!(
+            sr.resilience.is_none(),
+            "passive config reports no resilience"
+        );
         assert!(!sr.summary().contains("resilience:"));
     }
 
@@ -1714,7 +1728,10 @@ mod tests {
             queue_cap: None,
             ..ResilienceConfig::default()
         });
-        assert_eq!(format!("{:?}", base.reports), format!("{:?}", tweaked.reports));
+        assert_eq!(
+            format!("{:?}", base.reports),
+            format!("{:?}", tweaked.reports)
+        );
         assert_eq!(base.summary(), tweaked.summary());
         assert!(base.resilience.is_none() && tweaked.resilience.is_none());
     }
@@ -1766,8 +1783,7 @@ mod tests {
             ..ResilienceConfig::default()
         };
         let run = || {
-            let serve =
-                ServeSim::new(&[(&spec, 0)], serve_cfg(c.clone(), ServeSched::Fifo, res));
+            let serve = ServeSim::new(&[(&spec, 0)], serve_cfg(c.clone(), ServeSched::Fifo, res));
             serve.run_with(|_| Box::new(LruPolicy::new()))
         };
         let x = run();
@@ -1864,7 +1880,10 @@ mod tests {
             sr.reports[deg].stats.hits, 0,
             "cache bypass: nothing it computes is ever cached"
         );
-        assert!(sr.reports[ok].stats.hits > 0, "the admitted app caches normally");
+        assert!(
+            sr.reports[ok].stats.hits > 0,
+            "the admitted app caches normally"
+        );
         assert!(sr.reports[deg].tasks > 0, "degraded apps still run");
         assert!(sr.summary().contains("1 degraded"));
     }
@@ -1882,9 +1901,17 @@ mod tests {
         c.arrivals = ArrivalProcess::Trace(vec![0, 100_000]);
         let serve = ServeSim::new(&[(&a, 0), (&b, 1)], c);
         let sr = serve.run_with(|_| Box::new(LruPolicy::new()));
-        let res = sr.resilience.as_ref().expect("deadline makes the run non-passive");
-        assert_eq!(res.met_deadline(0, sr.arrivals[0], sr.completions[0]), Some(false));
-        assert!(sr.summary().contains("slo: 0/2 met the 0.000s deadline (0.0% attainment)"));
+        let res = sr
+            .resilience
+            .as_ref()
+            .expect("deadline makes the run non-passive");
+        assert_eq!(
+            res.met_deadline(0, sr.arrivals[0], sr.completions[0]),
+            Some(false)
+        );
+        assert!(sr
+            .summary()
+            .contains("slo: 0/2 met the 0.000s deadline (0.0% attainment)"));
         let sums = sr.tenant_summaries();
         assert_eq!(sums[0].deadline_misses + sums[1].deadline_misses, 2);
         // And the run itself is byte-identical to the passive one: deadline
@@ -1894,12 +1921,19 @@ mod tests {
             c2.arrivals = ArrivalProcess::Trace(vec![0, 100_000]);
             ServeSim::new(&[(&a, 0), (&b, 1)], c2).run_with(|_| Box::new(LruPolicy::new()))
         };
-        assert_eq!(format!("{:?}", sr.reports), format!("{:?}", passive.reports));
+        assert_eq!(
+            format!("{:?}", sr.reports),
+            format!("{:?}", passive.reports)
+        );
     }
 
     #[test]
     fn validate_owns_every_serve_config_error() {
-        let ok = serve_cfg(cfg(2, 2 << 20), ServeSched::Fifo, ResilienceConfig::default());
+        let ok = serve_cfg(
+            cfg(2, 2 << 20),
+            ServeSched::Fifo,
+            ResilienceConfig::default(),
+        );
         ok.validate().unwrap();
         let mut no_nodes = ok.clone();
         no_nodes.sim.cluster.nodes = 0;

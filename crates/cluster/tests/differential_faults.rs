@@ -74,7 +74,12 @@ fn inert_plan() -> FaultPlan {
     }
 }
 
-fn run_once(spec: &AppSpec, plan: &AppPlan, cfg: SimConfig, build: &Build) -> (RunReport, Decisions) {
+fn run_once(
+    spec: &AppSpec,
+    plan: &AppPlan,
+    cfg: SimConfig,
+    build: &Build,
+) -> (RunReport, Decisions) {
     let (mut rec, log) = Recorder::wrap(build());
     let report = Simulation::new(spec, plan, ProfileMode::Recurring, cfg).run(&mut *rec);
     (report, snapshot(&log))
@@ -88,7 +93,10 @@ fn assert_invisible(p: &Params) {
         assert!(clean_cfg.faults.is_empty(), "default plan must be empty");
         let mut inert_cfg = build_cfg(p, &spec);
         inert_cfg.faults = inert_plan();
-        assert!(inert_cfg.faults.is_empty(), "inert plan must count as empty");
+        assert!(
+            inert_cfg.faults.is_empty(),
+            "inert plan must count as empty"
+        );
         let (clean_report, clean_rec) = run_once(&spec, &plan, clean_cfg, &build);
         let (inert_report, inert_rec) = run_once(&spec, &plan, inert_cfg, &build);
         assert!(clean_report.faults.is_empty(), "fault-free run drew faults");

@@ -451,7 +451,10 @@ fn stream_digests() -> String {
         let (report, decisions) = run_stream(&stream, &cfg, &tweak);
         if name == "pressure chaos" {
             let crashes: u64 = report.reports.iter().map(|r| r.faults.crashes).sum();
-            assert!(crashes > 0, "the chaos plan must take nodes down during the stream");
+            assert!(
+                crashes > 0,
+                "the chaos plan must take nodes down during the stream"
+            );
         }
         evicting += assert_evictions_conserved(&name, &report) as usize;
         out.push_str(&stream_line(&name, &report, &decisions));
@@ -503,7 +506,10 @@ fn interned_plans_match_from_scratch_planning() {
         );
         offset += spec.rdds.len() as u32;
     }
-    assert!(cache.len() < 48, "repeat structures must hit the template cache");
+    assert!(
+        cache.len() < 48,
+        "repeat structures must hit the template cache"
+    );
 }
 
 /// A `ResilienceConfig` with every *inert* knob set to a non-default value
@@ -534,8 +540,14 @@ fn inert_resilience_config_is_byte_invisible_everywhere() {
             "inert resilience config changed the report (fair_share={fair_share})"
         );
         assert_eq!(base.summary(), res.summary());
-        assert_eq!(blog, rlog, "decision sequences diverged under an inert config");
-        assert!(res.resilience.is_none(), "passive config must not report resilience");
+        assert_eq!(
+            blog, rlog,
+            "decision sequences diverged under an inert config"
+        );
+        assert!(
+            res.resilience.is_none(),
+            "passive config must not report resilience"
+        );
     }
 }
 
@@ -549,7 +561,10 @@ fn chaos_fault_sequence_replays_from_the_seed() {
     let (stream, cfg) = pressure_stream();
     let (st, slog) = run_stream(&stream, &cfg, &chaos);
     let total: u64 = st.reports.iter().map(|r| r.faults.crashes).sum();
-    assert!(total > 0, "chaos plan must take nodes down during the stream");
+    assert!(
+        total > 0,
+        "chaos plan must take nodes down during the stream"
+    );
     let (again, alog) = run_stream(&stream, &cfg, &chaos);
     assert_eq!(format!("{st:?}"), format!("{again:?}"));
     assert_eq!(slog, alog);
@@ -720,7 +735,10 @@ fn admission_digests() -> String {
             continue;
         }
         let (report, _) = run_stream(&stream, &cfg, &|sc| apply_variant(variant, sc));
-        let res = report.resilience.as_ref().expect("an active config reports");
+        let res = report
+            .resilience
+            .as_ref()
+            .expect("an active config reports");
         let mut timeline = String::new();
         for (i, &done) in report.completions.iter().enumerate() {
             degraded += res.degraded[i] as usize;

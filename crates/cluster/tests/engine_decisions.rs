@@ -179,7 +179,11 @@ fn state_corpus() -> Vec<(String, StateApp, StateCfg)> {
             two_rdds: g.flip(),
         };
         // Small clusters, and the sparse regime: nodes >> partitions.
-        let nodes = if g.flip() { g.range(1, 4) } else { g.range(9, 40) } as u32;
+        let nodes = if g.flip() {
+            g.range(1, 4)
+        } else {
+            g.range(9, 40)
+        } as u32;
         let cfg = StateCfg {
             nodes,
             cache_frac: g.pick(&[0.0, 0.3, 0.6, 2.0]),
@@ -189,7 +193,11 @@ fn state_corpus() -> Vec<(String, StateApp, StateCfg)> {
             adaptive: g.flip(),
             failure: g.flip(),
             rejoin: if nodes > 1 && g.flip() {
-                Some((g.below(nodes as u64) as u32, g.range(1, 4) as u32, g.range(1, 3) as u32))
+                Some((
+                    g.below(nodes as u64) as u32,
+                    g.range(1, 4) as u32,
+                    g.range(1, 3) as u32,
+                ))
             } else {
                 None
             },

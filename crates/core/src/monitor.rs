@@ -165,9 +165,11 @@ impl CacheMonitor {
             ..
         } = self;
         index.clear();
-        index.extend(last_touch.iter().map(|(&b, &touch)| {
-            ((Reverse(dist.get(b.rdd)), Reverse(enc(*tie, touch))), b)
-        }));
+        index.extend(
+            last_touch
+                .iter()
+                .map(|(&b, &touch)| ((Reverse(dist.get(b.rdd)), Reverse(enc(*tie, touch))), b)),
+        );
         self.index_version = self.synced_version;
     }
 

@@ -124,8 +124,8 @@ impl MrdPolicy {
             self.monitors.resize_with(node.index() + 1, || None);
         }
         let tie = self.cfg.tie_break;
-        let mon = self.monitors[node.index()]
-            .get_or_insert_with(|| CacheMonitor::with_tie(node, tie));
+        let mon =
+            self.monitors[node.index()].get_or_insert_with(|| CacheMonitor::with_tie(node, tie));
         self.manager.sync_monitor(mon);
         mon
     }
@@ -219,7 +219,8 @@ impl CachePolicy for MrdPolicy {
         resident: &BTreeMap<BlockId, u64>,
     ) -> Vec<BlockId> {
         if self.uses_mrd_eviction() {
-            self.monitor_synced(node).select_victims(shortfall, resident)
+            self.monitor_synced(node)
+                .select_victims(shortfall, resident)
         } else {
             self.lru_index.select(node, shortfall, resident)
         }

@@ -10,9 +10,7 @@
 
 use proptest::prelude::*;
 use refdist_core::{DistanceMetric, MrdConfig, MrdMode, MrdPolicy, TieBreak};
-use refdist_dag::{
-    AppProfile, BlockId, BlockSlots, JobId, RddId, RddRefs, StageId, StageTouches,
-};
+use refdist_dag::{AppProfile, BlockId, BlockSlots, JobId, RddId, RddRefs, StageId, StageTouches};
 use refdist_policies::CachePolicy;
 use refdist_store::NodeId;
 use std::collections::BTreeMap;
@@ -164,7 +162,8 @@ fn assert_equivalent(cfg: MrdConfig, slots: &Arc<BlockSlots>, events: &[Ev]) {
                 let va = naive_select(&mut reference, n, shortfall, &mut ra[n.0 as usize]);
                 let vb = batched_select(&mut indexed, n, shortfall, &mut rb[n.0 as usize]);
                 assert_eq!(
-                    va, vb,
+                    va,
+                    vb,
                     "victim sequences diverged ({}, tie {:?}, node {n:?}, shortfall {shortfall})",
                     reference.name(),
                     cfg.tie_break,

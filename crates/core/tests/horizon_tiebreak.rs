@@ -50,7 +50,9 @@ fn profile(entries: &[(u32, &[u32])]) -> AppProfile {
 /// as the drivers attach one before any other hook.
 fn policy_with(cfg: MrdConfig, entries: &[(u32, &[u32])]) -> MrdPolicy {
     let mut p = MrdPolicy::new(cfg);
-    p.attach_slots(&Arc::new(BlockSlots::from_counts((0..3).map(|r| (RddId(r), 1)))));
+    p.attach_slots(&Arc::new(BlockSlots::from_counts(
+        (0..3).map(|r| (RddId(r), 1)),
+    )));
     p.on_job_submit(JobId(0), &profile(entries));
     p
 }
@@ -126,7 +128,10 @@ fn monitor_applies_horizon_per_call() {
     // pure function of the argument, not cached state.
     let mut m = monitor(&[(0, &[2]), (1, &[4]), (2, &[8])]);
     let all = [blk(0, 0), blk(1, 0), blk(2, 0)];
-    assert_eq!(m.prefetch_order(&all, 0), vec![blk(0, 0), blk(1, 0), blk(2, 0)]);
+    assert_eq!(
+        m.prefetch_order(&all, 0),
+        vec![blk(0, 0), blk(1, 0), blk(2, 0)]
+    );
     assert_eq!(m.prefetch_order(&all, 4), vec![blk(0, 0), blk(1, 0)]);
     assert_eq!(m.prefetch_order(&all, 1), Vec::<BlockId>::new());
 }
@@ -205,6 +210,10 @@ fn policy_routes_configured_tiebreak_to_monitor() {
         let mut p = policy_with(cfg, &[(0, &[5]), (1, &[5])]);
         p.on_insert(N, blk(0, 0));
         p.on_insert(N, blk(1, 0));
-        assert_eq!(p.pick_victim(N, &[blk(0, 0), blk(1, 0)]), Some(expect), "{tie:?}");
+        assert_eq!(
+            p.pick_victim(N, &[blk(0, 0), blk(1, 0)]),
+            Some(expect),
+            "{tie:?}"
+        );
     }
 }

@@ -325,10 +325,8 @@ impl SlotArena {
         if slot_len > 0 {
             // Insert into the sorted free list, coalescing with neighbors.
             let i = self.free.partition_point(|&(b, _)| b < slot_base);
-            let merge_prev =
-                i > 0 && self.free[i - 1].0 + self.free[i - 1].1 == slot_base;
-            let merge_next =
-                i < self.free.len() && slot_base + slot_len == self.free[i].0;
+            let merge_prev = i > 0 && self.free[i - 1].0 + self.free[i - 1].1 == slot_base;
+            let merge_next = i < self.free.len() && slot_base + slot_len == self.free[i].0;
             match (merge_prev, merge_next) {
                 (true, true) => {
                     self.free[i - 1].1 += slot_len + self.free[i].1;
@@ -449,7 +447,6 @@ impl<V> SlotMap<V> {
         (i < self.vals.len()).then_some(i)
     }
 
-
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
@@ -511,7 +508,10 @@ impl<V> SlotMap<V> {
     /// there).
     #[inline]
     pub fn block_at(&self, slot: u32) -> BlockId {
-        self.slots.as_ref().expect("entries imply an arena").block(slot)
+        self.slots
+            .as_ref()
+            .expect("entries imply an arena")
+            .block(slot)
     }
 
     /// Insert or overwrite, returning the previous value. The window
@@ -577,10 +577,13 @@ impl<V> SlotMap<V> {
     /// Iterate entries mutably, ascending by slot.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (BlockId, &mut V)> + '_ {
         let slots = self.slots.as_deref();
-        self.vals.iter_mut().zip(self.lo..).filter_map(move |(v, s)| {
-            v.as_mut()
-                .map(|v| (slots.expect("entries imply an arena").block(s), v))
-        })
+        self.vals
+            .iter_mut()
+            .zip(self.lo..)
+            .filter_map(move |(v, s)| {
+                v.as_mut()
+                    .map(|v| (slots.expect("entries imply an arena").block(s), v))
+            })
     }
 
     /// Iterate the entries whose slot lies in `run`, ascending by slot —
@@ -1029,7 +1032,10 @@ mod tests {
         assert_eq!((m.get_at(70), m.block_at(70)), (Some(&3), blk(70)));
         *m.get_at_mut(100).unwrap() += 1;
         assert_eq!(m.get(blk(100)), Some(&5));
-        assert_eq!((m.get_at(69), m.get_at(131), m.get_at(99)), (None, None, None));
+        assert_eq!(
+            (m.get_at(69), m.get_at(131), m.get_at(99)),
+            (None, None, None)
+        );
         *m.get_mut(blk(100)).unwrap() = 4;
         // Removal down to empty, then writes on both sides of the old
         // window; `clear` resets it.
@@ -1054,9 +1060,8 @@ mod tests {
         for s in [10u32, 20, 64, 65, 150] {
             m.insert(blk(s), s);
         }
-        let run = |r: std::ops::Range<u32>| -> Vec<u32> {
-            m.iter_run(r).map(|(_, &v)| v).collect()
-        };
+        let run =
+            |r: std::ops::Range<u32>| -> Vec<u32> { m.iter_run(r).map(|(_, &v)| v).collect() };
         assert_eq!(run(0..u32::MAX), vec![10, 20, 64, 65, 150]);
         assert_eq!(run(20..65), vec![20, 64]);
         assert_eq!(run(0..10), Vec::<u32>::new());
@@ -1080,7 +1085,10 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(
             entries(&m),
-            vec![(BlockId::new(RddId(1), 2), 7), (BlockId::new(RddId(2), 0), 8)]
+            vec![
+                (BlockId::new(RddId(1), 2), 7),
+                (BlockId::new(RddId(2), 0), 8)
+            ]
         );
     }
 

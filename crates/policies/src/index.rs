@@ -129,7 +129,10 @@ impl<K: Ord + Copy> VictimIndex<K> {
     /// Key the per-block table by `slots` (the runtime's arena). Called
     /// once, on an empty index.
     pub fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
-        debug_assert!(self.blocks.is_empty(), "slot arena attached to a non-empty index");
+        debug_assert!(
+            self.blocks.is_empty(),
+            "slot arena attached to a non-empty index"
+        );
         self.blocks = SlotMap::new(Arc::clone(slots));
     }
 
@@ -350,7 +353,10 @@ impl RecencyIndex {
     /// Key the per-block table by `slots` (the runtime's arena). Called
     /// once, on an empty index.
     pub fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
-        debug_assert!(self.blocks.is_empty(), "slot arena attached to a non-empty index");
+        debug_assert!(
+            self.blocks.is_empty(),
+            "slot arena attached to a non-empty index"
+        );
         self.blocks = SlotMap::new(Arc::clone(slots));
     }
 
@@ -552,7 +558,9 @@ impl RecencyIndex {
     /// The copy on `node` of the block in `slot`, a list neighbour.
     fn link_at(&mut self, slot: u32, node: NodeId) -> &mut Link {
         let e = self.entry_at(slot);
-        let i = e.position(node).expect("list neighbour has a copy on the node");
+        let i = e
+            .position(node)
+            .expect("list neighbour has a copy on the node");
         e.nth(i)
     }
 }

@@ -115,7 +115,10 @@ impl CachePolicy for LrcPolicy {
     }
 
     fn attach_slots(&mut self, slots: &Arc<BlockSlots>) {
-        debug_assert!(self.consumed.is_empty(), "slot arena attached after a consume");
+        debug_assert!(
+            self.consumed.is_empty(),
+            "slot arena attached after a consume"
+        );
         self.consumed = SlotMap::new(Arc::clone(slots));
         self.index.attach_slots(slots);
     }

@@ -10,9 +10,7 @@
 //! before any other hook, as the drivers attach one.
 
 use proptest::prelude::*;
-use refdist_dag::{
-    AppProfile, BlockId, BlockSlots, JobId, RddId, RddRefs, StageId, StageTouches,
-};
+use refdist_dag::{AppProfile, BlockId, BlockSlots, JobId, RddId, RddRefs, StageId, StageTouches};
 use refdist_policies::{
     BeladyMinPolicy, CachePolicy, FifoPolicy, LrcPolicy, LruPolicy, MemTunePolicy, RandomPolicy,
 };
@@ -199,7 +197,8 @@ fn assert_equivalent(
                 let va = naive_select(reference.as_mut(), n, shortfall, ca.at(n));
                 let vb = batched_select(indexed.as_mut(), n, shortfall, cb.at(n));
                 assert_eq!(
-                    va, vb,
+                    va,
+                    vb,
                     "victim sequences diverged (policy {}, node {n:?}, shortfall {shortfall})",
                     reference.name(),
                 );

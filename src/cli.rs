@@ -456,8 +456,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }),
         "chaos" => Ok(Command::Chaos {
             workload: workload_arg()?,
-            policies: policies
-                .unwrap_or_else(|| vec!["lru".into(), "lrc".into(), "mrd".into()]),
+            policies: policies.unwrap_or_else(|| vec!["lru".into(), "lrc".into(), "mrd".into()]),
             rates,
             cache_fraction,
             cluster,
@@ -1445,7 +1444,11 @@ mod tests {
             }
             other => panic!("wrong parse: {other:?}"),
         }
-        match parse(&args("chaos CC --policies lru,mrd --rates 0.05 --threads 2 --csv")).unwrap() {
+        match parse(&args(
+            "chaos CC --policies lru,mrd --rates 0.05 --threads 2 --csv",
+        ))
+        .unwrap()
+        {
             Command::Chaos {
                 policies,
                 rates,
@@ -1807,7 +1810,10 @@ mod tests {
         assert!(out.contains("serve: 3 apps over 3 tenants, fair-share, quota unlimited"));
         assert!(out.contains("serve: 3 apps over 3 tenants, fair-share, quota equal-share"));
         for t in 0..3 {
-            assert!(out.contains(&format!("tenant {t}: 1 apps, mean JCT ")), "{out}");
+            assert!(
+                out.contains(&format!("tenant {t}: 1 apps, mean JCT ")),
+                "{out}"
+            );
         }
         assert!(out.contains("p95") && out.contains("p99"));
         assert!(out.contains("cross-tenant evictions"));

@@ -150,17 +150,14 @@ fn serve_churn_matches_golden() {
     let spec = Workload::ShortestPaths.build(&ctx.params);
     let footprint: u64 = spec.cached_rdds().map(|r| r.total_size()).sum();
     let cache = (((footprint as f64) * 0.5 / ctx.cluster.nodes as f64) as u64).max(1);
-    let subs: Vec<(&AppSpec, u32)> =
-        (0..6u32).map(|i| (&spec, i % 3)).collect::<Vec<_>>();
+    let subs: Vec<(&AppSpec, u32)> = (0..6u32).map(|i| (&spec, i % 3)).collect::<Vec<_>>();
     let mut sim = SimConfig::new(ctx.cluster.with_cache(cache)).with_seed(11);
     sim.faults = ctx.faults.clone();
     let serve = ServeSim::new(
         &subs,
         ServeConfig {
             sim,
-            arrivals: ArrivalProcess::Trace(vec![
-                0, 50_000, 100_000, 150_000, 200_000, 250_000,
-            ]),
+            arrivals: ArrivalProcess::Trace(vec![0, 50_000, 100_000, 150_000, 200_000, 250_000]),
             sched: ServeSched::FairShare,
             quota: QuotaKind::Unlimited,
             resilience: ResilienceConfig {

@@ -40,11 +40,19 @@ fn simulates_128_nodes_with_delay_scheduling_and_migrations() {
     let nodes = 128;
     let spec = wide_app(nodes);
     let plan = AppPlan::build(&spec);
-    let sim = Simulation::new(&spec, &plan, ProfileMode::Recurring, large_cfg(nodes, 1 << 40));
+    let sim = Simulation::new(
+        &spec,
+        &plan,
+        ProfileMode::Recurring,
+        large_cfg(nodes, 1 << 40),
+    );
     let mut lru = PolicyKind::Lru.build();
     let r = sim.run(&mut *lru);
 
-    assert_eq!(r.tasks, plan.stages.iter().map(|s| s.num_tasks as u64).sum::<u64>());
+    assert_eq!(
+        r.tasks,
+        plan.stages.iter().map(|s| s.num_tasks as u64).sum::<u64>()
+    );
     assert_eq!(
         r.sched.home_placements + r.sched.remote_placements,
         r.tasks,

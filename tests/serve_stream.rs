@@ -69,7 +69,9 @@ fn run(n: usize, tenants: u32) -> ServeReport {
             // Mean gap well below one app's runtime, so submissions overlap
             // and the cache stays contended, but far fewer than `n` apps
             // are ever live at once.
-            arrivals: ArrivalProcess::Poisson { mean_gap_us: 40_000 },
+            arrivals: ArrivalProcess::Poisson {
+                mean_gap_us: 40_000,
+            },
             sched: ServeSched::FairShare,
             quota: QuotaKind::EqualShare,
             resilience: Default::default(),
@@ -82,7 +84,11 @@ fn run(n: usize, tenants: u32) -> ServeReport {
 fn thousand_submission_stream_is_bounded_and_equivalent() {
     const N: usize = 1_000;
     let st = run(N, 4);
-    check_golden("serve_stream.txt", &stream_line("fair-share x1000", &st), REGEN);
+    check_golden(
+        "serve_stream.txt",
+        &stream_line("fair-share x1000", &st),
+        REGEN,
+    );
 
     // A whole-stream arena would hold every submission's slots; the
     // streaming arena must track peak concurrency instead. With ~25 stages
@@ -134,7 +140,9 @@ fn template_cache_is_bounded_by_distinct_structures() {
         &subs,
         ServeConfig {
             sim: stream_cfg(42),
-            arrivals: ArrivalProcess::Poisson { mean_gap_us: 40_000 },
+            arrivals: ArrivalProcess::Poisson {
+                mean_gap_us: 40_000,
+            },
             sched: ServeSched::FairShare,
             quota: QuotaKind::EqualShare,
             resilience: Default::default(),
@@ -158,7 +166,9 @@ fn fifo_and_quota_streams_match_golden() {
             &subs,
             ServeConfig {
                 sim: stream_cfg(7),
-                arrivals: ArrivalProcess::Poisson { mean_gap_us: 25_000 },
+                arrivals: ArrivalProcess::Poisson {
+                    mean_gap_us: 25_000,
+                },
                 sched: ServeSched::Fifo,
                 quota,
                 resilience: Default::default(),
