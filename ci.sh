@@ -4,11 +4,18 @@
 #   ./ci.sh
 #
 # Mirrors what a hosted pipeline would run; every step must pass. The
-# tier-1 subset (release build + root-package tests) comes first so the
-# cheapest signal fails fastest, then the full workspace test suite and
-# clippy and rustdoc with warnings promoted to errors.
+# format check and the tier-1 subset (release build + root-package tests)
+# come first so the cheapest signal fails fastest, then the full workspace
+# test suite and clippy and rustdoc with warnings promoted to errors.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# Format: the workspace and the benchmark package (a workspace of its own)
+# must both be rustfmt-clean. Both steps only read files.
+echo "==> cargo fmt --all -- --check"
+cargo fmt --all -- --check
+echo "==> cargo fmt --manifest-path refbench/Cargo.toml -- --check"
+cargo fmt --manifest-path refbench/Cargo.toml -- --check
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
