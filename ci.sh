@@ -128,6 +128,18 @@ cargo test -q --test paper_claims
 # its unit tests and lints run against its own manifest.
 echo "==> cargo test --offline --manifest-path refbench/Cargo.toml"
 cargo test --offline --manifest-path refbench/Cargo.toml
+
+# The benchmark's own output checks at toy sizes, 22 over the four
+# workloads: each digest identical across reps, the traced digest equal to
+# the untraced one, conservation (submitted = completed + aborted + shed)
+# and store.bad_victims = 0. refbench exits non-zero when any check fails;
+# the failing checks are printed then.
+echo "==> cargo run --release --offline -q --manifest-path refbench/Cargo.toml -- --smoke --trace 1"
+smoke_out="$(mktemp)"
+cargo run --release --offline -q --manifest-path refbench/Cargo.toml -- --smoke --trace 1 \
+  > "$smoke_out" \
+  || { grep -E '^== |^  FAIL' "$smoke_out"; echo "refbench smoke: a check failed"; exit 1; }
+rm -f "$smoke_out"
 echo "==> cargo clippy --offline --all-targets --manifest-path refbench/Cargo.toml -- -D warnings"
 cargo clippy --offline --all-targets --manifest-path refbench/Cargo.toml -- -D warnings
 

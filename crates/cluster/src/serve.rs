@@ -52,7 +52,6 @@ use refdist_dag::{
 use refdist_policies::CachePolicy;
 use refdist_simcore::{SimDuration, SimTime};
 use refdist_store::{CacheStats, NodeId};
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::mem::take;
@@ -338,16 +337,21 @@ impl ServeConfig {
     }
 }
 
-/// One admitted submission inside a [`TenantMux`].
+/// One entry of a [`TenantMux`]'s slab: an admitted submission, or a free
+/// entry a retired one left for the next admission to reuse.
 struct Live {
-    policy: Box<dyn CachePolicy>,
+    /// `None` while the entry is free.
+    policy: Option<Box<dyn CachePolicy>>,
     /// Per node: this submission's blocks resident there, with sizes — the
-    /// exact map its policy's `select_victims` is handed. An entry inserted
-    /// since the node's last victim selection holds size 0 until that
-    /// selection reads the size off the node's resident map (see
-    /// [`TenantMux::unread`]).
-    own: Vec<BTreeMap<BlockId, u64>>,
+    /// exact map its policy's `select_victims` is handed. Every map is
+    /// empty at retirement, so a reused entry starts clean.
+    own: Box<[BTreeMap<BlockId, u64>]>,
+    /// The submission's block-size column in [`TenantMux::sizes`].
+    column: usize,
 }
+
+/// [`TenantMux::slot`] of a submission with no slab entry.
+const FREE: u32 = u32::MAX;
 
 /// Multiplexes [`CachePolicy`] callbacks over one policy instance per
 /// submission. Block-keyed hooks route to the block's owning submission
@@ -358,18 +362,23 @@ struct Live {
 /// single submission every dispatch is a full pass-through — the
 /// byte-equality anchor of the differential serve tests.
 ///
-/// Victim selection works off state the mux keeps incrementally from the
-/// `on_insert`/`on_remove` hooks it routes anyway: per (node, submission)
-/// resident maps and per (node, tenant) byte totals. An eviction therefore
-/// hands each inner policy its own-blocks map as is — no per-call split of
-/// the node's resident map, no allocation, no per-block owner lookup — and
-/// costs O(active submissions) plus the inner policies' own work.
+/// Victim selection works off per (node, submission) resident maps, sized
+/// at admission, and per (node, tenant) byte totals, kept from the hooks
+/// the mux routes anyway; a retired submission's slab entry serves the
+/// next admission. An eviction hands each inner policy its own-blocks map
+/// as is and ranks other tenants only when the evicting tenant falls
+/// short, so a self-eviction costs O(the evicting tenant's submissions).
 pub struct TenantMux {
-    /// One slot per submission; `None` before admission and after
-    /// retirement.
-    inner: Vec<Option<Live>>,
-    /// Admitted, unretired submissions, ascending.
-    active: Vec<usize>,
+    /// Per submission: its entry in `live`, or [`FREE`] when not admitted.
+    slot: Vec<u32>,
+    /// Slab of per-submission state, O(peak active) entries.
+    live: Vec<Live>,
+    /// Admitted, unretired submissions as `(tenant, submission)`,
+    /// ascending: each tenant's submissions are one run.
+    active: Vec<(u32, u32)>,
+    /// Distinct `(local rdd, block size)` columns of submissions' cached
+    /// RDDs, ascending: one per template, searched linearly at admission.
+    sizes: Vec<Vec<(RddId, u64)>>,
     /// The full submission → tenant map (shared with the stores).
     map: Arc<TenantMap>,
     /// The latest slot-arena snapshot (`None` before the first admission):
@@ -379,71 +388,82 @@ pub struct TenantMux {
     /// `[evictor_tenant][victim_tenant]` victim-selection counts; the
     /// diagonal counts a tenant evicting its own blocks.
     cross: Vec<Vec<u64>>,
-    /// Per node, per tenant: bytes of the tenant's blocks resident there
-    /// (sized entries of the `own` maps).
-    tenant_bytes: Vec<Vec<u64>>,
-    /// Per node: entries across every submission's `own` map.
-    node_blocks: Vec<usize>,
-    /// Per node: `(submission, block)` inserted since the node's last
-    /// victim selection — their sizes are still unread. The next selection
-    /// on the node reads each off the resident map it is handed, once.
-    /// Stale entries (removed since) are skipped then, and compacted away
-    /// when the list outgrows the node's residency, so it stays O(resident).
-    unread: Vec<Vec<(usize, BlockId)>>,
-    /// `select_victims` scratch, reused across calls: the submission visit
-    /// order and the other-tenant sort buffer.
-    order: Vec<usize>,
+    /// Bytes of each tenant's blocks resident on each node (the sum of its
+    /// submissions' `own` maps), one row of tenants per node.
+    tenant_bytes: Vec<u64>,
+    /// `select_victims` scratch: the other tenants in visit order.
     others: Vec<usize>,
 }
 
 impl TenantMux {
-    /// A mux over `n` submissions, none admitted yet. Policies arrive one
-    /// at a time through [`TenantMux::admit`].
-    pub fn new(n: usize, map: Arc<TenantMap>) -> TenantMux {
-        assert_eq!(n, map.num_apps(), "one slot per submission");
+    /// A mux over `map`'s submissions on `nodes` nodes, none admitted yet.
+    /// Policies arrive one at a time through [`TenantMux::admit`].
+    pub fn new(nodes: usize, map: Arc<TenantMap>) -> TenantMux {
         let nt = map.num_tenants();
         TenantMux {
-            inner: (0..n).map(|_| None).collect(),
+            slot: vec![FREE; map.num_apps()],
+            live: Vec::new(),
             active: Vec::new(),
+            sizes: Vec::new(),
             map,
             arena: None,
             current: 0,
             cross: vec![vec![0; nt]; nt],
-            tenant_bytes: Vec::new(),
-            node_blocks: Vec::new(),
-            unread: Vec::new(),
-            order: Vec::new(),
+            tenant_bytes: vec![0; nodes * nt],
             others: Vec::with_capacity(nt),
         }
     }
 
-    /// Admit submission `app`: install its policy and attach the current
-    /// slot-arena snapshot, which also becomes the mux's ownership table.
-    pub fn admit(&mut self, app: usize, mut policy: Box<dyn CachePolicy>, slots: &Arc<BlockSlots>) {
-        debug_assert!(self.inner[app].is_none(), "each submission admits once");
+    /// Admit submission `app`: install its policy, attach the current
+    /// slot-arena snapshot (which also becomes the mux's ownership table)
+    /// and record its cached RDDs' `(local rdd, block size)`, ascending.
+    pub fn admit(
+        &mut self,
+        app: usize,
+        mut policy: Box<dyn CachePolicy>,
+        slots: &Arc<BlockSlots>,
+        sizes: impl Iterator<Item = (RddId, u64)> + Clone,
+    ) {
         policy.attach_slots(slots);
         self.arena = Some(Arc::clone(slots));
-        self.inner[app] = Some(Live {
-            policy,
-            own: Vec::new(),
+        let same = |c: &Vec<_>| c.iter().copied().eq(sizes.clone());
+        let column = self.sizes.iter().position(same).unwrap_or_else(|| {
+            self.sizes.push(sizes.collect());
+            self.sizes.len() - 1
         });
-        if let Err(pos) = self.active.binary_search(&app) {
-            self.active.insert(pos, app);
-        }
+        let i = self.live.iter().position(|l| l.policy.is_none());
+        let i = i.unwrap_or_else(|| {
+            let nodes = self.tenant_bytes.len() / self.cross.len();
+            let own = (0..nodes).map(|_| BTreeMap::new()).collect();
+            self.live.push(Live {
+                policy: None,
+                own,
+                column,
+            });
+            self.live.len() - 1
+        });
+        self.live[i].policy = Some(policy);
+        self.live[i].column = column;
+        self.slot[app] = i as u32;
+        let key = (self.map.tenant_of_app(app), app as u32);
+        let pos = self.active.binary_search(&key).expect_err("admitted twice");
+        self.active.insert(pos, key);
     }
 
     /// Retire submission `app`: drop its policy instance (and everything
-    /// the policy holds — profile cursors, slot-keyed tables) and remove it
-    /// from the active set. Its cross-eviction counts are kept.
+    /// the policy holds — profile cursors, slot-keyed tables) and free its
+    /// slab entry. Its cross-eviction counts are kept.
     pub fn retire(&mut self, app: usize) {
-        let live = self.inner[app].take();
+        let live = self.entry(app);
         debug_assert!(
-            live.is_some_and(|l| l.own.iter().all(BTreeMap::is_empty)),
-            "retire follows admit, and a retiring submission holds no memory"
+            live.own.iter().all(BTreeMap::is_empty),
+            "a retiring submission holds no memory"
         );
-        if let Ok(pos) = self.active.binary_search(&app) {
-            self.active.remove(pos);
-        }
+        live.policy = None;
+        self.slot[app] = FREE;
+        let key = (self.map.tenant_of_app(app), app as u32);
+        let pos = self.active.binary_search(&key).expect("retired twice");
+        self.active.remove(pos);
     }
 
     /// Admitted, unretired submissions right now.
@@ -451,15 +471,20 @@ impl TenantMux {
         self.active.len()
     }
 
+    /// Whether submission `app` is admitted and not yet retired.
+    pub fn is_active(&self, app: usize) -> bool {
+        self.slot[app] != FREE
+    }
+
     /// Route subsequent current-submission hooks to submission `app`.
     pub fn set_current(&mut self, app: usize) {
-        debug_assert!(app < self.inner.len());
+        debug_assert!(app < self.slot.len());
         self.current = app;
     }
 
     /// The policy name of submission `app` (which must be live).
     pub fn policy_name(&self, app: usize) -> String {
-        self.live(app).policy.name()
+        self.policy(app).name()
     }
 
     /// The cross-tenant eviction matrix accumulated so far
@@ -468,15 +493,22 @@ impl TenantMux {
         &self.cross
     }
 
-    fn live(&self, app: usize) -> &Live {
-        self.inner[app].as_ref().expect("live submission")
+    fn entry(&mut self, app: usize) -> &mut Live {
+        &mut self.live[self.slot[app] as usize]
     }
 
-    fn cur(&mut self) -> &mut Box<dyn CachePolicy> {
-        &mut self.inner[self.current]
-            .as_mut()
-            .expect("current submission is admitted")
-            .policy
+    fn policy(&self, app: usize) -> &dyn CachePolicy {
+        let live = &self.live[self.slot[app] as usize];
+        live.policy.as_deref().expect("submission is admitted")
+    }
+
+    fn policy_mut(&mut self, app: usize) -> &mut dyn CachePolicy {
+        let live = self.entry(app);
+        live.policy.as_deref_mut().expect("submission is admitted")
+    }
+
+    fn cur(&mut self) -> &mut dyn CachePolicy {
+        self.policy_mut(self.current)
     }
 
     /// The submission owning `block`: O(1) off the arena snapshot.
@@ -490,93 +522,88 @@ impl TenantMux {
     /// Whether victim selection needs the per-(node, submission) state: a
     /// single submission selects over the node map directly.
     fn tracking(&self) -> bool {
-        self.inner.len() > 1
+        self.slot.len() > 1
     }
 
-    /// Size the per-node tables to cover `node`.
-    fn cover_node(&mut self, node: usize) {
-        if self.tenant_bytes.len() <= node {
-            let nt = self.cross.len();
-            self.tenant_bytes.resize_with(node + 1, || vec![0; nt]);
-            self.node_blocks.resize(node + 1, 0);
-            self.unread.resize_with(node + 1, Vec::new);
+    /// Tenant `t`'s submissions: its run of `active`.
+    fn tenant_run(&self, t: usize) -> std::ops::Range<usize> {
+        let lo = self.active.partition_point(|&(u, _)| (u as usize) < t);
+        lo..lo + self.active[lo..].partition_point(|&(u, _)| u as usize == t)
+    }
+
+    /// Tenant `t`'s bytes on `node`.
+    fn bytes(&mut self, node: usize, t: usize) -> &mut u64 {
+        &mut self.tenant_bytes[node * self.cross.len() + t]
+    }
+
+    /// Offer `node`'s shortfall to tenant `t`'s submissions in submission
+    /// order until `freed` covers it, counting the picks into `cross`.
+    fn visit_tenant(
+        &mut self,
+        t: usize,
+        node: NodeId,
+        shortfall: u64,
+        freed: &mut u64,
+        victims: &mut Vec<BlockId>,
+    ) {
+        let evictor = self.map.tenant_of_app(self.current) as usize;
+        for k in self.tenant_run(t) {
+            if *freed >= shortfall {
+                return;
+            }
+            let a = self.active[k].1 as usize;
+            let Live { policy, own, .. } = &mut self.live[self.slot[a] as usize];
+            let own = &own[node.index()];
+            if own.is_empty() {
+                continue;
+            }
+            let policy = policy.as_mut().expect("active submission");
+            let picked = policy.select_victims(node, shortfall - *freed, own);
+            for b in &picked {
+                *freed += own.get(b).copied().unwrap_or(0);
+            }
+            self.cross[evictor][t] += picked.len() as u64;
+            // The first contributing batch is the result itself: no copy.
+            if victims.is_empty() {
+                *victims = picked;
+            } else {
+                victims.extend(picked);
+            }
         }
-    }
-
-    /// Read the sizes of the blocks inserted on `node` since its last
-    /// victim selection off the node's `resident` map. Idempotent per
-    /// entry, so duplicates (a block removed and re-inserted) are harmless.
-    fn settle_sizes(&mut self, node: usize, resident: &BTreeMap<BlockId, u64>) {
-        let TenantMux {
-            inner,
-            map,
-            tenant_bytes,
-            unread,
-            ..
-        } = self;
-        for (a, b) in unread[node].drain(..) {
-            let Some(size) = inner[a]
-                .as_mut()
-                .and_then(|l| l.own.get_mut(node))
-                .and_then(|m| m.get_mut(&b))
-            else {
-                continue; // removed since (or its submission retired)
-            };
-            let now = *resident.get(&b).expect("a tracked block is resident");
-            let t = map.tenant_of_app(a) as usize;
-            tenant_bytes[node][t] = tenant_bytes[node][t] - *size + now;
-            *size = now;
-        }
-    }
-
-    /// Drop stale `unread` entries of `node` (blocks removed since, and
-    /// duplicates), leaving exactly the still-unread ones.
-    fn compact_unread(&mut self, node: usize) {
-        let inner = &self.inner;
-        let list = &mut self.unread[node];
-        list.retain(|&(a, b)| {
-            inner[a]
-                .as_ref()
-                .and_then(|l| l.own.get(node))
-                .is_some_and(|m| m.contains_key(&b))
-        });
-        list.sort_unstable();
-        list.dedup();
     }
 
     /// Debug builds: the per-(node, submission) maps must union to exactly
-    /// the node's resident map, sizes included, each block under its owner,
-    /// and the per-tenant totals must match. Allocation-free, so the serve
-    /// footprint test measures the same heap traffic in debug and release.
+    /// the node's resident map, each block under its owner with the size
+    /// recorded at admission equal to the store's, and the per-tenant
+    /// totals must match. Allocation-free, so the work-count gate measures
+    /// the same heap traffic in debug and release.
     #[cfg(debug_assertions)]
     fn audit(&self, node: usize, resident: &BTreeMap<BlockId, u64>) {
         let mut tracked = 0;
-        for &a in &self.active {
-            for (&b, &size) in self.live(a).own.get(node).into_iter().flatten() {
-                // Keys are unique per map and each block is checked against
-                // its one owner, so no block is tracked twice; with every
-                // entry resident and the counts equal, the union is exact.
-                assert_eq!(self.owner(b), a, "{b} tracked under a foreign submission");
-                assert_eq!(resident.get(&b), Some(&size), "{b} stale on node {node}");
-                tracked += 1;
+        for t in 0..self.cross.len() {
+            let mut bytes = 0;
+            for &(_, a) in &self.active[self.tenant_run(t)] {
+                let a = a as usize;
+                for (&b, &size) in &self.live[self.slot[a] as usize].own[node] {
+                    // Keys are unique per map and each block is checked
+                    // against its one owner, so no block is tracked twice;
+                    // with every entry resident and the counts equal, the
+                    // union is exact.
+                    assert_eq!(self.owner(b), a, "{b} tracked under a foreign submission");
+                    let stored = resident.get(&b);
+                    assert_eq!(stored, Some(&size), "{b}: size differs on node {node}");
+                    tracked += 1;
+                    bytes += size;
+                }
             }
+            let recorded = self.tenant_bytes[node * self.cross.len() + t];
+            assert_eq!(bytes, recorded, "tenant {t} bytes diverged on node {node}");
         }
         assert_eq!(
             tracked,
             resident.len(),
             "mux residency diverged on node {node}"
         );
-        assert_eq!(tracked, self.node_blocks[node]);
-        for (t, &bytes) in self.tenant_bytes[node].iter().enumerate() {
-            let sum: u64 = self
-                .active
-                .iter()
-                .filter(|&&a| self.map.tenant_of_app(a) as usize == t)
-                .flat_map(|&a| self.live(a).own.get(node))
-                .flat_map(|m| m.values())
-                .sum();
-            assert_eq!(sum, bytes, "tenant {t} bytes diverged on node {node}");
-        }
     }
 }
 
@@ -595,59 +622,40 @@ impl CachePolicy for TenantMux {
 
     fn on_insert(&mut self, node: NodeId, block: BlockId) {
         let o = self.owner(block);
-        let tracking = self.tracking();
-        let live = self.inner[o].as_mut().expect("live owner");
-        live.policy.on_insert(node, block);
-        if !tracking {
+        self.policy_mut(o).on_insert(node, block);
+        if !self.tracking() {
             return;
         }
+        let local = RddId(block.rdd.0 - self.map.offset(o));
+        let column = &self.sizes[self.live[self.slot[o] as usize].column];
+        let row = column.binary_search_by_key(&local, |&(r, _)| r);
+        let size = column[row.expect("inserted blocks belong to cached RDDs")].1;
         let n = node.index();
-        if live.own.len() <= n {
-            live.own.resize_with(n + 1, BTreeMap::new);
-        }
-        let fresh = match live.own[n].entry(block) {
-            Entry::Vacant(e) => {
-                e.insert(0);
-                true
-            }
-            Entry::Occupied(_) => false,
-        };
-        if fresh {
-            self.cover_node(n);
-            self.node_blocks[n] += 1;
-            self.unread[n].push((o, block));
-            if self.unread[n].len() > 2 * self.node_blocks[n] + 64 {
-                self.compact_unread(n);
-            }
+        if self.entry(o).own[n].insert(block, size).is_none() {
+            *self.bytes(n, self.map.tenant_of_app(o) as usize) += size;
         }
     }
 
     fn on_access(&mut self, node: NodeId, block: BlockId) {
         let o = self.owner(block);
-        self.inner[o]
-            .as_mut()
-            .expect("live owner")
-            .policy
-            .on_access(node, block);
+        self.policy_mut(o).on_access(node, block);
     }
 
     fn on_remove(&mut self, node: NodeId, block: BlockId) {
         // Only live/draining submissions can own a cached block: retirement
         // requires zero memory residency, so routing is always resolvable.
         let o = self.owner(block);
-        let live = self.inner[o].as_mut().expect("live owner");
-        live.policy.on_remove(node, block);
+        self.policy_mut(o).on_remove(node, block);
         let n = node.index();
-        if let Some(size) = live.own.get_mut(n).and_then(|m| m.remove(&block)) {
-            self.node_blocks[n] -= 1;
-            self.tenant_bytes[n][self.map.tenant_of_app(o) as usize] -= size;
+        if let Some(size) = self.entry(o).own[n].remove(&block) {
+            *self.bytes(n, self.map.tenant_of_app(o) as usize) -= size;
         }
     }
 
     fn on_node_join(&mut self, node: NodeId) {
-        for &a in &self.active {
-            let live = self.inner[a].as_mut().expect("active submission");
-            live.policy.on_node_join(node);
+        for k in 0..self.active.len() {
+            self.policy_mut(self.active[k].1 as usize)
+                .on_node_join(node);
         }
     }
 
@@ -665,64 +673,30 @@ impl CachePolicy for TenantMux {
             // Single submission: exact pass-through.
             return self.cur().select_victims(node, shortfall, resident);
         }
-        let n = node.index();
-        self.cover_node(n);
-        self.settle_sizes(n, resident);
         #[cfg(debug_assertions)]
-        self.audit(n, resident);
-
-        let map = &self.map;
-        let cur_tenant = map.tenant_of_app(self.current) as usize;
-        let tenant_bytes = &self.tenant_bytes[n];
+        self.audit(node.index(), resident);
 
         // Own-first order: the evicting tenant's live submissions in
-        // submission order, then other tenants by descending evictable
-        // bytes on this node (most over-represented first; ties by
-        // ascending tenant id), each tenant's live submissions in
-        // submission order.
-        self.order.clear();
-        self.order.extend(
-            self.active
-                .iter()
-                .copied()
-                .filter(|&a| map.tenant_of_app(a) as usize == cur_tenant),
-        );
-        self.others.clear();
-        self.others
-            .extend((0..tenant_bytes.len()).filter(|&t| t != cur_tenant && tenant_bytes[t] > 0));
-        self.others
-            .sort_by_key(|&t| (std::cmp::Reverse(tenant_bytes[t]), t));
-        for &t in &self.others {
-            self.order.extend(
-                self.active
-                    .iter()
-                    .copied()
-                    .filter(|&a| map.tenant_of_app(a) as usize == t),
-            );
-        }
-
+        // submission order; only if they fall short, the other tenants by
+        // descending bytes on this node (most over-represented first; ties
+        // by ascending tenant id), each tenant's live submissions in
+        // submission order. The engine removes victims after this call, so
+        // ranking late sees the same byte totals as ranking up front.
+        let cur_tenant = self.map.tenant_of_app(self.current) as usize;
         let mut victims = Vec::new();
         let mut freed = 0u64;
-        for &a in &self.order {
-            if freed >= shortfall {
-                break;
+        self.visit_tenant(cur_tenant, node, shortfall, &mut freed, &mut victims);
+        if freed < shortfall {
+            let nt = self.cross.len();
+            let bytes = &self.tenant_bytes[node.index() * nt..][..nt];
+            let mut others = take(&mut self.others);
+            others.clear();
+            others.extend((0..nt).filter(|&t| t != cur_tenant && bytes[t] > 0));
+            others.sort_by_key(|&t| (std::cmp::Reverse(bytes[t]), t));
+            for &t in &others {
+                self.visit_tenant(t, node, shortfall, &mut freed, &mut victims);
             }
-            let Live { policy, own } = self.inner[a].as_mut().expect("active submission");
-            let Some(own) = own.get(n).filter(|m| !m.is_empty()) else {
-                continue;
-            };
-            let vict_tenant = map.tenant_of_app(a) as usize;
-            let picked = policy.select_victims(node, shortfall - freed, own);
-            for b in &picked {
-                freed += own.get(b).copied().unwrap_or(0);
-            }
-            self.cross[cur_tenant][vict_tenant] += picked.len() as u64;
-            // The first contributing batch is the result itself: no copy.
-            if victims.is_empty() {
-                victims = picked;
-            } else {
-                victims.extend(picked);
-            }
+            self.others = others;
         }
         victims
     }
@@ -736,7 +710,7 @@ impl CachePolicy for TenantMux {
     }
 
     fn wants_purge(&self) -> bool {
-        self.live(self.current).policy.wants_purge()
+        self.policy(self.current).wants_purge()
     }
 
     fn prefetch_order(&mut self, node: NodeId, missing: &[BlockId]) -> Vec<BlockId> {
@@ -744,7 +718,7 @@ impl CachePolicy for TenantMux {
     }
 
     fn wants_prefetch(&self) -> bool {
-        self.live(self.current).policy.wants_prefetch()
+        self.policy(self.current).wants_prefetch()
     }
 }
 
@@ -946,7 +920,7 @@ impl<'s, 'a> Driver<'s, 'a> {
             factory,
             subs,
             engine,
-            mux: TenantMux::new(sim.subs.len(), Arc::clone(&sim.map)),
+            mux: TenantMux::new(cfg.cluster.nodes as usize, Arc::clone(&sim.map)),
             arena,
             templates: TemplateCache::new(),
             running: 0,
@@ -1005,6 +979,8 @@ impl<'s, 'a> Driver<'s, 'a> {
             self.complete(a);
         }
         self.retire_drained();
+        #[cfg(debug_assertions)]
+        self.audit();
 
         let (blocks, bytes) = self.engine.resident_totals();
         let p = &mut self.peaks;
@@ -1056,7 +1032,9 @@ impl<'s, 'a> Driver<'s, 'a> {
         sub.state.slot_run = base..base + len;
         let snap = Arc::new(self.arena.snapshot());
         self.engine.admit_app(sim.subs[a], sim.map.offset(a), &snap);
-        self.mux.admit(a, (self.factory)(a), &snap);
+        let cached = sim.subs[a].rdds.iter().filter(|r| r.is_cached());
+        let sizes = cached.map(|r| (r.id, r.block_size));
+        self.mux.admit(a, (self.factory)(a), &snap, sizes);
         sub.phase = Phase::Running(Run {
             plan,
             profiler,
@@ -1165,6 +1143,25 @@ impl<'s, 'a> Driver<'s, 'a> {
         self.engine.retire_app(range.clone(), slots);
         self.arena.retire(RddId(range.start));
         self.mux.retire(a);
+    }
+
+    /// Debug builds, after every dispatch (so after every admission and
+    /// retirement): the mux's active set is exactly the Running and
+    /// Draining submissions, and `running` and `queued` count the Running
+    /// and Queued ones. Allocation-free, so the work-count gate reads the
+    /// same heap traffic in debug and release.
+    #[cfg(debug_assertions)]
+    fn audit(&self) {
+        let (mut running, mut queued) = (0, 0);
+        for (a, sub) in self.subs.iter().enumerate() {
+            let live = matches!(sub.phase, Phase::Running(_) | Phase::Draining);
+            assert_eq!(self.mux.is_active(a), live, "submission {a}: mux differs");
+            running += matches!(sub.phase, Phase::Running(_)) as usize;
+            queued += matches!(sub.phase, Phase::Queued) as usize;
+        }
+        let counts = (self.mux.active_apps(), self.running, self.queued);
+        let live = running + self.draining.len();
+        assert_eq!(counts, (live, running, queued), "(active, running, queued)");
     }
 
     /// The stream's report; the engine's buffers go back to `scratch`.
@@ -1634,6 +1631,94 @@ mod tests {
         assert_eq!(sr.reports.len(), 1);
         assert_eq!(format!("{legacy:?}"), format!("{:?}", sr.reports[0]));
         assert_eq!(sr.makespan, legacy.jct);
+    }
+
+    /// Records every `select_victims` call as `(submission, shortfall)` and
+    /// picks its own blocks in ascending order until the shortfall is met.
+    struct Recorder {
+        app: usize,
+        log: Arc<std::sync::Mutex<Vec<(usize, u64)>>>,
+    }
+
+    impl CachePolicy for Recorder {
+        fn name(&self) -> String {
+            format!("rec{}", self.app)
+        }
+
+        fn pick_victim(&mut self, _: NodeId, _: &[BlockId]) -> Option<BlockId> {
+            unreachable!("the mux selects in batches")
+        }
+
+        fn select_victims(
+            &mut self,
+            _: NodeId,
+            shortfall: u64,
+            resident: &BTreeMap<BlockId, u64>,
+        ) -> Vec<BlockId> {
+            self.log.lock().unwrap().push((self.app, shortfall));
+            let mut freed = 0;
+            let picks = resident.iter().take_while(|&(_, &size)| {
+                let more = freed < shortfall;
+                freed += size;
+                more
+            });
+            picks.map(|(&b, _)| b).collect()
+        }
+    }
+
+    #[test]
+    fn mux_visits_own_tenant_first_then_others_by_descending_bytes() {
+        // Submissions 0 and 3 belong to tenant 0, 1 to tenant 1, 2 to
+        // tenant 2; each owns one cached RDD of 100-byte blocks.
+        let tenants = [0, 1, 2, 0];
+        let map = Arc::new(TenantMap::new(&[1; 4], &tenants));
+        let mut arena = SlotArena::new();
+        for a in 0..4u32 {
+            arena.admit(a, &[(RddId(a), 8)]);
+        }
+        let snap = Arc::new(arena.snapshot());
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut mux = TenantMux::new(4, Arc::clone(&map));
+        for app in 0..4 {
+            let log = Arc::clone(&log);
+            let sizes = std::iter::once((RddId(0), 100));
+            mux.admit(app, Box::new(Recorder { app, log }), &snap, sizes);
+        }
+        // Blocks per submission on each node.
+        let layout: [[u32; 4]; 4] = [
+            [1, 1, 3, 1], // tenant 2 (300 B) outranks tenant 1 (100 B)
+            [1, 2, 2, 0], // tenants 1 and 2 tie at 200 B
+            [1, 0, 2, 0], // tenant 1 holds nothing
+            [2, 3, 0, 0], // tenant 0 covers the shortfall exactly
+        ];
+        let mut resident = vec![BTreeMap::new(); 4];
+        for (n, counts) in layout.iter().enumerate() {
+            for (a, &count) in counts.iter().enumerate() {
+                for p in 0..count {
+                    let b = BlockId::new(RddId(a as u32), p);
+                    mux.on_insert(NodeId(n as u32), b);
+                    resident[n].insert(b, 100);
+                }
+            }
+        }
+        let mut select = |n: usize, current: usize, shortfall: u64| {
+            mux.set_current(current);
+            let victims = mux.select_victims(NodeId(n as u32), shortfall, &resident[n]);
+            let calls = std::mem::take(&mut *log.lock().unwrap());
+            (victims.len(), calls)
+        };
+        let calls = vec![(0, 600), (3, 500), (2, 400), (1, 100)];
+        assert_eq!(select(0, 0, 600), (6, calls), "own tenant, then descending");
+        let calls = vec![(0, 500), (1, 400), (2, 200)];
+        assert_eq!(select(1, 3, 500), (5, calls), "a byte tie goes to tenant 1");
+        let calls = vec![(0, 1000), (2, 900)];
+        assert_eq!(select(2, 0, 1000), (3, calls), "zero-byte tenant 1 skipped");
+        let calls = vec![(0, 200)];
+        assert_eq!(select(3, 0, 200), (2, calls), "no other tenant is asked");
+        // Evictor tenant 0 took 6 of its own blocks, 3 of tenant 1's and
+        // 7 of tenant 2's.
+        let cross = vec![vec![6, 3, 7], vec![0; 3], vec![0; 3]];
+        assert_eq!(mux.cross_evictions(), &cross);
     }
 
     #[test]
