@@ -86,6 +86,13 @@ cargo test -q -p refdist-cluster --test differential_serve -- \
 echo "==> cargo test -q --test serve_stream --test large_cluster"
 cargo test -q --test serve_stream --test large_cluster
 
+# Frozen planner and analyzer output, named so a planning change is called
+# out in the CI log: stage and job counts and digests of the plan and the
+# reference profile of every SparkBench workload and of PageRank at 240
+# iterations (tests/golden/plans.txt).
+echo "==> cargo test -q --test plans"
+cargo test -q --test plans
+
 # The performance gate: exact per-layer work counts (slot index, store,
 # speculative copies, policy hooks, serve admission and retirement, heap
 # allocations and peak bytes) of small fixed versions of the benchmark's

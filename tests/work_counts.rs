@@ -16,6 +16,10 @@
 //!   broken template cache shows as one plan per submission);
 //! * `heap.*`: heap allocations and peak heap growth while it ran.
 //!
+//! A `setup` scenario reports only `heap.*`: building the paper sweep's
+//! 14 workloads (spec, plan, profile, slot arena), which the other
+//! scenarios do before they measure.
+//!
 //! No count reads a clock, and everything runs on one thread, so the counts
 //! are a function of the code alone and the golden compares exactly. A
 //! mismatch names the first count that moved. A count that falls is a
@@ -367,6 +371,23 @@ fn paper_sweep(out: &mut String) {
             })
             .collect::<Vec<_>>()
     });
+}
+
+/// Set-up of the full paper sweep: the 14 SparkBench workloads at the
+/// main experiment's size, each built into its spec, plan, profiler and
+/// slot arena, as `run_sweep` builds them before its first cell. Only heap
+/// traffic is reported; no simulation runs.
+fn setup(out: &mut String) {
+    let params = ExpContext::main().params;
+    let (preps, heap) = measure(|| {
+        Workload::sparkbench()
+            .iter()
+            .map(|&w| PreparedWorkload::new(w, &params, ProfileMode::Recurring))
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(preps.len(), 14);
+    writeln!(out, "setup heap.allocs {}", heap.allocs).expect("writing to a String");
+    writeln!(out, "setup heap.peak_bytes {}", heap.peak_growth).expect("writing to a String");
 }
 
 /// One PageRank run under LRU on 16 nodes, half its footprint cached.
@@ -757,6 +778,7 @@ fn per_submission_cost_is_flat_in_active_submissions(specs: &[AppSpec]) {
 fn work_counts_match_golden_and_footprints_hold() {
     let templates = serve_templates();
     let mut out = String::new();
+    setup(&mut out);
     paper_sweep(&mut out);
     scale_out(&mut out);
     speculation(&mut out);
