@@ -185,7 +185,12 @@ impl MrdTable {
     /// The comparison value is always the *lowest* remaining reference
     /// point (§4.1: "it will only use the lowest one").
     pub fn distance(&self, rdd: RddId) -> RefDistance {
-        match self.refs.get(&rdd).and_then(|q| q.front()) {
+        self.distance_of(self.refs.get(&rdd))
+    }
+
+    /// The distance of a stored queue (`None`: the RDD is not tracked).
+    fn distance_of(&self, queue: Option<&VecDeque<u32>>) -> RefDistance {
+        match queue.and_then(|q| q.front()) {
             Some(&p) => RefDistance::Finite(p - self.current),
             None => RefDistance::Infinite,
         }
@@ -200,9 +205,12 @@ impl MrdTable {
             .map(|(&r, _)| r)
     }
 
-    /// All (rdd, distance) pairs, for inspection and Figure 2 style dumps.
+    /// All (rdd, distance) pairs in RDD order, one pass over the table:
+    /// what each monitor's replica is rebuilt from, and Figure 2 style dumps.
     pub fn distances(&self) -> impl Iterator<Item = (RddId, RefDistance)> + '_ {
-        self.refs.keys().map(move |&r| (r, self.distance(r)))
+        self.refs
+            .iter()
+            .map(move |(&r, q)| (r, self.distance_of(Some(q))))
     }
 }
 

@@ -17,11 +17,15 @@
 //! files, not the cache), and stops below cached RDDs that already exist —
 //! the stage reads them from the cache instead of recomputing their lineage.
 //! Creating a cached RDD counts as its first reference.
+//!
+//! The traversal is the planner's lineage walker (epoch marks, one reused
+//! stack), run once per stage. References accumulate in a table indexed by
+//! RDD id, an RDD's first entry marking it created, and are frozen into the
+//! shared per-RDD lists at the end.
 
 use crate::app::AppSpec;
-use crate::hash::HashSet;
 use crate::ids::{JobId, RddId, StageId};
-use crate::plan::{AppPlan, StageKind};
+use crate::plan::{AppPlan, LineageWalk, StageKind};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -183,57 +187,53 @@ impl<'a> RefAnalyzer<'a> {
 
     /// Compute the whole-application reference profile.
     pub fn profile(&self) -> AppProfile {
-        // Reference lists grow as stages are walked, so accumulate in plain
-        // vectors and freeze into the shared `Arc` slices at the end.
-        let mut growing: BTreeMap<RddId, (Vec<StageId>, Vec<JobId>)> = BTreeMap::new();
-        let mut per_stage = Vec::with_capacity(self.plan.stages.len());
-        let mut created: HashSet<RddId> = HashSet::default();
-
+        let spec = self.spec;
+        let stage_job: Arc<[JobId]> = self.plan.stages.iter().map(|s| s.job).collect();
+        // Per RDD, the stages referencing it so far; a cached RDD exists
+        // once its list is non-empty (its first reference created it).
+        let mut refs: Vec<Vec<StageId>> = vec![Vec::new(); spec.rdds.len()];
+        let mut walk = LineageWalk::new(spec);
         // Stage-ID order is execution order (see plan.rs module docs).
-        for stage in &self.plan.stages {
-            let mut touches = StageTouches::default();
-            let mut visited = HashSet::default();
-            let mut stack = vec![stage.final_rdd];
-            while let Some(v) = stack.pop() {
-                if !visited.insert(v) {
-                    continue;
-                }
-                let rdd = self.spec.rdd(v);
-                if rdd.is_cached() {
-                    let entry = growing.entry(v).or_default();
-                    entry.0.push(stage.id);
-                    entry.1.push(stage.job);
-                    if created.contains(&v) {
-                        // Cache hit at plan level: do not descend further.
-                        touches.reads.push(v);
-                        continue;
+        let per_stage = self
+            .plan
+            .stages
+            .iter()
+            .map(|stage| {
+                let mut touches = StageTouches::default();
+                walk.start(stage.final_rdd);
+                while let Some(v) = walk.next() {
+                    if spec.rdd(v).is_cached() {
+                        let seen = &mut refs[v.index()];
+                        seen.push(stage.id);
+                        if seen.len() > 1 {
+                            // Cache hit at plan level: do not descend further.
+                            touches.reads.push(v);
+                            continue;
+                        }
+                        touches.creates.push(v);
+                        // Fall through: the stage must compute it this time.
                     }
-                    created.insert(v);
-                    touches.creates.push(v);
-                    // Fall through: the stage must compute it this time.
+                    walk.descend(spec, v);
                 }
-                for p in rdd.narrow_parents().collect::<Vec<_>>().into_iter().rev() {
-                    stack.push(p);
-                }
-            }
-            per_stage.push(touches);
-        }
+                touches
+            })
+            .collect();
+        // Freeze each referenced RDD's list into the shared slices.
+        let per_rdd = refs
+            .iter()
+            .enumerate()
+            .filter(|(_, stages)| !stages.is_empty())
+            .map(|(i, stages)| {
+                let rdd = RddId(i as u32);
+                let jobs = stages.iter().map(|s| stage_job[s.index()]).collect();
+                let stages = Arc::from(&stages[..]);
+                (rdd, RddRefs { rdd, stages, jobs })
+            })
+            .collect();
         AppProfile {
-            per_rdd: growing
-                .into_iter()
-                .map(|(rdd, (stages, jobs))| {
-                    (
-                        rdd,
-                        RddRefs {
-                            rdd,
-                            stages: stages.into(),
-                            jobs: jobs.into(),
-                        },
-                    )
-                })
-                .collect(),
+            per_rdd,
             per_stage,
-            stage_job: self.plan.stages.iter().map(|s| s.job).collect(),
+            stage_job,
             num_jobs: self.plan.jobs.len(),
         }
     }

@@ -15,10 +15,18 @@
 //! once, in the first job that contains it, and the execution order of active
 //! stages is exactly stage-ID order (IDs are assigned parents-first within a
 //! job and jobs run in submission order).
+//!
+//! Every lineage traversal here and in the reference analyzer
+//! ([`crate::analyze`]) runs on one reusable depth-first walker: per-RDD
+//! epoch marks in a dense table instead of a hash set per walk, and one
+//! stack reused across walks. The planner walks each stage's narrow set
+//! once and reads its shuffle frontier off that set; the map-stage registry
+//! is a dense table over shuffle dependencies, and each job's stage list
+//! is closed with per-stage marks. No planning step hashes.
 
 use crate::app::AppSpec;
-use crate::hash::{HashMap, HashSet};
 use crate::ids::{JobId, RddId, StageId};
+use crate::rdd::Dependency;
 use std::sync::Arc;
 
 /// What a stage produces.
@@ -120,129 +128,219 @@ impl AppPlan {
 /// Collect all RDDs reachable from `from` through narrow dependencies, in
 /// deterministic DFS discovery order (the stage's pipelined set).
 pub fn narrow_set(spec: &AppSpec, from: RddId) -> Vec<RddId> {
-    let mut out = Vec::new();
-    let mut seen = HashSet::default();
-    let mut stack = vec![from];
-    while let Some(v) = stack.pop() {
-        if !seen.insert(v) {
-            continue;
-        }
-        out.push(v);
-        // Reverse so the first-declared parent is visited first.
-        for p in spec
-            .rdd(v)
-            .narrow_parents()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .rev()
-        {
-            stack.push(p);
-        }
-    }
-    out
+    LineageWalk::new(spec).narrow_set(spec, from)
 }
 
 /// Collect the shuffle edges `(map_side_parent, shuffle_child)` at the narrow
 /// frontier of `from`, in deterministic discovery order.
 pub fn shuffle_frontier(spec: &AppSpec, from: RddId) -> Vec<(RddId, RddId)> {
-    let mut edges = Vec::new();
-    let mut edge_seen = HashSet::default();
-    for v in narrow_set(spec, from) {
-        for d in &spec.rdd(v).deps {
-            if d.is_shuffle() {
-                let e = (d.parent(), v);
-                if edge_seen.insert(e) {
-                    edges.push(e);
+    shuffle_deps(spec, &narrow_set(spec, from))
+        .map(|(parent, child, _)| (parent, child))
+        .collect()
+}
+
+/// The distinct shuffle edges out of a pipelined set, in order: each RDD's
+/// shuffle dependencies in declaration order, a parent the RDD shuffles
+/// twice yielded once. An edge `(parent, child)` can only repeat inside
+/// its child's own `deps`, since each RDD appears once in the set. Each
+/// edge comes with the position of its dependency in the child's `deps`.
+fn shuffle_deps<'s>(
+    spec: &'s AppSpec,
+    rdds: &'s [RddId],
+) -> impl Iterator<Item = (RddId, RddId, usize)> + 's {
+    rdds.iter().flat_map(move |&child| {
+        let deps = &spec.rdd(child).deps;
+        deps.iter().enumerate().filter_map(move |(k, &d)| match d {
+            Dependency::Shuffle(parent) if !deps[..k].contains(&d) => Some((parent, child, k)),
+            _ => None,
+        })
+    })
+}
+
+/// A reusable depth-first walk over narrow lineage: the one traversal the
+/// planner and the reference analyzer share.
+///
+/// Each RDD carries the epoch of the last walk that visited it, so a new
+/// walk needs no clearing and no hashing. An RDD is marked when it is
+/// popped, and its narrow parents are pushed last-declared first, so the
+/// first-declared parent is visited first: the discovery order of a plain
+/// recursive DFS.
+pub(crate) struct LineageWalk {
+    /// Epoch of the walk that last visited each RDD, indexed by `RddId`.
+    marks: Vec<u32>,
+    epoch: u32,
+    stack: Vec<RddId>,
+    /// Scratch for [`LineageWalk::narrow_set`].
+    found: Vec<RddId>,
+}
+
+impl LineageWalk {
+    /// A walker over `spec`'s RDDs.
+    pub(crate) fn new(spec: &AppSpec) -> Self {
+        LineageWalk {
+            marks: vec![0; spec.rdds.len()],
+            epoch: 0,
+            stack: Vec::new(),
+            found: Vec::new(),
+        }
+    }
+
+    /// Begin a new walk from `from`: every RDD is unvisited again.
+    pub(crate) fn start(&mut self, from: RddId) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.marks.fill(0);
+            self.epoch = 1;
+        }
+        self.stack.clear();
+        self.stack.push(from);
+    }
+
+    /// The next RDD this walk has not visited yet, marked visited.
+    pub(crate) fn next(&mut self) -> Option<RddId> {
+        while let Some(v) = self.stack.pop() {
+            let mark = &mut self.marks[v.index()];
+            if *mark != self.epoch {
+                *mark = self.epoch;
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    /// Walk on below `v`: queue its unvisited narrow parents.
+    pub(crate) fn descend(&mut self, spec: &AppSpec, v: RddId) {
+        for d in spec.rdd(v).deps.iter().rev() {
+            if let Dependency::Narrow(p) = *d {
+                if self.marks[p.index()] != self.epoch {
+                    self.stack.push(p);
                 }
             }
         }
     }
-    edges
+
+    /// `from`'s pipelined set in discovery order, allocated at its size.
+    pub(crate) fn narrow_set(&mut self, spec: &AppSpec, from: RddId) -> Vec<RddId> {
+        self.start(from);
+        while let Some(v) = self.next() {
+            self.found.push(v);
+            self.descend(spec, v);
+        }
+        let set = self.found.to_vec();
+        self.found.clear();
+        set
+    }
 }
 
 struct Planner<'a> {
     spec: &'a AppSpec,
+    walk: LineageWalk,
     stages: Vec<Stage>,
-    /// Shuffle-map stage registry keyed by shuffle edge (parent, child) —
-    /// the analogue of Spark's `shuffleIdToMapStage`.
-    shuffle_stages: HashMap<(RddId, RddId), StageId>,
+    /// Shuffle-map stage registry — the analogue of Spark's
+    /// `shuffleIdToMapStage` — indexed by shuffle dependency: the `k`-th
+    /// dependency of RDD `r` sits at `dep_base[r] + k`.
+    map_stages: Vec<Option<StageId>>,
+    dep_base: Vec<u32>,
+    /// Per stage, the last job (index + 1) whose DAG contains it.
+    in_job: Vec<u32>,
 }
 
 impl<'a> Planner<'a> {
     fn new(spec: &'a AppSpec) -> Self {
+        let mut deps = 0;
+        let dep_base = spec
+            .rdds
+            .iter()
+            .map(|r| {
+                let base = deps;
+                deps += r.deps.len() as u32;
+                base
+            })
+            .collect();
         Planner {
             spec,
+            walk: LineageWalk::new(spec),
             stages: Vec::new(),
-            shuffle_stages: HashMap::default(),
+            map_stages: vec![None; deps as usize],
+            dep_base,
+            in_job: Vec::new(),
         }
     }
 
     fn plan(mut self) -> AppPlan {
-        let mut jobs = Vec::with_capacity(self.spec.actions.len());
-        for (ji, action) in self.spec.actions.iter().enumerate() {
-            let job = JobId(ji as u32);
-            let parents = self.parent_stages(action.target, job);
-            let result_stage = self.create_stage(job, action.target, StageKind::Result, parents);
-            // The job's DAG: the result stage plus everything reachable
-            // through stage parents (shared stages included).
-            let mut in_job = HashSet::default();
-            let mut stack = vec![result_stage];
-            while let Some(s) = stack.pop() {
-                if !in_job.insert(s) {
-                    continue;
+        let spec = self.spec;
+        let jobs = spec
+            .actions
+            .iter()
+            .enumerate()
+            .map(|(ji, action)| {
+                let job = JobId(ji as u32);
+                let result_stage = self.create_stage(job, action.target, StageKind::Result);
+                JobPlan {
+                    id: job,
+                    action: action.name.clone(),
+                    stages: self.job_stages(job, result_stage),
+                    result_stage,
                 }
-                stack.extend(self.stages[s.index()].parents.iter().copied());
-            }
-            let mut stage_list: Vec<StageId> = in_job.into_iter().collect();
-            stage_list.sort_unstable();
-            jobs.push(JobPlan {
-                id: job,
-                action: action.name.clone(),
-                stages: stage_list,
-                result_stage,
-            });
-        }
+            })
+            .collect();
         AppPlan {
             stages: self.stages,
-            jobs: jobs.into(),
+            jobs,
         }
     }
 
-    /// Get-or-create the parent shuffle-map stages of `rdd` (Spark's
-    /// `getOrCreateParentStages`). Recursion creates ancestors first, so
-    /// parents always receive lower stage IDs.
-    fn parent_stages(&mut self, rdd: RddId, job: JobId) -> Vec<StageId> {
-        let mut parents = Vec::new();
-        for edge in shuffle_frontier(self.spec, rdd) {
-            let sid = self.shuffle_stage_for(edge, job);
-            if !parents.contains(&sid) {
-                parents.push(sid);
+    /// The job's DAG: the result stage plus everything reachable through
+    /// stage parents (shared stages included), ascending. Parents have
+    /// lower IDs than their children, so one downward scan from the result
+    /// stage closes the set.
+    fn job_stages(&mut self, job: JobId, result: StageId) -> Vec<StageId> {
+        let mark = job.0 + 1;
+        let in_job = &mut self.in_job;
+        in_job.resize(self.stages.len(), 0);
+        in_job[result.index()] = mark;
+        let mut count = 0;
+        for s in self.stages[..=result.index()].iter().rev() {
+            if in_job[s.id.index()] == mark {
+                count += 1;
+                for p in s.parents.iter() {
+                    in_job[p.index()] = mark;
+                }
             }
         }
-        parents
+        let mut stages = Vec::with_capacity(count);
+        stages.extend(
+            self.stages[..=result.index()]
+                .iter()
+                .map(|s| s.id)
+                .filter(|s| in_job[s.index()] == mark),
+        );
+        stages
     }
 
-    fn shuffle_stage_for(&mut self, edge: (RddId, RddId), job: JobId) -> StageId {
-        if let Some(&sid) = self.shuffle_stages.get(&edge) {
-            return sid;
+    /// Create the stage ending at `final_rdd`, getting or creating its
+    /// parent shuffle-map stages first (Spark's `getOrCreateParentStages`):
+    /// recursion creates ancestors first, so parents always receive lower
+    /// stage IDs.
+    fn create_stage(&mut self, job: JobId, final_rdd: RddId, kind: StageKind) -> StageId {
+        let spec = self.spec;
+        let rdds = self.walk.narrow_set(spec, final_rdd);
+        // Distinct edges have distinct map stages, so `parents` holds no
+        // stage twice.
+        let mut parents = Vec::new();
+        for (map_rdd, child, k) in shuffle_deps(spec, &rdds) {
+            let slot = self.dep_base[child.index()] as usize + k;
+            let sid = match self.map_stages[slot] {
+                Some(sid) => sid,
+                None => {
+                    let sid = self.create_stage(job, map_rdd, StageKind::ShuffleMap { child });
+                    self.map_stages[slot] = Some(sid);
+                    sid
+                }
+            };
+            parents.push(sid);
         }
-        let (map_rdd, child) = edge;
-        let grand = self.parent_stages(map_rdd, job);
-        let sid = self.create_stage(job, map_rdd, StageKind::ShuffleMap { child }, grand);
-        self.shuffle_stages.insert(edge, sid);
-        sid
-    }
-
-    fn create_stage(
-        &mut self,
-        job: JobId,
-        final_rdd: RddId,
-        kind: StageKind,
-        parents: Vec<StageId>,
-    ) -> StageId {
         let id = StageId(self.stages.len() as u32);
-        let rdds = narrow_set(self.spec, final_rdd);
-        let num_tasks = self.spec.rdd(final_rdd).num_partitions;
         self.stages.push(Stage {
             id,
             job,
@@ -250,7 +348,7 @@ impl<'a> Planner<'a> {
             kind,
             rdds,
             parents: parents.into(),
-            num_tasks,
+            num_tasks: spec.rdd(final_rdd).num_partitions,
         });
         id
     }

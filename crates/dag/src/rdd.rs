@@ -98,14 +98,6 @@ impl Rdd {
         self.block_size * self.num_partitions as u64
     }
 
-    /// Parent RDDs reached through narrow dependencies.
-    pub fn narrow_parents(&self) -> impl Iterator<Item = RddId> + '_ {
-        self.deps
-            .iter()
-            .filter(|d| !d.is_shuffle())
-            .map(|d| d.parent())
-    }
-
     /// Parent RDDs reached through shuffle dependencies.
     pub fn shuffle_parents(&self) -> impl Iterator<Item = RddId> + '_ {
         self.deps
@@ -153,7 +145,6 @@ mod tests {
         assert!(!r.is_input());
         assert!(r.is_cached());
         assert_eq!(r.total_size(), 400);
-        assert_eq!(r.narrow_parents().collect::<Vec<_>>(), vec![RddId(0)]);
         assert_eq!(r.shuffle_parents().collect::<Vec<_>>(), vec![RddId(1)]);
     }
 

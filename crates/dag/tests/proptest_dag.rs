@@ -1,22 +1,31 @@
 //! Property tests on DAG planning primitives over randomly shaped lineages.
 
 use proptest::prelude::*;
-use refdist_dag::{plan, AppBuilder, AppPlan, AppSpec, RefAnalyzer, StorageLevel};
+use refdist_dag::{
+    plan, AppBuilder, AppPlan, AppSpec, Dependency, RddId, RefAnalyzer, StorageLevel,
+};
+use std::collections::BTreeSet;
 
-/// Build a random but valid lineage: each new RDD picks an existing parent
-/// and a transformation kind.
+/// Build a random but valid lineage: each new RDD picks existing parents
+/// and a transformation kind. Every RDD has 4 partitions, so any two can be
+/// joined narrowly. The kinds cover the shapes the planner's walk must get
+/// right: narrow diamonds (a narrow join of two RDDs that share lineage, so
+/// the walk reaches a common ancestor twice), shuffles of two parents, a
+/// child shuffling the same parent twice (one edge, one map stage), and
+/// joins mixing a narrow and a shuffle dependency.
 fn random_spec(choices: &[(u8, u8, bool)]) -> AppSpec {
     let mut b = AppBuilder::new("random");
     let mut rdds = vec![b.input("in", 4, 1024, 100)];
     for (i, &(kind, parent, cache)) in choices.iter().enumerate() {
         let p = rdds[parent as usize % rdds.len()];
-        let r = match kind % 3 {
+        let q = rdds[(parent as usize / 2) % rdds.len()];
+        let r = match kind % 6 {
             0 => b.narrow(format!("n{i}"), p, 1024, 100),
             1 => b.shuffle(format!("s{i}"), &[p], 4, 512, 100),
-            _ => {
-                let q = rdds[(parent as usize / 2) % rdds.len()];
-                b.shuffle(format!("j{i}"), &[p, q], 4, 512, 100)
-            }
+            2 => b.shuffle(format!("j{i}"), &[p, q], 4, 512, 100),
+            3 => b.narrow_multi(format!("d{i}"), &[p, q], 1024, 100),
+            4 => b.shuffle(format!("t{i}"), &[p, p], 4, 512, 100),
+            _ => b.shuffle_join(format!("m{i}"), p, q, 1024, 100),
         };
         if cache {
             b.persist(r, StorageLevel::MemoryAndDisk);
@@ -31,6 +40,26 @@ fn random_spec(choices: &[(u8, u8, bool)]) -> AppSpec {
     b.build()
 }
 
+/// The pipelined set of `from` by plain recursion: preorder, first-declared
+/// narrow parent first, each RDD once. An oracle independent of the
+/// planner's iterative walk.
+fn recursive_narrow_set(spec: &AppSpec, from: RddId) -> Vec<RddId> {
+    fn visit(spec: &AppSpec, v: RddId, seen: &mut BTreeSet<RddId>, out: &mut Vec<RddId>) {
+        if !seen.insert(v) {
+            return;
+        }
+        out.push(v);
+        for d in &spec.rdd(v).deps {
+            if let Dependency::Narrow(p) = *d {
+                visit(spec, p, seen, out);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    visit(spec, from, &mut BTreeSet::new(), &mut out);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -39,33 +68,38 @@ proptest! {
         let spec = random_spec(&choices);
         let p = AppPlan::build(&spec);
         for stage in &p.stages {
-            for &r in &stage.rdds {
-                // Every member is reachable from the final RDD via narrow
-                // deps only: recomputing membership must agree.
-                prop_assert!(plan::narrow_set(&spec, stage.final_rdd).contains(&r));
+            // The stage pipelines exactly the final RDD's narrow set, in
+            // discovery order: recomputing it, or walking it recursively,
+            // must agree.
+            prop_assert_eq!(&stage.rdds, &plan::narrow_set(&spec, stage.final_rdd));
+            prop_assert_eq!(&stage.rdds, &recursive_narrow_set(&spec, stage.final_rdd));
+            // The frontier's edges, in discovery order, are the stage's
+            // parents: one map stage per distinct shuffle edge.
+            let frontier: Vec<_> = plan::shuffle_frontier(&spec, stage.final_rdd)
+                .iter()
+                .map(|e| {
+                    p.stages
+                        .iter()
+                        .find(|s| s.final_rdd == e.0 && matches!(s.kind, plan::StageKind::ShuffleMap { child } if child == e.1))
+                        .map(|s| s.id)
+                        .expect("frontier edge has a stage")
+                })
+                .collect();
+            prop_assert_eq!(&*stage.parents, &frontier[..]);
+            let distinct: BTreeSet<_> = stage.parents.iter().collect();
+            prop_assert_eq!(distinct.len(), stage.parents.len(), "a parent stage repeats");
+        }
+        // Each job's DAG is its result stage plus the transitive closure of
+        // stage parents, ascending.
+        for job in p.jobs.iter() {
+            let mut closure = BTreeSet::new();
+            let mut stack = vec![job.result_stage];
+            while let Some(s) = stack.pop() {
+                if closure.insert(s) {
+                    stack.extend(p.stage(s).parents.iter().copied());
+                }
             }
-            // The frontier's map stages are exactly the stage's parents.
-            let frontier = plan::shuffle_frontier(&spec, stage.final_rdd);
-            prop_assert_eq!(frontier.len(), {
-                // Parents may be deduplicated when two edges share a stage.
-                let mut ids = stage.parents.to_vec();
-                ids.sort_unstable();
-                ids.dedup();
-                let mut fr: Vec<_> = frontier
-                    .iter()
-                    .map(|e| {
-                        p.stages
-                            .iter()
-                            .find(|s| s.final_rdd == e.0 && matches!(s.kind, plan::StageKind::ShuffleMap { child } if child == e.1))
-                            .map(|s| s.id)
-                            .expect("frontier edge has a stage")
-                    })
-                    .collect();
-                fr.sort_unstable();
-                fr.dedup();
-                prop_assert_eq!(&ids, &fr);
-                frontier.len()
-            });
+            prop_assert_eq!(&job.stages, &closure.into_iter().collect::<Vec<_>>());
         }
     }
 
