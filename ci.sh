@@ -103,28 +103,22 @@ cargo test -q --test plans
 echo "==> cargo test -q --test work_counts"
 cargo test -q --test work_counts
 
-# Reproduction artifacts: every exp_* binary with a checked-in output in
-# experiments/ must print exactly that file (full-size runs, about 4 s in
-# all). A change that moves a paper figure regenerates the file in the same
-# commit (`target/release/exp_fig4 > experiments/exp_fig4.txt`) and updates
-# the numbers EXPERIMENTS.md quotes from it.
-echo "==> experiments/exp_*.txt match their exp_* binaries"
+# Reproduction artifacts: `refdist exp <name>` must print exactly each
+# checked-in experiments/<name>.txt, all at full size. The 15 paper
+# experiments take about 2.5 s in all on 2 cores. The serve grid takes
+# about 21 s and peaks at 5.7 GiB RSS, in each of its three 16-tenant,
+# 40 ms, fair-share, equal-share cells. A change that moves an experiment
+# regenerates its file in the same commit (`target/release/refdist exp
+# exp_fig4 > experiments/exp_fig4.txt`) and updates the numbers
+# EXPERIMENTS.md quotes.
+echo "==> experiments/exp_*.txt match refdist exp"
 exp_err="$(mktemp)"
 for expected in experiments/exp_*.txt; do
-  bin="target/release/$(basename "$expected" .txt)"
-  "$bin" 2> "$exp_err" | diff -u "$expected" - \
-    || { tail -n 20 "$exp_err"; echo "experiments: $bin does not print $expected"; exit 1; }
+  name="$(basename "$expected" .txt)"
+  target/release/refdist exp "$name" 2> "$exp_err" | diff -u "$expected" - \
+    || { tail -n 20 "$exp_err"; echo "experiments: refdist exp $name does not print $expected"; exit 1; }
 done
-
-# run_all renders the same experiment table in-process: written into a
-# scratch directory, its 15 files must equal the checked-in ones.
-echo "==> run_all writes experiments/ (scratch dir)"
-run_all_dir="$(mktemp -d)"
-REFDIST_OUT_DIR="$run_all_dir" target/release/run_all > /dev/null 2> "$exp_err" \
-  || { tail -n 20 "$exp_err"; echo "run_all failed"; exit 1; }
-diff -r experiments "$run_all_dir" \
-  || { echo "run_all: its outputs differ from experiments/"; exit 1; }
-rm -rf "$run_all_dir" "$exp_err"
+rm -f "$exp_err"
 
 # The paper's claims, each a named assertion on the files just checked: a
 # regenerated file that breaks one fails here by the claim's name.
@@ -228,10 +222,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-it
   grep -q 'admission: 2 distinct templates interned over 8 submissions' serve_mix.txt \
     || { echo "serve mix smoke: missing interned-template accounting"; exit 1; }
 
-  # Bad-input smoke: a zero-node cluster, and a cache size whose byte count
-  # overflows u64, must each be a clean CLI error (non-zero exit, an
-  # `error:` line), never a panic.
-  for bad in "serve SP --nodes 0" "run CC --policy lru --cache-mb 17592186044416"; do
+  # Bad-input smoke: a zero-node cluster, a cache size whose byte count
+  # overflows u64, and a missing or unknown experiment name must each be a
+  # clean CLI error (non-zero exit, an `error:` line), never a panic.
+  for bad in "serve SP --nodes 0" "run CC --policy lru --cache-mb 17592186044416" \
+      "exp" "exp exp_fig99"; do
     echo "==> refdist $bad smoke (scratch dir)"
     # shellcheck disable=SC2086 # $bad is a word list on purpose
     if "$OLDPWD/target/release/refdist" $bad --partitions 8 --scale 0.02 \

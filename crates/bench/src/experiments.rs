@@ -1,10 +1,10 @@
 //! Every experiment of the reproduction, as a library function.
 //!
 //! Each `*_text` function renders one experiment's full stdout and returns
-//! it as a `String`. [`EXPERIMENTS`] pairs each with its binary's name and
-//! cluster preset: an `exp_*` binary prints one entry ([`print()`]), `run_all`
-//! renders them all in-process, and the golden-file tests (`tests/golden/`)
-//! snapshot some on a reduced context.
+//! it as a `String`. [`EXPERIMENTS`] pairs each with its name and cluster
+//! preset: `refdist exp <name>` prints one entry, `ci.sh` diffs each against
+//! the checked-in `experiments/<name>.txt`, and the golden-file tests
+//! (`tests/golden/`) snapshot some on a reduced context.
 //!
 //! Three shapes of experiment share this one harness:
 //!
@@ -15,31 +15,38 @@
 //!   [`SweepResults::get`];
 //! * **DAG analysis** (Table 1, Table 3, Figure 2) runs no simulation;
 //! * **fixed-cache single runs** (Belady, overheads, ablations) run each
-//!   configuration once at the context's seed.
+//!   configuration once at the context's seed;
+//! * **the serve grid** runs multi-tenant streams on its own small cluster.
 //!
 //! Everything is deterministic for a fixed [`ExpContext`]: parallelism
 //! comes from the sweep engine's worker pool, whose aggregation order is
 //! canonical regardless of worker count.
 
-use crate::sweep::pool_map;
+use crate::sweep::{pool_map, Progress};
 use crate::{
     cache_for_fraction, run_one, run_sweep, CellResult, EngineScratch, ExpContext, PolicySpec,
     PreparedWorkload, SweepGrid, SweepOptions, SweepResults, SWEEP_FRACTIONS,
 };
-use refdist_cluster::{RunReport, SimConfig, Simulation};
+use crate::{cached_footprint, ServeAxis, ServeScenario};
+use refdist_cluster::{
+    percentile, ClusterConfig, QuotaKind, RunReport, ServeSched, SimConfig, Simulation,
+};
 use refdist_core::{MrdConfig, MrdPolicy, ProfileMode, TieBreak};
-use refdist_dag::{AppPlan, AppProfile, AppSpec, RddId, RefAnalyzer, StageId, StorageLevel};
+use refdist_dag::{
+    AppBuilder, AppPlan, AppProfile, AppSpec, RddId, RefAnalyzer, StageId, StorageLevel,
+};
 use refdist_metrics::{geomean, human_bytes, linear_fit, BarChart, Summary, TextTable};
 use refdist_policies::CachePolicy;
 use refdist_workloads::Workload;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::time::Instant;
 
-/// One experiment: the name of its binary and output file, the cluster
-/// preset it runs on, and the function that renders its stdout.
+/// One experiment: its name, the cluster preset it runs on, and the
+/// function that renders its stdout.
 #[derive(Debug, Clone, Copy)]
 pub struct Experiment {
-    /// The `exp_*` binary, and the file `experiments/<name>.txt`.
+    /// The name `refdist exp` takes, and the file `experiments/<name>.txt`.
     pub name: &'static str,
     /// The cluster preset: [`ExpContext::main`], [`ExpContext::lrc`] or
     /// [`ExpContext::memtune`].
@@ -49,14 +56,13 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Render the experiment on its preset, with `REFDIST_QUICK` applied
-    /// ([`ExpContext::from_env`]).
+    /// Render the experiment on its preset.
     pub fn render(&self, opts: &SweepOptions) -> String {
-        (self.text)(&(self.preset)().from_env(), opts)
+        (self.text)(&(self.preset)(), opts)
     }
 }
 
-/// Every experiment, in the canonical order `run_all` renders them.
+/// Every experiment, in the paper's order, then the serve grid.
 #[rustfmt::skip]
 pub const EXPERIMENTS: &[Experiment] = &[
     Experiment { name: "exp_table1", preset: ExpContext::main, text: table1_text },
@@ -74,17 +80,8 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment { name: "exp_belady", preset: ExpContext::main, text: belady_text },
     Experiment { name: "exp_overheads", preset: ExpContext::main, text: overheads_text },
     Experiment { name: "exp_ablations", preset: ExpContext::main, text: ablations_text },
+    Experiment { name: "exp_serve_grid", preset: ExpContext::main, text: serve_grid_text },
 ];
-
-/// Print the experiment named `name`: the whole body of every `exp_*`
-/// binary. Sweep progress goes to stderr, so stdout is deterministic.
-pub fn print(name: &str) {
-    let exp = EXPERIMENTS
-        .iter()
-        .find(|e| e.name == name)
-        .unwrap_or_else(|| panic!("no experiment named {name}"));
-    print!("{}", exp.render(&SweepOptions::default().progress(true)));
-}
 
 /// Run `policies` and the LRU baseline over the paper's cache sweep
 /// ([`SWEEP_FRACTIONS`]) of `workloads`, at the context's seed.
@@ -1248,6 +1245,133 @@ pub fn ablations_text(ctx: &ExpContext, opts: &SweepOptions) -> String {
     let _ = writeln!(
         out,
         "Under MEMORY_ONLY every bad eviction becomes a recompute cascade —\nthe regime where eviction policy matters most (and prefetch least)."
+    );
+    out
+}
+
+/// Hot/cold iterative app: `hot` is re-read by all three aggregation jobs,
+/// `cold` is created up front and referenced again only by the last job —
+/// the distance between LRU's recency signal and MRD's reference distance.
+fn hot_cold_app() -> AppSpec {
+    let parts = 4;
+    let block = 64 * 1024;
+    let mut b = AppBuilder::new("grid-app");
+    let input = b.input("in", parts, block, 2_000);
+    let hot = b.narrow("hot", input, block, 5_000);
+    b.persist(hot, StorageLevel::MemoryAndDisk);
+    let cold = b.narrow("cold", input, block, 5_000);
+    b.persist(cold, StorageLevel::MemoryAndDisk);
+    let seed = b.narrow_multi("seed", &[hot, cold], 1024, 100);
+    b.action("create", seed);
+    for i in 0..3 {
+        let s = b.shuffle(format!("agg{i}"), &[hot], parts, block / 8, 500);
+        b.action(format!("job{i}"), s);
+    }
+    let last = b.shuffle("coldref", &[cold], parts, block / 8, 500);
+    b.action("jc", last);
+    b.build()
+}
+
+/// The serve grid: does reference distance still win when tenants evict
+/// each other?
+///
+/// The paper's comparison is single-application, and serving breaks its
+/// cleanest assumption: a tenant's blocks can be evicted by *other*
+/// tenants' pressure, at moments its own reference pattern never
+/// predicted. Each cell serves a 10,000-submission Poisson stream of the
+/// hot/cold app over tenants × mean gap × scheduler × quota, under
+/// per-submission LRU, LRC and MRD, and reports mean and p99 JCT and the
+/// cross-tenant share of evictions. The 2-node cluster caches about one
+/// working set while the arrival rate keeps several submissions live, so
+/// eviction pressure is continuous and mostly cross-submission.
+///
+/// The grid ignores the context's cluster and workload parameters and
+/// uses its seed. Its 48 cells run one at a time whatever the thread
+/// count: each of the three 16-tenant, 40 ms, fair-share, equal-share
+/// cells peaks at 5.7 GiB RSS.
+pub fn serve_grid_text(ctx: &ExpContext, opts: &SweepOptions) -> String {
+    const SUBMISSIONS: u32 = 10_000;
+    let spec = hot_cold_app();
+    let mut sim =
+        SimConfig::new(ClusterConfig::tiny(2, cached_footprint(&spec))).with_seed(ctx.seed);
+    sim.compute_jitter = 0.0;
+    sim.exec_mem_fraction = 0.0;
+    let mut out = format!(
+        "serve grid: {SUBMISSIONS}-submission Poisson streams of the hot/cold app, \
+         per-submission policies, streaming admission\n\n"
+    );
+    let mut t = TextTable::new([
+        "tenants", "gap ms", "sched", "quota", "policy", "mean JCT", "p99 JCT", "cross-ev",
+        "vs lru",
+    ]);
+    let policies = [
+        ("lru", PolicySpec::Lru),
+        ("lrc", PolicySpec::Lrc),
+        ("mrd", PolicySpec::MrdFull),
+    ];
+    let progress = Progress::new(48, opts.progress);
+    for tenants in [4u32, 16] {
+        for gap_ms in [40u64, 80] {
+            for sched in [ServeSched::Fifo, ServeSched::FairShare] {
+                for quota in [QuotaKind::Unlimited, QuotaKind::EqualShare] {
+                    let mut lru_mean_ms = 0.0;
+                    for (name, policy) in policies {
+                        let scenario = ServeScenario {
+                            templates: std::slice::from_ref(&spec),
+                            apps: SUBMISSIONS,
+                            sim: sim.clone(),
+                            axis: ServeAxis {
+                                tenants,
+                                mean_gap_us: gap_ms * 1_000,
+                                sched,
+                                quota,
+                                resilience: Default::default(),
+                            },
+                        };
+                        let cell_started = Instant::now();
+                        let r = scenario.run(policy).expect("valid serve grid cell");
+                        let mut jcts: Vec<u64> = r.reports.iter().map(|x| x.jct.micros()).collect();
+                        jcts.sort_unstable();
+                        let mean_ms = jcts.iter().sum::<u64>() as f64 / jcts.len() as f64 / 1e3;
+                        if policy == PolicySpec::Lru {
+                            lru_mean_ms = mean_ms;
+                        }
+                        let (mut total, mut cross) = (0u64, 0u64);
+                        for (i, row) in r.cross_evictions.iter().enumerate() {
+                            for (j, &n) in row.iter().enumerate() {
+                                total += n;
+                                cross += if i == j { 0 } else { n };
+                            }
+                        }
+                        let cross_frac = if total == 0 {
+                            0.0
+                        } else {
+                            cross as f64 / total as f64
+                        };
+                        t.row([
+                            tenants.to_string(),
+                            gap_ms.to_string(),
+                            sched.to_string(),
+                            quota.to_string(),
+                            name.to_string(),
+                            format!("{mean_ms:.1} ms"),
+                            format!("{:.1} ms", percentile(&jcts, 0.99) as f64 / 1e3),
+                            format!("{:.0}%", cross_frac * 100.0),
+                            format!("{:.3}", mean_ms / lru_mean_ms),
+                        ]);
+                        progress.cell_done(
+                            &format!("{tenants} tenants, {gap_ms} ms, {sched}, {quota}, {name}"),
+                            cell_started.elapsed(),
+                        );
+                    }
+                }
+            }
+        }
+    }
+    let _ = writeln!(out, "{}", t.render());
+    let _ = writeln!(
+        out,
+        "vs lru: mean JCT relative to the same cell under LRU (lower is better)."
     );
     out
 }

@@ -2,10 +2,9 @@
 //!
 //! Every table and figure in the paper's evaluation is a function in
 //! [`experiments`], listed once in [`experiments::EXPERIMENTS`] with its
-//! cluster preset. Each `exp_*` binary under `src/bin/` prints one entry
-//! and `run_all` renders them all in-process. The shared harness here is
-//! policy construction ([`PolicySpec`]), cache sizes set against a
-//! workload's cached footprint, one run over a workload's prepared
+//! cluster preset; `refdist exp <name>` prints one entry. The shared
+//! harness here is policy construction ([`PolicySpec`]), cache sizes set
+//! against a workload's cached footprint, one run over a workload's prepared
 //! artifacts ([`run_one`]), and the [`sweep`](mod@sweep) engine, which runs
 //! independent cells of a grid on a bounded worker pool.
 
@@ -177,21 +176,13 @@ impl ExpContext {
         }
     }
 
-    /// Fast, reduced-scale context (used by CI and the integration tests).
+    /// Fast, reduced-scale context: 64 partitions at a quarter of the input
+    /// scale, on 8 nodes.
     pub fn quick(mut self) -> Self {
         self.params.partitions = 64;
         self.params.scale = 0.25;
         self.cluster.nodes = 8;
         self
-    }
-
-    /// Apply `REFDIST_QUICK=1` from the environment.
-    pub fn from_env(self) -> Self {
-        if std::env::var("REFDIST_QUICK").is_ok_and(|v| v != "0") {
-            self.quick()
-        } else {
-            self
-        }
     }
 }
 
@@ -234,7 +225,7 @@ pub fn cache_for_largest(
 }
 
 /// One multi-tenant serve stream, the way every serve caller (the CLI, the
-/// sweep's serve cells, the experiment binaries) builds it:
+/// sweep's serve cells, the serve-grid experiment) builds it:
 /// `apps` submissions cycle round-robin through `templates` and over the
 /// tenants, arrive as a Poisson stream, and run on one shared cluster
 /// under the streaming, template-interned driver.

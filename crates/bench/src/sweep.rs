@@ -33,17 +33,9 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// Number of worker threads to use when none is requested explicitly:
-/// `REFDIST_THREADS` from the environment if set and positive, otherwise the
+/// Number of worker threads to use when none is requested explicitly: the
 /// number of available cores.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("REFDIST_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -540,7 +532,7 @@ impl SweepResults {
 }
 
 /// Per-cell progress reporting with elapsed/ETA, stderr only.
-struct Progress {
+pub(crate) struct Progress {
     total: usize,
     done: AtomicUsize,
     start: Instant,
@@ -548,7 +540,7 @@ struct Progress {
 }
 
 impl Progress {
-    fn new(total: usize, enabled: bool) -> Self {
+    pub(crate) fn new(total: usize, enabled: bool) -> Self {
         Progress {
             total,
             done: AtomicUsize::new(0),
@@ -557,7 +549,7 @@ impl Progress {
         }
     }
 
-    fn cell_done(&self, key: &str, cell_wall: Duration) {
+    pub(crate) fn cell_done(&self, key: &str, cell_wall: Duration) {
         if !self.enabled {
             return;
         }

@@ -1,7 +1,7 @@
 //! Terminal bar charts for experiment output.
 //!
 //! The paper's figures are bar charts; a horizontal ASCII rendering makes
-//! the regenerated series legible straight from the experiment binaries.
+//! the regenerated series legible straight from `refdist exp` output.
 
 use std::fmt::Write as _;
 

@@ -5,6 +5,7 @@
 //! parsing and command execution are unit-testable.
 
 use crate::prelude::*;
+use refdist_bench::experiments::{Experiment, EXPERIMENTS};
 use refdist_bench::{cache_for_largest, check_fraction, PolicySpec, ServeAxis, ServeScenario};
 use refdist_cluster::{QuotaKind, ResilienceConfig, ServeSched};
 use refdist_metrics::{human_bytes, TextTable};
@@ -74,7 +75,7 @@ pub enum Command {
         fractions: Vec<f64>,
         /// Replicate seeds.
         seeds: Vec<u64>,
-        /// Worker threads (0 = available cores / REFDIST_THREADS).
+        /// Worker threads (0 = available cores).
         threads: usize,
         /// Emit CSV instead of a table.
         csv: bool,
@@ -105,7 +106,7 @@ pub enum Command {
         cluster: String,
         /// Node-count override.
         nodes: Option<u32>,
-        /// Worker threads (0 = available cores / REFDIST_THREADS).
+        /// Worker threads (0 = available cores).
         threads: usize,
         /// Master seed (mixed into every cell's derived seed).
         seed: u64,
@@ -180,6 +181,14 @@ pub enum Command {
         /// Generation parameters.
         params: WorkloadParams,
     },
+    /// `refdist exp <name>` — one entry of the experiment table, as checked
+    /// in under `experiments/<name>.txt`.
+    Exp {
+        /// The experiment's name in [`EXPERIMENTS`].
+        name: String,
+        /// Worker threads (0 = available cores).
+        threads: usize,
+    },
     /// `refdist help`.
     Help,
 }
@@ -197,6 +206,7 @@ USAGE:
   refdist sweep [sweep options]
   refdist chaos <workload> [chaos options]
   refdist serve <workload> [serve options]
+  refdist exp <name> [--threads N]
   refdist help
 
 RUN/COMPARE OPTIONS:
@@ -217,7 +227,7 @@ SWEEP OPTIONS (in addition to the applicable options above):
   --policies <a,b,..>    comma-separated policy names (default lru,mrd)
   --fractions <f,f,..>   capacity fractions (default the standard sweep)
   --seeds <n,n,..>       replicate seeds (default 42)
-  --threads <N>          worker threads (default: cores, or REFDIST_THREADS)
+  --threads <N>          worker threads (default: available cores)
   --csv                  emit CSV instead of a table
 
   Cells run in parallel; aggregated output is in canonical grid order and
@@ -273,9 +283,27 @@ SERVE OPTIONS (in addition to the applicable options above):
   admits each submission at its arrival and retires it after it drains, so
   state tracks peak concurrency, not stream length.
 
+EXP:
+  refdist exp <name>     print the experiment checked in as
+                         experiments/<name>.txt (exp_table1, exp_fig4, ..,
+                         exp_serve_grid); progress goes to stderr
+
 WORKLOADS: KM LinR LogR SVM DT MF PR TC SP LP SVD++ CC SCC PO
            Sort WordCount TeraSort PageRank(Hi) Bayes K-Means(Hi)
 ";
+
+/// The experiment named `name`, or an error listing every name.
+fn find_experiment(name: Option<&str>) -> Result<&'static Experiment, String> {
+    let found = name.and_then(|n| EXPERIMENTS.iter().find(|e| e.name == n));
+    found.ok_or_else(|| {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        let what = match name {
+            Some(n) => format!("unknown experiment `{n}`"),
+            None => "missing <name> argument".into(),
+        };
+        format!("{what} (one of {})", names.join(", "))
+    })
+}
 
 fn find_workload(name: &str) -> Result<Workload, String> {
     Workload::from_short_name(name)
@@ -500,6 +528,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             app_retries,
             params,
         }),
+        "exp" => Ok(Command::Exp {
+            name: find_experiment(positional.first().map(|s| s.as_str()))?
+                .name
+                .to_string(),
+            threads,
+        }),
         other => Err(format!("unknown command `{other}` (try `refdist help`)")),
     }
 }
@@ -713,6 +747,11 @@ fn chaos_serve(
 pub fn execute(cmd: Command) -> Result<String, String> {
     match cmd {
         Command::Help => Ok(USAGE.to_string()),
+        Command::Exp { name, threads } => Ok(find_experiment(Some(&name))?.render(
+            &refdist_bench::SweepOptions::default()
+                .threads(threads)
+                .progress(true),
+        )),
         Command::List => {
             let mut t = TextTable::new(["Name", "Full name", "Category", "Job type", "Iterations"]);
             for &w in Workload::sparkbench().iter().chain(Workload::hibench()) {
@@ -1255,6 +1294,20 @@ mod tests {
         assert_eq!(parse(&args("list")).unwrap(), Command::List);
         assert_eq!(parse(&args("help")).unwrap(), Command::Help);
         assert_eq!(parse(&[]).unwrap(), Command::Help);
+        assert_eq!(
+            parse(&args("exp exp_fig2 --threads 3")).unwrap(),
+            Command::Exp {
+                name: "exp_fig2".into(),
+                threads: 3
+            }
+        );
+        for argv in ["exp", "exp exp_fig99"] {
+            let err = parse(&args(argv)).unwrap_err();
+            assert!(
+                err.contains("exp_table1") && err.contains("exp_serve_grid"),
+                "{err}"
+            );
+        }
         assert!(parse(&args("frobnicate")).is_err());
     }
 
@@ -1742,6 +1795,8 @@ mod tests {
             format!("serve SP {tiny} --churn 0,5"),
             format!("run CC --policy lru {tiny} --cache-mb 17592186044416"),
             format!("serve SP {tiny} --quotas 17592186044416"),
+            "exp".into(),
+            "exp exp_fig99".into(),
         ];
         for argv in &cases {
             match std::panic::catch_unwind(|| parse(&args(argv)).and_then(execute)) {

@@ -28,9 +28,8 @@ use refdist::workloads::Workload;
 use std::fs;
 use std::path::PathBuf;
 
-/// The fixed context used for snapshots. Deliberately NOT `from_env()`:
-/// golden output must not move when `REFDIST_QUICK` or other env knobs are
-/// set in the surrounding shell.
+/// The fixed context used for snapshots: the Main preset, shrunk far below
+/// `quick()` so each snapshot renders in milliseconds.
 fn golden_ctx() -> ExpContext {
     let mut ctx = ExpContext::main().quick();
     ctx.params.partitions = 8;
@@ -69,9 +68,8 @@ fn check_golden(name: &str, actual: &str) {
 
 #[test]
 fn table1_matches_golden() {
-    // Thread count is explicit (not 0 = auto) so REFDIST_THREADS cannot
-    // influence the run; the sweep engine guarantees the text is identical
-    // at any width regardless.
+    // Thread count is explicit (not 0 = auto); the sweep engine guarantees
+    // the text is identical at any width regardless.
     let out = experiments::table1_text(&golden_ctx(), &SweepOptions::default().threads(2));
     check_golden("table1.txt", &out);
 }
@@ -293,4 +291,25 @@ fn cli_chaos_serve_csv_matches_golden() {
          --app-retries 2 --csv",
     );
     check_golden("cli_chaos_serve.csv", &out);
+}
+
+#[test]
+fn refdist_exp_prints_the_checked_in_dag_analyses() {
+    // `refdist exp` is the one entry point to the experiment table. The
+    // three experiments that run no simulation render at full size in
+    // milliseconds, so the tier-1 tests check them against the checked-in
+    // files (`ci.sh` checks all of them).
+    for name in ["exp_table1", "exp_table3", "exp_fig2"] {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("experiments")
+            .join(format!("{name}.txt"));
+        let expected =
+            fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+        assert_eq!(
+            cli(&format!("exp {name} --threads 2")),
+            expected,
+            "`refdist exp {name}` differs from {}",
+            path.display()
+        );
+    }
 }

@@ -1,9 +1,9 @@
 //! The paper's claims that this reproduction confirms, checked on the
 //! full-size experiment outputs checked in under `experiments/`.
 //!
-//! `ci.sh` keeps every `experiments/exp_*.txt` byte-equal to what its
-//! binary prints, so a change that moves a figure regenerates the file and
-//! then fails here, on the claim it breaks, by name.
+//! `ci.sh` keeps every `experiments/<name>.txt` byte-equal to what
+//! `refdist exp <name>` prints, so a change that moves a figure regenerates
+//! the file and then fails here, on the claim it breaks, by name.
 
 use std::path::PathBuf;
 
@@ -137,4 +137,42 @@ fn table1_scc_and_lp_have_the_largest_stage_distances_and_sort_wordcount_none() 
         let row = rows.iter().find(|r| r[0] == w).unwrap();
         assert_eq!(row[5], "0.00", "{w} AvgStage");
     }
+}
+
+/// The serve grid, an extension past the paper's single-app evaluation:
+/// reference distance survives multi-tenancy where tenants evict each
+/// other. In every fair-share cell without quotas, MRD's mean JCT relative
+/// to LRU is at most LRC's, and LRC's is below LRU's. Under FIFO the
+/// submissions barely overlap, and MRD and LRC read the same in every
+/// column. Equal-share cells are left out: below one working set per
+/// tenant no eviction order helps (4 tenants, 80 ms reads MRD 1.007).
+#[test]
+fn serve_grid_mrd_leads_lrc_under_fair_share_and_matches_it_under_fifo() {
+    let grid = read("exp_serve_grid.txt");
+    let rows = table_rows(&grid);
+    assert_eq!(rows.len(), 48, "2 x 2 x 2 x 2 cells x LRU, LRC, MRD");
+    // Tenants, gap ms, sched, quota, policy, mean JCT and its unit, p99 JCT
+    // and its unit, cross-ev, vs lru.
+    let (mut fifo, mut contended) = (0, 0);
+    for cell in rows.chunks(3) {
+        let (lrc, mrd) = (&cell[1], &cell[2]);
+        assert_eq!([cell[0][4], lrc[4], mrd[4]], ["lru", "lrc", "mrd"]);
+        let name = format!("{} tenants, {} ms, {}, {}", lrc[0], lrc[1], lrc[2], lrc[3]);
+        if lrc[2] == "fifo" {
+            fifo += 1;
+            assert_eq!(lrc[5..], mrd[5..], "{name}: MRD and LRC differ under FIFO");
+        } else if lrc[3] == "unlimited" {
+            contended += 1;
+            let (lrc_vs, mrd_vs) = (num(lrc[10]), num(mrd[10]));
+            assert!(
+                lrc_vs < 1.0 && mrd_vs <= lrc_vs,
+                "{name}: vs lru LRC {lrc_vs}, MRD {mrd_vs}"
+            );
+        }
+    }
+    assert_eq!(
+        (fifo, contended),
+        (8, 4),
+        "FIFO and fair-share x unlimited cells"
+    );
 }
